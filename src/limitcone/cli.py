@@ -21,7 +21,7 @@ from .errors import (
     NotProximal,
     SeparationViolated,
 )
-from .limits import WordSampler, compare_mu_lambda, enumerate_words, estimate_cone, estimate_limit_set
+from .limits import WordSampler, compare_mu_lambda, estimate_cone, estimate_limit_set
 from .projgeom import GroupElement
 from .projections import (
     cartan_projection,
@@ -37,6 +37,9 @@ EXIT_OK = 0
 EXIT_REFUTED = 1
 EXIT_INCONCLUSIVE = 2
 EXIT_USAGE = 3
+
+# failures of a certification, answered with a verdict rather than an error
+CERTIFICATION_FAILURES = (NotProximal, SeparationViolated, ContractionUnverified)
 
 
 class UsageError(Exception):
@@ -129,6 +132,14 @@ def _cmd_project(args, out):
     return EXIT_OK
 
 
+def _failed_verdict(e, out) -> int:
+    """Print the verdict on a certification failure and return its exit code."""
+    # a contraction check that found no explicit violation is inconclusive
+    refuted = not isinstance(e, ContractionUnverified) or e.refuted
+    print(f"{'refuted' if refuted else 'inconclusive'}: {e}", file=out)
+    return EXIT_REFUTED if refuted else EXIT_INCONCLUSIVE
+
+
 def _cmd_certify(args, out):
     g = load_matrix(args.matrix)
     try:
@@ -140,12 +151,8 @@ def _cmd_certify(args, out):
             sample_count=args.samples,
             seed=args.seed,
         )
-    except (NotProximal, SeparationViolated) as e:
-        print(f"refuted: {e}", file=out)
-        return EXIT_REFUTED
-    except ContractionUnverified as e:
-        print(f"{'refuted' if e.refuted else 'inconclusive'}: {e}", file=out)
-        return EXIT_REFUTED if e.refuted else EXIT_INCONCLUSIVE
+    except CERTIFICATION_FAILURES as e:
+        return _failed_verdict(e, out)
     print(
         f"certified: degree {args.degree} epsilon {fmt(cert.epsilon)} "
         f"gap {fmt(cert.gap_value)} lipschitz {fmt(cert.lipschitz_bound)} "
@@ -165,12 +172,8 @@ def _cmd_certify_schottky(args, out):
         system = verify_schottky(
             gens, kind=kind, epsilons=eps, mode=args.mode, samples=args.samples, seed=args.seed
         )
-    except (NotProximal, SeparationViolated) as e:
-        print(f"refuted: {e}", file=out)
-        return EXIT_REFUTED
-    except ContractionUnverified as e:
-        print(f"{'refuted' if e.refuted else 'inconclusive'}: {e}", file=out)
-        return EXIT_REFUTED if e.refuted else EXIT_INCONCLUSIVE
+    except CERTIFICATION_FAILURES as e:
+        return _failed_verdict(e, out)
     print(
         f"certified: {kind} with {system.t} generators, "
         f"min separation {fmt(float(np.nanmin(system.separation)))}",

@@ -10,28 +10,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import cones
-from .errors import (
-    BudgetExceeded,
-    DegenerateSample,
-    DimensionMismatch,
-    InvalidInput,
-    NotProximal,
-    NumericalFailure,
-)
-from .projgeom import (
-    GroupElement,
-    ProjectiveHyperplane,
-    ProjectivePoint,
-    compound_matrix,
-    proj_distance,
-)
+from .errors import BudgetExceeded, DegenerateSample, InvalidInput, NotProximal
+from .projgeom import ProjectivePoint, compound_matrix, proj_distance
 from .projections import (
     ChamberVector,
-    _log_top_eigmod,
-    _log_top_singular,
-    _projection_from_partial_sums,
-    jordan_projection,
+    empty_product,
+    extend_product,
     product_jordan,
+    product_projection,
 )
 from .proximality import top_eigendata
 
@@ -105,7 +91,7 @@ class WordProduct:
 
     word: tuple  # letter indices into the sampler's alphabet
     n: int
-    compounds: tuple  # per degree k=1..n-1: (P_k, logscale_k), product = e^ls * P
+    compounds: tuple  # per degree (P_k, logscale_k), as in projections.empty_product
 
     @property
     def length(self) -> int:
@@ -116,43 +102,29 @@ class WordProduct:
         return np.exp(ls) * p
 
     def mu(self) -> ChamberVector:
-        partial = [
-            _log_top_singular(p, ls) for p, ls in self.compounds
-        ]
-        return _projection_from_partial_sums(self.n, partial)
+        return product_projection(self.compounds, jordan=False)
 
     def lam(self) -> ChamberVector:
-        partial = [
-            _log_top_eigmod(p, ls) for p, ls in self.compounds
-        ]
-        return _projection_from_partial_sums(self.n, partial)
+        return product_projection(self.compounds, jordan=True)
 
 
-def _letter_compounds(mats, n):
-    return [
-        [compound_matrix(m, k) for k in range(1, n)] for m in mats
-    ]
+def reduced_words(alphabet_size: int, max_length: int, inverse_index):
+    """Reduced words over range(alphabet_size), lengths 1..max_length, in preorder.
 
+    Depth first: each word is followed by all of its extensions before its
+    next sibling.  `inverse_index(i)` is the letter that cancels i, or None.
+    """
 
-def _push(stack_entry, letter_comps):
-    out = []
-    for (p, ls), c in zip(stack_entry, letter_comps):
-        q = p @ c
-        s = float(np.linalg.norm(q))
-        if s == 0.0 or not np.isfinite(s):
-            raise NumericalFailure("word product degenerated despite rescaling")
-        out.append((q / s, ls + np.log(s)))
-    return out
+    def extend(prefix):
+        for i in range(alphabet_size):
+            if prefix and i == inverse_index(prefix[-1]):
+                continue
+            word = prefix + (i,)
+            yield word
+            if len(word) < max_length:
+                yield from extend(word)
 
-
-def _identity_entry(n):
-    from math import comb
-
-    out = []
-    for k in range(1, n):
-        d = comb(n, k)
-        out.append((np.eye(d) / np.sqrt(d), 0.5 * np.log(d)))
-    return out
+    return extend(())
 
 
 def enumerate_words(sampler: WordSampler) -> list[WordProduct]:
@@ -163,8 +135,7 @@ def enumerate_words(sampler: WordSampler) -> list[WordProduct]:
         )
     mats = sampler.alphabet()
     n = sampler.n
-    letter_comps = _letter_compounds(mats, n)
-    m = len(mats)
+    letters = [[compound_matrix(m, k) for k in range(1, n)] for m in mats]
     results: list[WordProduct] = []
 
     if sampler.strategy == "random":
@@ -172,41 +143,23 @@ def enumerate_words(sampler: WordSampler) -> list[WordProduct]:
         for _ in range(sampler.count):
             length = int(rng.integers(1, sampler.max_length + 1))
             word = []
+            product = empty_product(n)
             for _ in range(length):
                 while True:
-                    i = int(rng.integers(0, m))
-                    if (
-                        sampler.kind == "group"
-                        and word
-                        and i == sampler.inverse_index(word[-1])
-                    ):
-                        continue
-                    break
+                    i = int(rng.integers(0, len(mats)))
+                    if not word or i != sampler.inverse_index(word[-1]):
+                        break
                 word.append(i)
-            entry = _identity_entry(n)
-            for i in word:
-                entry = _push(entry, letter_comps[i])
-            results.append(
-                WordProduct(word=tuple(word), n=n, compounds=tuple(entry))
-            )
+                product = extend_product(product, letters[i])
+            results.append(WordProduct(word=tuple(word), n=n, compounds=product))
         return results
 
-    def dfs(prefix, entry):
-        if len(prefix) >= sampler.max_length:
-            return
-        for i in range(m):
-            if (
-                sampler.kind == "group"
-                and prefix
-                and i == sampler.inverse_index(prefix[-1])
-            ):
-                continue
-            word = prefix + (i,)
-            new_entry = _push(entry, letter_comps[i])
-            results.append(WordProduct(word=word, n=n, compounds=tuple(new_entry)))
-            dfs(word, new_entry)
-
-    dfs((), _identity_entry(n))
+    # stack[j] is the product of the current word's first j letters
+    stack = [empty_product(n)]
+    for word in reduced_words(len(mats), sampler.max_length, sampler.inverse_index):
+        del stack[len(word):]
+        stack.append(extend_product(stack[-1], letters[word[-1]]))
+        results.append(WordProduct(word=word, n=n, compounds=stack[-1]))
     results.sort(key=lambda w: (w.length, w.word))
     return results
 
@@ -312,9 +265,11 @@ def check_convexity(
                 or w1.word[0] == inv(w2.word[-1])
             ):
                 continue
-        mid = jordan_like_sum(w1, w2, mats, n)
-        if float(np.linalg.norm(mid)) == 0.0:
+        mid = 0.5 * (w1.lam().coords + w2.lam().coords)
+        norm = float(np.linalg.norm(mid))
+        if norm == 0.0:
             continue
+        mid = mid / norm
         errs = []
         for m_rep in (1, 2, 4, 8):
             letters = list(w1.word) * m_rep + list(w2.word) * m_rep
@@ -338,15 +293,6 @@ def check_convexity(
         max_final_error=float(max(finals)),
         all_in_hull=in_hull,
     )
-
-
-def jordan_like_sum(w1: WordProduct, w2: WordProduct, mats, n) -> np.ndarray:
-    """Direction of the midpoint of the two words' Jordan projections."""
-    l1 = product_jordan([mats[i] for i in w1.word], n).coords
-    l2 = product_jordan([mats[i] for i in w2.word], n).coords
-    mid = 0.5 * (l1 + l2)
-    norm = float(np.linalg.norm(mid))
-    return mid / norm if norm > 0.0 else mid
 
 
 def compare_mu_lambda(sampler: WordSampler, words=None) -> list[float]:

@@ -9,10 +9,13 @@ top singular value (resp. eigenvalue modulus) of the k-th compound of a product
 equals the product of its top k singular values (resp. eigenvalue moduli), so
 tracking one rescaled matrix per exterior degree recovers the full projection
 without overflow.  The rescaling is a scalar bookkeeping device and does not
-perturb the computed top value.
+perturb the computed top value.  Every product of letters in the package is
+accumulated here, by `empty_product`, `extend_product` and
+`product_projection`, so equal letter sequences give bit-identical results.
 """
 
 from dataclasses import dataclass
+from math import comb
 
 import numpy as np
 
@@ -95,70 +98,77 @@ def regularity_gaps(g: GroupElement) -> np.ndarray:
     return -np.diff(lam)
 
 
-def scaled_product(mats) -> tuple[np.ndarray, float]:
-    """Left-to-right product with per-step Frobenius rescaling.
+def empty_product(n: int) -> tuple:
+    """The empty word as an accumulated product: the identity in every degree.
 
-    Returns (P, logscale) with product = exp(logscale) * P.
+    An accumulated product of n x n factors holds, per exterior degree
+    k = 1..n-1, a pair (P_k, logscale_k) with Lambda^k(product) =
+    exp(logscale_k) * P_k and ||P_k|| = 1; for the identity, d = C(n, k) and
+    P_k = I / sqrt(d).
     """
-    mats = list(mats)
-    if not mats:
-        raise InvalidInput("scaled_product needs at least one factor")
-    p = np.asarray(mats[0], dtype=float).copy()
-    logscale = 0.0
-    s = float(np.linalg.norm(p))
-    if s == 0.0 or not np.isfinite(s):
-        raise NumericalFailure("zero or non-finite factor in product")
-    p /= s
-    logscale += np.log(s)
-    for m in mats[1:]:
-        p = p @ np.asarray(m, dtype=float)
-        s = float(np.linalg.norm(p))
+    out = []
+    for k in range(1, n):
+        d = comb(n, k)
+        out.append((np.eye(d) / np.sqrt(d), 0.5 * np.log(d)))
+    return tuple(out)
+
+
+def extend_product(product: tuple, letter) -> tuple:
+    """The accumulated product times one more factor, given by its compounds.
+
+    `letter` holds the factor's k-th compound per degree k = 1..n-1.
+    """
+    out = []
+    for (p, ls), c in zip(product, letter):
+        q = p @ c
+        s = float(np.linalg.norm(q))
         if s == 0.0 or not np.isfinite(s):
-            raise NumericalFailure("product underflowed or overflowed despite rescaling")
-        p /= s
-        logscale += np.log(s)
-    return p, logscale
+            raise NumericalFailure("word product degenerated despite rescaling")
+        out.append((q / s, ls + np.log(s)))
+    return tuple(out)
 
 
-def _log_top_singular(p: np.ndarray, logscale: float) -> float:
-    s = np.linalg.svd(p, compute_uv=False)
-    return float(np.log(s[0]) + logscale)
+def product_projection(product: tuple, jordan: bool) -> ChamberVector:
+    """mu (or lambda, when `jordan`) of an accumulated product.
 
-
-def _log_top_eigmod(p: np.ndarray, logscale: float) -> float:
-    w = np.linalg.eigvals(p)
-    top = float(np.max(np.abs(w)))
-    if top <= 0.0:
-        raise NumericalFailure("vanishing top eigenvalue modulus")
-    return float(np.log(top) + logscale)
-
-
-def _projection_from_partial_sums(n: int, partial) -> ChamberVector:
-    # partial[k-1] = sum of the top k coordinates, k = 1..n-1; determinant 1
-    # forces the full sum to 0.
-    sums = [0.0] + list(partial) + [0.0]
-    coords = np.diff(sums)
+    The top singular value (eigenvalue modulus) of the k-th compound is the
+    exponential of the sum of the top k coordinates of mu (lambda).
+    """
+    partial = []
+    for p, ls in product:
+        if jordan:
+            top = float(np.max(np.abs(np.linalg.eigvals(p))))
+            if top <= 0.0:
+                raise NumericalFailure("vanishing top eigenvalue modulus")
+        else:
+            top = float(np.linalg.svd(p, compute_uv=False)[0])
+        partial.append(float(np.log(top) + ls))
+    # determinant 1 forces the sum of all n coordinates to 0
+    coords = np.diff([0.0] + partial + [0.0])
     return _chamber_from_sorted(coords)
+
+
+def _accumulate(letters, n: int) -> tuple:
+    product = empty_product(n)
+    for letter in letters:
+        product = extend_product(product, letter)
+    return product
+
+
+def _compounds(m, n: int) -> list:
+    return [compound_matrix(m, k) for k in range(1, n)]
 
 
 def product_cartan(mats, n: int) -> ChamberVector:
     """mu of a product of n x n factors, via per-degree compound accumulation."""
-    mats = [np.asarray(m, dtype=float) for m in mats]
-    partial = []
-    for k in range(1, n):
-        p, ls = scaled_product(compound_matrix(m, k) for m in mats)
-        partial.append(_log_top_singular(p, ls))
-    return _projection_from_partial_sums(n, partial)
+    letters = (_compounds(m, n) for m in mats)
+    return product_projection(_accumulate(letters, n), jordan=False)
 
 
 def product_jordan(mats, n: int) -> ChamberVector:
     """lambda of a product of n x n factors, via per-degree compound accumulation."""
-    mats = [np.asarray(m, dtype=float) for m in mats]
-    partial = []
-    for k in range(1, n):
-        p, ls = scaled_product(compound_matrix(m, k) for m in mats)
-        partial.append(_log_top_eigmod(p, ls))
-    return _projection_from_partial_sums(n, partial)
+    letters = (_compounds(m, n) for m in mats)
+    return product_projection(_accumulate(letters, n), jordan=True)
 
 
 def iterated_cartan(g: GroupElement, steps: int) -> ChamberVector:
@@ -168,9 +178,6 @@ def iterated_cartan(g: GroupElement, steps: int) -> ChamberVector:
     """
     if steps < 1:
         raise InvalidInput(f"steps must be >= 1, got {steps}")
-    partial = []
-    for k in range(1, g.n):
-        ck = compound_matrix(g.entries, k)
-        p, ls = scaled_product([ck] * steps)
-        partial.append(_log_top_singular(p, ls) / steps)
-    return _projection_from_partial_sums(g.n, partial)
+    letters = [_compounds(g.entries, g.n)] * steps
+    mu = product_projection(_accumulate(letters, g.n), jordan=False)
+    return ChamberVector.from_coords(mu.coords / steps)

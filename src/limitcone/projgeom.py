@@ -141,9 +141,6 @@ class Representation:
     def dim(self) -> int:
         return comb(self.n, self.k)
 
-    def apply(self, g: GroupElement) -> np.ndarray:
-        return exterior_power(g, self.k)
-
 
 def compound_matrix(m: np.ndarray, k: int) -> np.ndarray:
     """k-th compound of a square matrix: minors over lexicographic k-subsets."""

@@ -131,15 +131,10 @@ def _sample_bset(rng, phi: np.ndarray, epsilon: float, count: int) -> np.ndarray
     return phi[:, None] * t + w * np.sqrt(np.maximum(0.0, 1.0 - t**2))
 
 
-def _chordal_to_point(cols: np.ndarray, p: np.ndarray) -> np.ndarray:
-    # for unit vectors sqrt(2 - 2|<u,v>|) = min(||u - v||, ||u + v||), which
-    # avoids the catastrophic cancellation of the inner-product form near 0
-    d_minus = np.linalg.norm(cols - p[:, None], axis=0)
-    d_plus = np.linalg.norm(cols + p[:, None], axis=0)
-    return np.minimum(d_minus, d_plus)
-
-
 def _chordal_pairwise(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    # chordal distances between the unit columns of a and b (broadcast): for
+    # unit vectors sqrt(2 - 2|<u,v>|) = min(||u - v||, ||u + v||), which
+    # avoids the catastrophic cancellation of the inner-product form near 0
     d_minus = np.linalg.norm(a - b, axis=0)
     d_plus = np.linalg.norm(a + b, axis=0)
     return np.minimum(d_minus, d_plus)
@@ -172,7 +167,7 @@ def sampled_contraction_check(
 
     x = _sample_bset(rng, phi, epsilon, sample_count)
     y = _normalize_cols(m @ x)
-    max_image = float(_chordal_to_point(y, p).max())
+    max_image = float(_chordal_pairwise(y, p[:, None]).max())
 
     a = _sample_bset(rng, phi, epsilon, sample_count)
     b = _sample_bset(rng, phi, epsilon, sample_count)

@@ -15,6 +15,7 @@ attracting flags.
 """
 
 from dataclasses import dataclass, field
+from functools import partial
 from itertools import combinations
 
 import numpy as np
@@ -33,6 +34,7 @@ from .errors import (
     SeparationViolated,
     TooFewGenerators,
 )
+from .limits import reduced_words
 from .projgeom import (
     GroupElement,
     ProjectiveHyperplane,
@@ -202,16 +204,15 @@ class SchottkySystem:
         return labels
 
     def inverse_index(self, i: int) -> int | None:
-        if self.kind != "group":
-            return None
-        return (i + self.t) % (2 * self.t)
+        return _inverse_index(self.kind, self.t, i)
 
     def certificate(self, i: int, k: int) -> ProximalityCertificate:
         return self.eigendata[(i, k)]
 
 
-def _pair_exempt(kind: str, t: int, i: int, j: int) -> bool:
-    return kind == "group" and j == (i + t) % (2 * t)
+def _inverse_index(kind: str, t: int, i: int) -> int | None:
+    """Index in E_Gamma of the inverse of element i, for t generators."""
+    return (i + t) % (2 * t) if kind == "group" else None
 
 
 def verify_schottky(
@@ -221,8 +222,6 @@ def verify_schottky(
     mode: str = "sampled",
     samples: int = DEFAULT_SAMPLE_COUNT,
     seed: int = 0,
-    _compound_override=None,
-    _inverses=None,
 ) -> SchottkySystem:
     """Certify the full Schottky condition, or raise with diagnostics.
 
@@ -245,22 +244,42 @@ def verify_schottky(
 
     elems = list(generators)
     if kind == "group":
-        elems += list(_inverses) if _inverses is not None else [
-            g.inverse() for g in generators
-        ]
-    elem_eps = epsilons + epsilons if kind == "group" else epsilons
-    t = len(generators)
+        elems += [g.inverse() for g in generators]
+    eigendata, separation = _certify_elements(
+        elems,
+        kind,
+        epsilons,
+        lambda i, k: exterior_power(elems[i], k),
+        mode,
+        samples,
+        seed,
+    )
+    return SchottkySystem(
+        generators=tuple(generators),
+        kind=kind,
+        epsilons=tuple(epsilons),
+        eigendata=eigendata,
+        separation=separation,
+    )
 
+
+def _certify_elements(elems, kind, epsilons, compound, mode, samples, seed):
+    """Certificates per (element, degree) of E_Gamma and its separation matrix.
+
+    `elems` is E_Gamma, `epsilons` has one entry per generator and
+    `compound(i, k)` is the k-th exterior power of elems[i].  Raises on the
+    first uncertified (element, degree), or on a separation failure with the
+    separation matrix attached.
+    """
+    n = elems[0].n
+    t = len(epsilons)
+    elem_eps = epsilons + epsilons if kind == "group" else epsilons
     eigendata = {}
-    for i, (g, eps) in enumerate(zip(elems, elem_eps)):
+    for i, eps in enumerate(elem_eps):
         for k in range(1, n):
-            if _compound_override is not None and (i, k) in _compound_override:
-                mat = _compound_override[(i, k)]
-            else:
-                mat = exterior_power(g, k)
             try:
                 eigendata[(i, k)] = certify_matrix_eps_proximal(
-                    mat,
+                    compound(i, k),
                     rep=Representation(n=n, k=k),
                     epsilon=eps,
                     mode=mode,
@@ -282,8 +301,8 @@ def verify_schottky(
                 )
     for i in range(m):
         for j in range(m):
-            if _pair_exempt(kind, t, i, j):
-                continue
+            if j == _inverse_index(kind, t, i):
+                continue  # the (g, g^-1) pair is exempt
             need = 6.0 * max(elem_eps[i], elem_eps[j])
             worst = float(separation[i, j].min())
             if worst < need and violation is None:
@@ -295,13 +314,7 @@ def verify_schottky(
             pair=(i, j),
             separation=separation,
         )
-    return SchottkySystem(
-        generators=tuple(generators),
-        kind=kind,
-        epsilons=tuple(epsilons),
-        eigendata=eigendata,
-        separation=separation,
-    )
+    return eigendata, separation
 
 
 def _check_very_reduced(system: SchottkySystem, word) -> None:
@@ -629,41 +642,25 @@ def _forge(
     inverses = (
         tuple(generator(j, -1.0) for j in range(t)) if kind == "group" else None
     )
-    override = {}
-    for j in range(t):
-        for k in range(1, n):
-            override[(j, k)] = elem_compound(j, powers[j], k, False)
-            if kind == "group":
-                override[(j + t, k)] = elem_compound(j, powers[j], k, True)
-    system = verify_schottky(
-        gens,
-        kind=kind,
-        epsilons=[epsilon] * t,
-        mode=mode,
-        samples=samples,
-        seed=seed,
-        _compound_override=override,
-        _inverses=inverses,
-    )
-
-    system = SchottkySystem(
-        generators=system.generators,
-        kind=system.kind,
-        epsilons=system.epsilons,
-        eigendata=system.eigendata,
-        separation=system.separation,
-        inverses=inverses,
+    elems = gens + list(inverses or ())
+    epsilons = [float(epsilon)] * t
+    # certify the exact factored compounds, not minors of the rounded entries
+    eigendata, separation = _certify_elements(
+        elems,
+        kind,
+        epsilons,
+        lambda i, k: elem_compound(i % t, powers[i % t], k, i >= t),
+        mode,
+        samples,
+        seed,
     )
 
     # sampled word directions up to length 6: how far inside the cone they stay
-    elems = system.elements()
     rays_mat = cone.rays_matrix()
     max_dist = 0.0
     count = 0
-    words = _sample_forge_words(len(elems), system, rng_seed=seed)
-    for word in words:
-        mats = [elems[i].entries for i in word]
-        lam = product_jordan(mats, n)
+    for word in _sample_forge_words(len(elems), kind, t, rng_seed=seed):
+        lam = product_jordan([elems[i].entries for i in word], n)
         d = lam.direction()
         if np.linalg.norm(d) == 0.0:
             continue
@@ -676,35 +673,24 @@ def _forge(
         "max_direction_distance": max_dist,
     }
     return SchottkySystem(
-        generators=system.generators,
-        kind=system.kind,
-        epsilons=system.epsilons,
-        eigendata=system.eigendata,
-        separation=system.separation,
+        generators=tuple(gens),
+        kind=kind,
+        epsilons=tuple(epsilons),
+        eigendata=eigendata,
+        separation=separation,
         forge_report=report,
         inverses=inverses,
     )
 
 
-def _sample_forge_words(m: int, system: SchottkySystem, rng_seed: int, depth: int = 6):
+def _sample_forge_words(m: int, kind: str, t: int, rng_seed: int, depth: int = 6):
     """All very reduced words up to `depth` letters, capped at 1000 via seeded sampling."""
-    words = []
-    inv = system.inverse_index
-
-    def extend(prefix):
-        if len(prefix) >= depth:
-            return
-        for i in range(m):
-            if prefix and system.kind == "group" and i == inv(prefix[-1]):
-                continue
-            w = prefix + [i]
-            if system.kind == "group" and len(w) > 1 and w[0] == inv(w[-1]):
-                pass  # not very reduced; skip recording but keep extending
-            else:
-                words.append(tuple(w))
-            extend(w)
-
-    extend([])
+    inv = partial(_inverse_index, kind, t)
+    words = [
+        w
+        for w in reduced_words(m, depth, inv)
+        if len(w) == 1 or w[0] != inv(w[-1])
+    ]
     if len(words) > 1000:
         rng = np.random.default_rng(int(rng_seed))
         keep = rng.choice(len(words), size=1000, replace=False)

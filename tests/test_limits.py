@@ -90,6 +90,27 @@ class TestEnumerateWords:
             w.lam().coords, lc.jordan_projection(direct).coords, atol=1e-9
         )
 
+    @pytest.mark.parametrize("kind", ["semigroup", "group"])
+    def test_word_projections_equal_letter_products(self, sl2_pair, kind):
+        # one accumulator: a word's mu/lambda are bit-identical to the
+        # product_cartan/product_jordan of its letters
+        s = _sampler(sl2_pair, kind=kind, max_length=4)
+        mats = s.alphabet()
+        for w in lc.enumerate_words(s):
+            letters = [mats[i] for i in w.word]
+            assert np.array_equal(lc.product_jordan(letters, s.n).coords, w.lam().coords)
+            assert np.array_equal(lc.product_cartan(letters, s.n).coords, w.mu().coords)
+
+    def test_random_word_projections_equal_letter_products(self, forged_semigroup):
+        s = _sampler(
+            forged_semigroup.generators, strategy="random", count=20, max_length=8, seed=3
+        )
+        mats = s.alphabet()
+        for w in lc.enumerate_words(s):
+            letters = [mats[i] for i in w.word]
+            assert np.array_equal(lc.product_jordan(letters, s.n).coords, w.lam().coords)
+            assert np.array_equal(lc.product_cartan(letters, s.n).coords, w.mu().coords)
+
 
 class TestEstimateCone:
     def test_single_hyperbolic_generator(self):
