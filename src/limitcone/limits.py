@@ -11,7 +11,7 @@ import numpy as np
 
 from . import cones
 from .errors import BudgetExceeded, DegenerateSample, InvalidInput, NotProximal
-from .projgeom import ProjectivePoint, compound_matrix, proj_distance
+from .projgeom import ProjectivePoint, chordal_distances, compound_matrix, proj_distance
 from .projections import (
     ChamberVector,
     empty_product,
@@ -175,12 +175,38 @@ class ConeEstimate:
     word_lengths: tuple
 
 
+def _greedy_distinct(candidates, count, tol, distances, same) -> list:
+    """The items that a greedy in-order pass over `candidates` keeps.
+
+    `candidates` yields `count` pairs (rep, item), rep a 1-D array.  An item
+    is dropped when `same(item, k)` holds for an item k kept before it, so the
+    first representative of a cluster wins.  `distances(kept, rep)` measures
+    rep against the reps of all kept items in one vectorised call; it is the
+    metric that `same` thresholds at `tol`, up to rounding.  Only kept items
+    within 4 * tol are handed to `same`, which stays the decider, nearest
+    first so that a duplicate is usually settled by one call.
+    """
+    kept_reps = None
+    kept: list = []
+    for r, item in candidates:
+        if kept_reps is None:
+            kept_reps = np.empty((count, r.shape[0]))
+        dist = distances(kept_reps[: len(kept)], r)
+        near = np.flatnonzero(dist <= 4.0 * tol)
+        if not any(same(item, kept[j]) for j in near[np.argsort(dist[near])]):
+            kept_reps[len(kept)] = r
+            kept.append(item)
+    return kept
+
+
 def _distinct_rows(rows, tol):
-    out = []
-    for r in rows:
-        if not any(np.linalg.norm(r - o) <= tol for o in out):
-            out.append(r)
-    return out
+    return _greedy_distinct(
+        ((r, r) for r in rows),
+        len(rows),
+        tol,
+        lambda kept, r: np.linalg.norm(kept - r, axis=1),
+        lambda r, o: np.linalg.norm(r - o) <= tol,
+    )
 
 
 def estimate_cone(sampler: WordSampler, words=None) -> ConeEstimate:
@@ -342,12 +368,17 @@ def _word_eigdata(w: WordProduct, backward: bool):
 
 
 def _merge_points(vectors) -> tuple:
-    pts: list[ProjectivePoint] = []
-    for v in vectors:
-        cand = ProjectivePoint.from_vector(v)
-        if not any(proj_distance(cand, q) <= MERGE_TOL for q in pts):
-            pts.append(cand)
-    return tuple(pts)
+    # candidates are made one at a time: only the kept points stay alive
+    pts = (ProjectivePoint.from_vector(v) for v in vectors)
+    return tuple(
+        _greedy_distinct(
+            ((p.rep, p) for p in pts),
+            len(vectors),
+            MERGE_TOL,
+            lambda kept, r: chordal_distances(kept.T, r[:, None]),
+            lambda cand, q: proj_distance(cand, q) <= MERGE_TOL,
+        )
+    )
 
 
 def estimate_limit_set(

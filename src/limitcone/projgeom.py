@@ -150,14 +150,9 @@ def compound_matrix(m: np.ndarray, k: int) -> np.ndarray:
         raise DimensionMismatch(f"compound degree {k} out of range for size {n}")
     if k == 1:
         return m.copy()
-    subsets = list(combinations(range(n), k))
-    d = len(subsets)
-    out = np.empty((d, d))
-    for a, rows in enumerate(subsets):
-        mr = m[np.ix_(rows, range(n))]
-        for b, cols in enumerate(subsets):
-            out[a, b] = np.linalg.det(mr[:, cols])
-    return out
+    s = np.array(list(combinations(range(n), k)))
+    # all d x d minors gathered into one (d, d, k, k) stack, one batched det
+    return np.linalg.det(m[s[:, None, :, None], s[None, :, None, :]])
 
 
 def exterior_power(g: GroupElement, k: int) -> np.ndarray:
@@ -165,6 +160,20 @@ def exterior_power(g: GroupElement, k: int) -> np.ndarray:
     if not 1 <= k <= g.n - 1:
         raise DimensionMismatch(f"exterior degree {k} out of range for SL({g.n})")
     return compound_matrix(g.entries, k)
+
+
+def chordal_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Chordal distances between the unit columns of a and b (broadcast).
+
+    For unit vectors sqrt(2 - 2|<u, v>|) = min(||u - v||, ||u + v||); the
+    difference form avoids the catastrophic cancellation of the inner-product
+    form near 0.  The reductions run over axis 0, so callers keep their
+    points as columns.
+    """
+    return np.minimum(
+        np.linalg.norm(a - b, axis=0),
+        np.linalg.norm(a + b, axis=0),
+    )
 
 
 def proj_distance(x1: ProjectivePoint, x2: ProjectivePoint) -> float:
@@ -193,18 +202,16 @@ def hausdorff_distance(p, q) -> float:
     p, q = list(p), list(q)
     if not p or not q:
         raise EmptyInput("hausdorff_distance needs two nonempty point sets")
-    pm = np.stack([x.rep for x in p])
-    qm = np.stack([x.rep for x in q])
-    if pm.shape[1] != qm.shape[1]:
+    pm = np.stack([x.rep for x in p], axis=1)
+    qm = np.stack([x.rep for x in q], axis=1)
+    if pm.shape[0] != qm.shape[0]:
         raise DimensionMismatch("point clouds live in different ambient dimensions")
-    # sign-minimized differences (see proj_distance), row-chunked to cap memory
-    mins_p = np.empty(pm.shape[0])
-    mins_q = np.full(qm.shape[0], np.inf)
-    for a in range(pm.shape[0]):
-        diff = np.minimum(
-            np.linalg.norm(qm - pm[a], axis=1),
-            np.linalg.norm(qm + pm[a], axis=1),
-        )
-        mins_p[a] = diff.min()
-        np.minimum(mins_q, diff, out=mins_q)
+    # all pairs, in blocks of p's points that cap each temporary at 2**16 floats
+    step = max(1, 2**16 // (pm.shape[0] * qm.shape[1]))
+    mins_p = np.empty(pm.shape[1])
+    mins_q = np.full(qm.shape[1], np.inf)
+    for a in range(0, pm.shape[1], step):
+        dist = chordal_distances(pm[:, a : a + step, None], qm[:, None, :])
+        mins_p[a : a + step] = dist.min(axis=1)
+        np.minimum(mins_q, dist.min(axis=0), out=mins_q)
     return float(max(mins_p.max(), mins_q.max()))

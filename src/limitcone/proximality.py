@@ -39,6 +39,7 @@ from .projgeom import (
     ProjectiveHyperplane,
     ProjectivePoint,
     Representation,
+    chordal_distances,
     exterior_power,
     gap,
 )
@@ -131,15 +132,6 @@ def _sample_bset(rng, phi: np.ndarray, epsilon: float, count: int) -> np.ndarray
     return phi[:, None] * t + w * np.sqrt(np.maximum(0.0, 1.0 - t**2))
 
 
-def _chordal_pairwise(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    # chordal distances between the unit columns of a and b (broadcast): for
-    # unit vectors sqrt(2 - 2|<u,v>|) = min(||u - v||, ||u + v||), which
-    # avoids the catastrophic cancellation of the inner-product form near 0
-    d_minus = np.linalg.norm(a - b, axis=0)
-    d_plus = np.linalg.norm(a + b, axis=0)
-    return np.minimum(d_minus, d_plus)
-
-
 def _normalize_cols(m: np.ndarray) -> np.ndarray:
     n = np.linalg.norm(m, axis=0)
     if np.any(n == 0.0):
@@ -167,13 +159,13 @@ def sampled_contraction_check(
 
     x = _sample_bset(rng, phi, epsilon, sample_count)
     y = _normalize_cols(m @ x)
-    max_image = float(_chordal_pairwise(y, p[:, None]).max())
+    max_image = float(chordal_distances(y, p[:, None]).max())
 
     a = _sample_bset(rng, phi, epsilon, sample_count)
     b = _sample_bset(rng, phi, epsilon, sample_count)
-    d_in = _chordal_pairwise(a, b)
+    d_in = chordal_distances(a, b)
     ok = d_in > 1e-12
-    d_out = _chordal_pairwise(_normalize_cols(m @ a[:, ok]), _normalize_cols(m @ b[:, ok]))
+    d_out = chordal_distances(_normalize_cols(m @ a[:, ok]), _normalize_cols(m @ b[:, ok]))
     max_ratio = float((d_out / d_in[ok]).max()) if ok.any() else 0.0
     return max_image, max_ratio
 

@@ -664,7 +664,9 @@ def _forge(
         d = lam.direction()
         if np.linalg.norm(d) == 0.0:
             continue
-        max_dist = max(max_dist, cones.cone_distance(d, rays_mat))
+        dist = cones.cone_distance(d, rays_mat)
+        # NNLS residue of a unit direction inside the cone, as in cones.in_cone
+        max_dist = max(max_dist, dist if dist > 1e-9 else 0.0)
         count += 1
     report = {
         "powers": powers,

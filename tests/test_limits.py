@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import limitcone as lc
+from limitcone import limits
 from limitcone.errors import BudgetExceeded, DegenerateSample, InvalidInput
 
 from .conftest import rotation2
@@ -286,3 +287,129 @@ class TestEstimateFacets:
         g = lc.GroupElement.from_matrix(rotation2(0.4))
         with pytest.raises(DegenerateSample):
             lc.estimate_facets(_sampler([g], max_length=2))
+
+
+def _reference_distinct_rows(rows, tol):
+    # the quadratic greedy loop the vectorised kernel replaced
+    out = []
+    for r in rows:
+        if not any(np.linalg.norm(r - o) <= tol for o in out):
+            out.append(r)
+    return out
+
+
+def _reference_merge_points(vectors):
+    pts = []
+    for v in vectors:
+        cand = lc.ProjectivePoint.from_vector(v)
+        if not any(lc.proj_distance(cand, q) <= limits.MERGE_TOL for q in pts):
+            pts.append(cand)
+    return tuple(pts)
+
+
+def _assert_same_dedup(rows, tol):
+    """Directions at `tol` and points at MERGE_TOL keep what the loops keep."""
+    rows = [np.asarray(r, dtype=float) for r in rows]
+    assert np.array_equal(
+        np.stack(limits._distinct_rows(rows, tol)),
+        np.stack(_reference_distinct_rows(rows, tol)),
+    )
+    assert np.array_equal(
+        np.stack([p.rep for p in limits._merge_points(rows)]),
+        np.stack([p.rep for p in _reference_merge_points(rows)]),
+    )
+
+
+def _offset(v, w, distance):
+    """v moved by `distance` along the unit part of w orthogonal to v."""
+    w = w - (w @ v) * v
+    return v + distance * w / np.linalg.norm(w)
+
+
+class TestDedupKernels:
+    DIRECTION_TOL = 1e-12  # the tolerance estimate_cone uses
+
+    @pytest.mark.parametrize("kind", ["semigroup", "group"])
+    def test_sl2_clouds_and_directions_match_the_loops(self, sl2_pair, kind):
+        s = _sampler(sl2_pair, kind=kind, max_length=5)
+        words = lc.enumerate_words(s)
+        for side in (False, True):
+            vecs = [limits._word_eigdata(w, backward=side)[0][1] for w in words]
+            _assert_same_dedup(vecs, limits.MERGE_TOL)
+        dirs = [w.lam().direction() for w in words]
+        _assert_same_dedup(dirs, self.DIRECTION_TOL)
+
+    def test_forged_directions_match_the_loop(self, forged_sampler):
+        dirs = [w.lam().direction() for w in lc.enumerate_words(forged_sampler)]
+        kept = limits._distinct_rows(dirs, self.DIRECTION_TOL)
+        assert 1 < len(kept) < len(dirs)
+        assert np.array_equal(
+            np.stack(kept), np.stack(_reference_distinct_rows(dirs, self.DIRECTION_TOL))
+        )
+
+    def test_exact_duplicates(self):
+        rng = np.random.default_rng(5)
+        base = rng.standard_normal((6, 3))
+        rows = base[rng.integers(0, 6, size=40)]
+        for tol in (self.DIRECTION_TOL, limits.MERGE_TOL):
+            _assert_same_dedup(rows, tol)
+        assert len(limits._distinct_rows(list(rows), self.DIRECTION_TOL)) == 6
+        assert len(limits._merge_points(rows)) == 6
+
+    @pytest.mark.parametrize("factor", [0.5, 0.999, 1.001, 3.9, 4.1])
+    def test_pairs_around_the_tolerance(self, factor):
+        rng = np.random.default_rng(11)
+        for _ in range(20):
+            v = rng.standard_normal(4)
+            v /= np.linalg.norm(v)
+            w = rng.standard_normal(4)
+            for tol in (self.DIRECTION_TOL, limits.MERGE_TOL):
+                _assert_same_dedup([v, _offset(v, w, factor * tol)], tol)
+        if factor in (0.5, 3.9, 4.1):
+            pair = [v, _offset(v, w, factor * limits.MERGE_TOL)]
+            assert len(limits._merge_points(pair)) == (1 if factor < 1 else 2)
+
+    def test_canonical_signs_differ_across_a_tie(self):
+        # |v0| > |v1| and |u1| > |u0|: the canonical representatives point
+        # almost opposite ways while the lines are 1e-10 apart
+        v = np.array([1.0 + 1e-10, -1.0])
+        u = np.array([1.0, -1.0 - 1e-10])
+        a, b = (lc.ProjectivePoint.from_vector(x) for x in (v, u))
+        assert np.linalg.norm(a.rep - b.rep) > 1.0
+        _assert_same_dedup([v, u], limits.MERGE_TOL)
+        assert len(limits._merge_points([v, u])) == 1
+
+    @pytest.mark.parametrize("order", [(0, 1, 2), (1, 0, 2), (2, 1, 0), (1, 2, 0)])
+    def test_chain_pins_greedy_order(self, order):
+        # d(a, b) < tol, d(b, c) < tol, d(a, c) > tol
+        v = np.array([0.6, -0.48, 0.64])
+        w = np.array([0.0, 1.0, 0.0])
+        # b first absorbs both ends; a or c first keeps the other end too
+        expected = 1 if order[0] == 1 else 2
+        for tol in (self.DIRECTION_TOL, limits.MERGE_TOL):
+            chain = [_offset(v, w, s * tol) for s in (0.0, 0.7, 1.4)]
+            rows = [chain[i] for i in order]
+            _assert_same_dedup(rows, tol)
+            assert len(limits._distinct_rows(rows, tol)) == expected
+        assert len(limits._merge_points(rows)) == expected
+
+    def test_point_dedup_makes_at_most_one_exact_call_per_candidate(
+        self, sl2_pair, monkeypatch
+    ):
+        # the quadratic loop made about one call per (candidate, kept point)
+        counts = {"calls": 0, "candidates": 0}
+        proj_distance, merge_points = limits.proj_distance, limits._merge_points
+
+        def counting_distance(x1, x2):
+            counts["calls"] += 1
+            return proj_distance(x1, x2)
+
+        def counting_merge(vectors):
+            counts["candidates"] += len(vectors)
+            return merge_points(vectors)
+
+        monkeypatch.setattr(limits, "proj_distance", counting_distance)
+        monkeypatch.setattr(limits, "_merge_points", counting_merge)
+        sample = lc.estimate_limit_set(_sampler(sl2_pair, kind="group", max_length=6))
+        assert counts["candidates"] == 1456 and len(sample.cloud(1)) == 448
+        assert 0 < counts["calls"] <= counts["candidates"]

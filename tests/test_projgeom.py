@@ -1,5 +1,7 @@
 """Linear-algebra substrate: group elements, exterior powers, projective metrics."""
 
+from itertools import combinations
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -11,6 +13,7 @@ from limitcone.errors import (
     EmptyInput,
     InvalidInput,
 )
+from limitcone.projgeom import chordal_distances
 
 
 class TestGroupElement:
@@ -237,3 +240,88 @@ class TestHausdorffDistance:
         p = [lc.ProjectivePoint.from_vector([1.0, 0.0])]
         with pytest.raises(EmptyInput):
             lc.hausdorff_distance(p, [])
+
+
+def _reference_compound(m, k):
+    # the double loop of per-minor determinants that the batched det replaced
+    subsets = list(combinations(range(m.shape[0]), k))
+    out = np.empty((len(subsets), len(subsets)))
+    for a, rows in enumerate(subsets):
+        for b, cols in enumerate(subsets):
+            out[a, b] = np.linalg.det(m[np.ix_(rows, cols)])
+    return out
+
+
+class TestCompoundMatrix:
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+    def test_equals_the_minor_loop(self, n):
+        rng = np.random.default_rng(n)
+        for scale in (1e-3, 1.0, 1e3):
+            m = scale * rng.standard_normal((n, n))
+            assert np.array_equal(lc.compound_matrix(m, 1), m)
+            for k in range(2, n + 1):
+                assert np.array_equal(lc.compound_matrix(m, k), _reference_compound(m, k))
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+    def test_cauchy_binet(self, n):
+        rng = np.random.default_rng(100 + n)
+        a = rng.standard_normal((n, n))
+        b = rng.standard_normal((n, n))
+        for k in range(1, n + 1):
+            assert np.allclose(
+                lc.compound_matrix(a @ b, k),
+                lc.compound_matrix(a, k) @ lc.compound_matrix(b, k),
+            )
+
+
+class TestChordalDistances:
+    def test_columns_match_proj_distance(self):
+        rng = np.random.default_rng(4)
+        pts = [lc.ProjectivePoint.from_vector(rng.standard_normal(5)) for _ in range(12)]
+        a = np.stack([p.rep for p in pts[:6]], axis=1)
+        b = np.stack([p.rep for p in pts[6:]], axis=1)
+        got = chordal_distances(a, b)
+        assert got.shape == (6,)
+        for j in range(6):
+            assert got[j] == pytest.approx(lc.proj_distance(pts[j], pts[6 + j]), rel=1e-14)
+
+    def test_broadcasts_to_all_pairs_and_ignores_sign(self):
+        rng = np.random.default_rng(6)
+        a = rng.standard_normal((3, 4))
+        a /= np.linalg.norm(a, axis=0)
+        pairs = chordal_distances(a[:, :, None], a[:, None, :])
+        assert pairs.shape == (4, 4)
+        assert np.array_equal(pairs, pairs.T)
+        assert np.all(np.diag(pairs) == 0.0)
+        assert np.array_equal(chordal_distances(-a[:, :, None], a[:, None, :]), pairs)
+
+
+def _reference_hausdorff(p, q):
+    # the per-row loop hausdorff_distance used before the shared kernel
+    pm = np.stack([x.rep for x in p])
+    qm = np.stack([x.rep for x in q])
+    mins_p = np.empty(pm.shape[0])
+    mins_q = np.full(qm.shape[0], np.inf)
+    for a in range(pm.shape[0]):
+        diff = np.minimum(
+            np.linalg.norm(qm - pm[a], axis=1),
+            np.linalg.norm(qm + pm[a], axis=1),
+        )
+        mins_p[a] = diff.min()
+        np.minimum(mins_q, diff, out=mins_q)
+    return float(max(mins_p.max(), mins_q.max()))
+
+
+class TestHausdorffBlocks:
+    @pytest.mark.parametrize(
+        "dim,sizes", [(2, (1, 1)), (5, (5, 7)), (2, (100, 1000)), (3, (3000, 40))]
+    )
+    def test_equals_the_row_loop(self, dim, sizes):
+        # (100, 1000) in R^2 runs blocks of 32 rows and a partial last one
+        rng = np.random.default_rng(sizes[0])
+        p, q = (
+            [lc.ProjectivePoint.from_vector(rng.standard_normal(dim)) for _ in range(s)]
+            for s in sizes
+        )
+        assert lc.hausdorff_distance(p, q) == _reference_hausdorff(p, q)
+        assert lc.hausdorff_distance(q, p) == _reference_hausdorff(q, p)
