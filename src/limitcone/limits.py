@@ -5,7 +5,7 @@ products accumulated in log-scaled exterior-power form, and their Cartan and
 Jordan projections, attracting flags, and convex-cone hull are read off.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -16,7 +16,6 @@ from .projections import (
     ChamberVector,
     empty_product,
     extend_product,
-    product_jordan,
     product_projection,
 )
 from .proximality import top_eigendata
@@ -27,11 +26,109 @@ DEFAULT_PROXIMALITY_FILTER = 1e-6
 
 
 @dataclass(frozen=True)
+class Alphabet:
+    """E_Gamma: the letters words are spelled in, each with its exterior powers.
+
+    The letters are the generators, then, for a group, their inverses in the
+    same order.  Build one with `Alphabet.of`; a word is a sequence of letter
+    indices.
+    """
+
+    elements: tuple  # GroupElement per letter
+    letters: tuple  # per letter, as in `spell`
+    compounds: tuple = field(repr=False, compare=False)  # per letter: Lambda^k, k = 1..n-1
+
+    @staticmethod
+    def spell(t: int, kind: str) -> tuple:
+        """E_Gamma over t generators: per letter (generator, inverted, inverse letter).
+
+        The inverse letter is the one that cancels it, None in a semigroup.
+        """
+        if kind != "group":
+            return tuple((j, False, None) for j in range(t))
+        return tuple((j, False, t + j) for j in range(t)) + tuple(
+            (j, True, j) for j in range(t)
+        )
+
+    @classmethod
+    def of(cls, generators, kind="semigroup", inverses=None, compound=None) -> "Alphabet":
+        """E_Gamma of the generators.
+
+        `inverses` are the generators' inverses when known exactly, else they
+        are inverted numerically.  `compound(j, k, inverted)`, when given, is
+        the exact Lambda^k of generator j (or of its inverse); else each
+        letter's compounds are the minors of its entries.
+        """
+        generators = tuple(generators)
+        if kind not in ("semigroup", "group"):
+            raise InvalidInput(f"unknown kind {kind!r}")
+        if not generators:
+            raise InvalidInput("need at least one generator")
+        n = generators[0].n
+        if any(g.n != n for g in generators):
+            raise InvalidInput("generators must share one dimension")
+        if kind == "group" and inverses is None:
+            inverses = [g.inverse() for g in generators]
+        letters = cls.spell(len(generators), kind)
+        elements = tuple(inverses[j] if inv else generators[j] for j, inv, _ in letters)
+        compounds = tuple(
+            tuple(
+                compound_matrix(e.entries, k) if compound is None else compound(j, k, inv)
+                for k in range(1, n)
+            )
+            for e, (j, inv, _) in zip(elements, letters)
+        )
+        return cls(elements=elements, letters=letters, compounds=compounds)
+
+    @property
+    def n(self) -> int:
+        return self.elements[0].n
+
+    def inverse_index(self, i: int):
+        """The letter that cancels letter i, or None in a semigroup."""
+        return self.letters[i][2]
+
+    def labels(self) -> list:
+        return [f"g{j + 1}^-1" if inv else f"g{j + 1}" for j, inv, _ in self.letters]
+
+    def very_reduced(self, word) -> bool:
+        """Whether the word is nonempty and no letter meets its inverse, cyclically."""
+        return bool(word) and all(
+            b != self.inverse_index(a) for a, b in zip(word, word[1:] + word[:1])
+        )
+
+    def product(self, word) -> "WordProduct":
+        """The word's product, accumulated letter by letter from the identity."""
+        product = empty_product(self.n)
+        for i in word:
+            product = extend_product(product, self.compounds[i])
+        return WordProduct(word=tuple(word), n=self.n, compounds=product)
+
+
+def reduced_words(alphabet: Alphabet, max_length: int):
+    """Reduced words over the alphabet, lengths 1..max_length, in preorder.
+
+    Depth first: each word is followed by all of its extensions before its
+    next sibling.  The walk keeps an explicit stack, so long words do not
+    recurse.
+    """
+    size = len(alphabet.elements)
+    stack = [(i,) for i in reversed(range(size))]
+    while stack:
+        word = stack.pop()
+        yield word
+        if len(word) < max_length:
+            cancel = alphabet.inverse_index(word[-1])
+            stack.extend(word + (i,) for i in reversed(range(size)) if i != cancel)
+
+
+@dataclass(frozen=True)
 class WordSampler:
     """Deterministic word source over a generating family.
 
     `exhaustive` enumerates all (very) reduced words of length <= max_length in
     length-then-lex order; `random` draws `count` reduced words reproducibly.
+    The words are spelled in `alphabet`, built once on construction.
     """
 
     generators: tuple
@@ -40,35 +137,20 @@ class WordSampler:
     strategy: str = "exhaustive"
     seed: int = 0
     count: int = 0
+    alphabet: Alphabet = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if self.kind not in ("semigroup", "group"):
-            raise InvalidInput(f"unknown kind {self.kind!r}")
         if self.strategy not in ("exhaustive", "random"):
             raise InvalidInput(f"unknown strategy {self.strategy!r}")
         if self.max_length < 1:
             raise InvalidInput("max_length must be >= 1")
-        if len(self.generators) < 1:
-            raise InvalidInput("need at least one generator")
         if self.strategy == "random" and self.count < 1:
             raise InvalidInput("random strategy needs count >= 1")
+        object.__setattr__(self, "alphabet", Alphabet.of(self.generators, self.kind))
 
     @property
     def n(self) -> int:
         return self.generators[0].n
-
-    def alphabet(self):
-        """E_Gamma matrices: generators, plus inverses for groups."""
-        mats = [g.entries for g in self.generators]
-        if self.kind == "group":
-            mats += [g.inverse().entries for g in self.generators]
-        return mats
-
-    def inverse_index(self, i: int):
-        if self.kind != "group":
-            return None
-        t = len(self.generators)
-        return (i + t) % (2 * t)
 
     def expected_word_count(self) -> int:
         if self.strategy == "random":
@@ -108,34 +190,13 @@ class WordProduct:
         return product_projection(self.compounds, jordan=True)
 
 
-def reduced_words(alphabet_size: int, max_length: int, inverse_index):
-    """Reduced words over range(alphabet_size), lengths 1..max_length, in preorder.
-
-    Depth first: each word is followed by all of its extensions before its
-    next sibling.  `inverse_index(i)` is the letter that cancels i, or None.
-    """
-
-    def extend(prefix):
-        for i in range(alphabet_size):
-            if prefix and i == inverse_index(prefix[-1]):
-                continue
-            word = prefix + (i,)
-            yield word
-            if len(word) < max_length:
-                yield from extend(word)
-
-    return extend(())
-
-
 def enumerate_words(sampler: WordSampler) -> list[WordProduct]:
     """All sampled words with overflow-free products, in deterministic order."""
     if sampler.expected_word_count() > WORD_BUDGET:
         raise BudgetExceeded(
             f"{sampler.expected_word_count()} words exceed the {WORD_BUDGET} budget"
         )
-    mats = sampler.alphabet()
-    n = sampler.n
-    letters = [[compound_matrix(m, k) for k in range(1, n)] for m in mats]
+    alphabet = sampler.alphabet
     results: list[WordProduct] = []
 
     if sampler.strategy == "random":
@@ -143,23 +204,21 @@ def enumerate_words(sampler: WordSampler) -> list[WordProduct]:
         for _ in range(sampler.count):
             length = int(rng.integers(1, sampler.max_length + 1))
             word = []
-            product = empty_product(n)
             for _ in range(length):
                 while True:
-                    i = int(rng.integers(0, len(mats)))
-                    if not word or i != sampler.inverse_index(word[-1]):
+                    i = int(rng.integers(0, len(alphabet.elements)))
+                    if not word or i != alphabet.inverse_index(word[-1]):
                         break
                 word.append(i)
-                product = extend_product(product, letters[i])
-            results.append(WordProduct(word=tuple(word), n=n, compounds=product))
+            results.append(alphabet.product(word))
         return results
 
     # stack[j] is the product of the current word's first j letters
-    stack = [empty_product(n)]
-    for word in reduced_words(len(mats), sampler.max_length, sampler.inverse_index):
+    stack = [empty_product(sampler.n)]
+    for word in reduced_words(alphabet, sampler.max_length):
         del stack[len(word):]
-        stack.append(extend_product(stack[-1], letters[word[-1]]))
-        results.append(WordProduct(word=word, n=n, compounds=stack[-1]))
+        stack.append(extend_product(stack[-1], alphabet.compounds[word[-1]]))
+        results.append(WordProduct(word=word, n=sampler.n, compounds=stack[-1]))
     results.sort(key=lambda w: (w.length, w.word))
     return results
 
@@ -268,8 +327,7 @@ def check_convexity(
     """For random word pairs (w1, w2), lambda(w1^m w2^m)/(2m) must drift to the midpoint."""
     words = enumerate_words(sampler)
     rng = np.random.default_rng(int(seed))
-    mats = sampler.alphabet()
-    n = sampler.n
+    alphabet = sampler.alphabet
     hull = np.stack([r.coords for r in estimate.hull_rays])
     slack = np.sin(np.deg2rad(1.0))
     errors = []
@@ -281,16 +339,9 @@ def check_convexity(
         attempts += 1
         w1 = words[int(rng.integers(0, len(words)))]
         w2 = words[int(rng.integers(0, len(words)))]
-        if sampler.kind == "group":
-            # the concatenations must stay reduced at every seam
-            inv = sampler.inverse_index
-            if (
-                w1.word[0] == inv(w1.word[-1])
-                or w2.word[0] == inv(w2.word[-1])
-                or w2.word[0] == inv(w1.word[-1])
-                or w1.word[0] == inv(w2.word[-1])
-            ):
-                continue
+        # w1^m w2^m must stay reduced at every seam, for every m
+        if not alphabet.very_reduced(w1.word * 2 + w2.word * 2):
+            continue
         mid = 0.5 * (w1.lam().coords + w2.lam().coords)
         norm = float(np.linalg.norm(mid))
         if norm == 0.0:
@@ -298,9 +349,7 @@ def check_convexity(
         mid = mid / norm
         errs = []
         for m_rep in (1, 2, 4, 8):
-            letters = list(w1.word) * m_rep + list(w2.word) * m_rep
-            lam = product_jordan([mats[i] for i in letters], n)
-            d = lam.direction()
+            d = alphabet.product(w1.word * m_rep + w2.word * m_rep).lam().direction()
             if float(np.linalg.norm(d)) == 0.0:
                 errs.append(np.pi)
                 continue

@@ -15,7 +15,6 @@ attracting flags.
 """
 
 from dataclasses import dataclass, field
-from functools import partial
 from itertools import combinations
 
 import numpy as np
@@ -34,7 +33,7 @@ from .errors import (
     SeparationViolated,
     TooFewGenerators,
 )
-from .limits import reduced_words
+from .limits import Alphabet, reduced_words
 from .projgeom import (
     GroupElement,
     ProjectiveHyperplane,
@@ -170,10 +169,10 @@ class SchottkySystem:
     epsilons: tuple
     eigendata: dict = field(compare=False)  # (element index, degree) -> certificate
     separation: np.ndarray = field(compare=False)  # |E| x |E| x (n-1) gap values
+    # E_Gamma; exact inverses and compounds when known by construction (numerical
+    # inversion loses the small spectral data at forge-scale condition numbers)
+    alphabet: Alphabet = field(compare=False)
     forge_report: dict | None = field(default=None, compare=False)
-    # exact inverses when known by construction (numerical inversion loses the
-    # small spectral data at forge-scale condition numbers)
-    inverses: tuple | None = field(default=None, compare=False)
 
     @property
     def n(self) -> int:
@@ -183,36 +182,8 @@ class SchottkySystem:
     def t(self) -> int:
         return len(self.generators)
 
-    def elements(self) -> list:
-        """E_Gamma: the generators, plus their inverses for groups."""
-        elems = list(self.generators)
-        if self.kind == "group":
-            if self.inverses is not None:
-                elems += list(self.inverses)
-            else:
-                elems += [g.inverse() for g in self.generators]
-        return elems
-
-    def element_epsilons(self) -> list:
-        eps = list(self.epsilons)
-        return eps + eps if self.kind == "group" else eps
-
-    def element_labels(self) -> list:
-        labels = [f"g{j + 1}" for j in range(self.t)]
-        if self.kind == "group":
-            labels += [f"g{j + 1}^-1" for j in range(self.t)]
-        return labels
-
-    def inverse_index(self, i: int) -> int | None:
-        return _inverse_index(self.kind, self.t, i)
-
     def certificate(self, i: int, k: int) -> ProximalityCertificate:
         return self.eigendata[(i, k)]
-
-
-def _inverse_index(kind: str, t: int, i: int) -> int | None:
-    """Index in E_Gamma of the inverse of element i, for t generators."""
-    return (i + t) % (2 * t) if kind == "group" else None
 
 
 def verify_schottky(
@@ -231,55 +202,39 @@ def verify_schottky(
     generators = list(generators)
     if len(generators) < 2:
         raise TooFewGenerators("a Schottky family needs at least 2 generators")
-    if kind not in ("semigroup", "group"):
-        raise InvalidInput(f"unknown kind {kind!r}")
-    n = generators[0].n
-    if any(g.n != n for g in generators):
-        raise InvalidInput("generators must share one dimension")
+    alphabet = Alphabet.of(generators, kind)
     if epsilons is None:
         epsilons = [0.1] * len(generators)
     epsilons = [float(e) for e in epsilons]
     if len(epsilons) != len(generators) or any(not 0.0 < e < 1.0 for e in epsilons):
         raise InvalidInput("need one epsilon in (0,1) per generator")
 
-    elems = list(generators)
-    if kind == "group":
-        elems += [g.inverse() for g in generators]
-    eigendata, separation = _certify_elements(
-        elems,
-        kind,
-        epsilons,
-        lambda i, k: exterior_power(elems[i], k),
-        mode,
-        samples,
-        seed,
-    )
+    eigendata, separation = _certify_elements(alphabet, epsilons, mode, samples, seed)
     return SchottkySystem(
         generators=tuple(generators),
         kind=kind,
         epsilons=tuple(epsilons),
         eigendata=eigendata,
         separation=separation,
+        alphabet=alphabet,
     )
 
 
-def _certify_elements(elems, kind, epsilons, compound, mode, samples, seed):
+def _certify_elements(alphabet, epsilons, mode, samples, seed):
     """Certificates per (element, degree) of E_Gamma and its separation matrix.
 
-    `elems` is E_Gamma, `epsilons` has one entry per generator and
-    `compound(i, k)` is the k-th exterior power of elems[i].  Raises on the
-    first uncertified (element, degree), or on a separation failure with the
-    separation matrix attached.
+    `epsilons` has one entry per generator.  Raises on the first uncertified
+    (element, degree), or on a separation failure with the separation matrix
+    attached.
     """
-    n = elems[0].n
-    t = len(epsilons)
-    elem_eps = epsilons + epsilons if kind == "group" else epsilons
+    n = alphabet.n
+    elem_eps = [epsilons[j] for j, _, _ in alphabet.letters]
     eigendata = {}
     for i, eps in enumerate(elem_eps):
         for k in range(1, n):
             try:
                 eigendata[(i, k)] = certify_matrix_eps_proximal(
-                    compound(i, k),
+                    alphabet.compounds[i][k - 1],
                     rep=Representation(n=n, k=k),
                     epsilon=eps,
                     mode=mode,
@@ -290,7 +245,7 @@ def _certify_elements(elems, kind, epsilons, compound, mode, samples, seed):
                 e.args = (f"element {i}, degree {k}: {e.args[0]}",) + e.args[1:]
                 raise
 
-    m = len(elems)
+    m = len(elem_eps)
     separation = np.full((m, m, n - 1), np.nan)
     violation = None
     for i in range(m):
@@ -301,7 +256,7 @@ def _certify_elements(elems, kind, epsilons, compound, mode, samples, seed):
                 )
     for i in range(m):
         for j in range(m):
-            if j == _inverse_index(kind, t, i):
+            if j == alphabet.inverse_index(i):
                 continue  # the (g, g^-1) pair is exempt
             need = 6.0 * max(elem_eps[i], elem_eps[j])
             worst = float(separation[i, j].min())
@@ -317,37 +272,24 @@ def _certify_elements(elems, kind, epsilons, compound, mode, samples, seed):
     return eigendata, separation
 
 
-def _check_very_reduced(system: SchottkySystem, word) -> None:
-    if not word:
-        raise NotReduced("empty word")
-    if any(p < 1 for _, p in word):
-        raise InvalidInput("word exponents must be >= 1")
-    if system.kind != "group":
-        return
-    idxs = [i for i, _ in word]
-    for a, b in zip(idxs, idxs[1:]):
-        if b == system.inverse_index(a):
-            raise NotReduced(f"adjacent letters {a}, {b} cancel")
-    if len(idxs) > 1 and idxs[0] == system.inverse_index(idxs[-1]):
-        raise NotReduced("word is not very reduced: first letter inverts the last")
-
-
 def word_lyapunov_estimate(system: SchottkySystem, word):
     """lambda of a very reduced word and its defect against the letterwise sum.
 
     `word` is a sequence of (element index, exponent) over E_Gamma.  Returns
     (lambda_word, discrepancy) with discrepancy = lambda(w) - sum n_j lambda(g_j).
+    Products are accumulated from the letters' compounds in `system.alphabet`,
+    which are exact for a forged system.
     """
     word = [(int(i), int(p)) for i, p in word]
-    _check_very_reduced(system, word)
-    elems = system.elements()
-    mats = []
+    if any(p < 1 for _, p in word):
+        raise InvalidInput("word exponents must be >= 1")
+    alphabet = system.alphabet
+    if not alphabet.very_reduced([i for i, _ in word]):
+        raise NotReduced(f"word {word} is empty or not very reduced")
     expected = np.zeros(system.n)
     for i, p in word:
-        mats.extend([elems[i].entries] * p)
-        # per-letter lambda through the same compound accumulation as the word
-        expected += p * product_jordan([elems[i].entries], system.n).coords
-    lam = product_jordan(mats, system.n)
+        expected += p * alphabet.product([i]).lam().coords
+    lam = alphabet.product([i for i, p in word for _ in range(p)]).lam()
     return lam, lam.coords - expected
 
 
@@ -510,11 +452,6 @@ def _validate_forge_rays(cone: TargetCone) -> list[np.ndarray]:
     return rays
 
 
-def _flag_vectors(rot_compounds, k: int, inverse: bool) -> np.ndarray:
-    ck = rot_compounds[k]
-    return ck[:, -1] if inverse else ck[:, 0]
-
-
 def _forge(
     n: int,
     cone: TargetCone,
@@ -538,39 +475,27 @@ def _forge(
     t = len(rays)
     rng = np.random.default_rng(int(seed))
 
-    rotations = None
+    letters = Alphabet.spell(t, kind)
     for _ in range(FORGE_RETRY_CAP):
-        candidate = [_haar_rotation(rng, n) for _ in range(t)]
+        rotations = [_haar_rotation(rng, n) for _ in range(t)]
         comps = [
-            {k: compound_matrix(q, k) for k in range(1, n)} for q in candidate
+            {k: compound_matrix(q, k) for k in range(1, n)} for q in rotations
         ]
-        flags = []
-        for j in range(t):
-            flags.append((j, False))
-        if kind == "group":
-            flags += [(j, True) for j in range(t)]
-        ok = True
-        for a, (ja, inva) in enumerate(flags):
-            for b, (jb, invb) in enumerate(flags):
-                if kind == "group" and ja == jb and inva != invb:
-                    continue  # the (g, g^-1) pair is exempt
-                for k in range(1, n):
-                    va = _flag_vectors(comps[ja], k, inva)
-                    vb = _flag_vectors(comps[jb], k, invb)
-                    g = abs(float(va @ vb)) / (
-                        np.linalg.norm(va) * np.linalg.norm(vb)
-                    )
-                    if g < 6.0 * epsilon * 1.05:  # 5% safety over the contract
-                        ok = False
-                        break
-                if not ok:
-                    break
-            if not ok:
-                break
-        if ok:
-            rotations = candidate
+        # per letter and degree: the attracting vector of every power of the letter
+        flags = [
+            [comps[j][k][:, -1 if inv else 0] for k in range(1, n)]
+            for j, inv, _ in letters
+        ]
+        if not any(
+            abs(float(va @ vb)) / (np.linalg.norm(va) * np.linalg.norm(vb))
+            < 6.0 * epsilon * 1.05  # 5% safety over the contract
+            for a, (_, _, inverse) in enumerate(letters)
+            for b in range(len(letters))
+            if b != inverse  # the (g, g^-1) pair is exempt
+            for va, vb in zip(flags[a], flags[b])
+        ):
             break
-    if rotations is None:
+    else:
         raise SeparationUnachievable(
             f"no rotation draw reached 6*epsilon separation in {FORGE_RETRY_CAP} tries"
         )
@@ -595,11 +520,10 @@ def _forge(
             raise MaxPowerExceeded(f"generator {j} compound overflowed at power {power}")
         return c
 
-    sides = (False, True) if kind == "group" else (False,)
-
     def certifies(j: int, power: int) -> bool:
         try:
-            for inverse in sides:
+            # generator j, then, for a group, its inverse
+            for inverse in (inv for i, inv, _ in letters if i == j):
                 for k in range(1, n):
                     certify_matrix_eps_proximal(
                         elem_compound(j, power, k, inverse),
@@ -638,29 +562,23 @@ def _forge(
         d = np.exp(sign * powers[j] * rays[j])
         return GroupElement.from_unimodular(q @ (d[:, None] * q.T))
 
-    gens = [generator(j) for j in range(t)]
-    inverses = (
-        tuple(generator(j, -1.0) for j in range(t)) if kind == "group" else None
-    )
-    elems = gens + list(inverses or ())
-    epsilons = [float(epsilon)] * t
-    # certify the exact factored compounds, not minors of the rounded entries
-    eigendata, separation = _certify_elements(
-        elems,
+    gens = tuple(generator(j) for j in range(t))
+    alphabet = Alphabet.of(
+        gens,
         kind,
-        epsilons,
-        lambda i, k: elem_compound(i % t, powers[i % t], k, i >= t),
-        mode,
-        samples,
-        seed,
+        inverses=[generator(j, -1.0) for j, inv, _ in letters if inv],
+        # the exact factored compounds, not minors of the rounded entries
+        compound=lambda j, k, inv: elem_compound(j, powers[j], k, inv),
     )
+    epsilons = [float(epsilon)] * t
+    eigendata, separation = _certify_elements(alphabet, epsilons, mode, samples, seed)
 
     # sampled word directions up to length 6: how far inside the cone they stay
     rays_mat = cone.rays_matrix()
     max_dist = 0.0
     count = 0
-    for word in _sample_forge_words(len(elems), kind, t, rng_seed=seed):
-        lam = product_jordan([elems[i].entries for i in word], n)
+    for word in _sample_forge_words(alphabet, rng_seed=seed):
+        lam = product_jordan([alphabet.elements[i].entries for i in word], n)
         d = lam.direction()
         if np.linalg.norm(d) == 0.0:
             continue
@@ -675,24 +593,19 @@ def _forge(
         "max_direction_distance": max_dist,
     }
     return SchottkySystem(
-        generators=tuple(gens),
+        generators=gens,
         kind=kind,
         epsilons=tuple(epsilons),
         eigendata=eigendata,
         separation=separation,
+        alphabet=alphabet,
         forge_report=report,
-        inverses=inverses,
     )
 
 
-def _sample_forge_words(m: int, kind: str, t: int, rng_seed: int, depth: int = 6):
+def _sample_forge_words(alphabet: Alphabet, rng_seed: int, depth: int = 6):
     """All very reduced words up to `depth` letters, capped at 1000 via seeded sampling."""
-    inv = partial(_inverse_index, kind, t)
-    words = [
-        w
-        for w in reduced_words(m, depth, inv)
-        if len(w) == 1 or w[0] != inv(w[-1])
-    ]
+    words = [w for w in reduced_words(alphabet, depth) if alphabet.very_reduced(w)]
     if len(words) > 1000:
         rng = np.random.default_rng(int(rng_seed))
         keep = rng.choice(len(words), size=1000, replace=False)

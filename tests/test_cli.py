@@ -221,6 +221,25 @@ class TestForgePipeline:
         ]
 
 
+class TestLongAndMixedSystems:
+    def test_compare_past_the_recursion_limit(self, tmp_path):
+        sys_path = write_system(tmp_path / "one.json", [np.diag([2.0, 0.5])])
+        code, text = run_cli(["compare", "--system", str(sys_path), "--depth", "1500"])
+        assert code == 0
+        assert len(text.strip().splitlines()) == 1500
+
+    @pytest.mark.parametrize("command", ["estimate-cone", "limit-set", "compare"])
+    def test_generators_of_two_dimensions(self, tmp_path, command):
+        sys_path = write_system(
+            tmp_path / "mixed.json", [np.diag([2.0, 0.5]), np.diag([4.0, 1.0, 0.25])]
+        )
+        argv = [command, "--system", str(sys_path), "--depth", "2"]
+        if command == "limit-set":
+            argv += ["--side", "fwd"]
+        code, _ = run_cli(argv)
+        assert code == 3
+
+
 class TestUsageErrors:
     def test_no_command(self):
         code, _ = run_cli([])

@@ -5,7 +5,7 @@ import pytest
 
 import limitcone as lc
 from limitcone import limits
-from limitcone.errors import BudgetExceeded, DegenerateSample, InvalidInput
+from limitcone.errors import BudgetExceeded, DegenerateSample, InvalidInput, NotReduced
 
 from .conftest import rotation2
 
@@ -37,10 +37,108 @@ class TestWordSampler:
 
     def test_group_alphabet_has_inverses(self, sl2_pair):
         s = _sampler(sl2_pair, kind="group")
-        mats = s.alphabet()
+        mats = [e.entries for e in s.alphabet.elements]
         assert len(mats) == 4
         assert np.allclose(mats[0] @ mats[2], np.eye(2), atol=1e-10)
-        assert s.inverse_index(1) == 3 and s.inverse_index(3) == 1
+        assert s.alphabet.inverse_index(1) == 3 and s.alphabet.inverse_index(3) == 1
+
+
+class TestAlphabet:
+    def test_generators_must_share_one_dimension(self, sl2_pair):
+        g3 = lc.GroupElement.from_matrix(np.diag([10.0, 1.0, 0.1]))
+        with pytest.raises(InvalidInput, match="one dimension"):
+            limits.Alphabet.of([sl2_pair[0], g3])
+        # the sampler builds its alphabet, so it refuses too, before any product
+        with pytest.raises(InvalidInput, match="one dimension"):
+            _sampler([sl2_pair[0], g3], kind="group")
+
+    def test_layout_labels_and_compounds(self, sl2_pair):
+        a = limits.Alphabet.of(sl2_pair, "group")
+        assert a.letters == ((0, False, 2), (1, False, 3), (0, True, 0), (1, True, 1))
+        assert a.labels() == ["g1", "g2", "g1^-1", "g2^-1"]
+        assert a.elements[:2] == tuple(sl2_pair)
+        for e, c in zip(a.elements, a.compounds):
+            assert len(c) == 1 and np.array_equal(c[0], lc.compound_matrix(e.entries, 1))
+        s = limits.Alphabet.of(sl2_pair)
+        assert [s.inverse_index(i) for i in range(2)] == [None, None]
+
+    @pytest.mark.parametrize(
+        "kind, word, expected",
+        [
+            ("group", (), False),  # the empty word
+            ("semigroup", (), False),
+            ("group", (0, 2), False),  # adjacent cancellation
+            ("group", (1, 0, 2, 3), False),
+            ("group", (0, 1, 2), False),  # the first letter inverts the last
+            ("group", (3, 0, 1), False),
+            ("group", (0,), True),
+            ("group", (2, 2), True),
+            ("group", (0, 1, 0), True),  # a mixed valid word
+            ("group", (1, 0, 3, 0), True),
+            ("semigroup", (0,), True),  # every nonempty semigroup word
+            ("semigroup", (0, 1, 1, 0), True),
+        ],
+    )
+    def test_very_reduced_table(self, sl2_pair, sl2_group, sl2_semigroup, kind, word, expected):
+        a = limits.Alphabet.of(sl2_pair, kind)
+        assert a.very_reduced(word) is expected
+        assert a.very_reduced(list(word)) is expected
+        # word_lyapunov_estimate admits exactly the very reduced words
+        system = sl2_group if kind == "group" else sl2_semigroup
+        if expected:
+            lc.word_lyapunov_estimate(system, [(i, 1) for i in word])
+        else:
+            with pytest.raises(NotReduced):
+                lc.word_lyapunov_estimate(system, [(i, 1) for i in word])
+
+    @pytest.mark.parametrize("kind", ["semigroup", "group"])
+    @pytest.mark.parametrize("t", [1, 2, 3])
+    def test_walker_and_forge_report_words_are_unchanged(self, sl2_pair, kind, t):
+        # the recursive walker, the inverse pairing and the forge report's
+        # filter and cap, as they were spelled before the alphabet
+        from limitcone.schottky import _sample_forge_words
+
+        a = limits.Alphabet.of((sl2_pair * 2)[:t], kind)
+        size = len(a.elements)
+
+        def inv(i):
+            return (i + t) % (2 * t) if kind == "group" else None
+
+        def extend(prefix):
+            for i in range(size):
+                if prefix and i == inv(prefix[-1]):
+                    continue
+                word = prefix + (i,)
+                yield word
+                if len(word) < 6:
+                    yield from extend(word)
+
+        walked = list(extend(()))
+        assert list(limits.reduced_words(a, 6)) == walked
+        words = [w for w in walked if len(w) == 1 or w[0] != inv(w[-1])]
+        if len(words) > 1000:
+            keep = np.random.default_rng(5).choice(len(words), size=1000, replace=False)
+            words = [words[i] for i in sorted(keep)]
+        assert _sample_forge_words(a, rng_seed=5) == words
+
+    def test_convexity_admits_the_same_pairs(self, sl2_pair):
+        # check_convexity's seam test, as it was spelled before the alphabet
+        s = _sampler(sl2_pair, kind="group", max_length=3)
+        a = s.alphabet
+        inv = a.inverse_index
+        words = [w.word for w in lc.enumerate_words(s)]
+        admitted = 0
+        for w1 in words:
+            for w2 in words:
+                old = not (
+                    w1[0] == inv(w1[-1])
+                    or w2[0] == inv(w2[-1])
+                    or w2[0] == inv(w1[-1])
+                    or w1[0] == inv(w2[-1])
+                )
+                assert a.very_reduced(w1 * 2 + w2 * 2) is old
+                admitted += old
+        assert 0 < admitted < len(words) ** 2
 
 
 class TestEnumerateWords:
@@ -63,7 +161,7 @@ class TestEnumerateWords:
         assert len(words) == 4 + 12 + 36
         for w in words:
             for a, b in zip(w.word, w.word[1:]):
-                assert b != s.inverse_index(a)
+                assert b != s.alphabet.inverse_index(a)
 
     def test_random_reproducible(self, sl2_pair):
         kw = dict(strategy="random", count=100, max_length=5, seed=9)
@@ -96,7 +194,7 @@ class TestEnumerateWords:
         # one accumulator: a word's mu/lambda are bit-identical to the
         # product_cartan/product_jordan of its letters
         s = _sampler(sl2_pair, kind=kind, max_length=4)
-        mats = s.alphabet()
+        mats = [e.entries for e in s.alphabet.elements]
         for w in lc.enumerate_words(s):
             letters = [mats[i] for i in w.word]
             assert np.array_equal(lc.product_jordan(letters, s.n).coords, w.lam().coords)
@@ -106,7 +204,7 @@ class TestEnumerateWords:
         s = _sampler(
             forged_semigroup.generators, strategy="random", count=20, max_length=8, seed=3
         )
-        mats = s.alphabet()
+        mats = [e.entries for e in s.alphabet.elements]
         for w in lc.enumerate_words(s):
             letters = [mats[i] for i in w.word]
             assert np.array_equal(lc.product_jordan(letters, s.n).coords, w.lam().coords)
@@ -200,6 +298,12 @@ class TestCompareMuLambda:
         # lambda vanishes while mu grows ~ log(length): the gap diverges
         assert all(b >= a - 1e-12 for a, b in zip(gaps, gaps[1:]))
         assert gaps[-1] >= 1.0
+
+    def test_words_longer_than_the_recursion_limit(self):
+        g = lc.GroupElement.from_matrix(np.diag([2.0, 0.5]))
+        gaps = lc.compare_mu_lambda(_sampler([g], max_length=1500))
+        assert len(gaps) == 1500
+        assert max(gaps) <= 1e-9
 
 
 class TestEstimateLimitSet:

@@ -260,7 +260,7 @@ class TestComposeCertificates:
         # every compose success must bracket the assembled product's top
         # Jordan coordinate
         sys_ = sl2_semigroup
-        elems = sys_.elements()
+        elems = sys_.alphabet.elements
         certs = {i: sys_.certificate(i, 1) for i in range(len(elems))}
         rng = np.random.default_rng(2)
         for _ in range(20):

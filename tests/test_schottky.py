@@ -50,9 +50,9 @@ class TestVerifySchottky:
 
     def test_group_kind(self, sl2_group):
         sys_ = sl2_group
-        assert len(sys_.elements()) == 4
-        assert sys_.element_labels() == ["g1", "g2", "g1^-1", "g2^-1"]
-        assert sys_.inverse_index(0) == 2 and sys_.inverse_index(3) == 1
+        assert len(sys_.alphabet.elements) == 4
+        assert sys_.alphabet.labels() == ["g1", "g2", "g1^-1", "g2^-1"]
+        assert sys_.alphabet.inverse_index(0) == 2 and sys_.alphabet.inverse_index(3) == 1
         # the (g, g^-1) separation is exempt -- and genuinely degenerate here
         assert float(sys_.separation[0, 2].min()) <= 1e-10
         # every non-exempt pair still clears the 6*eps bar
@@ -294,19 +294,33 @@ class TestForgeSemigroup:
         assert sys_.t == 2
 
 
+class TestForgedLettersAreExact:
+    def test_wide_dynamic_range_lyapunov_directions(self):
+        # powers [18, 55, 55]: about e^70 of dynamic range, far past 1/eps_mach,
+        # where minors of the rounded entries lose the small spectral data
+        cone = lc.TargetCone.from_rays(
+            [[3.0, 1.0, -1.0, -3.0], [3.0, -0.5, -1.0, -1.5], [2.0, 1.5, -1.5, -2.0]]
+        )
+        sys_ = lc.forge_semigroup(4, cone, 0.02, seed=1)
+        for j, power in enumerate(sys_.forge_report["powers"]):
+            lam, _ = lc.word_lyapunov_estimate(sys_, [(j, 2)])
+            want = 2.0 * power * cone.rays[j].coords
+            assert np.linalg.norm(lam.coords - want) <= 1e-9 * np.linalg.norm(want)
+
+
 class TestForgeGroup:
     def test_sl2_half_line(self):
         cone = lc.TargetCone.from_rays([np.array([1.0, -1.0]) / np.sqrt(2.0)])
         sys_ = lc.forge_group(2, cone, 0.1, seed=0)
         assert sys_.kind == "group"
-        assert len(sys_.elements()) == 4
+        assert len(sys_.alphabet.elements) == 4
         # exact inverses are kept alongside the generators
-        for g, gi in zip(sys_.generators, sys_.inverses):
+        for g, gi in zip(sys_.generators, sys_.alphabet.elements[2:]):
             assert np.allclose(g.entries @ gi.entries, np.eye(2), atol=1e-9)
 
     def test_sl3_symmetric_cone(self, forge_cone):
         sys_ = lc.forge_group(3, forge_cone, 0.05, seed=7)
-        assert len(sys_.elements()) == 4
+        assert len(sys_.alphabet.elements) == 4
         assert sys_.forge_report["max_direction_distance"] <= 0.1
 
     def test_unstable_cone_rejected(self):
@@ -318,7 +332,7 @@ class TestCertifiedSoundness:
     def test_short_words_are_proximal(self, sl2_semigroup):
         # every word of a certified system is proximal with additive-up-to-
         # defect Lyapunov data
-        elems = sl2_semigroup.elements()
+        elems = sl2_semigroup.alphabet.elements
         from itertools import product
 
         for l in range(1, 5):
