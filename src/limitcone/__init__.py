@@ -7,6 +7,7 @@ of limit cones and limit sets.
 
 from .errors import (
     BudgetExceeded,
+    CertificationFailure,
     ConeNotInvolutionStable,
     ContractionUnverified,
     DegenerateSample,
@@ -49,6 +50,7 @@ from .proximality import (
     ComposedProximality,
     ProximalityCertificate,
     analytic_contraction_bounds,
+    certify_degrees,
     certify_eps_proximal,
     certify_theta_proximal,
     compose_certificates,

@@ -15,12 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .errors import (
-    ContractionUnverified,
-    LimitConeError,
-    NotProximal,
-    SeparationViolated,
-)
+from .errors import CertificationFailure, ContractionUnverified, LimitConeError
 from .limits import WordSampler, compare_mu_lambda, estimate_cone, estimate_limit_set
 from .projgeom import GroupElement
 from .projections import (
@@ -37,9 +32,6 @@ EXIT_OK = 0
 EXIT_REFUTED = 1
 EXIT_INCONCLUSIVE = 2
 EXIT_USAGE = 3
-
-# failures of a certification, answered with a verdict rather than an error
-CERTIFICATION_FAILURES = (NotProximal, SeparationViolated, ContractionUnverified)
 
 
 class UsageError(Exception):
@@ -151,7 +143,7 @@ def _cmd_certify(args, out):
             sample_count=args.samples,
             seed=args.seed,
         )
-    except CERTIFICATION_FAILURES as e:
+    except CertificationFailure as e:
         return _failed_verdict(e, out)
     print(
         f"certified: degree {args.degree} epsilon {fmt(cert.epsilon)} "
@@ -172,7 +164,7 @@ def _cmd_certify_schottky(args, out):
         system = verify_schottky(
             gens, kind=kind, epsilons=eps, mode=args.mode, samples=args.samples, seed=args.seed
         )
-    except CERTIFICATION_FAILURES as e:
+    except CertificationFailure as e:
         return _failed_verdict(e, out)
     print(
         f"certified: {kind} with {system.t} generators, "
@@ -215,17 +207,14 @@ def _cmd_forge(args, out):
 
 
 def _make_sampler(args, gens, kind):
-    if getattr(args, "random", None):
-        return WordSampler(
-            generators=tuple(gens),
-            kind=kind,
-            max_length=args.depth,
-            strategy="random",
-            seed=args.seed,
-            count=args.random,
-        )
+    count = getattr(args, "random", 0)  # only estimate-cone has --random
     return WordSampler(
-        generators=tuple(gens), kind=kind, max_length=args.depth, strategy="exhaustive"
+        generators=tuple(gens),
+        kind=kind,
+        max_length=args.depth,
+        strategy="random" if count else "exhaustive",
+        seed=args.seed,
+        count=count,
     )
 
 

@@ -21,11 +21,15 @@ class NumericalFailure(LimitConeError):
     """An eigenvalue/singular-value computation failed to converge or overflowed."""
 
 
-class NotProximal(LimitConeError):
+class CertificationFailure(LimitConeError):
+    """A certification condition failed: answered with a verdict, not an error."""
+
+
+class NotProximal(CertificationFailure):
     """The dominant eigenvalue modulus is not simple and strictly dominant."""
 
 
-class SeparationViolated(LimitConeError):
+class SeparationViolated(CertificationFailure):
     """A required gap between an attracting point and a repelling hyperplane is too small.
 
     Carries optional diagnostics: `pair` (offending indices) and `separation`
@@ -38,7 +42,7 @@ class SeparationViolated(LimitConeError):
         self.separation = separation
 
 
-class ContractionUnverified(LimitConeError):
+class ContractionUnverified(CertificationFailure):
     """Neither the analytic bound nor sampling established the contraction conditions.
 
     `refuted` is True when sampling exhibited an explicit violation (a genuine

@@ -14,7 +14,7 @@ from math import comb
 
 import numpy as np
 
-from .errors import DimensionMismatch, EmptyInput, InvalidInput
+from .errors import DimensionMismatch, EmptyInput, InvalidInput, NumericalFailure
 
 DET_STRICT_TOL = 1e-9
 DET_RENORM_TOL = 1e-6
@@ -73,7 +73,11 @@ class GroupElement:
         return cls(entries=_freeze(m), n=m.shape[0])
 
     def inverse(self) -> "GroupElement":
-        return GroupElement(entries=_freeze(np.linalg.inv(self.entries)), n=self.n)
+        try:
+            inv = np.linalg.inv(self.entries)
+        except np.linalg.LinAlgError as e:
+            raise NumericalFailure(f"matrix inversion failed: {e}") from e
+        return GroupElement(entries=_freeze(inv), n=self.n)
 
     def __matmul__(self, other: "GroupElement") -> "GroupElement":
         if self.n != other.n:

@@ -28,6 +28,7 @@ import numpy as np
 import scipy.linalg
 
 from .errors import (
+    CertificationFailure,
     ContractionUnverified,
     InvalidInput,
     NotProximal,
@@ -204,8 +205,6 @@ def certify_eps_proximal(
     seed: int = 0,
 ) -> ProximalityCertificate:
     """Certify that Lambda^k g is epsilon-proximal on P(Lambda^k R^n)."""
-    if not 0.0 < epsilon < 1.0:
-        raise InvalidInput(f"epsilon must be in (0, 1), got {epsilon}")
     m = exterior_power(g, k)
     return certify_matrix_eps_proximal(
         m, Representation(n=g.n, k=k), epsilon, mode, sample_count, seed
@@ -220,6 +219,13 @@ def certify_matrix_eps_proximal(
     sample_count: int = DEFAULT_SAMPLE_COUNT,
     seed: int = 0,
 ) -> ProximalityCertificate:
+    """Certify that m, a Lambda^k g in `rep`, is epsilon-proximal on P(Lambda^k R^n).
+
+    Every epsilon-proximality decision of the library is made here.  Raises a
+    CertificationFailure naming the first condition that failed.
+    """
+    if not 0.0 < epsilon < 1.0:
+        raise InvalidInput(f"epsilon must be in (0, 1), got {epsilon}")
     if mode not in ("analytic", "sampled"):
         raise InvalidInput(f"unknown mode {mode!r}")
     top, attracting, repelling = top_eigendata(m)
@@ -228,7 +234,6 @@ def certify_matrix_eps_proximal(
         raise SeparationViolated(
             f"gap {gap_value} < 2*epsilon = {2.0 * epsilon}"
         )
-    norm = float(np.linalg.norm(m, 2))
     if mode == "analytic":
         image_radius, lipschitz, _ = analytic_contraction_bounds(m, epsilon)
         if image_radius > epsilon or lipschitz > epsilon:
@@ -237,28 +242,18 @@ def certify_matrix_eps_proximal(
                 f"Lipschitz {lipschitz} vs epsilon {epsilon}",
                 refuted=False,
             )
-        return ProximalityCertificate(
-            rep=rep,
-            epsilon=epsilon,
-            attracting=attracting,
-            repelling=repelling,
-            top_modulus=top,
-            gap_value=gap_value,
-            lipschitz_bound=lipschitz,
-            norm_ratio=top / norm,
-            mode="analytic",
-            sample_count=0,
+        sample_count = 0
+    else:
+        # the observed pairwise expansion is recorded as evidence; it is not a
+        # certification gate (the analytic mode bounds the Lipschitz constant)
+        max_image, lipschitz = sampled_contraction_check(
+            m, attracting, repelling, epsilon, sample_count, seed
         )
-    max_image, max_ratio = sampled_contraction_check(
-        m, attracting, repelling, epsilon, sample_count, seed
-    )
-    if max_image > epsilon:
-        raise ContractionUnverified(
-            f"sampled image point at distance {max_image} > epsilon {epsilon}",
-            refuted=True,
-        )
-    # the observed pairwise expansion is recorded as evidence; it is not a
-    # certification gate (the analytic mode bounds the Lipschitz constant)
+        if max_image > epsilon:
+            raise ContractionUnverified(
+                f"sampled image point at distance {max_image} > epsilon {epsilon}",
+                refuted=True,
+            )
     return ProximalityCertificate(
         rep=rep,
         epsilon=epsilon,
@@ -266,11 +261,35 @@ def certify_matrix_eps_proximal(
         repelling=repelling,
         top_modulus=top,
         gap_value=gap_value,
-        lipschitz_bound=max_ratio,
-        norm_ratio=top / norm,
-        mode="sampled",
+        lipschitz_bound=lipschitz,
+        norm_ratio=top / float(np.linalg.norm(m, 2)),
+        mode=mode,
         sample_count=sample_count,
     )
+
+
+def certify_degrees(
+    matrices,
+    n: int,
+    epsilon: float,
+    mode: str = "sampled",
+    sample_count: int = DEFAULT_SAMPLE_COUNT,
+    seed: int = 0,
+) -> list[ProximalityCertificate]:
+    """One certificate per (k, Lambda^k matrix) pair of an element of SL(n).
+
+    The pairs are consumed lazily, so a failing degree stops before the next
+    matrix is built.  A failure's message gains the prefix "degree k: ".
+    """
+    certs = []
+    for k, m in matrices:
+        rep = Representation(n=n, k=k)
+        try:
+            certs.append(certify_matrix_eps_proximal(m, rep, epsilon, mode, sample_count, seed))
+        except CertificationFailure as e:
+            e.args = (f"degree {k}: {e.args[0]}",) + e.args[1:]
+            raise
+    return certs
 
 
 def certify_theta_proximal(
@@ -282,16 +301,8 @@ def certify_theta_proximal(
     seed: int = 0,
 ) -> list[ProximalityCertificate]:
     """One certificate per exterior degree; fails on the first failing degree."""
-    certs = []
-    for k in sorted(degrees):
-        try:
-            certs.append(
-                certify_eps_proximal(g, k, epsilon, mode, sample_count, seed)
-            )
-        except (NotProximal, SeparationViolated, ContractionUnverified) as e:
-            e.args = (f"degree {k}: {e.args[0]}",) + e.args[1:]
-            raise
-    return certs
+    matrices = ((k, exterior_power(g, k)) for k in sorted(degrees))
+    return certify_degrees(matrices, g.n, epsilon, mode, sample_count, seed)
 
 
 def compose_certificates(certs, powers) -> ComposedProximality:

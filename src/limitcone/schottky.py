@@ -21,6 +21,7 @@ import numpy as np
 
 from . import cones
 from .errors import (
+    CertificationFailure,
     ConeNotInvolutionStable,
     ContractionUnverified,
     InvalidInput,
@@ -38,7 +39,7 @@ from .projgeom import (
     GroupElement,
     ProjectiveHyperplane,
     ProjectivePoint,
-    Representation,
+    chordal_distances,
     compound_matrix,
     exterior_power,
     gap,
@@ -54,7 +55,7 @@ from .proximality import (
     DEFAULT_SAMPLE_COUNT,
     ProximalityCertificate,
     analytic_contraction_bounds,
-    certify_matrix_eps_proximal,
+    certify_degrees,
     sampled_contraction_check,
     top_eigendata,
 )
@@ -209,45 +210,35 @@ def verify_schottky(
     if len(epsilons) != len(generators) or any(not 0.0 < e < 1.0 for e in epsilons):
         raise InvalidInput("need one epsilon in (0,1) per generator")
 
-    eigendata, separation = _certify_elements(alphabet, epsilons, mode, samples, seed)
+    eigendata = {}
+    for i, (j, _, _) in enumerate(alphabet.letters):
+        matrices = enumerate(alphabet.compounds[i], start=1)
+        try:
+            certs = certify_degrees(matrices, alphabet.n, epsilons[j], mode, samples, seed)
+        except CertificationFailure as e:
+            e.args = (f"element {i}, {e.args[0]}",) + e.args[1:]
+            raise
+        eigendata.update(((i, k), c) for k, c in enumerate(certs, start=1))
     return SchottkySystem(
         generators=tuple(generators),
         kind=kind,
         epsilons=tuple(epsilons),
         eigendata=eigendata,
-        separation=separation,
+        separation=_separation(alphabet, epsilons, eigendata),
         alphabet=alphabet,
     )
 
 
-def _certify_elements(alphabet, epsilons, mode, samples, seed):
-    """Certificates per (element, degree) of E_Gamma and its separation matrix.
+def _separation(alphabet, epsilons, eigendata):
+    """The |E| x |E| x (n-1) gaps gap(x+_i, X<_j) between certified letters.
 
-    `epsilons` has one entry per generator.  Raises on the first uncertified
-    (element, degree), or on a separation failure with the separation matrix
-    attached.
+    `epsilons` has one entry per generator.  Raises on the first pair not
+    separated by 6*max of its two epsilons, with the matrix attached.
     """
     n = alphabet.n
     elem_eps = [epsilons[j] for j, _, _ in alphabet.letters]
-    eigendata = {}
-    for i, eps in enumerate(elem_eps):
-        for k in range(1, n):
-            try:
-                eigendata[(i, k)] = certify_matrix_eps_proximal(
-                    alphabet.compounds[i][k - 1],
-                    rep=Representation(n=n, k=k),
-                    epsilon=eps,
-                    mode=mode,
-                    sample_count=samples,
-                    seed=seed,
-                )
-            except (NotProximal, SeparationViolated, ContractionUnverified) as e:
-                e.args = (f"element {i}, degree {k}: {e.args[0]}",) + e.args[1:]
-                raise
-
     m = len(elem_eps)
     separation = np.full((m, m, n - 1), np.nan)
-    violation = None
     for i in range(m):
         for j in range(m):
             for k in range(1, n):
@@ -260,16 +251,13 @@ def _certify_elements(alphabet, epsilons, mode, samples, seed):
                 continue  # the (g, g^-1) pair is exempt
             need = 6.0 * max(elem_eps[i], elem_eps[j])
             worst = float(separation[i, j].min())
-            if worst < need and violation is None:
-                violation = (i, j, worst, need)
-    if violation is not None:
-        i, j, worst, need = violation
-        raise SeparationViolated(
-            f"gap(x+_{i}, X<_{j}) = {worst} < {need}",
-            pair=(i, j),
-            separation=separation,
-        )
-    return eigendata, separation
+            if worst < need:
+                raise SeparationViolated(
+                    f"gap(x+_{i}, X<_{j}) = {worst} < {need}",
+                    pair=(i, j),
+                    separation=separation,
+                )
+    return separation
 
 
 def word_lyapunov_estimate(system: SchottkySystem, word):
@@ -357,16 +345,7 @@ def in_open_semigroup(
                 accepted=False, mode=mode, reason=f"degree {k}: not proximal"
             )
         e_point = proj_distance(attracting, target)
-        e_hyp = float(
-            np.sqrt(
-                max(
-                    0.0,
-                    2.0
-                    - 2.0
-                    * abs(float(elem_repelling.covector @ repelling.covector)),
-                )
-            )
-        )
+        e_hyp = float(chordal_distances(elem_repelling.covector, repelling.covector))
         if (
             gap(attracting, repelling) >= epsilon
             and e_point > epsilon
@@ -462,6 +441,9 @@ def _forge(
     mode: str,
     samples: int,
 ) -> SchottkySystem:
+    # the Schottky separation 6*epsilon cannot exceed the largest gap, 1
+    if not 0.0 < epsilon <= 1.0 / 6.0:
+        raise InvalidInput(f"epsilon must be in (0, 1/6], got {epsilon}")
     rays = _validate_forge_rays(cone)
     if len(rays) == 1:
         # duplicate with a deterministic in-chamber perturbation
@@ -520,27 +502,27 @@ def _forge(
             raise MaxPowerExceeded(f"generator {j} compound overflowed at power {power}")
         return c
 
-    def certifies(j: int, power: int) -> bool:
-        try:
-            # generator j, then, for a group, its inverse
-            for inverse in (inv for i, inv, _ in letters if i == j):
-                for k in range(1, n):
-                    certify_matrix_eps_proximal(
-                        elem_compound(j, power, k, inverse),
-                        rep=Representation(n=n, k=k),
-                        epsilon=epsilon,
-                        mode=mode,
-                        sample_count=samples,
-                        seed=seed,
-                    )
-            return True
-        except (NotProximal, SeparationViolated, ContractionUnverified):
-            return False
+    def certificates(j: int, power: int):
+        # per (letter, degree), for generator j and, for a group, its
+        # inverse; None when one fails
+        certs = {}
+        for i, (g, inverse, _) in enumerate(letters):
+            if g != j:
+                continue
+            matrices = ((k, elem_compound(j, power, k, inverse)) for k in range(1, n))
+            try:
+                per_degree = certify_degrees(matrices, n, epsilon, mode, samples, seed)
+            except CertificationFailure:
+                return None
+            certs.update(((i, k), c) for k, c in enumerate(per_degree, start=1))
+        return certs
 
-    powers = []
+    # certification depends only on the seed and the compound's bytes, so the
+    # chosen power's certificates are the system's eigendata
+    powers, eigendata = [], {}
     for j in range(t):
         m = 1
-        while not certifies(j, m):
+        while (certs := certificates(j, m)) is None:
             m *= 2
             if m > max_power:
                 raise MaxPowerExceeded(
@@ -551,11 +533,14 @@ def _forge(
         lo, hi = m // 2, m
         while hi - lo > 1:
             mid = (lo + hi) // 2
-            if certifies(j, mid):
-                hi = mid
-            else:
+            found = certificates(j, mid)
+            if found is None:
                 lo = mid
+            else:
+                hi, certs = mid, found
         powers.append(hi)
+        eigendata.update(certs)
+    eigendata = dict(sorted(eigendata.items()))
 
     def generator(j: int, sign: float = 1.0) -> GroupElement:
         q = rotations[j]
@@ -571,7 +556,7 @@ def _forge(
         compound=lambda j, k, inv: elem_compound(j, powers[j], k, inv),
     )
     epsilons = [float(epsilon)] * t
-    eigendata, separation = _certify_elements(alphabet, epsilons, mode, samples, seed)
+    separation = _separation(alphabet, epsilons, eigendata)
 
     # sampled word directions up to length 6: how far inside the cone they stay
     rays_mat = cone.rays_matrix()

@@ -240,6 +240,26 @@ class TestLongAndMixedSystems:
         assert code == 3
 
 
+class TestForgedGroupOfSingularInverses:
+    def test_singular_inverse_exits_3(self, tmp_path, monkeypatch):
+        # these generators are too wide in dynamic range for float64 to invert
+        monkeypatch.chdir(tmp_path)
+        rays = [[3, 1, -1, -3], [3, -0.5, -1, -1.5], [2, 1.5, -1.5, -2]]
+        Path("rays.json").write_text(json.dumps({"rays": rays}))
+        code, _ = run_cli(
+            ["forge", "--n", "4", "--rays", "rays.json", "--epsilon", "0.03",
+             "--seed", "0", "--out", "system.json"]
+        )
+        assert code == 0
+        doc = json.loads(Path("system.json").read_text())
+        doc["kind"] = "group"
+        Path("group.json").write_text(json.dumps(doc))
+        code, _ = run_cli(["estimate-cone", "--system", "group.json", "--depth", "2"])
+        assert code == 3
+        code, _ = run_cli(["certify-schottky", "--system", "group.json"])
+        assert code == 3
+
+
 class TestUsageErrors:
     def test_no_command(self):
         code, _ = run_cli([])
@@ -269,6 +289,13 @@ class TestUsageErrors:
         m = write_matrix(tmp_path / "g.json", np.diag([2.0, 1.0]))
         code, _ = run_cli(["project", "--matrix", str(m)])
         assert code == 3
+
+    def test_forge_epsilon_out_of_range(self, rays_file, capsys):
+        code, _ = run_cli(
+            ["forge", "--n", "3", "--rays", str(rays_file), "--epsilon", "0"]
+        )
+        assert code == 3
+        assert "epsilon" in capsys.readouterr().err
 
     def test_version(self, capsys):
         with pytest.raises(SystemExit) as exc:

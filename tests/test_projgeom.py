@@ -12,6 +12,7 @@ from limitcone.errors import (
     DimensionMismatch,
     EmptyInput,
     InvalidInput,
+    NumericalFailure,
 )
 from limitcone.projgeom import chordal_distances
 
@@ -61,6 +62,10 @@ class TestGroupElement:
         m = np.diag([1e60, 1.0, 1e-60])
         g = lc.GroupElement.from_unimodular(m)
         assert g.entries[0, 0] == 1e60
+
+    def test_singular_inverse_is_a_numerical_failure(self):
+        with pytest.raises(NumericalFailure):
+            lc.GroupElement.from_unimodular([[1.0, 1.0], [1.0, 1.0]]).inverse()
 
 
 class TestExteriorPower:

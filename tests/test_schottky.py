@@ -1,5 +1,7 @@
 """Schottky verification, word estimates, open semigroups, and forging."""
 
+import sys
+
 import numpy as np
 import pytest
 from scipy.linalg import expm
@@ -306,6 +308,70 @@ class TestForgedLettersAreExact:
             lam, _ = lc.word_lyapunov_estimate(sys_, [(j, 2)])
             want = 2.0 * power * cone.rays[j].coords
             assert np.linalg.norm(lam.coords - want) <= 1e-9 * np.linalg.norm(want)
+
+
+class TestForgeCertifiesOnce:
+    @staticmethod
+    def _half_line():
+        return lc.TargetCone.from_rays([np.array([1.0, -1.0]) / np.sqrt(2.0)])
+
+    @pytest.mark.parametrize("kind", ["semigroup", "group"])
+    def test_no_letter_is_certified_twice(self, monkeypatch, forge_cone, kind):
+        original = lc.proximality.certify_matrix_eps_proximal
+        seen = []
+
+        def counted(m, rep, *args, **kwargs):
+            seen.append((np.ascontiguousarray(m).tobytes(), rep.k))
+            return original(m, rep, *args, **kwargs)
+
+        # replace the function wherever a module of the package bound it
+        for name, module in list(sys.modules.items()):
+            if name == "limitcone" or name.startswith("limitcone."):
+                for attr, value in list(vars(module).items()):
+                    if value is original:
+                        monkeypatch.setattr(module, attr, counted)
+        if kind == "group":
+            lc.forge_group(2, self._half_line(), 0.1, seed=0, samples=2000)
+        else:
+            lc.forge_semigroup(3, forge_cone, 0.05, seed=7, samples=2000)
+        assert seen
+        assert len(seen) == len(set(seen))
+
+    @pytest.mark.parametrize("kind", ["semigroup", "group"])
+    def test_eigendata_equals_a_fresh_certification(self, forged_semigroup, kind):
+        sys_ = (
+            forged_semigroup
+            if kind == "semigroup"
+            else lc.forge_group(2, self._half_line(), 0.1, seed=0)
+        )
+        seed = 7 if kind == "semigroup" else 0
+        alphabet = sys_.alphabet
+        assert set(sys_.eigendata) == {
+            (i, k) for i in range(len(alphabet.elements)) for k in range(1, sys_.n)
+        }
+        for (i, k), cert in sys_.eigendata.items():
+            fresh = lc.proximality.certify_matrix_eps_proximal(
+                alphabet.compounds[i][k - 1],
+                lc.Representation(n=sys_.n, k=k),
+                sys_.epsilons[alphabet.letters[i][0]],
+                seed=seed,
+            )
+            assert np.array_equal(cert.attracting.rep, fresh.attracting.rep)
+            assert np.array_equal(cert.repelling.covector, fresh.repelling.covector)
+            for name in (
+                "rep", "epsilon", "top_modulus", "gap_value", "lipschitz_bound",
+                "norm_ratio", "mode", "sample_count",
+            ):
+                assert getattr(cert, name) == getattr(fresh, name), name
+
+
+class TestForgeEpsilonRange:
+    # 0.6 lies in (0, 1) but no gap reaches 6 * 0.6
+    @pytest.mark.parametrize("epsilon", [0.0, -0.1, 0.6, 1.5])
+    @pytest.mark.parametrize("forge", [lc.forge_semigroup, lc.forge_group])
+    def test_unreachable_epsilon_is_invalid(self, forge_cone, forge, epsilon):
+        with pytest.raises(InvalidInput, match="epsilon"):
+            forge(3, forge_cone, epsilon)
 
 
 class TestForgeGroup:

@@ -24,6 +24,22 @@ def test_no_private_cross_module_imports(path):
     assert not private, private
 
 
+CERTIFICATION_FAILURES = {"NotProximal", "SeparationViolated", "ContractionUnverified"}
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_certification_failures_are_caught_as_one_type(path):
+    # every certification failure is a CertificationFailure; a tuple that
+    # lists them one by one drifts when a new condition is added
+    tuples = [
+        f"line {node.lineno}"
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Tuple)
+        and any(isinstance(e, ast.Name) and e.id in CERTIFICATION_FAILURES for e in node.elts)
+    ]
+    assert not tuples, tuples
+
+
 def test_mistyped_marker_fails_collection(tmp_path):
     # a mistyped `slow` would otherwise let a long test into the fast suite
     shutil.copy(ROOT / "pyproject.toml", tmp_path)
