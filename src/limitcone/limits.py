@@ -3,6 +3,9 @@
 Words of a finitely generated (semi)group are enumerated or sampled, their
 products accumulated in log-scaled exterior-power form, and their Cartan and
 Jordan projections, attracting flags, and convex-cone hull are read off.
+Exhaustive words are made one length at a time: each level is one batch,
+extended from the previous level by one batched matmul per exterior degree and
+read off by one batched decomposition per degree.
 """
 
 from dataclasses import dataclass, field
@@ -11,12 +14,20 @@ import numpy as np
 
 from . import cones
 from .errors import BudgetExceeded, DegenerateSample, InvalidInput, NotProximal
-from .projgeom import ProjectivePoint, chordal_distances, compound_matrix, proj_distance
+from .projgeom import (
+    ProjectivePoint,
+    canonical_units,
+    chordal_distances,
+    compound_matrix,
+    proj_distance,
+    row_norms,
+)
 from .projections import (
     ChamberVector,
     empty_product,
     extend_product,
     product_projection,
+    take_words,
 )
 from .proximality import top_eigendata
 
@@ -97,12 +108,33 @@ class Alphabet:
             b != self.inverse_index(a) for a, b in zip(word, word[1:] + word[:1])
         )
 
+    def accumulate(self, words) -> tuple:
+        """The words' products as one batch (see `projections.empty_product`).
+
+        Every word is accumulated letter by letter from the identity; at each
+        position the words that are still being spelled take one batched step.
+        """
+        lengths = np.array([len(w) for w in words], dtype=int)
+        spelled = np.zeros((len(words), int(lengths.max(initial=0))), dtype=int)
+        for row, word in enumerate(words):
+            spelled[row, : len(word)] = word
+        product = empty_product(self.n, len(words))
+        for pos in range(spelled.shape[1]):
+            rows = np.flatnonzero(lengths > pos)
+            step = extend_product(take_words(product, rows), self._stacked(spelled[rows, pos]))
+            for (p, ls), (q, qs) in zip(product, step):
+                p[rows], ls[rows] = q, qs
+        return product
+
+    def _stacked(self, letters) -> list:
+        """Per degree, the compounds of the given letters as one (N, d, d) stack."""
+        return [
+            np.stack([c[k] for c in self.compounds])[letters] for k in range(self.n - 1)
+        ]
+
     def product(self, word) -> "WordProduct":
         """The word's product, accumulated letter by letter from the identity."""
-        product = empty_product(self.n)
-        for i in word:
-            product = extend_product(product, self.compounds[i])
-        return WordProduct(word=tuple(word), n=self.n, compounds=product)
+        return WordProduct.at(tuple(word), self.n, self.accumulate([word]), 0)
 
 
 def reduced_words(alphabet: Alphabet, max_length: int):
@@ -173,7 +205,12 @@ class WordProduct:
 
     word: tuple  # letter indices into the sampler's alphabet
     n: int
-    compounds: tuple  # per degree (P_k, logscale_k), as in projections.empty_product
+    compounds: tuple  # per degree (P_k, logscale_k) of this word alone
+
+    @classmethod
+    def at(cls, word: tuple, n: int, product: tuple, row: int) -> "WordProduct":
+        """The word at `row` of an accumulated product, as views into it."""
+        return cls(word=word, n=n, compounds=tuple((p[row], ls[row]) for p, ls in product))
 
     @property
     def length(self) -> int:
@@ -183,44 +220,86 @@ class WordProduct:
         p, ls = self.compounds[0]
         return np.exp(ls) * p
 
+    def _batch(self) -> tuple:
+        return tuple((p[None], np.reshape(ls, 1)) for p, ls in self.compounds)
+
     def mu(self) -> ChamberVector:
-        return product_projection(self.compounds, jordan=False)
+        return ChamberVector.from_coords(product_projection(self._batch(), jordan=False)[0])
 
     def lam(self) -> ChamberVector:
-        return product_projection(self.compounds, jordan=True)
+        return ChamberVector.from_coords(product_projection(self._batch(), jordan=True)[0])
 
 
-def enumerate_words(sampler: WordSampler) -> list[WordProduct]:
-    """All sampled words with overflow-free products, in deterministic order."""
+def _draw_words(sampler: WordSampler) -> list:
+    """The random strategy's words, drawn letter by letter from the seed."""
+    alphabet = sampler.alphabet
+    rng = np.random.default_rng(int(sampler.seed))
+    words = []
+    for _ in range(sampler.count):
+        length = int(rng.integers(1, sampler.max_length + 1))
+        word = []
+        for _ in range(length):
+            while True:
+                i = int(rng.integers(0, len(alphabet.elements)))
+                if not word or i != alphabet.inverse_index(word[-1]):
+                    break
+            word.append(i)
+        words.append(tuple(word))
+    return words
+
+
+def _batches(sampler: WordSampler, words=None):
+    """The sampled words as batches (words, accumulated product), in order.
+
+    Exhaustive sampling yields one batch per length, each in lex order, so the
+    batches run in length-then-lex order; only the previous level's product
+    is kept to make the next.  Random sampling yields its words as one batch,
+    as do caller-supplied `words` (WordProducts).
+    """
+    if words is not None:
+        if words:
+            product = tuple(
+                (np.stack([w.compounds[k][0] for w in words]),
+                 np.array([w.compounds[k][1] for w in words]))
+                for k in range(sampler.n - 1)
+            )
+            yield [w.word for w in words], product
+        return
     if sampler.expected_word_count() > WORD_BUDGET:
         raise BudgetExceeded(
             f"{sampler.expected_word_count()} words exceed the {WORD_BUDGET} budget"
         )
     alphabet = sampler.alphabet
-    results: list[WordProduct] = []
-
     if sampler.strategy == "random":
-        rng = np.random.default_rng(int(sampler.seed))
-        for _ in range(sampler.count):
-            length = int(rng.integers(1, sampler.max_length + 1))
-            word = []
-            for _ in range(length):
-                while True:
-                    i = int(rng.integers(0, len(alphabet.elements)))
-                    if not word or i != alphabet.inverse_index(word[-1]):
-                        break
-                word.append(i)
-            results.append(alphabet.product(word))
-        return results
+        drawn = _draw_words(sampler)
+        yield drawn, alphabet.accumulate(drawn)
+        return
+    size = len(alphabet.elements)
+    # the letter that may not follow each letter; the empty word's last
+    # letter is the sentinel -1, which blocks nothing
+    blocked = np.array(
+        [-1 if alphabet.inverse_index(i) is None else alphabet.inverse_index(i)
+         for i in range(size)] + [-1]
+    )
+    level, last, product = [()], np.array([-1]), empty_product(sampler.n)
+    for _ in range(sampler.max_length):
+        parent = np.repeat(np.arange(len(level)), size)
+        letter = np.tile(np.arange(size), len(level))
+        keep = letter != blocked[last[parent]]
+        parent, letter = parent[keep], letter[keep]
+        level = [level[j] + (i,) for j, i in zip(parent.tolist(), letter.tolist())]
+        product = extend_product(take_words(product, parent), alphabet._stacked(letter))
+        last = letter
+        yield level, product
 
-    # stack[j] is the product of the current word's first j letters
-    stack = [empty_product(sampler.n)]
-    for word in reduced_words(alphabet, sampler.max_length):
-        del stack[len(word):]
-        stack.append(extend_product(stack[-1], alphabet.compounds[word[-1]]))
-        results.append(WordProduct(word=word, n=sampler.n, compounds=stack[-1]))
-    results.sort(key=lambda w: (w.length, w.word))
-    return results
+
+def enumerate_words(sampler: WordSampler) -> list[WordProduct]:
+    """All sampled words with overflow-free products, in deterministic order."""
+    return [
+        WordProduct.at(word, sampler.n, product, row)
+        for words, product in _batches(sampler)
+        for row, word in enumerate(words)
+    ]
 
 
 @dataclass(frozen=True)
@@ -270,23 +349,23 @@ def _distinct_rows(rows, tol):
 
 def estimate_cone(sampler: WordSampler, words=None) -> ConeEstimate:
     """Convex-cone hull of the normalized Jordan projections of sampled words."""
-    if words is None:
-        words = enumerate_words(sampler)
     n = sampler.n
     dirs = []
     gaps = []
     lengths = []
-    for w in words:
-        lam = w.lam()
-        mu = w.mu()
-        gaps.append(float(np.max(np.abs(mu.coords - lam.coords))))
-        lengths.append(w.length)
-        nl = float(np.linalg.norm(lam.coords))
+    for batch, product in _batches(sampler, words):
+        lam = product_projection(product, jordan=True)
+        mu = product_projection(product, jordan=False)
+        length = np.array([len(w) for w in batch])
+        gaps.append(np.max(np.abs(mu - lam), axis=1))
+        lengths.append(length)
+        nl = row_norms(lam)
         # a per-letter noise floor: log-scaled accumulation leaves O(eps)
         # residue per factor even when lambda vanishes exactly
-        if nl > 1e-9 * max(1.0, float(w.length)):
-            dirs.append(lam.coords / nl)
-    if not dirs:
+        keep = nl > 1e-9 * np.maximum(1.0, length)
+        dirs.append(lam[keep] / nl[keep, None])
+    dirs = np.concatenate(dirs) if dirs else np.empty((0, n))
+    if not len(dirs):
         raise DegenerateSample("no sampled word has a nonzero Jordan projection")
     distinct = _distinct_rows(dirs, 1e-12)
     mat = np.stack(distinct)
@@ -297,8 +376,8 @@ def estimate_cone(sampler: WordSampler, words=None) -> ConeEstimate:
         directions=tuple(ChamberVector.from_coords(d) for d in distinct),
         hull_rays=tuple(ChamberVector.from_coords(mat[i]) for i in idx),
         hull_dim=hull_dim,
-        per_word_mu_lambda_gap=tuple(gaps),
-        word_lengths=tuple(lengths),
+        per_word_mu_lambda_gap=tuple(np.concatenate(gaps).tolist()),
+        word_lengths=tuple(np.concatenate(lengths).tolist()),
     )
 
 
@@ -325,44 +404,53 @@ def check_convexity(
     seed: int = 0,
 ) -> ConvexityReport:
     """For random word pairs (w1, w2), lambda(w1^m w2^m)/(2m) must drift to the midpoint."""
-    words = enumerate_words(sampler)
+    words, lams = [], []
+    for batch, product in _batches(sampler):
+        words.extend(batch)
+        lams.append(product_projection(product, jordan=True))
+    lam = np.concatenate(lams)
     rng = np.random.default_rng(int(seed))
     alphabet = sampler.alphabet
-    hull = np.stack([r.coords for r in estimate.hull_rays])
-    slack = np.sin(np.deg2rad(1.0))
-    errors = []
-    finals = []
-    in_hull = True
-    done = 0
+    pairs, mids = [], []
     attempts = 0
-    while done < trials and attempts < 50 * trials:
+    while len(pairs) < trials and attempts < 50 * trials:
         attempts += 1
-        w1 = words[int(rng.integers(0, len(words)))]
-        w2 = words[int(rng.integers(0, len(words)))]
+        i1 = int(rng.integers(0, len(words)))
+        i2 = int(rng.integers(0, len(words)))
+        w1, w2 = words[i1], words[i2]
         # w1^m w2^m must stay reduced at every seam, for every m
-        if not alphabet.very_reduced(w1.word * 2 + w2.word * 2):
+        if not alphabet.very_reduced(w1 * 2 + w2 * 2):
             continue
-        mid = 0.5 * (w1.lam().coords + w2.lam().coords)
+        mid = 0.5 * (lam[i1] + lam[i2])
         norm = float(np.linalg.norm(mid))
         if norm == 0.0:
             continue
-        mid = mid / norm
+        pairs.append((w1, w2))
+        mids.append(mid / norm)
+    if not pairs:
+        raise DegenerateSample("no admissible word pair found for convexity trials")
+    reps = (1, 2, 4, 8)
+    powers = alphabet.accumulate([w1 * m + w2 * m for w1, w2 in pairs for m in reps])
+    power_lam = product_projection(powers, jordan=True)
+    power_norms = row_norms(power_lam)
+    hull = np.stack([r.coords for r in estimate.hull_rays])
+    slack = np.sin(np.deg2rad(1.0))
+    errors = []
+    in_hull = True
+    for t, mid in enumerate(mids):
         errs = []
-        for m_rep in (1, 2, 4, 8):
-            d = alphabet.product(w1.word * m_rep + w2.word * m_rep).lam().direction()
-            if float(np.linalg.norm(d)) == 0.0:
+        for j in range(t * len(reps), (t + 1) * len(reps)):
+            if power_norms[j] == 0.0:
                 errs.append(np.pi)
                 continue
+            d = power_lam[j] / power_norms[j]
             errs.append(_angle(d, mid))
             if cones.cone_distance(d, hull) > slack:
                 in_hull = False
         errors.append(tuple(errs))
-        finals.append(errs[-1])
-        done += 1
-    if done == 0:
-        raise DegenerateSample("no admissible word pair found for convexity trials")
+    finals = [errs[-1] for errs in errors]
     return ConvexityReport(
-        trials=done,
+        trials=len(errors),
         angular_errors=tuple(errors),
         final_errors=tuple(finals),
         max_final_error=float(max(finals)),
@@ -372,13 +460,12 @@ def check_convexity(
 
 def compare_mu_lambda(sampler: WordSampler, words=None) -> list[float]:
     """Per word length l = 1..max_length, the max sup-norm gap ||mu(w) - lambda(w)||."""
-    if words is None:
-        words = enumerate_words(sampler)
-    out = [0.0] * sampler.max_length
-    for w in words:
-        g = float(np.max(np.abs(w.mu().coords - w.lam().coords)))
-        out[w.length - 1] = max(out[w.length - 1], g)
-    return out
+    out = np.zeros(sampler.max_length)
+    for batch, product in _batches(sampler, words):
+        mu = product_projection(product, jordan=False)
+        lam = product_projection(product, jordan=True)
+        np.maximum.at(out, [len(w) - 1 for w in batch], np.max(np.abs(mu - lam), axis=1))
+    return out.tolist()
 
 
 @dataclass(frozen=True)
@@ -393,36 +480,51 @@ class LimitSetSample:
         return self.points[k - 1]
 
 
-def _word_eigdata(w: WordProduct, backward: bool):
-    """Per degree: (log eigen gap, attracting unit vector) of the word product."""
-    out = []
-    for p, _ in w.compounds:
+def _eigdata(product: tuple, backward: bool):
+    """Per word of the product: whether it has an attracting line at every degree,
+    the log eigen gap per degree, and per degree the attracting vectors.
+
+    Returns (ok (N,), log_gaps (N, n-1), [(N, d_k) per degree]); the rows of
+    words that are not ok hold no meaning.
+    """
+    ok = np.ones(product[0][0].shape[0], dtype=bool)
+    gaps, lines = [], []
+    for p, _ in product:
         vals, vecs = np.linalg.eig(p)
         mod = np.abs(vals)
-        order = np.argsort(mod)[::-1]
+        order = np.argsort(mod, axis=1)[:, ::-1]
         if backward:
             # attracting line of the inverse: eigenvector of smallest modulus
-            top_i, second_i = order[-1], order[-2]
+            top_i, second_i = order[:, -1], order[:, -2]
         else:
-            top_i, second_i = order[0], order[1]
-        a, b = mod[top_i], mod[second_i]
-        if min(a, b) <= 0.0:
-            raise NotProximal("vanishing eigenvalue modulus")
-        log_gap = abs(float(np.log(a) - np.log(b)))
-        vec = np.real(vecs[:, top_i])
-        if float(np.linalg.norm(vec)) == 0.0:
-            raise NotProximal("no real attracting line")
-        out.append((log_gap, vec))
-    return out
+            top_i, second_i = order[:, 0], order[:, 1]
+        rows = np.arange(p.shape[0])
+        a, b = mod[rows, top_i], mod[rows, second_i]
+        vec = np.real(vecs[rows, :, top_i])
+        ok &= (np.minimum(a, b) > 0.0) & (row_norms(vec) != 0.0)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            gaps.append(np.abs(np.log(a) - np.log(b)))
+        lines.append(vec)
+    return ok, np.stack(gaps, axis=1), lines
+
+
+def _word_eigdata(w: WordProduct, backward: bool):
+    """Per degree: (log eigen gap, attracting vector) of the word product."""
+    ok, gaps, lines = _eigdata(w._batch(), backward)
+    if not ok[0]:
+        raise NotProximal("vanishing eigenvalue modulus or no real attracting line")
+    return [(gaps[0, k], vec[0]) for k, vec in enumerate(lines)]
 
 
 def _merge_points(vectors) -> tuple:
-    # candidates are made one at a time: only the kept points stay alive
-    pts = (ProjectivePoint.from_vector(v) for v in vectors)
+    reps = canonical_units(vectors, "projective point representative")
+    reps.flags.writeable = False
+    # the points are made one at a time: only the kept ones stay alive
+    pts = (ProjectivePoint(rep=r) for r in reps)
     return tuple(
         _greedy_distinct(
             ((p.rep, p) for p in pts),
-            len(vectors),
+            len(reps),
             MERGE_TOL,
             lambda kept, r: chordal_distances(kept.T, r[:, None]),
             lambda cand, q: proj_distance(cand, q) <= MERGE_TOL,
@@ -439,25 +541,18 @@ def estimate_limit_set(
     """Attracting points (per degree) of the sampled words that pass the log-gap filter."""
     if side not in ("forward", "backward"):
         raise InvalidInput(f"unknown side {side!r}")
-    if words is None:
-        words = enumerate_words(sampler)
-    n = sampler.n
-    clouds = [[] for _ in range(n - 1)]
+    clouds = [[] for _ in range(sampler.n - 1)]
     hits = 0
-    for w in words:
-        try:
-            data = _word_eigdata(w, backward=(side == "backward"))
-        except NotProximal:
-            continue
-        if any(log_gap <= epsilon_filter for log_gap, _ in data):
-            continue
-        hits += 1
-        for k, (_, vec) in enumerate(data):
-            clouds[k].append(vec)
+    for _, product in _batches(sampler, words):
+        ok, gaps, lines = _eigdata(product, backward=(side == "backward"))
+        passed = ok & np.all(gaps > epsilon_filter, axis=1)
+        hits += int(np.count_nonzero(passed))
+        for cloud, vec in zip(clouds, lines):
+            cloud.append(vec[passed])
     if hits == 0:
         raise DegenerateSample("no sampled word passed the proximality filter")
     return LimitSetSample(
-        points=tuple(_merge_points(c) for c in clouds),
+        points=tuple(_merge_points(np.concatenate(c)) for c in clouds),
         side=side,
         depth=sampler.max_length,
     )

@@ -12,9 +12,13 @@ without overflow.  The rescaling is a scalar bookkeeping device and does not
 perturb the computed top value.  Every product of letters in the package is
 accumulated here, by `empty_product`, `extend_product` and
 `product_projection`, so equal letter sequences give bit-identical results.
+They work on batches of words: per degree one (N, d, d) stack, extended by one
+batched matmul and read off by one batched `svd` or `eigvals`, whose results
+equal the per-matrix calls bit for bit; a single word is a batch of one.
 """
 
 from dataclasses import dataclass
+from functools import lru_cache
 from math import comb
 
 import numpy as np
@@ -34,12 +38,7 @@ class ChamberVector:
     @classmethod
     def from_coords(cls, coords) -> "ChamberVector":
         c = np.asarray(coords, dtype=float).reshape(-1)
-        if c.shape[0] < 2:
-            raise InvalidInput("chamber vectors need dimension >= 2")
-        if abs(float(c.sum())) > CHAMBER_SUM_TOL:
-            raise InvalidInput(f"coordinates must sum to 0, got {c.sum()}")
-        if np.any(np.diff(c) > 0):
-            raise InvalidInput("coordinates must be sorted nonincreasing")
+        _check_chamber_rows(c[None])
         # keep the input bits: re-centering here would break exactness of the
         # opposition involution (negation and reversal are lossless)
         c = np.ascontiguousarray(c)
@@ -58,10 +57,32 @@ class ChamberVector:
         return self.coords / norm
 
 
+def _check_chamber_rows(rows: np.ndarray) -> None:
+    """Raise unless every row is a finite, zero-sum, nonincreasing vector."""
+    if rows.shape[1] < 2:
+        raise InvalidInput("chamber vectors need dimension >= 2")
+    if not np.isfinite(rows).all():
+        raise InvalidInput("coordinates must be finite")
+    sums = rows.sum(axis=1)
+    off = np.abs(sums) > CHAMBER_SUM_TOL
+    if off.any():
+        raise InvalidInput(f"coordinates must sum to 0, got {sums[off][0]}")
+    if (rows[:, 1:] > rows[:, :-1]).any():
+        raise InvalidInput("coordinates must be sorted nonincreasing")
+
+
+def _chamber_rows(values: np.ndarray) -> np.ndarray:
+    """Each row sorted nonincreasing and centred: one chamber vector per row."""
+    v = values.copy()
+    v.sort(axis=1)
+    v = v[:, ::-1]
+    v = v - v.sum(axis=1, keepdims=True) / v.shape[1]
+    _check_chamber_rows(v)
+    return v
+
+
 def _chamber_from_sorted(values: np.ndarray) -> ChamberVector:
-    v = np.sort(np.asarray(values, dtype=float))[::-1]
-    v = v - v.sum() / v.shape[0]
-    return ChamberVector.from_coords(v)
+    return ChamberVector.from_coords(_chamber_rows(np.asarray(values, dtype=float)[None])[0])
 
 
 def cartan_projection(g: GroupElement) -> ChamberVector:
@@ -98,77 +119,99 @@ def regularity_gaps(g: GroupElement) -> np.ndarray:
     return -np.diff(lam)
 
 
-def empty_product(n: int) -> tuple:
-    """The empty word as an accumulated product: the identity in every degree.
+def empty_product(n: int, count: int = 1) -> tuple:
+    """`count` empty words as an accumulated product: the identity in every degree.
 
-    An accumulated product of n x n factors holds, per exterior degree
-    k = 1..n-1, a pair (P_k, logscale_k) with Lambda^k(product) =
-    exp(logscale_k) * P_k and ||P_k|| = 1; for the identity, d = C(n, k) and
-    P_k = I / sqrt(d).
+    An accumulated product of N words of n x n factors holds, per exterior
+    degree k = 1..n-1, a pair (P_k, logscale_k): P_k an (N, d, d) stack with
+    d = C(n, k) and logscale_k an (N,) vector, such that Lambda^k(word i) =
+    exp(logscale_k[i]) * P_k[i] and ||P_k[i]|| = 1.  For the identity,
+    P_k[i] = I / sqrt(d).
     """
     out = []
     for k in range(1, n):
-        d = comb(n, k)
-        out.append((np.eye(d) / np.sqrt(d), 0.5 * np.log(d)))
+        p, ls = _identity_start(comb(n, k))
+        out.append((p[None].repeat(count, axis=0), np.full(count, ls)))
     return tuple(out)
 
 
-def extend_product(product: tuple, letter) -> tuple:
-    """The accumulated product times one more factor, given by its compounds.
+@lru_cache
+def _identity_start(d: int) -> tuple:
+    """(I / sqrt(d), log sqrt(d)): the identity of size d at norm 1, read-only."""
+    p = np.eye(d) / np.sqrt(d)
+    p.flags.writeable = False
+    return p, 0.5 * np.log(d)
 
-    `letter` holds the factor's k-th compound per degree k = 1..n-1.
+
+def extend_product(product: tuple, letter) -> tuple:
+    """The accumulated product with one more factor on the right of every word.
+
+    `letter` holds per degree k = 1..n-1 the factors' k-th compounds: one
+    (d, d) matrix for every word, or an (N, d, d) stack with one per word.
     """
     out = []
     for (p, ls), c in zip(product, letter):
         q = p @ c
-        s = float(np.linalg.norm(q))
-        if s == 0.0 or not np.isfinite(s):
+        f = q.reshape(q.shape[0], -1)
+        # projgeom.row_norms of the flattened matrices, kept (N, 1, 1) to broadcast
+        s = np.sqrt(f[:, None, :] @ f[:, :, None])
+        # finite exactly when 0 < s < inf, since ls is finite
+        logscale = ls + np.log(s[:, 0, 0])
+        if not np.isfinite(logscale).all():
             raise NumericalFailure("word product degenerated despite rescaling")
-        out.append((q / s, ls + np.log(s)))
+        out.append((q / s, logscale))
     return tuple(out)
 
 
-def product_projection(product: tuple, jordan: bool) -> ChamberVector:
-    """mu (or lambda, when `jordan`) of an accumulated product.
+def take_words(product: tuple, rows) -> tuple:
+    """The accumulated product of the words at `rows` (an index array)."""
+    return tuple((p[rows], ls[rows]) for p, ls in product)
 
-    The top singular value (eigenvalue modulus) of the k-th compound is the
-    exponential of the sum of the top k coordinates of mu (lambda).
+
+def product_projection(product: tuple, jordan: bool) -> np.ndarray:
+    """mu (or lambda, when `jordan`) of every word of an accumulated product.
+
+    Returns an (N, n) array with one chamber vector per row.  The top singular
+    value (eigenvalue modulus) of the k-th compound is the exponential of the
+    sum of the top k coordinates of mu (lambda).
     """
-    partial = []
-    for p, ls in product:
+    # column k holds the log top value of degree k; determinant 1 gives the
+    # zero columns 0 and n, since the coordinates sum to 0
+    partial = np.zeros((product[0][0].shape[0], len(product) + 2))
+    for k, (p, ls) in enumerate(product, start=1):
         if jordan:
-            top = float(np.max(np.abs(np.linalg.eigvals(p))))
-            if top <= 0.0:
+            top = np.abs(np.linalg.eigvals(p)).max(axis=1)
+            if (top <= 0.0).any():
                 raise NumericalFailure("vanishing top eigenvalue modulus")
         else:
-            top = float(np.linalg.svd(p, compute_uv=False)[0])
-        partial.append(float(np.log(top) + ls))
-    # determinant 1 forces the sum of all n coordinates to 0
-    coords = np.diff([0.0] + partial + [0.0])
-    return _chamber_from_sorted(coords)
+            top = np.linalg.svd(p, compute_uv=False)[:, 0]
+        partial[:, k] = np.log(top) + ls
+    return _chamber_rows(partial[:, 1:] - partial[:, :-1])
 
 
-def _accumulate(letters, n: int) -> tuple:
+def _accumulate(mats, n: int) -> tuple:
+    """The product of the factors as a batch of one.
+
+    Each distinct factor object has its compounds computed once; the entry
+    keeps the factor alive, so its id is not reused during the call.
+    """
+    compounds = {}
     product = empty_product(n)
-    for letter in letters:
-        product = extend_product(product, letter)
+    for m in mats:
+        if id(m) not in compounds:
+            compounds[id(m)] = (m, [compound_matrix(m, k) for k in range(1, n)])
+        product = extend_product(product, compounds[id(m)][1])
     return product
-
-
-def _compounds(m, n: int) -> list:
-    return [compound_matrix(m, k) for k in range(1, n)]
 
 
 def product_cartan(mats, n: int) -> ChamberVector:
     """mu of a product of n x n factors, via per-degree compound accumulation."""
-    letters = (_compounds(m, n) for m in mats)
-    return product_projection(_accumulate(letters, n), jordan=False)
+    return ChamberVector.from_coords(product_projection(_accumulate(mats, n), jordan=False)[0])
 
 
 def product_jordan(mats, n: int) -> ChamberVector:
     """lambda of a product of n x n factors, via per-degree compound accumulation."""
-    letters = (_compounds(m, n) for m in mats)
-    return product_projection(_accumulate(letters, n), jordan=True)
+    return ChamberVector.from_coords(product_projection(_accumulate(mats, n), jordan=True)[0])
 
 
 def iterated_cartan(g: GroupElement, steps: int) -> ChamberVector:
@@ -178,6 +221,5 @@ def iterated_cartan(g: GroupElement, steps: int) -> ChamberVector:
     """
     if steps < 1:
         raise InvalidInput(f"steps must be >= 1, got {steps}")
-    letters = [_compounds(g.entries, g.n)] * steps
-    mu = product_projection(_accumulate(letters, g.n), jordan=False)
-    return ChamberVector.from_coords(mu.coords / steps)
+    mu = product_projection(_accumulate([g.entries] * steps, g.n), jordan=False)[0]
+    return ChamberVector.from_coords(mu / steps)

@@ -85,17 +85,31 @@ class GroupElement:
         return GroupElement(entries=_freeze(self.entries @ other.entries), n=self.n)
 
 
-def _canonical_unit(v: np.ndarray, what: str) -> np.ndarray:
-    v = np.asarray(v, dtype=float).reshape(-1)
-    norm = float(np.linalg.norm(v))
-    if norm == 0.0 or not np.all(np.isfinite(v)):
+def row_norms(rows: np.ndarray) -> np.ndarray:
+    """The Euclidean norm of each row, equal bit for bit to np.linalg.norm(row)."""
+    # a strided row's dot product can differ in the last bit
+    rows = np.ascontiguousarray(rows)
+    return np.sqrt(rows[:, None, :] @ rows[:, :, None]).reshape(-1)
+
+
+def canonical_units(v: np.ndarray, what: str) -> np.ndarray:
+    """The rows of v scaled to unit length, each with the canonical sign.
+
+    The canonical sign makes the first coordinate of largest magnitude
+    positive, so the rows are representatives of projective points.
+    """
+    v = np.asarray(v, dtype=float)
+    norms = row_norms(v)
+    if not (np.isfinite(v).all() and (norms != 0.0).all()):
         raise InvalidInput(f"{what} must be a nonzero finite vector")
-    v = v / norm
-    # canonical sign: first coordinate of largest magnitude is positive
-    lead = v[np.argmax(np.abs(v))]
-    if lead < 0:
-        v = -v
-    return _freeze(v)
+    v = v / norms[:, None]
+    flip = v[np.arange(v.shape[0]), np.abs(v).argmax(axis=1)] < 0
+    v[flip] = -v[flip]
+    return v
+
+
+def _canonical_unit(v: np.ndarray, what: str) -> np.ndarray:
+    return _freeze(canonical_units(np.asarray(v, dtype=float).reshape(1, -1), what)[0])
 
 
 @dataclass(frozen=True)

@@ -1,5 +1,7 @@
 """Sampled limit cones, convexity evidence, limit sets, and facets."""
 
+from math import comb
+
 import numpy as np
 import pytest
 
@@ -517,3 +519,267 @@ class TestDedupKernels:
         sample = lc.estimate_limit_set(_sampler(sl2_pair, kind="group", max_length=6))
         assert counts["candidates"] == 1456 and len(sample.cloud(1)) == 448
         assert 0 < counts["calls"] <= counts["candidates"]
+
+
+# The per-word engine that the batched one replaced, carried as the
+# reference: one accumulator per word, one readout per word and degree.
+
+
+def _reference_accumulate(alphabet, word):
+    product = []
+    for k in range(1, alphabet.n):
+        d = comb(alphabet.n, k)
+        product.append((np.eye(d) / np.sqrt(d), 0.5 * np.log(d)))
+    for i in word:
+        out = []
+        for (p, ls), c in zip(product, alphabet.compounds[i]):
+            q = p @ c
+            s = float(np.linalg.norm(q))
+            out.append((q / s, ls + np.log(s)))
+        product = out
+    return product
+
+
+def _reference_projection(product, jordan):
+    partial = []
+    for p, ls in product:
+        if jordan:
+            top = float(np.max(np.abs(np.linalg.eigvals(p))))
+        else:
+            top = float(np.linalg.svd(p, compute_uv=False)[0])
+        partial.append(float(np.log(top) + ls))
+    v = np.sort(np.diff([0.0] + partial + [0.0]))[::-1]
+    return v - v.sum() / v.shape[0]
+
+
+def _reference_eigdata(product, backward):
+    """Per degree (log gap, attracting vector), or None where the per-word
+    readout raised NotProximal."""
+    out = []
+    for p, _ in product:
+        vals, vecs = np.linalg.eig(p)
+        mod = np.abs(vals)
+        order = np.argsort(mod)[::-1]
+        top_i, second_i = (order[-1], order[-2]) if backward else (order[0], order[1])
+        a, b = mod[top_i], mod[second_i]
+        if min(a, b) <= 0.0:
+            return None
+        vec = np.real(vecs[:, top_i])
+        if float(np.linalg.norm(vec)) == 0.0:
+            return None
+        out.append((abs(float(np.log(a) - np.log(b))), vec))
+    return out
+
+
+def _reference_draw(sampler):
+    rng = np.random.default_rng(int(sampler.seed))
+    a = sampler.alphabet
+    words = []
+    for _ in range(sampler.count):
+        word = []
+        for _ in range(int(rng.integers(1, sampler.max_length + 1))):
+            while True:
+                i = int(rng.integers(0, len(a.elements)))
+                if not word or i != a.inverse_index(word[-1]):
+                    break
+            word.append(i)
+        words.append(tuple(word))
+    return words
+
+
+def _reference_convexity(sampler, hull, trials, seed):
+    """check_convexity's angular errors, one word and one readout at a time."""
+    a = sampler.alphabet
+    words = sorted(limits.reduced_words(a, sampler.max_length), key=lambda w: (len(w), w))
+    rng = np.random.default_rng(seed)
+    errors = []
+    attempts = 0
+    while len(errors) < trials and attempts < 50 * trials:
+        attempts += 1
+        w1 = words[int(rng.integers(0, len(words)))]
+        w2 = words[int(rng.integers(0, len(words)))]
+        if not a.very_reduced(w1 * 2 + w2 * 2):
+            continue
+        mid = 0.5 * (
+            _reference_projection(_reference_accumulate(a, w1), True)
+            + _reference_projection(_reference_accumulate(a, w2), True)
+        )
+        if float(np.linalg.norm(mid)) == 0.0:
+            continue
+        mid = mid / float(np.linalg.norm(mid))
+        errs = []
+        for m in (1, 2, 4, 8):
+            lam = _reference_projection(_reference_accumulate(a, w1 * m + w2 * m), True)
+            norm = float(np.linalg.norm(lam))
+            errs.append(np.pi if norm == 0.0 else limits._angle(lam / norm, mid))
+        errors.append(tuple(errs))
+    return errors
+
+
+@pytest.fixture(scope="module")
+def forged_sl4():
+    rays = np.array([[3.0, 1, -1, -3], [5.0, 1, -2, -4], [4.0, 2, -2, -4]])
+    cone = lc.TargetCone.from_rays(rays / np.linalg.norm(rays, axis=1, keepdims=True))
+    return lc.forge_semigroup(4, cone, 0.03, seed=0)
+
+
+class TestBatchedEngine:
+    @pytest.fixture(params=["sl2-semigroup", "sl2-group", "forged-sl3", "forged-sl4",
+                            "random-sl3", "random-sl2-group"])
+    def sampler(self, request, sl2_pair):
+        name = request.param
+        if name == "sl2-semigroup":
+            return _sampler(sl2_pair, max_length=6)
+        if name == "sl2-group":
+            return _sampler(sl2_pair, kind="group", max_length=6)
+        if name == "forged-sl3":
+            return request.getfixturevalue("forged_sampler")
+        if name == "forged-sl4":
+            return _sampler(request.getfixturevalue("forged_sl4").generators, max_length=4)
+        if name == "random-sl3":
+            gens = request.getfixturevalue("forged_semigroup").generators
+            return _sampler(gens, strategy="random", count=200, max_length=12, seed=3)
+        return _sampler(sl2_pair, kind="group", strategy="random", count=200, max_length=9, seed=4)
+
+    def test_words_come_in_the_old_order(self, sampler):
+        words = [w.word for w in lc.enumerate_words(sampler)]
+        if sampler.strategy == "random":
+            assert words == _reference_draw(sampler)
+        else:
+            walked = list(limits.reduced_words(sampler.alphabet, sampler.max_length))
+            assert words == sorted(walked, key=lambda w: (len(w), w))
+        batches = [batch for batch, _ in limits._batches(sampler)]
+        assert [w for batch in batches for w in batch] == words
+        if sampler.strategy == "exhaustive":
+            assert [{len(w) for w in b} for b in batches] == [
+                {l} for l in range(1, sampler.max_length + 1)
+            ]
+
+    def test_products_and_projections_equal_the_per_word_engine(self, sampler):
+        a = sampler.alphabet
+        for batch, product in limits._batches(sampler):
+            mu = lc.projections.product_projection(product, jordan=False)
+            lam = lc.projections.product_projection(product, jordan=True)
+            for row, word in enumerate(batch):
+                ref = _reference_accumulate(a, word)
+                for (p, ls), (rp, rls) in zip(product, ref):
+                    assert np.array_equal(p[row], rp) and ls[row] == rls
+                assert np.array_equal(mu[row], _reference_projection(ref, False))
+                assert np.array_equal(lam[row], _reference_projection(ref, True))
+
+    @pytest.mark.parametrize("backward", [False, True])
+    def test_eigendata_equals_the_per_word_readout(self, sampler, backward):
+        a = sampler.alphabet
+        refused = 0
+        for batch, product in limits._batches(sampler):
+            ok, gaps, lines = limits._eigdata(product, backward)
+            for row, word in enumerate(batch):
+                ref = _reference_eigdata(_reference_accumulate(a, word), backward)
+                assert ok[row] == (ref is not None)
+                if ref is None:
+                    refused += 1
+                    continue
+                for k, (gap, vec) in enumerate(ref):
+                    assert gaps[row, k] == gap
+                    assert np.array_equal(lines[k][row], vec)
+                    point = limits.canonical_units(lines[k][row : row + 1], "point")[0]
+                    assert np.array_equal(point, lc.ProjectivePoint.from_vector(vec).rep)
+        if sampler.n == 4 and backward:
+            assert refused > 0  # the forged SL(4) case covers NotProximal words
+
+    def test_estimates_equal_the_per_word_pipeline(self, sampler):
+        a = sampler.alphabet
+        words = [w.word for w in lc.enumerate_words(sampler)]
+        products = [_reference_accumulate(a, w) for w in words]
+        mus = [_reference_projection(p, False) for p in products]
+        lams = [_reference_projection(p, True) for p in products]
+        gaps = [float(np.max(np.abs(m - l))) for m, l in zip(mus, lams)]
+        est = lc.estimate_cone(sampler)
+        assert est.per_word_mu_lambda_gap == tuple(gaps)
+        assert est.word_lengths == tuple(len(w) for w in words)
+        dirs = [
+            l / np.linalg.norm(l)
+            for l, w in zip(lams, words)
+            if np.linalg.norm(l) > 1e-9 * max(1.0, float(len(w)))
+        ]
+        assert np.array_equal(
+            np.stack([d.coords for d in est.directions]),
+            np.stack(limits._distinct_rows(dirs, 1e-12)),
+        )
+        by_length = [0.0] * sampler.max_length
+        for g, w in zip(gaps, words):
+            by_length[len(w) - 1] = max(by_length[len(w) - 1], g)
+        assert lc.compare_mu_lambda(sampler) == by_length
+        for side in ("forward", "backward"):
+            data = [_reference_eigdata(p, side == "backward") for p in products]
+            kept = [d for d in data if d is not None and all(g > 1e-6 for g, _ in d)]
+            sample = lc.estimate_limit_set(sampler, side=side)
+            for k, cloud in enumerate(sample.points):
+                want = limits._merge_points(np.stack([d[k][1] for d in kept]))
+                assert np.array_equal(
+                    np.stack([p.rep for p in cloud]), np.stack([p.rep for p in want])
+                )
+
+    def test_supplied_words_take_the_same_readout(self, sampler):
+        words = lc.enumerate_words(sampler)
+        assert lc.compare_mu_lambda(sampler, words=words) == lc.compare_mu_lambda(sampler)
+        a, b = lc.estimate_cone(sampler, words=words), lc.estimate_cone(sampler)
+        assert a.per_word_mu_lambda_gap == b.per_word_mu_lambda_gap
+        assert [d.coords.tolist() for d in a.directions] == [d.coords.tolist() for d in b.directions]
+
+    def test_one_eigvals_call_per_level_and_degree(self, sl2_pair, monkeypatch):
+        calls = {"eigvals": 0}
+        eigvals = np.linalg.eigvals
+
+        def counting(a):
+            calls["eigvals"] += 1
+            return eigvals(a)
+
+        monkeypatch.setattr(np.linalg, "eigvals", counting)
+        s = _sampler(sl2_pair, kind="group", max_length=6)
+        est = lc.estimate_cone(s)
+        assert len(est.word_lengths) == 1456
+        # the per-word readout made one call per word and degree
+        assert 0 < calls["eigvals"] <= s.max_length * (s.n - 1)
+
+
+class TestConvexityReadsTheBatch:
+    @pytest.mark.parametrize("kind", ["semigroup", "group"])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_sl2_errors_equal_the_per_word_loop(self, sl2_pair, kind, seed):
+        s = _sampler(sl2_pair, kind=kind, max_length=3)
+        est = lc.estimate_cone(s)
+        report = lc.check_convexity(est, s, trials=10, seed=seed)
+        want = _reference_convexity(s, est, 10, seed)
+        assert np.array_equal(np.array(report.angular_errors), np.array(want))
+
+    def test_forged_errors_equal_the_per_word_loop(self, forged_sampler, forged_cone_estimate):
+        report = lc.check_convexity(forged_cone_estimate, forged_sampler, trials=10, seed=0)
+        want = _reference_convexity(forged_sampler, forged_cone_estimate, 10, 0)
+        assert np.array_equal(np.array(report.angular_errors), np.array(want))
+
+    def test_no_per_word_lambda(self, sl2_pair, monkeypatch):
+        def refuse(self):
+            raise AssertionError("check_convexity read a word's lambda on its own")
+
+        monkeypatch.setattr(limits.WordProduct, "lam", refuse)
+        s = _sampler(sl2_pair, kind="group", max_length=3)
+        lc.check_convexity(lc.estimate_cone(s), s, trials=5, seed=0)
+
+
+class TestBudgetGuard:
+    @pytest.mark.parametrize(
+        "kw",
+        [dict(max_length=25), dict(strategy="random", count=limits.WORD_BUDGET + 1)],
+        ids=["exhaustive", "random"],
+    )
+    @pytest.mark.parametrize(
+        "estimate",
+        [lc.estimate_cone, lc.estimate_limit_set, lc.compare_mu_lambda, lc.estimate_facets],
+        ids=lambda f: f.__name__,
+    )
+    def test_word_stages_refuse_past_the_budget(self, sl2_pair, kw, estimate):
+        s = _sampler(sl2_pair, **kw)
+        assert s.expected_word_count() > limits.WORD_BUDGET
+        with pytest.raises(BudgetExceeded):
+            estimate(s)

@@ -24,6 +24,16 @@ class TestChamberVector:
         with pytest.raises(InvalidInput):
             lc.ChamberVector.from_coords([1.0, 0.5])
 
+    @pytest.mark.parametrize(
+        "coords",
+        [[np.nan, np.nan], [np.inf, -np.inf], [np.nan, 0.0], [1.0, np.nan, -1.0], [np.inf, 0.0, -np.inf]],
+    )
+    def test_rejects_non_finite(self, coords):
+        # nan compares false with everything, so the sum and order checks
+        # alone let these through
+        with pytest.raises(InvalidInput, match="finite"):
+            lc.ChamberVector.from_coords(coords)
+
     def test_direction_of_zero_vector(self):
         v = lc.ChamberVector.from_coords([0.0, 0.0])
         assert np.array_equal(v.direction(), np.zeros(2))
