@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .errors import CertificationFailure, ContractionUnverified, LimitConeError
+from .errors import CertificationFailure, ContractionUnverified, InvalidInput, LimitConeError
 from .limits import WordSampler, compare_mu_lambda, estimate_cone, estimate_limit_set
 from .projgeom import GroupElement
 from .projections import (
@@ -32,6 +32,9 @@ EXIT_OK = 0
 EXIT_REFUTED = 1
 EXIT_INCONCLUSIVE = 2
 EXIT_USAGE = 3
+# entries of a factored generator in a system file must agree with its
+# factors within this tolerance, relative to the largest entry
+FACTOR_TOL = 1e-9
 
 
 class UsageError(Exception):
@@ -78,30 +81,86 @@ def _write_manifest(command, inputs, seed, outputs):
         )
 
 
-def load_matrix(path) -> GroupElement:
+def _read_doc(path) -> dict:
     doc = json.loads(Path(path).read_text())
-    entries = np.asarray(doc["entries"], dtype=float)
-    if "n" in doc and int(doc["n"]) != entries.shape[0]:
+    if not isinstance(doc, dict):
+        raise InvalidInput(f"{path}: expected a JSON object")
+    return doc
+
+
+def _floats(value, what, ndim=None) -> np.ndarray:
+    """A file value as a float array of `ndim` dimensions, when given.
+
+    Malformed contents (ragged lists, non-numbers) raise InvalidInput.
+    """
+    try:
+        a = np.asarray(value, dtype=float)
+    except (TypeError, ValueError) as e:
+        raise InvalidInput(f"{what}: {e}") from e
+    if ndim is not None and a.ndim != ndim:
+        raise InvalidInput(f"{what}: expected {('a number', 'a list of numbers')[ndim]}")
+    return a
+
+
+def load_matrix(path) -> GroupElement:
+    doc = _read_doc(path)
+    entries = _floats(doc["entries"], f"{path}: entries")
+    if "n" in doc and entries.shape[:1] != (float(_floats(doc["n"], f"{path}: n", 0)),):
         raise UsageError(f"{path}: declared n does not match the entries")
     return GroupElement.from_matrix(entries)
 
 
+def _factored_generator(path, i, entries, factors) -> GroupElement:
+    """Generator i rebuilt from its factors, checked against its entries."""
+    what = f"{path}: generator {i}"
+    if not isinstance(factors, dict):
+        raise InvalidInput(f"{what}: factors must be an object")
+    g = GroupElement.from_factors(
+        _floats(factors["rotation"], f"{what} rotation"),
+        _floats(factors["ray"], f"{what} ray"),
+        float(_floats(factors["power"], f"{what} power", 0)),
+    )
+    if entries.shape != g.entries.shape or not (
+        np.abs(entries - g.entries).max() <= FACTOR_TOL * np.abs(g.entries).max()
+    ):
+        raise InvalidInput(f"{what}: entries disagree with the factors beyond {FACTOR_TOL}")
+    return g
+
+
 def load_system(path):
-    doc = json.loads(Path(path).read_text())
-    gens = [GroupElement.from_matrix(np.asarray(g, dtype=float)) for g in doc["generators"]]
+    doc = _read_doc(path)
+    if not isinstance(doc["generators"], list):
+        raise InvalidInput(f"{path}: generators must be a list of matrices")
+    entries = [_floats(g, f"{path}: generator {i}") for i, g in enumerate(doc["generators"])]
+    factors = doc.get("factors")
+    if factors is None:
+        gens = [GroupElement.from_matrix(e) for e in entries]
+    elif isinstance(factors, list) and len(factors) == len(entries):
+        gens = [
+            _factored_generator(path, i, e, f) for i, (e, f) in enumerate(zip(entries, factors))
+        ]
+    else:
+        raise InvalidInput(f"{path}: factors must be a list with one entry per generator")
     kind = doc.get("kind", "semigroup")
-    eps = doc.get("epsilons", [0.1] * len(gens))
-    return gens, kind, [float(e) for e in eps]
+    eps = _floats(doc.get("epsilons", [0.1] * len(gens)), f"{path}: epsilons", 1)
+    return gens, kind, eps.tolist()
 
 
 def dump_system(path, generators, kind, epsilons, extra=None):
     # generator entries keep full precision: certification consumes them, and
-    # at Schottky condition numbers truncated digits would not re-certify
+    # at Schottky condition numbers truncated digits would not re-certify;
+    # factored generators also keep their factors, which give their exact
+    # exterior powers
     doc = {
         "generators": [g.entries.tolist() for g in generators],
         "kind": kind,
         "epsilons": _round12(list(epsilons)),
     }
+    if all(g.factors is not None for g in generators):
+        doc["factors"] = [
+            {"rotation": q.tolist(), "ray": r.tolist(), "power": s}
+            for q, r, s in (g.factors for g in generators)
+        ]
     if extra:
         doc.update(_round12(extra))
     Path(path).write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
@@ -175,10 +234,12 @@ def _cmd_certify_schottky(args, out):
 
 
 def _cmd_forge(args, out):
-    doc = json.loads(Path(args.rays).read_text())
+    doc = _read_doc(args.rays)
+    if not isinstance(doc["rays"], list):
+        raise InvalidInput(f"{args.rays}: rays must be a list of vectors")
     cone = TargetCone.from_rays(
-        [np.asarray(r, dtype=float) for r in doc["rays"]],
-        margin=float(doc.get("margin", 0.05)),
+        [_floats(r, f"{args.rays}: ray {i}") for i, r in enumerate(doc["rays"])],
+        margin=float(_floats(doc.get("margin", 0.05), f"{args.rays}: margin", 0)),
     )
     forge = forge_group if args.group else forge_semigroup
     system = forge(args.n, cone, args.epsilon, seed=args.seed)

@@ -18,7 +18,7 @@ from .projgeom import (
     ProjectivePoint,
     canonical_units,
     chordal_distances,
-    compound_matrix,
+    exterior_power,
     proj_distance,
     row_norms,
 )
@@ -38,16 +38,15 @@ DEFAULT_PROXIMALITY_FILTER = 1e-6
 
 @dataclass(frozen=True)
 class Alphabet:
-    """E_Gamma: the letters words are spelled in, each with its exterior powers.
+    """E_Gamma: the letters words are spelled in.
 
     The letters are the generators, then, for a group, their inverses in the
-    same order.  Build one with `Alphabet.of`; a word is a sequence of letter
-    indices.
+    same order; each letter's exterior powers are its `exterior_power`s.
+    Build one with `Alphabet.of`; a word is a sequence of letter indices.
     """
 
     elements: tuple  # GroupElement per letter
     letters: tuple  # per letter, as in `spell`
-    compounds: tuple = field(repr=False, compare=False)  # per letter: Lambda^k, k = 1..n-1
 
     @staticmethod
     def spell(t: int, kind: str) -> tuple:
@@ -62,14 +61,8 @@ class Alphabet:
         )
 
     @classmethod
-    def of(cls, generators, kind="semigroup", inverses=None, compound=None) -> "Alphabet":
-        """E_Gamma of the generators.
-
-        `inverses` are the generators' inverses when known exactly, else they
-        are inverted numerically.  `compound(j, k, inverted)`, when given, is
-        the exact Lambda^k of generator j (or of its inverse); else each
-        letter's compounds are the minors of its entries.
-        """
+    def of(cls, generators, kind="semigroup") -> "Alphabet":
+        """E_Gamma of the generators; a group's letters include their inverses."""
         generators = tuple(generators)
         if kind not in ("semigroup", "group"):
             raise InvalidInput(f"unknown kind {kind!r}")
@@ -78,18 +71,11 @@ class Alphabet:
         n = generators[0].n
         if any(g.n != n for g in generators):
             raise InvalidInput("generators must share one dimension")
-        if kind == "group" and inverses is None:
-            inverses = [g.inverse() for g in generators]
         letters = cls.spell(len(generators), kind)
-        elements = tuple(inverses[j] if inv else generators[j] for j, inv, _ in letters)
-        compounds = tuple(
-            tuple(
-                compound_matrix(e.entries, k) if compound is None else compound(j, k, inv)
-                for k in range(1, n)
-            )
-            for e, (j, inv, _) in zip(elements, letters)
+        elements = tuple(
+            generators[j].inverse() if inv else generators[j] for j, inv, _ in letters
         )
-        return cls(elements=elements, letters=letters, compounds=compounds)
+        return cls(elements=elements, letters=letters)
 
     @property
     def n(self) -> int:
@@ -127,9 +113,10 @@ class Alphabet:
         return product
 
     def _stacked(self, letters) -> list:
-        """Per degree, the compounds of the given letters as one (N, d, d) stack."""
+        """Per degree, the exterior powers of the given letters as one (N, d, d) stack."""
         return [
-            np.stack([c[k] for c in self.compounds])[letters] for k in range(self.n - 1)
+            np.stack([exterior_power(e, k) for e in self.elements])[letters]
+            for k in range(1, self.n)
         ]
 
     def product(self, word) -> "WordProduct":
@@ -508,14 +495,6 @@ def _eigdata(product: tuple, backward: bool):
     return ok, np.stack(gaps, axis=1), lines
 
 
-def _word_eigdata(w: WordProduct, backward: bool):
-    """Per degree: (log eigen gap, attracting vector) of the word product."""
-    ok, gaps, lines = _eigdata(w._batch(), backward)
-    if not ok[0]:
-        raise NotProximal("vanishing eigenvalue modulus or no real attracting line")
-    return [(gaps[0, k], vec[0]) for k, vec in enumerate(lines)]
-
-
 def _merge_points(vectors) -> tuple:
     reps = canonical_units(vectors, "projective point representative")
     reps.flags.writeable = False
@@ -574,30 +553,28 @@ def estimate_facets(
     words=None,
 ) -> list[FacetSample]:
     """Per proximal sampled word, its attracting flag pair and a transversality flag."""
-    if words is None:
-        words = enumerate_words(sampler)
     out = []
-    for w in words:
-        fwd, bwd, gaps = [], [], []
-        try:
-            for p, _ in w.compounds:
-                _, attracting, repelling = top_eigendata(p)
-                fwd.append(attracting)
-                gaps.append(
-                    abs(float(repelling.covector @ attracting.rep))
+    for batch, product in _batches(sampler, words):
+        ok, _, backward = _eigdata(product, backward=True)
+        for row, word in enumerate(batch):
+            fwd, gaps = [], []
+            try:
+                for p, _ in product:
+                    _, attracting, repelling = top_eigendata(p[row])
+                    fwd.append(attracting)
+                    gaps.append(abs(float(repelling.covector @ attracting.rep)))
+            except NotProximal:
+                continue
+            if not ok[row]:
+                continue  # no attracting line of the inverse at some degree
+            out.append(
+                FacetSample(
+                    word=word,
+                    forward=tuple(fwd),
+                    backward=tuple(ProjectivePoint.from_vector(v[row]) for v in backward),
+                    general_position=bool(min(gaps) > epsilon_filter),
                 )
-            for log_gap, vec in _word_eigdata(w, backward=True):
-                bwd.append(ProjectivePoint.from_vector(vec))
-        except NotProximal:
-            continue
-        out.append(
-            FacetSample(
-                word=w.word,
-                forward=tuple(fwd),
-                backward=tuple(bwd),
-                general_position=bool(min(gaps) > epsilon_filter),
             )
-        )
     if not out:
         raise DegenerateSample("no sampled word is proximal at every degree")
     return out

@@ -23,10 +23,8 @@ from math import comb
 
 import numpy as np
 
-from .errors import InvalidInput, NumericalFailure
-from .projgeom import GroupElement, compound_matrix
-
-CHAMBER_SUM_TOL = 1e-8
+from .errors import DimensionMismatch, InvalidInput, NumericalFailure
+from .projgeom import CHAMBER_SUM_TOL, GroupElement, exterior_power
 
 
 @dataclass(frozen=True)
@@ -189,29 +187,28 @@ def product_projection(product: tuple, jordan: bool) -> np.ndarray:
     return _chamber_rows(partial[:, 1:] - partial[:, :-1])
 
 
-def _accumulate(mats, n: int) -> tuple:
-    """The product of the factors as a batch of one.
-
-    Each distinct factor object has its compounds computed once; the entry
-    keeps the factor alive, so its id is not reused during the call.
-    """
-    compounds = {}
+def _accumulate(elements) -> tuple:
+    """The product of the elements, as a batch of one, from their exterior powers."""
+    elements = list(elements)
+    if not elements:
+        raise InvalidInput("a product needs at least one factor")
+    n = elements[0].n
+    if any(g.n != n for g in elements):
+        raise DimensionMismatch("factors must share one dimension")
     product = empty_product(n)
-    for m in mats:
-        if id(m) not in compounds:
-            compounds[id(m)] = (m, [compound_matrix(m, k) for k in range(1, n)])
-        product = extend_product(product, compounds[id(m)][1])
+    for g in elements:
+        product = extend_product(product, [exterior_power(g, k) for k in range(1, n)])
     return product
 
 
-def product_cartan(mats, n: int) -> ChamberVector:
-    """mu of a product of n x n factors, via per-degree compound accumulation."""
-    return ChamberVector.from_coords(product_projection(_accumulate(mats, n), jordan=False)[0])
+def product_cartan(elements) -> ChamberVector:
+    """mu of a product of elements of SL(n), via per-degree compound accumulation."""
+    return ChamberVector.from_coords(product_projection(_accumulate(elements), jordan=False)[0])
 
 
-def product_jordan(mats, n: int) -> ChamberVector:
-    """lambda of a product of n x n factors, via per-degree compound accumulation."""
-    return ChamberVector.from_coords(product_projection(_accumulate(mats, n), jordan=True)[0])
+def product_jordan(elements) -> ChamberVector:
+    """lambda of a product of elements of SL(n), via per-degree compound accumulation."""
+    return ChamberVector.from_coords(product_projection(_accumulate(elements), jordan=True)[0])
 
 
 def iterated_cartan(g: GroupElement, steps: int) -> ChamberVector:
@@ -221,5 +218,5 @@ def iterated_cartan(g: GroupElement, steps: int) -> ChamberVector:
     """
     if steps < 1:
         raise InvalidInput(f"steps must be >= 1, got {steps}")
-    mu = product_projection(_accumulate([g.entries] * steps, g.n), jordan=False)[0]
+    mu = product_projection(_accumulate([g] * steps), jordan=False)[0]
     return ChamberVector.from_coords(mu / steps)

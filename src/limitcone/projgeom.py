@@ -8,7 +8,7 @@ hyperplane is |<covector, rep>| for unit representatives.  The gap is within a
 factor sqrt(2) of the chordal point-to-hyperplane distance.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import combinations
 from math import comb
 
@@ -18,6 +18,9 @@ from .errors import DimensionMismatch, EmptyInput, InvalidInput, NumericalFailur
 
 DET_STRICT_TOL = 1e-9
 DET_RENORM_TOL = 1e-6
+ORTHOGONALITY_TOL = 1e-9
+# slack on a zero-sum vector's coordinate sum (a chamber vector, a forge ray)
+CHAMBER_SUM_TOL = 1e-8
 
 
 def _freeze(a: np.ndarray) -> np.ndarray:
@@ -31,11 +34,17 @@ class GroupElement:
     """An n x n real matrix of determinant 1 (n >= 2).
 
     Inputs with |det - 1| <= 1e-6 are renormalized by det**(1/n); anything
-    further from SL(n,R) is rejected.
+    further from SL(n,R) is rejected.  An element made by `from_factors`
+    also carries its factors (rotation q, ray r, signed power s), from which
+    its exterior powers are computed exactly.
     """
 
     entries: np.ndarray
     n: int
+    # (q, r, s), set only by the validated `from_factors`
+    factors: tuple | None = field(default=None, init=False, repr=False, compare=False)
+    # Lambda^k per degree k, each computed once by `exterior_power`
+    _powers: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @classmethod
     def from_matrix(cls, matrix) -> "GroupElement":
@@ -72,7 +81,39 @@ class GroupElement:
             raise InvalidInput("matrix entries must be finite")
         return cls(entries=_freeze(m), n=m.shape[0])
 
+    @classmethod
+    def from_factors(cls, rotation, ray, power) -> "GroupElement":
+        """q diag(exp(s r)) q^T for an orthogonal q, a zero-sum ray r and a signed power s.
+
+        r must sum to 0 within CHAMBER_SUM_TOL * max(1, |r|), so the element
+        is unimodular, as every chamber vector is.  Its exterior powers are
+        q_k diag(exp(s Sigma_S r)) q_k^T, the sums running over the k-subsets
+        S: no minor of the entries is taken, so none cancels at the dynamic
+        range of a large power.  Raises NumericalFailure when the entries
+        overflow.
+        """
+        q = _freeze(np.array(rotation, dtype=float))
+        r = _freeze(np.array(ray, dtype=float))
+        s = float(power)
+        if q.ndim != 2 or q.shape[0] != q.shape[1] or q.shape[0] < 2 or r.shape != q.shape[:1]:
+            raise InvalidInput(
+                f"expected an n x n rotation and an n-vector ray, got {q.shape} and {r.shape}"
+            )
+        if not (np.isfinite(q).all() and np.isfinite(r).all() and np.isfinite(s)):
+            raise InvalidInput("factors must be finite")
+        if np.abs(q.T @ q - np.eye(q.shape[0])).max() > ORTHOGONALITY_TOL:
+            raise InvalidInput(f"rotation is not orthogonal within {ORTHOGONALITY_TOL}")
+        total = float(r.sum())
+        if abs(total) > CHAMBER_SUM_TOL * max(1.0, float(np.linalg.norm(r))):
+            raise InvalidInput(f"ray must sum to 0 (det 1), got {total}")
+        g = cls(entries=_freeze(_factored(q, s * r)), n=q.shape[0])
+        object.__setattr__(g, "factors", (q, r, s))
+        return g
+
     def inverse(self) -> "GroupElement":
+        if self.factors is not None:
+            q, r, s = self.factors
+            return GroupElement.from_factors(q, r, -s)
         try:
             inv = np.linalg.inv(self.entries)
         except np.linalg.LinAlgError as e:
@@ -83,6 +124,15 @@ class GroupElement:
         if self.n != other.n:
             raise DimensionMismatch(f"cannot multiply SL({self.n}) by SL({other.n})")
         return GroupElement(entries=_freeze(self.entries @ other.entries), n=self.n)
+
+
+def _factored(q: np.ndarray, logs: np.ndarray) -> np.ndarray:
+    """q diag(exp(logs)) q^T; raises NumericalFailure unless finite."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        m = q @ (np.exp(logs)[:, None] * q.T)
+    if not np.isfinite(m).all():
+        raise NumericalFailure("factored matrix overflowed")
+    return m
 
 
 def row_norms(rows: np.ndarray) -> np.ndarray:
@@ -174,10 +224,26 @@ def compound_matrix(m: np.ndarray, k: int) -> np.ndarray:
 
 
 def exterior_power(g: GroupElement, k: int) -> np.ndarray:
-    """Matrix of Lambda^k g on Lambda^k R^n in the lexicographic wedge basis."""
+    """Matrix of Lambda^k g on Lambda^k R^n in the lexicographic wedge basis.
+
+    Every letter's exterior powers come from here: from the factors of a
+    factored element, else from the minors of the entries.  Each element
+    computes each degree once; the result is read-only.
+    """
     if not 1 <= k <= g.n - 1:
         raise DimensionMismatch(f"exterior degree {k} out of range for SL({g.n})")
-    return compound_matrix(g.entries, k)
+    power = g._powers.get(k)
+    if power is None:
+        if g.factors is None:
+            power = compound_matrix(g.entries, k)
+            if not np.isfinite(power).all():
+                raise NumericalFailure(f"Lambda^{k} overflowed")
+        else:
+            q, r, s = g.factors
+            sums = np.array([r[list(c)].sum() for c in combinations(range(g.n), k)])
+            power = _factored(compound_matrix(q, k), s * sums)
+        power = g._powers[k] = _freeze(power)
+    return power
 
 
 def chordal_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -154,6 +154,8 @@ def sampled_contraction_check(
     and sample_count independent point pairs of B^eps.  Deterministic given
     (seed, matrix contents).
     """
+    if sample_count < 1:
+        raise InvalidInput(f"sample_count must be >= 1, got {sample_count}")
     rng = _instance_rng(seed, m)
     phi = repelling.covector
     p = target.rep

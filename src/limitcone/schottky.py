@@ -15,7 +15,6 @@ attracting flags.
 """
 
 from dataclasses import dataclass, field
-from itertools import combinations
 
 import numpy as np
 
@@ -27,6 +26,7 @@ from .errors import (
     InvalidInput,
     MaxPowerExceeded,
     NotProximal,
+    NumericalFailure,
     NotReduced,
     EpsilonTooLarge,
     RayNotInChamber,
@@ -47,7 +47,6 @@ from .projgeom import (
 )
 from .projections import (
     ChamberVector,
-    jordan_projection,
     opposition_involution,
     product_jordan,
 )
@@ -122,9 +121,13 @@ class TargetCone:
     def from_rays(cls, rays, margin: float = 0.05) -> "TargetCone":
         if margin <= 0.0:
             raise InvalidInput("margin must be positive")
+        coords = [r.coords if isinstance(r, ChamberVector) else np.asarray(r, float) for r in rays]
+        if not coords:
+            raise InvalidInput("a cone needs at least one ray")
+        if any(c.shape != coords[0].shape or c.ndim != 1 for c in coords):
+            raise InvalidInput("cone rays must be vectors of one dimension")
         normed = []
-        for r in rays:
-            c = r.coords if isinstance(r, ChamberVector) else np.asarray(r, float)
+        for c in coords:
             norm = float(np.linalg.norm(c))
             if norm == 0.0:
                 raise RayNotInChamber("zero ray")
@@ -170,9 +173,7 @@ class SchottkySystem:
     epsilons: tuple
     eigendata: dict = field(compare=False)  # (element index, degree) -> certificate
     separation: np.ndarray = field(compare=False)  # |E| x |E| x (n-1) gap values
-    # E_Gamma; exact inverses and compounds when known by construction (numerical
-    # inversion loses the small spectral data at forge-scale condition numbers)
-    alphabet: Alphabet = field(compare=False)
+    alphabet: Alphabet = field(compare=False)  # E_Gamma of the generators
     forge_report: dict | None = field(default=None, compare=False)
 
     @property
@@ -211,8 +212,8 @@ def verify_schottky(
         raise InvalidInput("need one epsilon in (0,1) per generator")
 
     eigendata = {}
-    for i, (j, _, _) in enumerate(alphabet.letters):
-        matrices = enumerate(alphabet.compounds[i], start=1)
+    for i, (e, (j, _, _)) in enumerate(zip(alphabet.elements, alphabet.letters)):
+        matrices = ((k, exterior_power(e, k)) for k in range(1, alphabet.n))
         try:
             certs = certify_degrees(matrices, alphabet.n, epsilons[j], mode, samples, seed)
         except CertificationFailure as e:
@@ -265,8 +266,8 @@ def word_lyapunov_estimate(system: SchottkySystem, word):
 
     `word` is a sequence of (element index, exponent) over E_Gamma.  Returns
     (lambda_word, discrepancy) with discrepancy = lambda(w) - sum n_j lambda(g_j).
-    Products are accumulated from the letters' compounds in `system.alphabet`,
-    which are exact for a forged system.
+    Products are accumulated from the letters' exterior powers, which are
+    exact for a forged system.
     """
     word = [(int(i), int(p)) for i, p in word]
     if any(p < 1 for _, p in word):
@@ -392,11 +393,14 @@ def in_cone_semigroup(
     samples: int = DEFAULT_SAMPLE_COUNT,
     seed: int = 0,
 ) -> MembershipEvidence:
-    """in_open_semigroup, plus lambda(g) in the margin-shrunk target cone."""
+    """in_open_semigroup, plus lambda(g) in the margin-shrunk target cone.
+
+    lambda(g) is read from g's exterior powers, exact for a factored element.
+    """
     ev = in_open_semigroup(g, f, epsilon, mode, samples, seed)
     if not ev.accepted:
         return ev
-    lam = jordan_projection(g)
+    lam = product_jordan([g])
     if not cone.contains_with_margin(lam.coords):
         return MembershipEvidence(
             accepted=False,
@@ -444,6 +448,8 @@ def _forge(
     # the Schottky separation 6*epsilon cannot exceed the largest gap, 1
     if not 0.0 < epsilon <= 1.0 / 6.0:
         raise InvalidInput(f"epsilon must be in (0, 1/6], got {epsilon}")
+    if n < 2 or n != cone.n:
+        raise InvalidInput(f"n = {n} must be >= 2 and equal the rays' dimension {cone.n}")
     rays = _validate_forge_rays(cone)
     if len(rays) == 1:
         # duplicate with a deterministic in-chamber perturbation
@@ -482,25 +488,19 @@ def _forge(
             f"no rotation draw reached 6*epsilon separation in {FORGE_RETRY_CAP} tries"
         )
 
-    ksum_logs = [
-        [
-            np.array([r[list(s)].sum() for s in combinations(range(n), k)])
-            for k in range(1, n)
-        ]
-        for r in rays
-    ]
-
-    def elem_compound(j: int, power: int, k: int, inverse: bool) -> np.ndarray:
-        # Lambda^k of q exp(+-power*ray) q^T in exact factored form; a minor
-        # expansion of the assembled matrix would cancel catastrophically at
-        # the dynamic range certification requires
-        qk = comps[j][k]
-        sgn = -1.0 if inverse else 1.0
-        d = np.exp(sgn * power * ksum_logs[j][k - 1])
-        c = qk @ (d[:, None] * qk.T)
-        if not np.all(np.isfinite(c)):
-            raise MaxPowerExceeded(f"generator {j} compound overflowed at power {power}")
-        return c
+    def exterior_powers(j: int, power: int, inverse: bool):
+        # (k, Lambda^k) of generator j (or of its inverse) at `power`, made as
+        # certification asks for them, from the exact factored form; a minor
+        # expansion of the entries would cancel catastrophically at the dynamic
+        # range certification requires
+        try:
+            e = GroupElement.from_factors(rotations[j], rays[j], -power if inverse else power)
+            for k in range(1, n):
+                yield k, exterior_power(e, k)
+        except NumericalFailure as err:
+            raise MaxPowerExceeded(
+                f"generator {j} compound overflowed at power {power}"
+            ) from err
 
     def certificates(j: int, power: int):
         # per (letter, degree), for generator j and, for a group, its
@@ -509,7 +509,7 @@ def _forge(
         for i, (g, inverse, _) in enumerate(letters):
             if g != j:
                 continue
-            matrices = ((k, elem_compound(j, power, k, inverse)) for k in range(1, n))
+            matrices = exterior_powers(j, power, inverse)
             try:
                 per_degree = certify_degrees(matrices, n, epsilon, mode, samples, seed)
             except CertificationFailure:
@@ -542,19 +542,8 @@ def _forge(
         eigendata.update(certs)
     eigendata = dict(sorted(eigendata.items()))
 
-    def generator(j: int, sign: float = 1.0) -> GroupElement:
-        q = rotations[j]
-        d = np.exp(sign * powers[j] * rays[j])
-        return GroupElement.from_unimodular(q @ (d[:, None] * q.T))
-
-    gens = tuple(generator(j) for j in range(t))
-    alphabet = Alphabet.of(
-        gens,
-        kind,
-        inverses=[generator(j, -1.0) for j, inv, _ in letters if inv],
-        # the exact factored compounds, not minors of the rounded entries
-        compound=lambda j, k, inv: elem_compound(j, powers[j], k, inv),
-    )
+    gens = tuple(GroupElement.from_factors(rotations[j], rays[j], powers[j]) for j in range(t))
+    alphabet = Alphabet.of(gens, kind)
     epsilons = [float(epsilon)] * t
     separation = _separation(alphabet, epsilons, eigendata)
 
@@ -563,7 +552,7 @@ def _forge(
     max_dist = 0.0
     count = 0
     for word in _sample_forge_words(alphabet, rng_seed=seed):
-        lam = product_jordan([alphabet.elements[i].entries for i in word], n)
+        lam = product_jordan([alphabet.elements[i] for i in word])
         d = lam.direction()
         if np.linalg.norm(d) == 0.0:
             continue

@@ -7,6 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import limitcone as lc
 from limitcone import cli
 
 from .conftest import FORGE_RAY_1, FORGE_RAY_2
@@ -243,6 +244,7 @@ class TestLongAndMixedSystems:
 class TestForgedGroupOfSingularInverses:
     def test_singular_inverse_exits_3(self, tmp_path, monkeypatch):
         # these generators are too wide in dynamic range for float64 to invert
+        # from their entries; their factors invert them exactly
         monkeypatch.chdir(tmp_path)
         rays = [[3, 1, -1, -3], [3, -0.5, -1, -1.5], [2, 1.5, -1.5, -2]]
         Path("rays.json").write_text(json.dumps({"rays": rays}))
@@ -253,6 +255,10 @@ class TestForgedGroupOfSingularInverses:
         assert code == 0
         doc = json.loads(Path("system.json").read_text())
         doc["kind"] = "group"
+        Path("factored.json").write_text(json.dumps(doc))
+        code, _ = run_cli(["estimate-cone", "--system", "factored.json", "--depth", "2"])
+        assert code == 0
+        del doc["factors"]
         Path("group.json").write_text(json.dumps(doc))
         code, _ = run_cli(["estimate-cone", "--system", "group.json", "--depth", "2"])
         assert code == 3
@@ -297,11 +303,175 @@ class TestUsageErrors:
         assert code == 3
         assert "epsilon" in capsys.readouterr().err
 
+    def test_zero_samples(self, tmp_path):
+        m = write_matrix(tmp_path / "g.json", np.diag([100.0, 1.0, 0.01]))
+        code, _ = run_cli(
+            ["certify", "--matrix", str(m), "--degree", "1", "--epsilon", "0.1",
+             "--samples", "0"]
+        )
+        assert code == 3
+
+    @pytest.mark.parametrize("n", ["4", "2", "1"])
+    def test_forge_dimension_differs_from_the_rays(self, rays_file, n, capsys):
+        code, _ = run_cli(["forge", "--n", n, "--rays", str(rays_file), "--epsilon", "0.05"])
+        assert code == 3
+        assert "dimension" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "rays", [[], [[2.0, -0.5, -1.5], [3.0, 1.0, -1.0, -3.0]]], ids=["empty", "mixed"]
+    )
+    def test_forge_rays_without_one_dimension(self, tmp_path, rays):
+        path = tmp_path / "rays.json"
+        path.write_text(json.dumps({"rays": rays}))
+        code, _ = run_cli(["forge", "--n", "3", "--rays", str(path), "--epsilon", "0.05"])
+        assert code == 3
+
     def test_version(self, capsys):
         with pytest.raises(SystemExit) as exc:
             cli.run(["--version"])
         assert exc.value.code == 0
         assert "limitcone" in capsys.readouterr().out
+
+
+class TestMalformedContents:
+    """File contents that numpy or float() cannot read exit 3, not a traceback."""
+
+    RAGGED = [[1.0, 0.0], [0.0]]
+
+    @pytest.mark.parametrize("command", ["project", "certify"])
+    def test_ragged_entries(self, tmp_path, command):
+        path = tmp_path / "g.json"
+        path.write_text(json.dumps({"entries": self.RAGGED}))
+        argv = [command, "--matrix", str(path)]
+        if command == "certify":
+            argv += ["--degree", "1", "--epsilon", "0.1"]
+        assert run_cli(argv)[0] == 3
+
+    @pytest.mark.parametrize(
+        "command", ["estimate-cone", "limit-set", "compare", "certify-schottky"]
+    )
+    def test_ragged_generators(self, tmp_path, command):
+        path = tmp_path / "sys.json"
+        path.write_text(json.dumps({"generators": [np.eye(2).tolist(), self.RAGGED]}))
+        argv = [command, "--system", str(path)]
+        if command != "certify-schottky":
+            argv += ["--depth", "2"]
+        if command == "limit-set":
+            argv += ["--side", "fwd"]
+        assert run_cli(argv)[0] == 3
+
+    def test_non_numeric_epsilons(self, tmp_path):
+        path = write_system(tmp_path / "sys.json", sl2_pair_entries(), epsilons=["a", "b"])
+        assert run_cli(["certify-schottky", "--system", str(path)])[0] == 3
+
+    def test_non_numeric_margin(self, tmp_path):
+        path = tmp_path / "rays.json"
+        path.write_text(
+            json.dumps({"rays": [FORGE_RAY_1.tolist(), FORGE_RAY_2.tolist()], "margin": "x"})
+        )
+        code, _ = run_cli(["forge", "--n", "3", "--rays", str(path), "--epsilon", "0.05"])
+        assert code == 3
+
+
+SL4_RAYS = [[3.0, 1.0, -1.0, -3.0], [5.0, 1.0, -2.0, -4.0], [4.0, 2.0, -2.0, -4.0]]
+REPRODUCER_RAYS = [[3.0, 1.0, -1.0, -3.0], [3.0, -0.5, -1.0, -1.5], [2.0, 1.5, -1.5, -2.0]]
+
+
+def _forge_file(rays, epsilon, seed, out="system.json"):
+    Path("rays.json").write_text(json.dumps({"rays": rays}))
+    code, _ = run_cli(["forge", "--n", str(len(rays[0])), "--rays", "rays.json",
+                       "--epsilon", str(epsilon), "--seed", str(seed), "--out", out])
+    assert code == 0
+    return json.loads(Path(out).read_text())
+
+
+class TestSystemFileFactors:
+    """A forged system file carries each generator's factors; loading it gives
+    back the exact letters."""
+
+    def test_round_trip_limit_set_reads_the_exact_letters(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        doc = _forge_file(REPRODUCER_RAYS, 0.02, 1)
+        assert [f["power"] for f in doc["factors"]] == doc["forge_report"]["powers"]
+        code, text = run_cli(
+            ["limit-set", "--system", "system.json", "--depth", "8", "--side", "fwd"]
+        )
+        assert code == 0
+        # the rounded entries alone give 15, 222 and 5,793 points
+        assert "deg 1: 15 points, deg 2: 15 points, deg 3: 27 points" in text
+
+    @pytest.mark.parametrize("seed", [20, 30, 38])
+    def test_certify_schottky_reproduces_the_forge(self, tmp_path, monkeypatch, seed):
+        monkeypatch.chdir(tmp_path)
+        _forge_file(SL4_RAYS, 0.03, seed)
+        code, _ = run_cli(["certify-schottky", "--system", "system.json", "--seed", str(seed)])
+        assert code == 0
+        forged = lc.forge_semigroup(4, lc.TargetCone.from_rays(SL4_RAYS), 0.03, seed=seed)
+        gens, kind, eps = cli.load_system("system.json")
+        again = lc.verify_schottky(gens, kind=kind, epsilons=eps, seed=seed)
+        assert again.eigendata.keys() == forged.eigendata.keys()
+        for key, cert in forged.eigendata.items():
+            fresh = again.eigendata[key]
+            assert np.array_equal(fresh.attracting.rep, cert.attracting.rep)
+            assert np.array_equal(fresh.repelling.covector, cert.repelling.covector)
+            for name in ("rep", "epsilon", "top_modulus", "gap_value", "lipschitz_bound",
+                         "norm_ratio", "mode", "sample_count"):
+                assert getattr(fresh, name) == getattr(cert, name), name
+        assert np.array_equal(again.separation, forged.separation)
+
+    @pytest.mark.parametrize("edit", ["entry", "rotation", "power", "nan", "shape"])
+    def test_entries_that_disagree_with_the_factors_exit_3(self, tmp_path, monkeypatch, edit):
+        monkeypatch.chdir(tmp_path)
+        doc = _forge_file([FORGE_RAY_1.tolist(), FORGE_RAY_2.tolist()], 0.05, 7)
+        f = doc["factors"][1]
+        if edit == "entry":
+            doc["generators"][1][0][0] += 1e-6 * np.abs(doc["generators"][1]).max()
+        elif edit == "rotation":
+            f["rotation"][0][0] += 1e-6
+        elif edit == "power":
+            f["power"] += 1.0
+        elif edit == "nan":
+            f["ray"][0] = float("nan")
+        else:
+            f["ray"] = f["ray"][:2]
+        Path("bad.json").write_text(json.dumps(doc))
+        code, _ = run_cli(["estimate-cone", "--system", "bad.json", "--depth", "2"])
+        assert code == 3
+
+    def test_consistent_factors_of_a_non_unimodular_element_exit_3(self, tmp_path, monkeypatch):
+        # entries and factors agree, but the ray sums to 3: det e^3, not 1
+        monkeypatch.chdir(tmp_path)
+        e = float(np.e)
+        doc = {
+            "generators": [[[e * e, 0.0], [0.0, e]]],
+            "factors": [{"rotation": [[1.0, 0.0], [0.0, 1.0]], "ray": [2.0, 1.0], "power": 1.0}],
+        }
+        Path("det.json").write_text(json.dumps(doc))
+        for argv in (["estimate-cone", "--depth", "2"], ["limit-set", "--depth", "2"]):
+            code, _ = run_cli(argv + ["--system", "det.json"])
+            assert code == 3
+        del doc["factors"]
+        Path("plain.json").write_text(json.dumps(doc))
+        code, _ = run_cli(["estimate-cone", "--depth", "2", "--system", "plain.json"])
+        assert code == 3
+
+    def test_entries_within_the_tolerance_load_from_the_factors(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        doc = _forge_file([FORGE_RAY_1.tolist(), FORGE_RAY_2.tolist()], 0.05, 7)
+        exact = cli.load_system("system.json")[0][0].entries
+        doc["generators"][0][0][0] += 0.1 * cli.FACTOR_TOL * np.abs(exact).max()
+        Path("near.json").write_text(json.dumps(doc))
+        gens, _, _ = cli.load_system("near.json")
+        assert np.array_equal(gens[0].entries, exact)
+
+    def test_file_without_factors_loads_from_its_entries(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        doc = _forge_file([FORGE_RAY_1.tolist(), FORGE_RAY_2.tolist()], 0.05, 7)
+        del doc["factors"]
+        Path("plain.json").write_text(json.dumps(doc))
+        gens, _, _ = cli.load_system("plain.json")
+        assert all(g.factors is None for g in gens)
+        assert [g.entries.tolist() for g in gens] == doc["generators"]
 
 
 class TestReproducibility:

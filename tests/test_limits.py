@@ -59,8 +59,8 @@ class TestAlphabet:
         assert a.letters == ((0, False, 2), (1, False, 3), (0, True, 0), (1, True, 1))
         assert a.labels() == ["g1", "g2", "g1^-1", "g2^-1"]
         assert a.elements[:2] == tuple(sl2_pair)
-        for e, c in zip(a.elements, a.compounds):
-            assert len(c) == 1 and np.array_equal(c[0], lc.compound_matrix(e.entries, 1))
+        for e in a.elements:
+            assert np.array_equal(lc.exterior_power(e, 1), lc.compound_matrix(e.entries, 1))
         s = limits.Alphabet.of(sl2_pair)
         assert [s.inverse_index(i) for i in range(2)] == [None, None]
 
@@ -196,21 +196,21 @@ class TestEnumerateWords:
         # one accumulator: a word's mu/lambda are bit-identical to the
         # product_cartan/product_jordan of its letters
         s = _sampler(sl2_pair, kind=kind, max_length=4)
-        mats = [e.entries for e in s.alphabet.elements]
+        elems = s.alphabet.elements
         for w in lc.enumerate_words(s):
-            letters = [mats[i] for i in w.word]
-            assert np.array_equal(lc.product_jordan(letters, s.n).coords, w.lam().coords)
-            assert np.array_equal(lc.product_cartan(letters, s.n).coords, w.mu().coords)
+            letters = [elems[i] for i in w.word]
+            assert np.array_equal(lc.product_jordan(letters).coords, w.lam().coords)
+            assert np.array_equal(lc.product_cartan(letters).coords, w.mu().coords)
 
     def test_random_word_projections_equal_letter_products(self, forged_semigroup):
         s = _sampler(
             forged_semigroup.generators, strategy="random", count=20, max_length=8, seed=3
         )
-        mats = [e.entries for e in s.alphabet.elements]
+        elems = s.alphabet.elements
         for w in lc.enumerate_words(s):
-            letters = [mats[i] for i in w.word]
-            assert np.array_equal(lc.product_jordan(letters, s.n).coords, w.lam().coords)
-            assert np.array_equal(lc.product_cartan(letters, s.n).coords, w.mu().coords)
+            letters = [elems[i] for i in w.word]
+            assert np.array_equal(lc.product_jordan(letters).coords, w.lam().coords)
+            assert np.array_equal(lc.product_cartan(letters).coords, w.mu().coords)
 
 
 class TestEstimateCone:
@@ -394,6 +394,41 @@ class TestEstimateFacets:
         with pytest.raises(DegenerateSample):
             lc.estimate_facets(_sampler([g], max_length=2))
 
+    @pytest.mark.parametrize("name", ["sl2-semigroup", "sl2-group", "forged-sl3"])
+    def test_equal_the_per_word_reference(self, request, sl2_pair, name):
+        if name == "forged-sl3":
+            sampler = request.getfixturevalue("forged_sampler")
+        else:
+            sampler = _sampler(sl2_pair, kind=name[4:], max_length=5)
+        facets = lc.estimate_facets(sampler)
+        reference = _reference_facets(lc.enumerate_words(sampler))
+        assert len(facets) == len(reference) > 0
+        for f, (word, fwd, bwd, general) in zip(facets, reference):
+            assert f.word == word and f.general_position == general
+            assert np.array_equal(np.concatenate([x.rep for x in f.forward]), fwd)
+            assert np.array_equal(np.concatenate([x.rep for x in f.backward]), bwd)
+
+
+def _reference_facets(words, epsilon_filter=limits.DEFAULT_PROXIMALITY_FILTER):
+    """estimate_facets one word and one readout at a time: per proximal word,
+    (word, forward reps, backward reps, general position)."""
+    out = []
+    for w in words:
+        fwd, gaps = [], []
+        try:
+            for p, _ in w.compounds:
+                _, attracting, repelling = lc.top_eigendata(p)
+                fwd.append(attracting.rep)
+                gaps.append(abs(float(repelling.covector @ attracting.rep)))
+        except lc.NotProximal:
+            continue
+        backward = _reference_eigdata(w.compounds, backward=True)
+        if backward is None:
+            continue
+        bwd = [lc.ProjectivePoint.from_vector(vec).rep for _, vec in backward]
+        out.append((w.word, np.concatenate(fwd), np.concatenate(bwd), min(gaps) > epsilon_filter))
+    return out
+
 
 def _reference_distinct_rows(rows, tol):
     # the quadratic greedy loop the vectorised kernel replaced
@@ -440,7 +475,7 @@ class TestDedupKernels:
         s = _sampler(sl2_pair, kind=kind, max_length=5)
         words = lc.enumerate_words(s)
         for side in (False, True):
-            vecs = [limits._word_eigdata(w, backward=side)[0][1] for w in words]
+            vecs = [limits._eigdata(w._batch(), backward=side)[2][0][0] for w in words]
             _assert_same_dedup(vecs, limits.MERGE_TOL)
         dirs = [w.lam().direction() for w in words]
         _assert_same_dedup(dirs, self.DIRECTION_TOL)
@@ -532,7 +567,8 @@ def _reference_accumulate(alphabet, word):
         product.append((np.eye(d) / np.sqrt(d), 0.5 * np.log(d)))
     for i in word:
         out = []
-        for (p, ls), c in zip(product, alphabet.compounds[i]):
+        powers = [lc.exterior_power(alphabet.elements[i], k) for k in range(1, alphabet.n)]
+        for (p, ls), c in zip(product, powers):
             q = p @ c
             s = float(np.linalg.norm(q))
             out.append((q / s, ls + np.log(s)))

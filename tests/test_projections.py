@@ -247,23 +247,21 @@ class TestProductAccumulation:
             gs = [random_sl_corpus[int(rng.integers(0, 100))] for _ in range(3)]
             if len({g.n for g in gs}) != 1:
                 continue
-            n = gs[0].n
             prod = gs[0]
             for g in gs[1:]:
                 prod = prod @ g
-            mats = [g.entries for g in gs]
             assert np.allclose(
-                lc.product_cartan(mats, n).coords,
+                lc.product_cartan(gs).coords,
                 lc.cartan_projection(prod).coords,
                 atol=1e-8,
             )
             assert np.allclose(
-                lc.product_jordan(mats, n).coords,
+                lc.product_jordan(gs).coords,
                 lc.jordan_projection(prod).coords,
                 atol=1e-8,
             )
 
     def test_long_product_does_not_overflow(self):
-        g = np.diag([1e3, 1e-3])
-        lam = lc.product_jordan([g] * 200, 2)
+        g = lc.GroupElement.from_matrix(np.diag([1e3, 1e-3]))
+        lam = lc.product_jordan([g] * 200)
         assert lam.coords[0] == pytest.approx(200 * np.log(1e3), rel=1e-12)

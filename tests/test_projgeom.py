@@ -115,6 +115,67 @@ class TestExteriorPower:
             lc.Representation(n=3, k=3)
 
 
+class TestFactoredElement:
+    @staticmethod
+    def _factored(power=3.0):
+        q, _ = np.linalg.qr(np.random.default_rng(2).standard_normal((4, 4)))
+        ray = np.array([3.0, 1.0, -1.0, -3.0]) / np.sqrt(20.0)
+        return lc.GroupElement.from_factors(q, ray, power), q, ray
+
+    def test_entries_are_the_degree_one_power(self):
+        g, q, ray = self._factored()
+        assert np.array_equal(g.entries, q @ (np.exp(3.0 * ray)[:, None] * q.T))
+        assert np.array_equal(lc.exterior_power(g, 1), g.entries)
+
+    def test_powers_agree_with_the_minors_at_small_range(self):
+        g, _, _ = self._factored()
+        for k in range(1, 4):
+            minors = lc.compound_matrix(g.entries, k)
+            assert np.allclose(lc.exterior_power(g, k), minors, rtol=1e-12, atol=1e-12)
+
+    def test_each_power_is_computed_once_and_read_only(self):
+        g, _, _ = self._factored()
+        first = lc.exterior_power(g, 2)
+        assert lc.exterior_power(g, 2) is first
+        assert not first.flags.writeable
+
+    def test_inverse_negates_the_power(self):
+        g, q, ray = self._factored()
+        inv = g.inverse()
+        assert inv.factors[2] == -3.0
+        assert np.array_equal(inv.factors[0], q) and np.array_equal(inv.factors[1], ray)
+        assert np.allclose(inv.entries @ g.entries, np.eye(4), atol=1e-10)
+        # exact at a dynamic range (e^536) that inverting the entries cannot resolve
+        wide, _, _ = self._factored(power=400.0)
+        assert np.array_equal(wide.inverse().inverse().entries, wide.entries)
+
+    def test_rejects_bad_factors(self):
+        _, q, ray = self._factored()
+        with pytest.raises(InvalidInput, match="orthogonal"):
+            lc.GroupElement.from_factors(q * 1.001, ray, 1.0)
+        with pytest.raises(InvalidInput, match="finite"):
+            lc.GroupElement.from_factors(q, ray * np.nan, 1.0)
+        with pytest.raises(InvalidInput):
+            lc.GroupElement.from_factors(q, ray[:3], 1.0)
+        with pytest.raises(NumericalFailure):
+            lc.GroupElement.from_factors(q, ray, 1e4)
+        # a ray off the zero-sum plane gives det exp(s * sum(r)) != 1
+        with pytest.raises(InvalidInput, match="sum to 0"):
+            lc.GroupElement.from_factors(q, ray + 1e-6, 1.0)
+
+    def test_factors_are_set_only_by_from_factors(self):
+        g, q, ray = self._factored()
+        with pytest.raises(TypeError):
+            lc.GroupElement(entries=g.entries, n=4, factors=(q, ray, 3.0))
+        assert lc.GroupElement.from_matrix(g.entries).factors is None
+
+    def test_overflowing_power_is_a_numerical_failure(self):
+        # the entries fit; the second compound, exp(2000 * 4 / sqrt(20)), does not
+        g, _, _ = self._factored(power=1000.0)
+        with pytest.raises(NumericalFailure):
+            lc.exterior_power(g, 2)
+
+
 class TestProjDistance:
     def test_orthogonal_lines(self):
         x1 = lc.ProjectivePoint.from_vector([1.0, 0.0])

@@ -267,10 +267,10 @@ class TestComposeCertificates:
             letters = [int(rng.integers(0, 2)) for _ in range(int(rng.integers(1, 5)))]
             powers = [int(rng.integers(1, 3)) for _ in letters]
             out = lc.compose_certificates([certs[i] for i in letters], powers)
-            mats = []
+            factors = []
             for i, p in zip(letters, powers):
-                mats.extend([elems[i].entries] * p)
-            actual = lc.product_jordan(mats, 2).coords[0]
+                factors.extend([elems[i]] * p)
+            actual = lc.product_jordan(factors).coords[0]
             assert out.log_lower - 1e-9 <= actual <= out.log_upper + 1e-9
 
     def test_rejects_bad_powers(self):
@@ -280,3 +280,23 @@ class TestComposeCertificates:
             lc.compose_certificates([cert], [0])
         with pytest.raises(InvalidInput):
             lc.compose_certificates([], [])
+
+
+class TestSampleCount:
+    def test_sampled_check_needs_a_sample(self):
+        m = np.diag([4.0, 2.0, 1.0 / 8.0])
+        x = lc.ProjectivePoint.from_vector([1.0, 0.0, 0.0])
+        h = lc.ProjectiveHyperplane.from_covector([1.0, 0.0, 0.0])
+        for count in (0, -1):
+            with pytest.raises(InvalidInput, match="sample_count"):
+                sampled_contraction_check(m, x, h, 0.1, count, seed=0)
+
+    def test_certification_and_membership_refuse_zero_samples(self):
+        g = lc.GroupElement.from_matrix(np.diag([100.0, 1.0, 0.01]))
+        with pytest.raises(InvalidInput, match="sample_count"):
+            lc.certify_eps_proximal(g, 1, 0.1, sample_count=0)
+        rng = np.random.default_rng(0)
+        with pytest.raises(InvalidInput, match="sample_count"):
+            lc.in_open_semigroup(
+                strongly_contracting_element(rng), lc.FacetFrame.identity(3), 0.05, samples=0
+            )

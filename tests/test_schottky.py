@@ -218,6 +218,16 @@ class TestConeSemigroupMembership:
         cone = self._bracketing_cone(lc.jordan_projection(prod).coords)
         assert lc.in_cone_semigroup(prod, lc.FacetFrame.identity(3), 0.05, cone)
 
+    def test_forged_letter_is_read_from_its_factors(self):
+        # lambda(g) = power * ray exactly; the rounded entries of this letter
+        # (power 55) give a lambda well outside a narrow cone around the ray
+        forged = lc.forge_semigroup(4, lc.TargetCone.from_rays(REPRODUCER_RAYS), 0.02, seed=1)
+        g = forged.generators[1]
+        ray = np.array(REPRODUCER_RAYS[1])
+        cone = lc.TargetCone.from_rays([ray + 0.2 * (e - 0.25) for e in np.eye(4)], margin=0.01)
+        assert not cone.contains_with_margin(lc.jordan_projection(g).coords)
+        assert lc.in_cone_semigroup(g, lc.FacetFrame(g.factors[0]), 0.05, cone)
+
 
 class TestTargetCone:
     def test_rays_are_normalized_and_sorted(self, forge_cone):
@@ -236,6 +246,12 @@ class TestTargetCone:
     def test_nonpositive_margin_rejected(self):
         with pytest.raises(InvalidInput):
             lc.TargetCone.from_rays([FORGE_RAY_1], margin=0.0)
+
+    def test_rejects_empty_and_mixed_dimension_rays(self):
+        with pytest.raises(InvalidInput, match="at least one ray"):
+            lc.TargetCone.from_rays([])
+        with pytest.raises(InvalidInput, match="one dimension"):
+            lc.TargetCone.from_rays([FORGE_RAY_1, [3.0, 1.0, -1.0, -3.0]])
 
     def test_involution_stability(self, forge_cone):
         # iota maps the two fixture rays to each other
@@ -290,24 +306,79 @@ class TestForgeSemigroup:
         with pytest.raises(RayNotInChamber):
             lc.forge_semigroup(3, cone, 0.05)
 
+    @pytest.mark.parametrize("n", [1, 2, 4])
+    @pytest.mark.parametrize("forge", [lc.forge_semigroup, lc.forge_group])
+    def test_dimension_checked_before_the_rotation_draw(self, forge_cone, monkeypatch, forge, n):
+        def draw(*args):
+            raise AssertionError("rotation drawn")
+
+        monkeypatch.setattr(lc.schottky, "_haar_rotation", draw)
+        with pytest.raises(InvalidInput, match="dimension"):
+            forge(n, forge_cone, 0.05)
+
+    def test_overflow_is_max_power_exceeded(self, forge_cone, monkeypatch):
+        # a certifier that never passes drives the power up until the exact
+        # exterior powers overflow float64
+        def refuse(matrices, *args):
+            list(matrices)
+            raise lc.NotProximal("refused")
+
+        monkeypatch.setattr(lc.schottky, "certify_degrees", refuse)
+        with pytest.raises(lc.MaxPowerExceeded, match="overflowed"):
+            lc.forge_semigroup(3, forge_cone, 0.05)
+
     def test_single_ray_is_thickened(self):
         cone = lc.TargetCone.from_rays([FORGE_RAY_1])
         sys_ = lc.forge_semigroup(3, cone, 0.05, seed=1)
         assert sys_.t == 2
 
 
+REPRODUCER_RAYS = [[3.0, 1.0, -1.0, -3.0], [3.0, -0.5, -1.0, -1.5], [2.0, 1.5, -1.5, -2.0]]
+
+
+@pytest.fixture(scope="module")
+def reproducer():
+    """Powers [18, 55, 55]: about e^70 of dynamic range, far past 1/eps_mach,
+    where minors of the rounded entries lose the small spectral data."""
+    cone = lc.TargetCone.from_rays(REPRODUCER_RAYS)
+    return cone, lc.forge_semigroup(4, cone, 0.02, seed=1)
+
+
 class TestForgedLettersAreExact:
-    def test_wide_dynamic_range_lyapunov_directions(self):
-        # powers [18, 55, 55]: about e^70 of dynamic range, far past 1/eps_mach,
-        # where minors of the rounded entries lose the small spectral data
-        cone = lc.TargetCone.from_rays(
-            [[3.0, 1.0, -1.0, -3.0], [3.0, -0.5, -1.0, -1.5], [2.0, 1.5, -1.5, -2.0]]
-        )
-        sys_ = lc.forge_semigroup(4, cone, 0.02, seed=1)
+    def test_wide_dynamic_range_lyapunov_directions(self, reproducer):
+        cone, sys_ = reproducer
         for j, power in enumerate(sys_.forge_report["powers"]):
             lam, _ = lc.word_lyapunov_estimate(sys_, [(j, 2)])
             want = 2.0 * power * cone.rays[j].coords
             assert np.linalg.norm(lam.coords - want) <= 1e-9 * np.linalg.norm(want)
+
+
+    def test_letters_carry_their_factors(self, reproducer):
+        cone, sys_ = reproducer
+        assert sys_.alphabet.elements == sys_.generators
+        for g, power, ray in zip(sys_.generators, sys_.forge_report["powers"], cone.rays):
+            q, r, s = g.factors
+            assert s == power and np.array_equal(r, ray.coords)
+            assert np.allclose(q.T @ q, np.eye(4), atol=1e-12)
+
+    def test_report_reads_the_exact_letters(self, reproducer):
+        cone, sys_ = reproducer
+        assert sys_.forge_report["max_direction_distance"] <= cone.margin
+
+    @pytest.mark.parametrize("seed", [1, 3])
+    def test_forges_what_it_certifies(self, seed):
+        # the report over the rounded entries once refused these systems
+        cone = lc.TargetCone.from_rays(REPRODUCER_RAYS)
+        sys_ = lc.forge_semigroup(4, cone, 0.03, seed=seed)
+        assert float(sys_.separation.min()) >= 6 * 0.03
+        assert sys_.forge_report["max_direction_distance"] <= cone.margin
+
+    def test_group_inverses_negate_the_power(self):
+        half_line = lc.TargetCone.from_rays([np.array([1.0, -1.0]) / np.sqrt(2.0)])
+        sys_ = lc.forge_group(2, half_line, 0.1, seed=0)
+        for g, inv in zip(sys_.generators, sys_.alphabet.elements[2:]):
+            assert inv.factors[2] == -g.factors[2]
+            assert np.array_equal(inv.entries, g.inverse().entries)
 
 
 class TestForgeCertifiesOnce:
@@ -351,7 +422,7 @@ class TestForgeCertifiesOnce:
         }
         for (i, k), cert in sys_.eigendata.items():
             fresh = lc.proximality.certify_matrix_eps_proximal(
-                alphabet.compounds[i][k - 1],
+                lc.exterior_power(alphabet.elements[i], k),
                 lc.Representation(n=sys_.n, k=k),
                 sys_.epsilons[alphabet.letters[i][0]],
                 seed=seed,

@@ -24,6 +24,18 @@ def test_no_private_cross_module_imports(path):
     assert not private, private
 
 
+@pytest.mark.parametrize("name", ["limits.py", "projections.py"])
+def test_letter_powers_come_from_the_element(name):
+    # a letter's exterior powers come only from projgeom.exterior_power
+    imported = {
+        a.name
+        for node in ast.walk(ast.parse((ROOT / "src" / "limitcone" / name).read_text()))
+        if isinstance(node, ast.ImportFrom)
+        for a in node.names
+    }
+    assert "compound_matrix" not in imported
+
+
 CERTIFICATION_FAILURES = {"NotProximal", "SeparationViolated", "ContractionUnverified"}
 
 
