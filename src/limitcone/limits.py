@@ -13,12 +13,14 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import cones
-from .errors import BudgetExceeded, DegenerateSample, InvalidInput, NotProximal
+from .errors import BudgetExceeded, DegenerateSample, InvalidInput
 from .projgeom import (
+    ProjectiveHyperplane,
     ProjectivePoint,
     canonical_units,
     chordal_distances,
     exterior_power,
+    gap,
     proj_distance,
     row_norms,
 )
@@ -29,7 +31,7 @@ from .projections import (
     product_projection,
     take_words,
 )
-from .proximality import top_eigendata
+from .proximality import eigen_splittings, repelling_covectors
 
 WORD_BUDGET = 10**6
 MERGE_TOL = 1e-9
@@ -119,26 +121,25 @@ class Alphabet:
             for k in range(1, self.n)
         ]
 
-    def product(self, word) -> "WordProduct":
-        """The word's product, accumulated letter by letter from the identity."""
-        return WordProduct.at(tuple(word), self.n, self.accumulate([word]), 0)
+    def levels(self, max_length: int):
+        """The reduced words of lengths 1..max_length, one level per length.
 
-
-def reduced_words(alphabet: Alphabet, max_length: int):
-    """Reduced words over the alphabet, lengths 1..max_length, in preorder.
-
-    Depth first: each word is followed by all of its extensions before its
-    next sibling.  The walk keeps an explicit stack, so long words do not
-    recurse.
-    """
-    size = len(alphabet.elements)
-    stack = [(i,) for i in reversed(range(size))]
-    while stack:
-        word = stack.pop()
-        yield word
-        if len(word) < max_length:
-            cancel = alphabet.inverse_index(word[-1])
-            stack.extend(word + (i,) for i in reversed(range(size)) if i != cancel)
+        Per level, (words, parent, letter): the words in lex order, and per
+        word the row of its prefix in the previous level and its last letter.
+        """
+        size = len(self.elements)
+        # the letter that may not follow each letter; the empty word's last
+        # letter is the sentinel -1, which blocks nothing
+        blocked = np.array([-1 if c is None else c for _, _, c in self.letters] + [-1])
+        level, last = [()], np.array([-1])
+        for _ in range(max_length):
+            parent = np.repeat(np.arange(len(level)), size)
+            letter = np.tile(np.arange(size), len(level))
+            keep = letter != blocked[last[parent]]
+            parent, letter = parent[keep], letter[keep]
+            level = [level[j] + (i,) for j, i in zip(parent.tolist(), letter.tolist())]
+            last = letter
+            yield level, parent, letter
 
 
 @dataclass(frozen=True)
@@ -261,22 +262,9 @@ def _batches(sampler: WordSampler, words=None):
         drawn = _draw_words(sampler)
         yield drawn, alphabet.accumulate(drawn)
         return
-    size = len(alphabet.elements)
-    # the letter that may not follow each letter; the empty word's last
-    # letter is the sentinel -1, which blocks nothing
-    blocked = np.array(
-        [-1 if alphabet.inverse_index(i) is None else alphabet.inverse_index(i)
-         for i in range(size)] + [-1]
-    )
-    level, last, product = [()], np.array([-1]), empty_product(sampler.n)
-    for _ in range(sampler.max_length):
-        parent = np.repeat(np.arange(len(level)), size)
-        letter = np.tile(np.arange(size), len(level))
-        keep = letter != blocked[last[parent]]
-        parent, letter = parent[keep], letter[keep]
-        level = [level[j] + (i,) for j, i in zip(parent.tolist(), letter.tolist())]
+    product = empty_product(sampler.n)
+    for level, parent, letter in alphabet.levels(sampler.max_length):
         product = extend_product(take_words(product, parent), alphabet._stacked(letter))
-        last = letter
         yield level, product
 
 
@@ -467,34 +455,6 @@ class LimitSetSample:
         return self.points[k - 1]
 
 
-def _eigdata(product: tuple, backward: bool):
-    """Per word of the product: whether it has an attracting line at every degree,
-    the log eigen gap per degree, and per degree the attracting vectors.
-
-    Returns (ok (N,), log_gaps (N, n-1), [(N, d_k) per degree]); the rows of
-    words that are not ok hold no meaning.
-    """
-    ok = np.ones(product[0][0].shape[0], dtype=bool)
-    gaps, lines = [], []
-    for p, _ in product:
-        vals, vecs = np.linalg.eig(p)
-        mod = np.abs(vals)
-        order = np.argsort(mod, axis=1)[:, ::-1]
-        if backward:
-            # attracting line of the inverse: eigenvector of smallest modulus
-            top_i, second_i = order[:, -1], order[:, -2]
-        else:
-            top_i, second_i = order[:, 0], order[:, 1]
-        rows = np.arange(p.shape[0])
-        a, b = mod[rows, top_i], mod[rows, second_i]
-        vec = np.real(vecs[rows, :, top_i])
-        ok &= (np.minimum(a, b) > 0.0) & (row_norms(vec) != 0.0)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            gaps.append(np.abs(np.log(a) - np.log(b)))
-        lines.append(vec)
-    return ok, np.stack(gaps, axis=1), lines
-
-
 def _merge_points(vectors) -> tuple:
     reps = canonical_units(vectors, "projective point representative")
     reps.flags.writeable = False
@@ -523,11 +483,17 @@ def estimate_limit_set(
     clouds = [[] for _ in range(sampler.n - 1)]
     hits = 0
     for _, product in _batches(sampler, words):
-        ok, gaps, lines = _eigdata(product, backward=(side == "backward"))
-        passed = ok & np.all(gaps > epsilon_filter, axis=1)
+        splits = [eigen_splittings(p)[side == "backward"] for p, _ in product]
+        with np.errstate(divide="ignore"):
+            # a vanishing runner-up modulus has no finite log gap
+            passed = np.logical_and.reduce([
+                s.proximal & (s.second > 0.0)
+                & (np.abs(np.log(s.top) - np.log(s.second)) > epsilon_filter)
+                for s in splits
+            ])
         hits += int(np.count_nonzero(passed))
-        for cloud, vec in zip(clouds, lines):
-            cloud.append(vec[passed])
+        for cloud, s in zip(clouds, splits):
+            cloud.append(s.vectors[passed])
     if hits == 0:
         raise DegenerateSample("no sampled word passed the proximality filter")
     return LimitSetSample(
@@ -552,26 +518,29 @@ def estimate_facets(
     epsilon_filter: float = DEFAULT_PROXIMALITY_FILTER,
     words=None,
 ) -> list[FacetSample]:
-    """Per proximal sampled word, its attracting flag pair and a transversality flag."""
+    """Per proximal sampled word, its attracting flag pair and a transversality flag.
+
+    A word is kept when, at every degree, it is proximal and its smallest
+    eigenvalue modulus, whose eigenvector is the backward flag, is nonzero.
+    """
     out = []
     for batch, product in _batches(sampler, words):
-        ok, _, backward = _eigdata(product, backward=True)
-        for row, word in enumerate(batch):
-            fwd, gaps = [], []
-            try:
-                for p, _ in product:
-                    _, attracting, repelling = top_eigendata(p[row])
-                    fwd.append(attracting)
-                    gaps.append(abs(float(repelling.covector @ attracting.rep)))
-            except NotProximal:
-                continue
-            if not ok[row]:
-                continue  # no attracting line of the inverse at some degree
+        splits = [eigen_splittings(p) for p, _ in product]
+        covectors = [
+            repelling_covectors(p, fwd.eigenvalue) for (p, _), (fwd, _) in zip(product, splits)
+        ]
+        kept = np.logical_and.reduce([f.proximal & (b.top > 0.0) for f, b in splits])
+        for row in np.flatnonzero(kept):
+            forward = tuple(ProjectivePoint.from_vector(f.vectors[row]) for f, _ in splits)
+            gaps = [
+                gap(x, ProjectiveHyperplane.from_covector(phi[row]))
+                for x, phi in zip(forward, covectors)
+            ]
             out.append(
                 FacetSample(
-                    word=word,
-                    forward=tuple(fwd),
-                    backward=tuple(ProjectivePoint.from_vector(v[row]) for v in backward),
+                    word=batch[row],
+                    forward=forward,
+                    backward=tuple(ProjectivePoint.from_vector(b.vectors[row]) for _, b in splits),
                     general_position=bool(min(gaps) > epsilon_filter),
                 )
             )

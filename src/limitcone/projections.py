@@ -11,7 +11,8 @@ tracking one rescaled matrix per exterior degree recovers the full projection
 without overflow.  The rescaling is a scalar bookkeeping device and does not
 perturb the computed top value.  Every product of letters in the package is
 accumulated here, by `empty_product`, `extend_product` and
-`product_projection`, so equal letter sequences give bit-identical results.
+`product_projection`, so equal letter sequences give bit-identical results;
+mu and lambda of a single element are those of a product of one factor.
 They work on batches of words: per degree one (N, d, d) stack, extended by one
 batched matmul and read off by one batched `svd` or `eigvals`, whose results
 equal the per-matrix calls bit for bit; a single word is a batch of one.
@@ -79,31 +80,14 @@ def _chamber_rows(values: np.ndarray) -> np.ndarray:
     return v
 
 
-def _chamber_from_sorted(values: np.ndarray) -> ChamberVector:
-    return ChamberVector.from_coords(_chamber_rows(np.asarray(values, dtype=float)[None])[0])
-
-
 def cartan_projection(g: GroupElement) -> ChamberVector:
-    """mu(g): logs of the singular values of g, sorted nonincreasing."""
-    try:
-        s = np.linalg.svd(g.entries, compute_uv=False)
-    except np.linalg.LinAlgError as e:
-        raise NumericalFailure(f"singular value computation failed: {e}") from e
-    if np.any(s <= 0.0):
-        raise NumericalFailure("nonpositive singular value for an invertible matrix")
-    return _chamber_from_sorted(np.log(s))
+    """mu(g): sorted log singular values, read from g's exterior powers."""
+    return product_cartan([g])
 
 
 def jordan_projection(g: GroupElement) -> ChamberVector:
-    """lambda(g): logs of the eigenvalue moduli of g, sorted nonincreasing."""
-    try:
-        w = np.linalg.eigvals(g.entries)
-    except np.linalg.LinAlgError as e:
-        raise NumericalFailure(f"eigenvalue computation failed: {e}") from e
-    mod = np.abs(w)
-    if np.any(mod <= 0.0):
-        raise NumericalFailure("zero eigenvalue modulus for an invertible matrix")
-    return _chamber_from_sorted(np.log(mod))
+    """lambda(g): sorted log eigenvalue moduli, read from g's exterior powers."""
+    return product_jordan([g])
 
 
 def opposition_involution(v: ChamberVector) -> ChamberVector:

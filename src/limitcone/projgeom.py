@@ -24,7 +24,8 @@ CHAMBER_SUM_TOL = 1e-8
 
 
 def _freeze(a: np.ndarray) -> np.ndarray:
-    a = np.ascontiguousarray(a, dtype=float)
+    """A read-only C-contiguous float copy of a; the caller's array stays writeable."""
+    a = np.array(a, dtype=float, order="C")
     a.flags.writeable = False
     return a
 
@@ -92,8 +93,8 @@ class GroupElement:
         range of a large power.  Raises NumericalFailure when the entries
         overflow.
         """
-        q = _freeze(np.array(rotation, dtype=float))
-        r = _freeze(np.array(ray, dtype=float))
+        q = _freeze(rotation)
+        r = _freeze(ray)
         s = float(power)
         if q.ndim != 2 or q.shape[0] != q.shape[1] or q.shape[0] < 2 or r.shape != q.shape[:1]:
             raise InvalidInput(

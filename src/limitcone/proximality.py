@@ -23,6 +23,7 @@ Two certification modes:
 
 import hashlib
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 import scipy.linalg
@@ -47,6 +48,9 @@ from .projgeom import (
 
 EIGEN_GAP_TOL = 1e-10
 DEFAULT_SAMPLE_COUNT = 10_000
+# the ascending-modulus ranks of the dominant eigenvalue, forward then
+# backward, and of the runner-up, forward then backward
+_SIDE_COLUMNS = np.array([-1, 0, -2, 1])
 
 # Empirical per-letter slack for composed-product eigenvalue intervals; the
 # sharp constants are existential, this one is validated corpus-wide by the
@@ -79,37 +83,74 @@ class ComposedProximality:
     log_upper: float
 
 
+class Splitting(NamedTuple):
+    """One dominant eigenvalue per matrix of an (N, d, d) stack, with its splitting."""
+
+    eigenvalue: np.ndarray  # (N,) the dominant eigenvalue
+    top: np.ndarray  # (N,) its modulus
+    second: np.ndarray  # (N,) the runner-up modulus
+    vectors: np.ndarray  # (N, d) the real part of its eigenvector
+    proximal: np.ndarray  # (N,) bool: whether the eigenvalue is real and simply dominant
+
+
+def _eig(stack: np.ndarray):
+    try:
+        return np.linalg.eig(stack)
+    except np.linalg.LinAlgError as e:
+        raise NumericalFailure(f"eigenvalue computation failed: {e}") from e
+
+
+def eigen_splittings(stack: np.ndarray) -> tuple:
+    """(forward, backward) Splittings of an (N, d, d) stack, from one batched `eig`.
+
+    Backward, the dominant eigenvalue is the inverse's: `top` and `second` are
+    the bottom two moduli.  A row is proximal when its dominant modulus is
+    nonzero, its relative gap to the runner-up at least EIGEN_GAP_TOL and the
+    eigenvalue real; its vector then spans the attracting line.
+    """
+    vals, vecs = _eig(stack)
+    mod = np.abs(vals)
+    rows = np.arange(stack.shape[0])
+    # (2, N) column indices, row 0 for the forward side and row 1 backward
+    i, j = np.argsort(mod, axis=1)[:, _SIDE_COLUMNS].T.reshape(2, 2, -1)
+    alpha, top, second = vals[rows, i], mod[rows, i], mod[rows, j]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        simple = np.abs(top - second) / np.maximum(top, second) >= EIGEN_GAP_TOL
+    proximal = (top > 0.0) & simple & (np.abs(alpha.imag) <= EIGEN_GAP_TOL * top)
+    return tuple(map(Splitting, alpha, top, second, np.real(vecs[rows, :, i]), proximal))
+
+
+def repelling_covectors(stack: np.ndarray, eigenvalues: np.ndarray) -> np.ndarray:
+    """Per matrix of an (N, d, d) stack, the real left eigenvector of the
+    eigenvalue nearest `eigenvalues[row]`: of a forward Splitting's, the
+    repelling hyperplane.  One batched `eig` of the transposed stack."""
+    vals, vecs = _eig(stack.transpose(0, 2, 1))
+    nearest = np.argmin(np.abs(vals - eigenvalues[:, None]), axis=1)
+    return np.real(vecs[np.arange(vals.shape[0]), :, nearest])
+
+
 def top_eigendata(m: np.ndarray):
     """(top modulus, attracting point, repelling hyperplane) of an invertible matrix.
 
     Raises NotProximal unless the dominant eigenvalue modulus is simple and
-    strictly dominant (relative gap >= 1e-10).
+    strictly dominant (relative gap >= 1e-10) and real: `eigen_splittings`
+    of a stack of one.
     """
-    m = np.asarray(m, dtype=float)
-    try:
-        w, vr = np.linalg.eig(m)
-        wl, vl = np.linalg.eig(m.T)
-    except np.linalg.LinAlgError as e:
-        raise NumericalFailure(f"eigenvalue computation failed: {e}") from e
-    mod = np.abs(w)
-    order = np.argsort(mod)[::-1]
-    top, second = mod[order[0]], mod[order[1]]
+    stack = np.asarray(m, dtype=float)[None]
+    forward, _ = eigen_splittings(stack)
+    top, second = forward.top[0], forward.second[0]
     if top <= 0.0:
         raise NumericalFailure("vanishing top eigenvalue modulus")
-    if (top - second) / top < EIGEN_GAP_TOL:
-        raise NotProximal(
-            f"dominant modulus {top} is not simple (runner-up {second})"
-        )
-    alpha = w[order[0]]
-    if abs(alpha.imag) > EIGEN_GAP_TOL * top:
+    if not forward.proximal[0]:
+        if (top - second) / top < EIGEN_GAP_TOL:
+            raise NotProximal(
+                f"dominant modulus {top} is not simple (runner-up {second})"
+            )
         raise NotProximal("dominant eigenvalue is not real")
-    v = np.real(vr[:, order[0]])
-    # left spectrum coincides with the right one; locate alpha among it
-    li = int(np.argmin(np.abs(wl - alpha)))
-    phi = np.real(vl[:, li])
+    phi = repelling_covectors(stack, forward.eigenvalue)[0]
     return (
         float(top),
-        ProjectivePoint.from_vector(v),
+        ProjectivePoint.from_vector(forward.vectors[0]),
         ProjectiveHyperplane.from_covector(phi),
     )
 

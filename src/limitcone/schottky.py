@@ -34,7 +34,7 @@ from .errors import (
     SeparationViolated,
     TooFewGenerators,
 )
-from .limits import Alphabet, reduced_words
+from .limits import Alphabet
 from .projgeom import (
     GroupElement,
     ProjectiveHyperplane,
@@ -47,6 +47,7 @@ from .projgeom import (
 )
 from .projections import (
     ChamberVector,
+    jordan_projection,
     opposition_involution,
     product_jordan,
 )
@@ -144,9 +145,6 @@ class TargetCone:
 
     def rays_matrix(self) -> np.ndarray:
         return np.stack([r.coords for r in self.rays])
-
-    def contains(self, v: np.ndarray, slack: float = 1e-9) -> bool:
-        return cones.in_cone(np.asarray(v, float), self.rays_matrix(), slack)
 
     def contains_with_margin(self, v: np.ndarray) -> bool:
         """Membership in the margin-shrunk cone {v : v + B(0, margin*||v||) in cone}."""
@@ -275,10 +273,11 @@ def word_lyapunov_estimate(system: SchottkySystem, word):
     alphabet = system.alphabet
     if not alphabet.very_reduced([i for i, _ in word]):
         raise NotReduced(f"word {word} is empty or not very reduced")
+    letters = alphabet.elements
     expected = np.zeros(system.n)
     for i, p in word:
-        expected += p * alphabet.product([i]).lam().coords
-    lam = alphabet.product([i for i, p in word for _ in range(p)]).lam()
+        expected += p * product_jordan([letters[i]]).coords
+    lam = product_jordan([letters[i] for i, p in word for _ in range(p)])
     return lam, lam.coords - expected
 
 
@@ -393,15 +392,11 @@ def in_cone_semigroup(
     samples: int = DEFAULT_SAMPLE_COUNT,
     seed: int = 0,
 ) -> MembershipEvidence:
-    """in_open_semigroup, plus lambda(g) in the margin-shrunk target cone.
-
-    lambda(g) is read from g's exterior powers, exact for a factored element.
-    """
+    """in_open_semigroup, plus lambda(g) in the margin-shrunk target cone."""
     ev = in_open_semigroup(g, f, epsilon, mode, samples, seed)
     if not ev.accepted:
         return ev
-    lam = product_jordan([g])
-    if not cone.contains_with_margin(lam.coords):
+    if not cone.contains_with_margin(jordan_projection(g).coords):
         return MembershipEvidence(
             accepted=False,
             mode=ev.mode,
@@ -579,7 +574,10 @@ def _forge(
 
 def _sample_forge_words(alphabet: Alphabet, rng_seed: int, depth: int = 6):
     """All very reduced words up to `depth` letters, capped at 1000 via seeded sampling."""
-    words = [w for w in reduced_words(alphabet, depth) if alphabet.very_reduced(w)]
+    # sorted as tuples, each word precedes its extensions (preorder)
+    words = sorted(
+        w for level, _, _ in alphabet.levels(depth) for w in level if alphabet.very_reduced(w)
+    )
     if len(words) > 1000:
         rng = np.random.default_rng(int(rng_seed))
         keep = rng.choice(len(words), size=1000, replace=False)

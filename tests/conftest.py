@@ -12,6 +12,35 @@ def rotation2(theta: float) -> np.ndarray:
     return np.array([[c, -s], [s, c]])
 
 
+def reference_top_eigendata(m):
+    """top_eigendata as it read one matrix before the batched eigen-splitting:
+    the reference the batch of one must equal bit for bit."""
+    m = np.asarray(m, dtype=float)
+    try:
+        w, vr = np.linalg.eig(m)
+        wl, vl = np.linalg.eig(m.T)
+    except np.linalg.LinAlgError as e:
+        raise lc.NumericalFailure(f"eigenvalue computation failed: {e}") from e
+    mod = np.abs(w)
+    order = np.argsort(mod)[::-1]
+    top, second = mod[order[0]], mod[order[1]]
+    if top <= 0.0:
+        raise lc.NumericalFailure("vanishing top eigenvalue modulus")
+    if (top - second) / top < 1e-10:
+        raise lc.NotProximal(f"dominant modulus {top} is not simple (runner-up {second})")
+    alpha = w[order[0]]
+    if abs(alpha.imag) > 1e-10 * top:
+        raise lc.NotProximal("dominant eigenvalue is not real")
+    v = np.real(vr[:, order[0]])
+    li = int(np.argmin(np.abs(wl - alpha)))
+    phi = np.real(vl[:, li])
+    return (
+        float(top),
+        lc.ProjectivePoint.from_vector(v),
+        lc.ProjectiveHyperplane.from_covector(phi),
+    )
+
+
 @pytest.fixture(scope="session")
 def sl2_pair():
     """gamma1 = diag(10, 0.1), gamma2 = R(pi/4) gamma1 R(-pi/4)."""

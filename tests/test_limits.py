@@ -8,8 +8,9 @@ import pytest
 import limitcone as lc
 from limitcone import limits
 from limitcone.errors import BudgetExceeded, DegenerateSample, InvalidInput, NotReduced
+from limitcone.proximality import eigen_splittings
 
-from .conftest import rotation2
+from .conftest import reference_top_eigendata, rotation2
 
 
 def _sampler(gens, **kw):
@@ -116,7 +117,7 @@ class TestAlphabet:
                     yield from extend(word)
 
         walked = list(extend(()))
-        assert list(limits.reduced_words(a, 6)) == walked
+        assert sorted(w for level, _, _ in a.levels(6) for w in level) == walked
         words = [w for w in walked if len(w) == 1 or w[0] != inv(w[-1])]
         if len(words) > 1000:
             keep = np.random.default_rng(5).choice(len(words), size=1000, replace=False)
@@ -417,7 +418,7 @@ def _reference_facets(words, epsilon_filter=limits.DEFAULT_PROXIMALITY_FILTER):
         fwd, gaps = [], []
         try:
             for p, _ in w.compounds:
-                _, attracting, repelling = lc.top_eigendata(p)
+                _, attracting, repelling = reference_top_eigendata(p)
                 fwd.append(attracting.rep)
                 gaps.append(abs(float(repelling.covector @ attracting.rep)))
         except lc.NotProximal:
@@ -475,7 +476,7 @@ class TestDedupKernels:
         s = _sampler(sl2_pair, kind=kind, max_length=5)
         words = lc.enumerate_words(s)
         for side in (False, True):
-            vecs = [limits._eigdata(w._batch(), backward=side)[2][0][0] for w in words]
+            vecs = [eigen_splittings(w.compounds[0][0][None])[side].vectors[0] for w in words]
             _assert_same_dedup(vecs, limits.MERGE_TOL)
         dirs = [w.lam().direction() for w in words]
         _assert_same_dedup(dirs, self.DIRECTION_TOL)
@@ -607,6 +608,21 @@ def _reference_eigdata(product, backward):
     return out
 
 
+def _reference_walk(alphabet, max_length):
+    """The reduced words in preorder, by recursion: the walk the levels replaced."""
+
+    def extend(prefix):
+        for i in range(len(alphabet.elements)):
+            if prefix and i == alphabet.inverse_index(prefix[-1]):
+                continue
+            word = prefix + (i,)
+            yield word
+            if len(word) < max_length:
+                yield from extend(word)
+
+    return list(extend(()))
+
+
 def _reference_draw(sampler):
     rng = np.random.default_rng(int(sampler.seed))
     a = sampler.alphabet
@@ -626,7 +642,7 @@ def _reference_draw(sampler):
 def _reference_convexity(sampler, hull, trials, seed):
     """check_convexity's angular errors, one word and one readout at a time."""
     a = sampler.alphabet
-    words = sorted(limits.reduced_words(a, sampler.max_length), key=lambda w: (len(w), w))
+    words = sorted(_reference_walk(a, sampler.max_length), key=lambda w: (len(w), w))
     rng = np.random.default_rng(seed)
     errors = []
     attempts = 0
@@ -682,7 +698,7 @@ class TestBatchedEngine:
         if sampler.strategy == "random":
             assert words == _reference_draw(sampler)
         else:
-            walked = list(limits.reduced_words(sampler.alphabet, sampler.max_length))
+            walked = _reference_walk(sampler.alphabet, sampler.max_length)
             assert words == sorted(walked, key=lambda w: (len(w), w))
         batches = [batch for batch, _ in limits._batches(sampler)]
         assert [w for batch in batches for w in batch] == words
@@ -708,18 +724,29 @@ class TestBatchedEngine:
         a = sampler.alphabet
         refused = 0
         for batch, product in limits._batches(sampler):
-            ok, gaps, lines = limits._eigdata(product, backward)
+            splits = [eigen_splittings(p)[backward] for p, _ in product]
+            with np.errstate(divide="ignore"):
+                gaps = [np.abs(np.log(s.top) - np.log(s.second)) for s in splits]
             for row, word in enumerate(batch):
                 ref = _reference_eigdata(_reference_accumulate(a, word), backward)
-                assert ok[row] == (ref is not None)
+                ok = all(min(s.top[row], s.second[row]) > 0.0 for s in splits)
+                assert ok == (ref is not None)
                 if ref is None:
                     refused += 1
                     continue
-                for k, (gap, vec) in enumerate(ref):
-                    assert gaps[row, k] == gap
-                    assert np.array_equal(lines[k][row], vec)
-                    point = limits.canonical_units(lines[k][row : row + 1], "point")[0]
+                for s, g, (gap, vec) in zip(splits, gaps, ref):
+                    assert g[row] == gap
+                    assert np.array_equal(s.vectors[row], vec)
+                    point = limits.canonical_units(s.vectors[row : row + 1], "point")[0]
                     assert np.array_equal(point, lc.ProjectivePoint.from_vector(vec).rep)
+                if not backward:
+                    for s, (p, _) in zip(splits, product):
+                        try:
+                            reference_top_eigendata(p[row])
+                        except lc.NotProximal:
+                            assert not s.proximal[row]
+                        else:
+                            assert s.proximal[row]
         if sampler.n == 4 and backward:
             assert refused > 0  # the forged SL(4) case covers NotProximal words
 
@@ -777,6 +804,24 @@ class TestBatchedEngine:
         assert len(est.word_lengths) == 1456
         # the per-word readout made one call per word and degree
         assert 0 < calls["eigvals"] <= s.max_length * (s.n - 1)
+
+    def test_one_eig_call_per_level_degree_and_side(self, sl2_pair, monkeypatch):
+        calls = {"eig": 0}
+        eig = np.linalg.eig
+
+        def counting(a):
+            calls["eig"] += 1
+            return eig(a)
+
+        monkeypatch.setattr(np.linalg, "eig", counting)
+        s = _sampler(sl2_pair, kind="group", max_length=6)
+        levels = s.max_length * (s.n - 1)
+        assert len(lc.estimate_facets(s)) > 0
+        # the per-word readout made two calls per word and degree
+        assert 0 < calls["eig"] <= 2 * levels
+        calls["eig"] = 0
+        lc.estimate_limit_set(s)
+        assert 0 < calls["eig"] <= levels
 
 
 class TestConvexityReadsTheBatch:

@@ -23,6 +23,13 @@ class TestGroupElement:
         assert g.n == 2
         assert np.allclose(g.entries, [[2.0, 1.0], [0.0, 0.5]])
 
+    @pytest.mark.parametrize("make", ["from_matrix", "from_unimodular"])
+    def test_leaves_the_callers_array_writeable(self, make):
+        m = np.diag([2.0, 0.5])
+        g = getattr(lc.GroupElement, make)(m)
+        m[0, 0] = 3.0
+        assert g.entries[0, 0] == 2.0 and not g.entries.flags.writeable
+
     def test_renormalizes_small_determinant_drift(self):
         m = np.diag([2.0, 0.5]) * (1.0 + 1e-7) ** 0.5
         g = lc.GroupElement.from_matrix(m)

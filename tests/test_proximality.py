@@ -12,7 +12,7 @@ from limitcone.errors import (
 )
 from limitcone.proximality import sampled_contraction_check
 
-from .conftest import rotation2, strongly_contracting_element
+from .conftest import reference_top_eigendata, rotation2, strongly_contracting_element
 
 
 class TestTopEigendata:
@@ -41,6 +41,74 @@ class TestTopEigendata:
         top, x, _ = lc.top_eigendata(np.diag([-3.0, 1.0, -1.0 / 3.0]))
         assert top == pytest.approx(3.0, abs=1e-12)
         assert np.allclose(x.rep, [1.0, 0.0, 0.0], atol=1e-12)
+
+
+def _readout(top_eigendata, m):
+    """What top_eigendata gives for m: its bits, or its exception and message."""
+    try:
+        top, x, h = top_eigendata(m)
+    except (lc.NotProximal, lc.NumericalFailure) as e:
+        return type(e).__name__, str(e)
+    return top, x.rep.tobytes(), h.covector.tobytes()
+
+
+def _assert_equals_the_reference(matrices):
+    outcomes = []
+    for m in matrices:
+        got = _readout(lc.top_eigendata, m)
+        assert got == _readout(reference_top_eigendata, m)
+        outcomes.append(got[0])
+    return outcomes
+
+
+FORGES = [
+    (2, [[1.0, -1.0]], 0.1),
+    (3, [[2.0, -0.5, -1.5], [1.5, 0.5, -2.0]], 0.05),
+    (4, [[3.0, 1.0, -1.0, -3.0], [2.0, 1.5, -1.5, -2.0]], 0.03),
+]
+
+
+class TestTopEigendataEqualsTheReference:
+    # the batch of one of the eigen-splitting kernel against the per-matrix
+    # readout it replaced, bit for bit, exceptions and messages included
+
+    @pytest.mark.parametrize("forge", [lc.forge_semigroup, lc.forge_group])
+    @pytest.mark.parametrize("n, rays, eps", FORGES)
+    def test_forged_letters(self, forge, n, rays, eps):
+        rays = np.array(rays) / np.linalg.norm(rays, axis=1, keepdims=True)
+        sys_ = forge(n, lc.TargetCone.from_rays(rays), eps, seed=0, samples=2000)
+        letters = sys_.alphabet.elements
+        matrices = [lc.exterior_power(e, k) for e in letters for k in range(1, n)]
+        assert all(isinstance(o, float) for o in _assert_equals_the_reference(matrices))
+
+    def test_contracting_corpus(self):
+        rng = np.random.default_rng(3)
+        elements = [strongly_contracting_element(rng) for _ in range(40)]
+        matrices = [lc.exterior_power(g, k) for g in elements for k in (1, 2)]
+        _assert_equals_the_reference(matrices)
+
+    def test_complex_top_pairs(self):
+        rng = np.random.default_rng(4)
+        matrices = []
+        for d in (2, 3, 4, 6):
+            for _ in range(10):
+                core = np.diag(rng.uniform(0.1, 0.5, d))
+                core[:2, :2] = 2.0 * rotation2(rng.uniform(0.2, 3.0))
+                basis = rng.standard_normal((d, d))
+                matrices.append(basis @ core @ np.linalg.inv(basis))
+        outcomes = _assert_equals_the_reference(matrices)
+        assert outcomes == ["NotProximal"] * len(matrices)
+
+    def test_gaps_either_side_of_the_tolerance(self):
+        rng = np.random.default_rng(5)
+        matrices = []
+        for scale in (0.9, 0.99, 1.01, 1.1):
+            for _ in range(5):
+                q = np.linalg.qr(rng.standard_normal((3, 3)))[0]
+                d = np.diag([1.0, 1.0 - scale * lc.proximality.EIGEN_GAP_TOL, 0.5])
+                matrices.extend([d, q @ d @ q.T])
+        outcomes = _assert_equals_the_reference(matrices)
+        assert "NotProximal" in outcomes and 1.0 in outcomes
 
 
 class TestCertifyEpsProximal:

@@ -219,13 +219,13 @@ class TestConeSemigroupMembership:
         assert lc.in_cone_semigroup(prod, lc.FacetFrame.identity(3), 0.05, cone)
 
     def test_forged_letter_is_read_from_its_factors(self):
-        # lambda(g) = power * ray exactly; the rounded entries of this letter
-        # (power 55) give a lambda well outside a narrow cone around the ray
+        # lambda(g) = power * ray exactly, inside a narrow cone around the ray;
+        # the rounded entries of this letter (power 55) would put it outside
         forged = lc.forge_semigroup(4, lc.TargetCone.from_rays(REPRODUCER_RAYS), 0.02, seed=1)
         g = forged.generators[1]
         ray = np.array(REPRODUCER_RAYS[1])
         cone = lc.TargetCone.from_rays([ray + 0.2 * (e - 0.25) for e in np.eye(4)], margin=0.01)
-        assert not cone.contains_with_margin(lc.jordan_projection(g).coords)
+        assert cone.contains_with_margin(lc.jordan_projection(g).coords)
         assert lc.in_cone_semigroup(g, lc.FacetFrame(g.factors[0]), 0.05, cone)
 
 
@@ -352,6 +352,18 @@ class TestForgedLettersAreExact:
             want = 2.0 * power * cone.rays[j].coords
             assert np.linalg.norm(lam.coords - want) <= 1e-9 * np.linalg.norm(want)
 
+
+    def test_single_letter_projections_read_the_factors(self, reproducer):
+        # mu = lambda = power * ray for q diag(exp(power * ray)) q^T; the
+        # rounded entries missed it by up to 17.7 in one coordinate
+        _, sys_ = reproducer
+        for g in sys_.generators:
+            _, r, s = g.factors
+            want = s * r
+            tol = 1e-12 * np.linalg.norm(want)
+            assert np.abs(lc.jordan_projection(g).coords - want).max() <= tol
+            assert np.abs(lc.cartan_projection(g).coords - want).max() <= tol
+            assert np.abs(lc.regularity_gaps(g) + np.diff(want)).max() <= tol
 
     def test_letters_carry_their_factors(self, reproducer):
         cone, sys_ = reproducer

@@ -36,6 +36,21 @@ def test_letter_powers_come_from_the_element(name):
     assert "compound_matrix" not in imported
 
 
+def _attributes(name):
+    tree = ast.parse((ROOT / "src" / "limitcone" / name).read_text())
+    return [(node.lineno, node.attr) for node in ast.walk(tree) if isinstance(node, ast.Attribute)]
+
+
+def test_one_readout_per_quantity():
+    # mu and lambda come from projections' accumulator, which reads exterior
+    # powers and never an element's entries; attracting flags come from
+    # proximality's eigen-splitting
+    decompositions = [a for a in _attributes("limits.py") if a[1] in ("eig", "eigvals", "svd")]
+    assert not decompositions, decompositions
+    entries = [a for a in _attributes("projections.py") if a[1] == "entries"]
+    assert not entries, entries
+
+
 CERTIFICATION_FAILURES = {"NotProximal", "SeparationViolated", "ContractionUnverified"}
 
 
