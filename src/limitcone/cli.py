@@ -7,6 +7,7 @@ byte-identical.
 """
 
 import argparse
+import functools
 import hashlib
 import json
 import sys
@@ -340,7 +341,9 @@ def _cmd_compare(args, out):
     return EXIT_OK
 
 
+@functools.cache
 def build_parser() -> _Parser:
+    """The command-line parser, built once: parsing leaves it unchanged."""
     p = _Parser(prog="limitcone")
     p.add_argument("--version", action="version", version=f"limitcone {__version__}")
     sub = p.add_subparsers(dest="command", required=True)

@@ -288,38 +288,58 @@ class ConeEstimate:
     word_lengths: tuple
 
 
-def _greedy_distinct(candidates, count, tol, distances, same) -> list:
-    """The items that a greedy in-order pass over `candidates` keeps.
+def _dedup_keys(reps) -> np.ndarray:
+    """|reps @ u| for a fixed generic unit vector u.
 
-    `candidates` yields `count` pairs (rep, item), rep a 1-D array.  An item
-    is dropped when `same(item, k)` holds for an item k kept before it, so the
-    first representative of a cluster wins.  `distances(kept, rep)` measures
-    rep against the reps of all kept items in one vectorised call; it is the
-    metric that `same` thresholds at `tol`, up to rounding.  Only kept items
-    within 4 * tol are handed to `same`, which stays the decider, nearest
-    first so that a duplicate is usually settled by one call.
+    For rows a, b, ||a @ u| - |b @ u|| <= min(||a - b||, ||a + b||), so rows
+    within a distance, or a chordal distance, t have keys within t, up to
+    rounding.
     """
-    kept_reps = None
-    kept: list = []
-    for r, item in candidates:
-        if kept_reps is None:
-            kept_reps = np.empty((count, r.shape[0]))
-        dist = distances(kept_reps[: len(kept)], r)
-        near = np.flatnonzero(dist <= 4.0 * tol)
-        if not any(same(item, kept[j]) for j in near[np.argsort(dist[near])]):
-            kept_reps[len(kept)] = r
-            kept.append(item)
+    u = np.sqrt(np.arange(1.0, reps.shape[1] + 1))
+    return np.abs(reps @ (u / np.linalg.norm(u)))
+
+
+def _greedy_distinct(reps, tol, distances, same) -> list:
+    """The indices of the rows of `reps` that a greedy in-order pass keeps.
+
+    Row j is dropped when `same(j, i)` holds for a row i kept before it, so
+    the first representative of a cluster wins.  Each kept row drops its
+    later duplicates at once: `distances(others, rep)` measures the rows
+    whose keys lie within 4 * tol of its own (see `_dedup_keys`) in one
+    vectorised call; it is the metric that `same` thresholds at `tol`, up to
+    rounding.  Only the rows within 4 * tol are handed to `same`, which
+    stays the decider.
+    """
+    keys = _dedup_keys(reps)
+    order = np.argsort(keys, kind="stable")
+    sorted_keys = keys[order]
+    lo = np.searchsorted(sorted_keys, keys - 4.0 * tol, side="left")
+    hi = np.searchsorted(sorted_keys, keys + 4.0 * tol, side="right")
+    alive = np.ones(len(reps), dtype=bool)
+    kept = []
+    for i in range(len(reps)):
+        if not alive[i]:
+            continue
+        kept.append(i)
+        window = order[lo[i] : hi[i]]
+        later = window[(window > i) & alive[window]]
+        if later.size:
+            near = later[distances(reps[later], reps[i]) <= 4.0 * tol]
+            for j in near.tolist():
+                if same(j, i):
+                    alive[j] = False
     return kept
 
 
 def _distinct_rows(rows, tol):
-    return _greedy_distinct(
-        ((r, r) for r in rows),
-        len(rows),
+    rows = np.asarray(rows, dtype=float)
+    kept = _greedy_distinct(
+        rows,
         tol,
-        lambda kept, r: np.linalg.norm(kept - r, axis=1),
-        lambda r, o: np.linalg.norm(r - o) <= tol,
+        lambda others, r: np.linalg.norm(others - r, axis=1),
+        lambda j, i: np.linalg.norm(rows[j] - rows[i]) <= tol,
     )
+    return list(rows[kept])
 
 
 def estimate_cone(sampler: WordSampler, words=None) -> ConeEstimate:
@@ -458,17 +478,15 @@ class LimitSetSample:
 def _merge_points(vectors) -> tuple:
     reps = canonical_units(vectors, "projective point representative")
     reps.flags.writeable = False
-    # the points are made one at a time: only the kept ones stay alive
-    pts = (ProjectivePoint(rep=r) for r in reps)
-    return tuple(
-        _greedy_distinct(
-            ((p.rep, p) for p in pts),
-            len(reps),
-            MERGE_TOL,
-            lambda kept, r: chordal_distances(kept.T, r[:, None]),
-            lambda cand, q: proj_distance(cand, q) <= MERGE_TOL,
-        )
+    kept = _greedy_distinct(
+        reps,
+        MERGE_TOL,
+        lambda others, r: chordal_distances(others.T, r[:, None]),
+        # points are made only for the pairs compared and the rows kept
+        lambda j, i: proj_distance(ProjectivePoint(rep=reps[j]), ProjectivePoint(rep=reps[i]))
+        <= MERGE_TOL,
     )
+    return tuple(ProjectivePoint(rep=reps[k]) for k in kept)
 
 
 def estimate_limit_set(

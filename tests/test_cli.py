@@ -271,6 +271,16 @@ class TestUsageErrors:
         code, _ = run_cli([])
         assert code == 3
 
+    def test_the_parser_is_built_once_and_keeps_no_state(self, tmp_path):
+        assert cli.build_parser() is cli.build_parser()
+        m = write_matrix(tmp_path / "g.json", [[2.0, 1.0], [0.0, 0.5]])
+        valid = ["project", "--matrix", str(m)]
+        alone = run_cli(valid)
+        assert run_cli(valid + ["--iterate", "64"])[0] == 0
+        assert run_cli(valid + ["--bogus"])[0] == 3
+        assert run_cli(["certify", "--matrix", str(m), "--degree", "1"])[0] == 3
+        assert run_cli(valid) == alone
+
     def test_unknown_flag(self, tmp_path):
         code, _ = run_cli(["project", "--matrix", "x.json", "--bogus"])
         assert code == 3

@@ -4,6 +4,8 @@ from math import comb
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import limitcone as lc
 from limitcone import limits
@@ -462,6 +464,34 @@ def _assert_same_dedup(rows, tol):
     )
 
 
+@pytest.fixture(scope="module")
+def forged_sl4_dedup_inputs():
+    """The forward limit-set clouds per degree and the lambda directions of
+    the benchmark's forged SL(4) system (epsilon 0.03, seed 5, depth 7), as
+    the dedup kernels receive them."""
+    rays = np.array([(3, 1, -1, -3), (5, 1, -2, -4), (4, 2, -2, -4)], dtype=float)
+    cone = lc.TargetCone.from_rays(list(rays / np.linalg.norm(rays, axis=1)[:, None]))
+    system = lc.forge_semigroup(4, cone, 0.03, seed=5)
+    sampler = _sampler(system.generators, max_length=7)
+    clouds, dirs = [], []
+    merge_points, distinct_rows = limits._merge_points, limits._distinct_rows
+
+    def capture_points(vectors):
+        clouds.append(vectors)
+        return merge_points(vectors)
+
+    def capture_rows(rows, tol):
+        dirs.append(rows)
+        return distinct_rows(rows, tol)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(limits, "_merge_points", capture_points)
+        mp.setattr(limits, "_distinct_rows", capture_rows)
+        lc.estimate_limit_set(sampler)
+        lc.estimate_cone(sampler)
+    return clouds, dirs[0]
+
+
 def _offset(v, w, distance):
     """v moved by `distance` along the unit part of w orthogonal to v."""
     w = w - (w @ v) * v
@@ -555,6 +585,104 @@ class TestDedupKernels:
         sample = lc.estimate_limit_set(_sampler(sl2_pair, kind="group", max_length=6))
         assert counts["candidates"] == 1456 and len(sample.cloud(1)) == 448
         assert 0 < counts["calls"] <= counts["candidates"]
+
+    def test_point_dedup_measures_once_per_kept_point(self, sl2_pair, monkeypatch):
+        # a per-candidate loop measures every candidate against the kept points
+        calls = []
+        chordal_distances = limits.chordal_distances
+
+        def counting_chordal(a, b):
+            calls.append(1)
+            return chordal_distances(a, b)
+
+        monkeypatch.setattr(limits, "chordal_distances", counting_chordal)
+        sample = lc.estimate_limit_set(_sampler(sl2_pair, kind="group", max_length=6))
+        assert len(sample.cloud(1)) == 448
+        assert 0 < len(calls) <= 448
+
+    def test_forged_sl4_clouds_and_directions_match_the_loops(self, forged_sl4_dedup_inputs):
+        clouds, dirs = forged_sl4_dedup_inputs
+        for cloud in clouds:
+            kept = limits._merge_points(cloud)
+            assert len(kept) < len(cloud) // 50  # dense clusters
+            assert np.array_equal(
+                np.stack([p.rep for p in kept]),
+                np.stack([p.rep for p in _reference_merge_points(cloud)]),
+            )
+        kept = limits._distinct_rows(dirs, self.DIRECTION_TOL)
+        assert 1 < len(kept) < len(dirs)
+        assert np.array_equal(
+            np.stack(kept), np.stack(_reference_distinct_rows(dirs, self.DIRECTION_TOL))
+        )
+
+    def test_rows_sharing_one_key(self, monkeypatch):
+        d = 4
+        # the key of a basis vector is that coordinate of the key direction
+        u = limits._dedup_keys(np.eye(d))
+        rng = np.random.default_rng(3)
+        cloud = rng.standard_normal((60, d))
+        cloud -= np.outer(cloud @ u, u)
+        cloud /= np.linalg.norm(cloud, axis=1)[:, None]
+        assert np.ptp(limits._dedup_keys(cloud)) < self.DIRECTION_TOL
+        calls = {"same": 0, "measure": 0}
+        proj_distance, chordal_distances = limits.proj_distance, limits.chordal_distances
+
+        def counting_distance(x1, x2):
+            calls["same"] += 1
+            return proj_distance(x1, x2)
+
+        def counting_chordal(a, b):
+            calls["measure"] += 1
+            return chordal_distances(a, b)
+
+        monkeypatch.setattr(limits, "proj_distance", counting_distance)
+        monkeypatch.setattr(limits, "chordal_distances", counting_chordal)
+        # no two rows lie within 4 * tol: one window holds them all, yet
+        # the exact distance is never asked
+        assert len(limits._merge_points(cloud)) == len(cloud)
+        assert calls == {"same": 0, "measure": len(cloud) - 1}
+        _assert_same_dedup(cloud, self.DIRECTION_TOL)
+        for tol in (self.DIRECTION_TOL, limits.MERGE_TOL):
+            rows = list(cloud)
+            for v in cloud[:10]:
+                w = rng.standard_normal(d)
+                w -= (w @ u) * u
+                rows += [_offset(v, w, 0.5 * tol), _offset(v, w, 1.001 * tol)]
+            assert np.ptp(limits._dedup_keys(np.stack(rows))) < tol
+            _assert_same_dedup(rng.permutation(rows), tol)
+
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        d=st.integers(2, 6),
+        clusters=st.integers(1, 8),
+        fine=st.booleans(),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_random_clouds_match_the_loops(self, seed, d, clusters, fine):
+        tol = self.DIRECTION_TOL if fine else limits.MERGE_TOL
+        rng = np.random.default_rng(seed)
+        rows = []
+        for _ in range(clusters):
+            v = rng.standard_normal(d)
+            v /= np.linalg.norm(v)
+            rows.append(v)
+            # planted duplicates around the tolerance and the prefilter's reach
+            for factor in rng.uniform(0.5, 4.1, size=rng.integers(0, 4)):
+                rows.append(_offset(v, rng.standard_normal(d), factor * tol))
+            # the same line, spelled with the other sign
+            rows.append(-_offset(v, rng.standard_normal(d), 0.5 * tol))
+            # a chain: neighbours within tol, ends apart
+            w = rng.standard_normal(d)
+            rows += [_offset(v, w, s * tol) for s in (0.7, 1.4, 2.1)]
+        # representatives whose canonical signs differ across a tie of the
+        # largest coordinates
+        tie = rng.uniform(-0.5, 0.5, size=d)
+        tie[:2] = (1.0, -1.0)
+        a, b = tie.copy(), tie.copy()
+        a[0] += 0.3 * tol
+        b[1] -= 0.3 * tol
+        rows += [a / np.linalg.norm(a), b / np.linalg.norm(b)]
+        _assert_same_dedup(rng.permutation(rows), tol)
 
 
 # The per-word engine that the batched one replaced, carried as the
