@@ -45,13 +45,16 @@ class SeparationViolated(CertificationFailure):
 class ContractionUnverified(CertificationFailure):
     """Neither the analytic bound nor sampling established the contraction conditions.
 
-    `refuted` is True when sampling exhibited an explicit violation (a genuine
-    counterexample), False when the check was merely inconclusive.
+    `refuted` is True when the check exhibited an explicit violation (a genuine
+    counterexample), False when it was merely inconclusive.  A refutation
+    carries its witness `image_distance` (and, sampled, the `expansion` seen).
     """
 
-    def __init__(self, message, refuted=False):
+    def __init__(self, message, refuted=False, image_distance=None, expansion=None):
         super().__init__(message)
         self.refuted = refuted
+        self.image_distance = image_distance
+        self.expansion = expansion
 
 
 class TooFewGenerators(LimitConeError):

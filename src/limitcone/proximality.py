@@ -6,6 +6,10 @@ hyperplane X<.  Certification checks the quantified conditions: separation
 gap(x+, X<) >= 2*eps, the image of B^eps = {x : gap(x, X<) >= eps} lies in the
 eps-ball around x+, and the restricted projective action is eps-Lipschitz.
 
+`contraction_check` decides the contraction conditions against a (point,
+hyperplane) pair: certification passes the element's own, open-semigroup
+membership (`schottky.in_open_semigroup`) a frame's.
+
 Two certification modes:
 
 * ``analytic``: conservative closed-form bounds in the splitting R*v+ (+) ker(phi).
@@ -15,8 +19,10 @@ Two certification modes:
   gap.  This yields a lower bound m_low on ||Mx||, an image-radius bound
   sqrt(2)*||A||*(1 + 1/gamma)/m_low via the sine metric, and a Lipschitz bound
   sqrt(2)*sigma1(M)*sigma2(M)/m_low**2 (the two top singular values control the
-  sine-metric distortion through the second compound).  A pass is a proof up to
-  floating point; a failure is inconclusive.
+  sine-metric distortion through the second compound).  Against another pair
+  the slab shrinks by the hyperplanes' distance and the radius grows by the
+  points'.  A pass is a proof up to floating point; a failure is inconclusive
+  unless the attracting point lies in B^eps outside the target ball.
 * ``sampled``: seeded Monte Carlo over B^eps point pairs; a violation refutes,
   a clean run records the observed maxima as evidence.
 """
@@ -44,6 +50,7 @@ from .projgeom import (
     chordal_distances,
     exterior_power,
     gap,
+    proj_distance,
 )
 
 EIGEN_GAP_TOL = 1e-10
@@ -214,13 +221,13 @@ def sampled_contraction_check(
     return max_image, max_ratio
 
 
-def analytic_contraction_bounds(m: np.ndarray, epsilon: float):
+def analytic_contraction_bounds(m: np.ndarray, eigendata, epsilon: float):
     """Conservative (image_radius, lipschitz) bounds for the eigen-adapted B^eps.
 
-    Returns (image_radius, lipschitz, gap) or raises NotProximal.  Either bound
-    may be inf when the splitting estimate degenerates.
+    `eigendata` is `top_eigendata(m)`.  Returns (image_radius, lipschitz, gap).
+    Either bound may be inf when the splitting estimate degenerates.
     """
-    alpha, attracting, repelling = top_eigendata(m)
+    alpha, attracting, repelling = eigendata
     v = attracting.rep
     phi = repelling.covector
     gamma = abs(float(phi @ v))
@@ -237,6 +244,51 @@ def analytic_contraction_bounds(m: np.ndarray, epsilon: float):
     image_radius = np.sqrt(2.0) * radius_sin if radius_sin <= 2 ** -0.5 else np.inf
     lipschitz = np.sqrt(2.0) * s[0] * s[1] / m_low**2
     return float(image_radius), float(lipschitz), gamma
+
+
+def contraction_check(m, eigendata, target, repelling, epsilon, mode, sample_count, seed):
+    """Decide that m maps B^eps = {x : gap(x, repelling) >= eps} into the
+    eps-ball around `target`, eps-Lipschitz; `eigendata` is `top_eigendata(m)`.
+
+    Returns (image distance, Lipschitz): observed maxima when sampled, bounds
+    when analytic.  Raises ContractionUnverified, refuted with its witness or
+    inconclusive.
+    """
+    if mode == "sampled":
+        image, expansion = sampled_contraction_check(
+            m, target, repelling, epsilon, sample_count, seed
+        )
+        if image > epsilon:
+            raise ContractionUnverified(
+                f"sampled image point at distance {image} > epsilon {epsilon}",
+                refuted=True, image_distance=image, expansion=expansion,
+            )
+        return image, expansion
+    if mode != "analytic":
+        raise InvalidInput(f"unknown mode {mode!r}")
+    # offset the element's own splitting to the given pair (by exactly 0.0 for its own)
+    _, attracting, own_repelling = eigendata
+    e_point = proj_distance(attracting, target)
+    if gap(attracting, repelling) >= epsilon and e_point > epsilon:
+        # the attracting point lies in B^eps outside the target ball: a witness
+        raise ContractionUnverified(
+            f"attracting point at distance {e_point} > epsilon {epsilon}",
+            refuted=True, image_distance=e_point,
+        )
+    e_hyp = float(chordal_distances(own_repelling.covector, repelling.covector))
+    eps_inner = epsilon - e_hyp
+    if eps_inner <= 0.0:
+        raise ContractionUnverified(
+            f"analytic slab comparison degenerate (hyperplane offset {e_hyp} >= epsilon)"
+        )
+    image_radius, lipschitz, _ = analytic_contraction_bounds(m, eigendata, eps_inner)
+    image = image_radius + e_point
+    if image > epsilon or lipschitz > epsilon:
+        raise ContractionUnverified(
+            f"analytic bounds inconclusive: image radius {image}, "
+            f"Lipschitz {lipschitz} vs epsilon {epsilon}"
+        )
+    return image, lipschitz
 
 
 def certify_eps_proximal(
@@ -264,39 +316,25 @@ def certify_matrix_eps_proximal(
 ) -> ProximalityCertificate:
     """Certify that m, a Lambda^k g in `rep`, is epsilon-proximal on P(Lambda^k R^n).
 
-    Every epsilon-proximality decision of the library is made here.  Raises a
-    CertificationFailure naming the first condition that failed.
+    Every epsilon-proximality decision of the library is made here, its
+    contraction conditions by `contraction_check` against the element's own
+    pair.  Raises a CertificationFailure naming the first condition that failed.
     """
     if not 0.0 < epsilon < 1.0:
         raise InvalidInput(f"epsilon must be in (0, 1), got {epsilon}")
     if mode not in ("analytic", "sampled"):
         raise InvalidInput(f"unknown mode {mode!r}")
-    top, attracting, repelling = top_eigendata(m)
+    top, attracting, repelling = eigendata = top_eigendata(m)
     gap_value = gap(attracting, repelling)
     if gap_value < 2.0 * epsilon:
         raise SeparationViolated(
             f"gap {gap_value} < 2*epsilon = {2.0 * epsilon}"
         )
-    if mode == "analytic":
-        image_radius, lipschitz, _ = analytic_contraction_bounds(m, epsilon)
-        if image_radius > epsilon or lipschitz > epsilon:
-            raise ContractionUnverified(
-                f"analytic bounds inconclusive: image radius {image_radius}, "
-                f"Lipschitz {lipschitz} vs epsilon {epsilon}",
-                refuted=False,
-            )
-        sample_count = 0
-    else:
-        # the observed pairwise expansion is recorded as evidence; it is not a
-        # certification gate (the analytic mode bounds the Lipschitz constant)
-        max_image, lipschitz = sampled_contraction_check(
-            m, attracting, repelling, epsilon, sample_count, seed
-        )
-        if max_image > epsilon:
-            raise ContractionUnverified(
-                f"sampled image point at distance {max_image} > epsilon {epsilon}",
-                refuted=True,
-            )
+    # sampled, the observed pairwise expansion is recorded as evidence; it is
+    # not a certification gate (the analytic mode bounds the Lipschitz constant)
+    _, lipschitz = contraction_check(
+        m, eigendata, attracting, repelling, epsilon, mode, sample_count, seed
+    )
     return ProximalityCertificate(
         rep=rep,
         epsilon=epsilon,
@@ -307,7 +345,7 @@ def certify_matrix_eps_proximal(
         lipschitz_bound=lipschitz,
         norm_ratio=top / float(np.linalg.norm(m, 2)),
         mode=mode,
-        sample_count=sample_count,
+        sample_count=0 if mode == "analytic" else sample_count,
     )
 
 

@@ -39,11 +39,9 @@ from .projgeom import (
     GroupElement,
     ProjectiveHyperplane,
     ProjectivePoint,
-    chordal_distances,
     compound_matrix,
     exterior_power,
     gap,
-    proj_distance,
 )
 from .projections import (
     ChamberVector,
@@ -54,9 +52,8 @@ from .projections import (
 from .proximality import (
     DEFAULT_SAMPLE_COUNT,
     ProximalityCertificate,
-    analytic_contraction_bounds,
     certify_degrees,
-    sampled_contraction_check,
+    contraction_check,
     top_eigendata,
 )
 
@@ -75,40 +72,34 @@ class FacetFrame:
 
     def __init__(self, frame):
         f = np.asarray(frame, dtype=float)
-        if f.ndim != 2 or f.shape[0] != f.shape[1]:
-            raise InvalidInput("frame must be a square matrix")
+        if f.ndim != 2 or f.shape[0] != f.shape[1] or f.shape[0] < 2:
+            raise InvalidInput("frame must be a square matrix of size >= 2")
         if np.linalg.cond(f) > FRAME_CONDITION_CAP:
             raise InvalidInput(f"frame condition number exceeds {FRAME_CONDITION_CAP}")
         self.frame = f
         self.n = f.shape[0]
-        self._cache = {}
+        self._flag = {}  # per degree k: (point, hyperplane, their gap)
         for k in range(1, self.n):
-            if gap(self.point(k), self.hyperplane(k)) <= 0.0:
+            ck = compound_matrix(f, k)
+            x = ProjectivePoint.from_vector(ck[:, 0])
+            h = ProjectiveHyperplane.from_covector(np.linalg.solve(ck.T, np.eye(len(ck))[0]))
+            if gap(x, h) <= 0.0:
                 raise InvalidInput(f"degenerate frame flag at degree {k}")
+            self._flag[k] = (x, h, gap(x, h))
 
     @classmethod
     def identity(cls, n: int) -> "FacetFrame":
         return cls(np.eye(n))
 
-    def _compound(self, k: int) -> np.ndarray:
-        if k not in self._cache:
-            self._cache[k] = compound_matrix(self.frame, k)
-        return self._cache[k]
-
     def point(self, k: int) -> ProjectivePoint:
-        return ProjectivePoint.from_vector(self._compound(k)[:, 0])
+        return self._flag[k][0]
 
     def hyperplane(self, k: int) -> ProjectiveHyperplane:
-        ck = self._compound(k)
-        e0 = np.zeros(ck.shape[0])
-        e0[0] = 1.0
-        return ProjectiveHyperplane.from_covector(np.linalg.solve(ck.T, e0))
+        return self._flag[k][1]
 
     def epsilon_bound(self) -> float:
         """epsilon_f = (1/10) * min over degrees of the frame's own gap."""
-        return 0.1 * min(
-            gap(self.point(k), self.hyperplane(k)) for k in range(1, self.n)
-        )
+        return 0.1 * min(g for _, _, g in self._flag.values())
 
 
 @dataclass(frozen=True)
@@ -308,10 +299,12 @@ def in_open_semigroup(
     Membership means: on every exterior-power projective space, Lambda^k g maps
     the complement of the epsilon-slab around the frame's repelling hyperplane
     into the epsilon-ball around the frame's attracting point, with an
-    epsilon-Lipschitz restriction.
+    epsilon-Lipschitz restriction; epsilon lies in (0, epsilon_f).
     """
     if g.n != f.n:
         raise InvalidInput("group element and frame dimensions differ")
+    if not (np.isfinite(epsilon) and epsilon > 0.0):
+        raise InvalidInput(f"epsilon must be positive and finite, got {epsilon}")
     eps_f = f.epsilon_bound()
     if epsilon >= eps_f:
         raise EpsilonTooLarge(f"epsilon {epsilon} >= epsilon_f {eps_f}")
@@ -320,60 +313,24 @@ def in_open_semigroup(
     worst_image, worst_ratio = 0.0, 0.0
     for k in range(1, g.n):
         m = exterior_power(g, k)
-        target, repelling = f.point(k), f.hyperplane(k)
-        if mode == "sampled":
-            max_image, max_ratio = sampled_contraction_check(
-                m, target, repelling, epsilon, samples, seed
-            )
-            worst_image = max(worst_image, max_image)
-            worst_ratio = max(worst_ratio, max_ratio)
-            if max_image > epsilon:
-                return MembershipEvidence(
-                    accepted=False,
-                    mode=mode,
-                    reason=f"degree {k}: sampled image point at distance "
-                    f"{max_image} > epsilon",
-                    max_image_distance=max_image,
-                    max_expansion=max_ratio,
-                )
-            continue
-        # analytic: relate the frame slab to the element's own eigen-splitting
         try:
-            _, attracting, elem_repelling = top_eigendata(m)
+            image, ratio = contraction_check(
+                m, top_eigendata(m), f.point(k), f.hyperplane(k), epsilon, mode, samples, seed
+            )
         except NotProximal:
             return MembershipEvidence(
                 accepted=False, mode=mode, reason=f"degree {k}: not proximal"
             )
-        e_point = proj_distance(attracting, target)
-        e_hyp = float(chordal_distances(elem_repelling.covector, repelling.covector))
-        if (
-            gap(attracting, repelling) >= epsilon
-            and e_point > epsilon
-        ):
-            # the attracting fixed point lies in the slab complement but
-            # outside the target ball: a genuine witness of non-membership
+        except ContractionUnverified as e:
+            e.args = (f"degree {k}: {e.args[0]}",) + e.args[1:]
+            if not e.refuted:
+                raise
             return MembershipEvidence(
-                accepted=False,
-                mode=mode,
-                reason=f"degree {k}: attracting point at distance {e_point} > epsilon",
-                max_image_distance=e_point,
+                accepted=False, mode=mode, reason=e.args[0],
+                max_image_distance=e.image_distance, max_expansion=e.expansion,
             )
-        eps_inner = epsilon - e_hyp
-        if eps_inner <= 0.0:
-            raise ContractionUnverified(
-                f"degree {k}: analytic slab comparison degenerate "
-                f"(hyperplane offset {e_hyp} >= epsilon)",
-                refuted=False,
-            )
-        image_radius, lipschitz, _ = analytic_contraction_bounds(m, eps_inner)
-        if image_radius + e_point > epsilon or lipschitz > epsilon:
-            raise ContractionUnverified(
-                f"degree {k}: analytic bounds inconclusive "
-                f"(radius {image_radius} + offset {e_point}, Lipschitz {lipschitz})",
-                refuted=False,
-            )
-        worst_image = max(worst_image, image_radius + e_point)
-        worst_ratio = max(worst_ratio, lipschitz)
+        worst_image = max(worst_image, image)
+        worst_ratio = max(worst_ratio, ratio)
     return MembershipEvidence(
         accepted=True,
         mode=mode,

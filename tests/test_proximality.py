@@ -10,7 +10,11 @@ from limitcone.errors import (
     NotProximal,
     SeparationViolated,
 )
-from limitcone.proximality import sampled_contraction_check
+from limitcone.proximality import (
+    analytic_contraction_bounds,
+    contraction_check,
+    sampled_contraction_check,
+)
 
 from .conftest import reference_top_eigendata, rotation2, strongly_contracting_element
 
@@ -295,6 +299,47 @@ class TestSampledContractionCheck:
         bound = (1.0 / 100.0) * np.sqrt(1.0 - eps * eps) / eps
         assert max_image <= bound * (1.0 + 1e-2)
         assert max_image >= bound * 0.95  # the sampler actually explores the edge
+
+
+class TestContractionCheck:
+    def test_own_pair_is_the_plain_analytic_bound(self):
+        # against the element's own pair both offsets are 0.0, so the decision
+        # is the analytic bound at epsilon itself, bit for bit
+        rng = np.random.default_rng(31)
+        passed = 0
+        for _ in range(10):
+            g = strongly_contracting_element(rng)
+            for k in (1, 2):
+                m = lc.exterior_power(g, k)
+                ed = lc.top_eigendata(m)
+                for eps in (0.1, 0.05):
+                    radius, lipschitz, _ = analytic_contraction_bounds(m, ed, eps)
+                    if radius <= eps and lipschitz <= eps:
+                        got = contraction_check(m, ed, ed[1], ed[2], eps, "analytic", 0, 0)
+                        assert got == (radius, lipschitz)
+                        passed += 1
+                    else:
+                        with pytest.raises(ContractionUnverified) as exc:
+                            contraction_check(m, ed, ed[1], ed[2], eps, "analytic", 0, 0)
+                        assert not exc.value.refuted
+        assert passed
+
+    def test_sampled_mode_is_the_sampled_check_and_its_gate(self):
+        m = np.diag([100.0, 1.0, 0.01])
+        ed = lc.top_eigendata(m)
+        observed = sampled_contraction_check(m, ed[1], ed[2], 0.1, 2000, seed=5)
+        assert contraction_check(m, ed, ed[1], ed[2], 0.1, "sampled", 2000, 5) == observed
+        witness = sampled_contraction_check(m, ed[1], ed[2], 0.05, 2000, seed=5)
+        with pytest.raises(ContractionUnverified) as exc:
+            contraction_check(m, ed, ed[1], ed[2], 0.05, "sampled", 2000, 5)
+        assert exc.value.refuted
+        assert (exc.value.image_distance, exc.value.expansion) == witness
+
+    def test_unknown_mode(self):
+        m = np.diag([100.0, 1.0, 0.01])
+        ed = lc.top_eigendata(m)
+        with pytest.raises(InvalidInput, match="mode"):
+            contraction_check(m, ed, ed[1], ed[2], 0.1, "exact", 2000, 0)
 
 
 class TestComposeCertificates:

@@ -16,6 +16,7 @@ from limitcone.errors import (
     SeparationViolated,
     TooFewGenerators,
 )
+from limitcone.proximality import sampled_contraction_check
 
 from .conftest import FORGE_RAY_1, FORGE_RAY_2, strongly_contracting_element
 
@@ -172,6 +173,112 @@ class TestOpenSemigroupMembership:
         g = lc.GroupElement.from_matrix(np.eye(2))
         with pytest.raises(InvalidInput):
             lc.in_open_semigroup(g, lc.FacetFrame.identity(3), 0.05)
+
+    @pytest.mark.parametrize("mode", ["sampled", "analytic"])
+    @pytest.mark.parametrize("epsilon", [np.nan, np.inf, -np.inf, 0.0, -0.01])
+    def test_epsilon_outside_the_open_interval_is_invalid(self, monkeypatch, mode, epsilon):
+        # nan fails every comparison, and for epsilon <= 0 every point is a
+        # witness: neither is a membership question
+        calls = count_top_eigendata(monkeypatch)
+        g = lc.GroupElement.from_matrix(np.diag([4.0, 1.0, 0.25]))
+        with pytest.raises(InvalidInput, match="epsilon"):
+            lc.in_open_semigroup(g, lc.FacetFrame.identity(3), epsilon, mode=mode)
+        assert not calls  # epsilon is checked before any degree runs
+
+    @pytest.mark.parametrize("mode", ["sampled", "analytic"])
+    def test_non_proximal_element_rejected_as_such(self, mode):
+        # the 0.7 rad rotation of test_rotation_rejected: one verdict in both modes
+        theta = 0.7
+        m = np.eye(3)
+        m[:2, :2] = [[np.cos(theta), -np.sin(theta)], [np.sin(theta), np.cos(theta)]]
+        ev = lc.in_open_semigroup(
+            lc.GroupElement.from_matrix(m), lc.FacetFrame.identity(3), 0.05, mode=mode
+        )
+        assert not ev
+        assert ev.reason == "degree 1: not proximal"
+
+    def test_sampled_rejection_carries_its_witness(self):
+        g = lc.GroupElement.from_matrix(np.diag([100.0, 1.0, 0.01]))
+        f = lc.FacetFrame.identity(3)
+        ev = lc.in_open_semigroup(g, f, 0.05, samples=2000, seed=3)
+        witness = sampled_contraction_check(
+            lc.exterior_power(g, 1), f.point(1), f.hyperplane(1), 0.05, 2000, 3
+        )
+        assert (ev.max_image_distance, ev.max_expansion) == witness
+        assert ev.reason.startswith("degree 1: sampled image point")
+
+
+def count_top_eigendata(monkeypatch) -> list:
+    """Count top_eigendata calls wherever a module of the package bound it."""
+    original = lc.proximality.top_eigendata
+    seen = []
+
+    def counted(m):
+        seen.append(np.asarray(m).shape)
+        return original(m)
+
+    for name, module in list(sys.modules.items()):
+        if name == "limitcone" or name.startswith("limitcone."):
+            for attr, value in list(vars(module).items()):
+                if value is original:
+                    monkeypatch.setattr(module, attr, counted)
+    return seen
+
+
+class TestEigendataReadOnce:
+    @pytest.mark.parametrize("mode", ["sampled", "analytic"])
+    def test_certification_reads_each_matrix_once(self, monkeypatch, mode):
+        rng = np.random.default_rng(47)
+        elements = [strongly_contracting_element(rng) for _ in range(3)]
+        calls = count_top_eigendata(monkeypatch)
+        outcomes = []
+        for g in elements:
+            for k in (1, 2):
+                try:
+                    outcomes.append(lc.certify_eps_proximal(g, k, 0.1, mode=mode, sample_count=500))
+                except lc.CertificationFailure as e:
+                    outcomes.append(e)
+        assert len(calls) == len(outcomes) == 6
+        assert any(isinstance(o, lc.ProximalityCertificate) for o in outcomes)
+
+    @pytest.mark.parametrize("mode", ["sampled", "analytic"])
+    def test_membership_reads_each_degree_once(self, monkeypatch, mode):
+        g = lc.GroupElement.from_matrix(np.diag([1e5, 1.0, 1e-5]))
+        calls = count_top_eigendata(monkeypatch)
+        assert lc.in_open_semigroup(g, lc.FacetFrame.identity(3), 0.05, mode=mode, samples=500)
+        assert calls == [(3, 3), (3, 3)]
+
+
+class TestFacetFrame:
+    def test_a_frame_has_a_flag(self):
+        # a 1x1 frame has no exterior degree, hence no flag and no epsilon_f
+        with pytest.raises(InvalidInput, match="size"):
+            lc.FacetFrame(np.eye(1))
+
+    def test_flag_is_built_once(self):
+        f = lc.FacetFrame.identity(4)
+        for k in range(1, 4):
+            assert f.point(k) is f.point(k)
+            assert f.hyperplane(k) is f.hyperplane(k)
+        for k in (0, -1, 4):  # no exterior degree: no flag, not a neighbour's
+            with pytest.raises(KeyError):
+                f.point(k)
+
+    def test_flag_matches_its_definition(self):
+        rng = np.random.default_rng(49)
+        h = expm(rng.normal(0.0, 0.3, (4, 4)))
+        f = lc.FacetFrame(h)
+        gaps = []
+        for k in range(1, 4):
+            ck = lc.compound_matrix(h, k)
+            e0 = np.zeros(ck.shape[0])
+            e0[0] = 1.0
+            x = lc.ProjectivePoint.from_vector(ck[:, 0])
+            phi = lc.ProjectiveHyperplane.from_covector(np.linalg.solve(ck.T, e0))
+            assert np.array_equal(f.point(k).rep, x.rep)
+            assert np.array_equal(f.hyperplane(k).covector, phi.covector)
+            gaps.append(lc.gap(x, phi))
+        assert f.epsilon_bound() == 0.1 * min(gaps)
 
 
 class TestConeSemigroupMembership:

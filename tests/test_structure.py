@@ -51,6 +51,34 @@ def test_one_readout_per_quantity():
     assert not entries, entries
 
 
+CONTRACTION_KERNELS = {"sampled_contraction_check", "analytic_contraction_bounds"}
+
+
+def test_schottky_does_not_decide_contraction():
+    # open-semigroup membership calls proximality's one contraction decision
+    imported = {
+        a.name
+        for node in ast.walk(ast.parse((ROOT / "src" / "limitcone" / "schottky.py").read_text()))
+        if isinstance(node, ast.ImportFrom)
+        for a in node.names
+    }
+    assert not imported & CONTRACTION_KERNELS
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_contraction_kernels_are_called_only_by_the_decision(path):
+    outside = [
+        f"line {call.lineno}: {call.func.id} in {fn.name}"
+        for fn in ast.walk(ast.parse(path.read_text()))
+        if isinstance(fn, ast.FunctionDef) and fn.name != "contraction_check"
+        for call in ast.walk(fn)
+        if isinstance(call, ast.Call)
+        and isinstance(call.func, ast.Name)
+        and call.func.id in CONTRACTION_KERNELS
+    ]
+    assert not outside, outside
+
+
 CERTIFICATION_FAILURES = {"NotProximal", "SeparationViolated", "ContractionUnverified"}
 
 
