@@ -50,10 +50,10 @@ from .proximality import (
     ComposedProximality,
     ProximalityCertificate,
     analytic_contraction_bounds,
-    certify_degrees,
     certify_eps_proximal,
     certify_theta_proximal,
     compose_certificates,
+    exact_image_distance,
     top_eigendata,
 )
 from .cones import (

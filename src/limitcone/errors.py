@@ -43,18 +43,20 @@ class SeparationViolated(CertificationFailure):
 
 
 class ContractionUnverified(CertificationFailure):
-    """Neither the analytic bound nor sampling established the contraction conditions.
+    """The contraction conditions were not established: refuted, or left inconclusive.
 
     `refuted` is True when the check exhibited an explicit violation (a genuine
     counterexample), False when it was merely inconclusive.  A refutation
-    carries its witness `image_distance` (and, sampled, the `expansion` seen).
+    carries its witness's `image_distance` (and, sampled, the `expansion`
+    seen; exact, the `witness` point itself, a unit vector of B^eps).
     """
 
-    def __init__(self, message, refuted=False, image_distance=None, expansion=None):
+    def __init__(self, message, refuted=False, image_distance=None, expansion=None, witness=None):
         super().__init__(message)
         self.refuted = refuted
         self.image_distance = image_distance
         self.expansion = expansion
+        self.witness = witness
 
 
 class TooFewGenerators(LimitConeError):

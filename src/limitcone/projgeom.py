@@ -241,10 +241,19 @@ def exterior_power(g: GroupElement, k: int) -> np.ndarray:
                 raise NumericalFailure(f"Lambda^{k} overflowed")
         else:
             q, r, s = g.factors
-            sums = np.array([r[list(c)].sum() for c in combinations(range(g.n), k)])
-            power = _factored(compound_matrix(q, k), s * sums)
+            power = _factored(compound_matrix(q, k), exterior_logs(r, s, k))
         power = g._powers[k] = _freeze(power)
     return power
+
+
+def exterior_logs(ray: np.ndarray, power: float, k: int) -> np.ndarray:
+    """The log eigenvalues power * Sigma_S ray of Lambda^k of q diag(exp(power * ray)) q^T.
+
+    One per k-subset S, in the lexicographic wedge basis: the eigenvector of
+    subset S is column S of `compound_matrix(q, k)`, whatever the rotation q.
+    """
+    sums = np.array([ray[list(c)].sum() for c in combinations(range(len(ray)), k)])
+    return float(power) * sums
 
 
 def chordal_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -255,10 +264,12 @@ def chordal_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     form near 0.  The reductions run over axis 0, so callers keep their
     points as columns.
     """
-    return np.minimum(
-        np.linalg.norm(a - b, axis=0),
-        np.linalg.norm(a + b, axis=0),
-    )
+    # the bits of np.linalg.norm(axis=0), with one sqrt: it is monotone and
+    # correctly rounded, so it commutes with the minimum
+    diff, total = a - b, a + b
+    diff *= diff
+    total *= total
+    return np.sqrt(np.minimum(np.add.reduce(diff, axis=0), np.add.reduce(total, axis=0)))
 
 
 def proj_distance(x1: ProjectivePoint, x2: ProjectivePoint) -> float:

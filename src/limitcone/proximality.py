@@ -10,7 +10,19 @@ eps-ball around x+, and the restricted projective action is eps-Lipschitz.
 hyperplane) pair: certification passes the element's own, open-semigroup
 membership (`schottky.in_open_semigroup`) a frame's.
 
-Two certification modes:
+A factored element q diag(exp(s r)) q^T (`GroupElement.from_factors`, every
+forged letter) is certified in ``exact`` mode, whatever mode is asked for:
+its Lambda^k is symmetric with a known spectrum, so x+ is a column of
+compound_matrix(q, k), X< is its orthogonal complement (gap 1), and the image
+supremum over B^eps has a closed form (`exact_image_distance`) in the ratio
+b/a of the two top eigenvalues.  An exact pass proves the separation and
+image conditions up to floating point; an exact failure is a refutation whose
+witness is the worst point of B^eps.  The Lipschitz condition is not proved:
+the certificate records the projective stretch in the plane of the two top
+eigenvectors at the slab's edge, a lower bound on the Lipschitz constant,
+and does not gate on it.
+
+Two certification modes for any other matrix (`certify_matrix_eps_proximal`):
 
 * ``analytic``: conservative closed-form bounds in the splitting R*v+ (+) ker(phi).
   Writing alpha for the top eigenvalue and A for the restriction of the matrix
@@ -24,7 +36,8 @@ Two certification modes:
   points'.  A pass is a proof up to floating point; a failure is inconclusive
   unless the attracting point lies in B^eps outside the target ball.
 * ``sampled``: seeded Monte Carlo over B^eps point pairs; a violation refutes,
-  a clean run records the observed maxima as evidence.
+  a clean run records the observed maxima as evidence.  The observed
+  pairwise expansion is recorded, not gated.
 """
 
 import hashlib
@@ -48,6 +61,8 @@ from .projgeom import (
     ProjectivePoint,
     Representation,
     chordal_distances,
+    compound_matrix,
+    exterior_logs,
     exterior_power,
     gap,
     proj_distance,
@@ -76,7 +91,7 @@ class ProximalityCertificate:
     gap_value: float
     lipschitz_bound: float
     norm_ratio: float  # lambda_1 / ||M||, the Lemma-2.2.1 monitor
-    mode: str  # "analytic" | "sampled"
+    mode: str  # "exact" | "analytic" | "sampled"
     sample_count: int
 
 
@@ -169,23 +184,34 @@ def _instance_rng(seed: int, m: np.ndarray) -> np.random.Generator:
     return np.random.default_rng((int(seed), int.from_bytes(digest, "little")))
 
 
+def _column_norms(m: np.ndarray) -> np.ndarray:
+    """The Euclidean norm of each column, the bits of np.linalg.norm(m, axis=0)."""
+    return np.sqrt(np.add.reduce(m * m, axis=0))
+
+
 def _sample_bset(rng, phi: np.ndarray, epsilon: float, count: int) -> np.ndarray:
     """Unit vectors x with |<phi, x>| >= epsilon, as columns; phi is unit."""
     d = phi.shape[0]
-    t = rng.uniform(epsilon, 1.0, size=count) * rng.choice([-1.0, 1.0], size=count)
+    t = rng.uniform(epsilon, 1.0, size=count)
+    # the draws of rng.choice([-1.0, 1.0], size=count), without its copies
+    t *= np.where(rng.integers(0, 2, size=count), 1.0, -1.0)
     w = rng.standard_normal((d, count))
     w -= np.outer(phi, phi @ w)
-    wn = np.linalg.norm(w, axis=0)
+    wn = _column_norms(w)
     wn[wn == 0.0] = 1.0
     w /= wn
-    return phi[:, None] * t + w * np.sqrt(np.maximum(0.0, 1.0 - t**2))
+    w *= np.sqrt(np.maximum(0.0, 1.0 - t**2))
+    w += phi[:, None] * t
+    return w
 
 
 def _normalize_cols(m: np.ndarray) -> np.ndarray:
-    n = np.linalg.norm(m, axis=0)
+    """m with unit columns, in place."""
+    n = _column_norms(m)
     if np.any(n == 0.0):
         raise NumericalFailure("image of a unit vector vanished")
-    return m / n
+    m /= n
+    return m
 
 
 def sampled_contraction_check(
@@ -216,8 +242,10 @@ def sampled_contraction_check(
     b = _sample_bset(rng, phi, epsilon, sample_count)
     d_in = chordal_distances(a, b)
     ok = d_in > 1e-12
-    d_out = chordal_distances(_normalize_cols(m @ a[:, ok]), _normalize_cols(m @ b[:, ok]))
-    max_ratio = float((d_out / d_in[ok]).max()) if ok.any() else 0.0
+    if not ok.all():
+        a, b, d_in = a[:, ok], b[:, ok], d_in[ok]
+    d_out = chordal_distances(_normalize_cols(m @ a), _normalize_cols(m @ b))
+    max_ratio = float((d_out / d_in).max()) if d_in.size else 0.0
     return max_image, max_ratio
 
 
@@ -291,6 +319,94 @@ def contraction_check(m, eigendata, target, repelling, epsilon, mode, sample_cou
     return image, lipschitz
 
 
+class ExactSpectrum(NamedTuple):
+    """The top of Lambda^k of a factored element q diag(exp(s r)) q^T."""
+
+    top: int  # the k-subset of the dominant eigenvalue a, lexicographic rank
+    second: int  # the k-subset of the runner-up b
+    log_top: float  # log a
+    log_ratio: float  # log(b/a), <= 0
+
+
+def exact_spectrum(ray: np.ndarray, power: float, k: int) -> ExactSpectrum:
+    """The two top eigenvalues of Lambda^k of q diag(exp(power * ray)) q^T, any q."""
+    logs = exterior_logs(ray, power, k)
+    second, top = np.argsort(logs, kind="stable")[-2:]
+    return ExactSpectrum(int(top), int(second), float(logs[top]), float(logs[second] - logs[top]))
+
+
+def exact_image_distance(log_ratio: float, epsilon: float) -> float:
+    """sup over B^eps of the chordal distance from x+ of the image, for a
+    symmetric matrix whose two top eigenvalues a > b > 0 have log(b/a) = log_ratio.
+
+    With v1, v2 their unit eigenvectors, x+ = v1 and X< = v1-perp; the supremum
+    is attained at x = eps*v1 + sqrt(1 - eps^2)*v2, whose image makes the angle
+    theta with tan(theta) = (b/a) * sqrt(1 - eps^2) / eps.  Its chordal distance
+    2 sin(theta/2) is evaluated as sin(theta) * sqrt(2 / (1 + cos(theta))),
+    free of cancellation.
+    """
+    rho_u = np.exp(log_ratio) * np.sqrt(1.0 - epsilon * epsilon)
+    hyp = np.hypot(epsilon, rho_u)
+    return float(rho_u / hyp * np.sqrt(2.0 / (1.0 + epsilon / hyp)))
+
+
+def exact_ratio_bound(epsilon: float) -> float:
+    """The ratio b/a at which `exact_image_distance` equals epsilon: its inverse.
+
+    cos(theta) = 1 - eps^2/2 at chordal distance eps, so
+    b/a = eps * sqrt(1 - cos^2) / (cos * sqrt(1 - eps^2)).
+    """
+    cos = 1.0 - 0.5 * epsilon * epsilon
+    return float(epsilon * np.sqrt(1.0 - cos * cos) / (cos * np.sqrt(1.0 - epsilon * epsilon)))
+
+
+def _certify_factored(g: GroupElement, k: int, epsilon: float) -> ProximalityCertificate:
+    """The exact certificate of Lambda^k g for a factored g: no eigensolver, no sampling.
+
+    Lambda^k g = q_k diag(exp(s Sigma_S r)) q_k^T is symmetric, so x+ is the
+    dominant column of q_k = compound_matrix(q, k), X< is its orthogonal
+    complement (the gap is 1), and `exact_image_distance` decides the image
+    clause.  The recorded Lipschitz value ab/(a^2 eps^2 + b^2 (1 - eps^2)) is
+    the projective stretch in the (v1, v2) plane at the slab's edge: a lower
+    bound on the Lipschitz constant, reported and not gated.
+    """
+    if not 0.0 < epsilon < 1.0:
+        raise InvalidInput(f"epsilon must be in (0, 1), got {epsilon}")
+    q, r, s = g.factors
+    # built here so that an overflowing Lambda^k raises rather than certifies
+    exterior_power(g, k)
+    top, second, log_top, log_ratio = exact_spectrum(r, s, k)
+    if -np.expm1(log_ratio) < EIGEN_GAP_TOL:
+        raise NotProximal(f"dominant log modulus {log_top} is not simple (log ratio {log_ratio})")
+    qk = compound_matrix(q, k)
+    attracting = ProjectivePoint.from_vector(qk[:, top])
+    repelling = ProjectiveHyperplane.from_covector(qk[:, top])
+    gap_value = gap(attracting, repelling)
+    if gap_value < 2.0 * epsilon:
+        raise SeparationViolated(f"gap {gap_value} < 2*epsilon = {2.0 * epsilon}")
+    image = exact_image_distance(log_ratio, epsilon)
+    if image > epsilon:
+        u = np.sqrt(1.0 - epsilon * epsilon)
+        raise ContractionUnverified(
+            f"exact image point at distance {image} > epsilon {epsilon}",
+            refuted=True, image_distance=image,
+            witness=epsilon * qk[:, top] + u * qk[:, second],
+        )
+    rho = np.exp(log_ratio)
+    return ProximalityCertificate(
+        rep=Representation(n=g.n, k=k),
+        epsilon=epsilon,
+        attracting=attracting,
+        repelling=repelling,
+        top_modulus=float(np.exp(log_top)),
+        gap_value=gap_value,
+        lipschitz_bound=float(rho / (epsilon**2 + rho**2 * (1.0 - epsilon**2))),
+        norm_ratio=1.0,  # a symmetric positive definite matrix's norm is its top eigenvalue
+        mode="exact",
+        sample_count=0,
+    )
+
+
 def certify_eps_proximal(
     g: GroupElement,
     k: int,
@@ -299,10 +415,18 @@ def certify_eps_proximal(
     sample_count: int = DEFAULT_SAMPLE_COUNT,
     seed: int = 0,
 ) -> ProximalityCertificate:
-    """Certify that Lambda^k g is epsilon-proximal on P(Lambda^k R^n)."""
-    m = exterior_power(g, k)
+    """Certify that Lambda^k g is epsilon-proximal on P(Lambda^k R^n).
+
+    A factored element (`GroupElement.from_factors`) is certified exactly,
+    `mode="exact"`, whatever `mode` says; any other goes through
+    `certify_matrix_eps_proximal` in `mode`.
+    """
+    if g.factors is not None:
+        if mode not in ("analytic", "sampled"):
+            raise InvalidInput(f"unknown mode {mode!r}")
+        return _certify_factored(g, k, epsilon)
     return certify_matrix_eps_proximal(
-        m, Representation(n=g.n, k=k), epsilon, mode, sample_count, seed
+        exterior_power(g, k), Representation(n=g.n, k=k), epsilon, mode, sample_count, seed
     )
 
 
@@ -316,9 +440,10 @@ def certify_matrix_eps_proximal(
 ) -> ProximalityCertificate:
     """Certify that m, a Lambda^k g in `rep`, is epsilon-proximal on P(Lambda^k R^n).
 
-    Every epsilon-proximality decision of the library is made here, its
-    contraction conditions by `contraction_check` against the element's own
-    pair.  Raises a CertificationFailure naming the first condition that failed.
+    Every epsilon-proximality decision on an unfactored element is made here,
+    its contraction conditions by `contraction_check` against the element's
+    own pair; a factored element's is exact (`certify_eps_proximal`).  Raises
+    a CertificationFailure naming the first condition that failed.
     """
     if not 0.0 < epsilon < 1.0:
         raise InvalidInput(f"epsilon must be in (0, 1), got {epsilon}")
@@ -349,30 +474,6 @@ def certify_matrix_eps_proximal(
     )
 
 
-def certify_degrees(
-    matrices,
-    n: int,
-    epsilon: float,
-    mode: str = "sampled",
-    sample_count: int = DEFAULT_SAMPLE_COUNT,
-    seed: int = 0,
-) -> list[ProximalityCertificate]:
-    """One certificate per (k, Lambda^k matrix) pair of an element of SL(n).
-
-    The pairs are consumed lazily, so a failing degree stops before the next
-    matrix is built.  A failure's message gains the prefix "degree k: ".
-    """
-    certs = []
-    for k, m in matrices:
-        rep = Representation(n=n, k=k)
-        try:
-            certs.append(certify_matrix_eps_proximal(m, rep, epsilon, mode, sample_count, seed))
-        except CertificationFailure as e:
-            e.args = (f"degree {k}: {e.args[0]}",) + e.args[1:]
-            raise
-    return certs
-
-
 def certify_theta_proximal(
     g: GroupElement,
     degrees,
@@ -381,9 +482,19 @@ def certify_theta_proximal(
     sample_count: int = DEFAULT_SAMPLE_COUNT,
     seed: int = 0,
 ) -> list[ProximalityCertificate]:
-    """One certificate per exterior degree; fails on the first failing degree."""
-    matrices = ((k, exterior_power(g, k)) for k in sorted(degrees))
-    return certify_degrees(matrices, g.n, epsilon, mode, sample_count, seed)
+    """One `certify_eps_proximal` certificate per exterior degree, in increasing order.
+
+    A failing degree stops before the next Lambda^k is built; its message
+    gains the prefix "degree k: ".
+    """
+    certs = []
+    for k in sorted(degrees):
+        try:
+            certs.append(certify_eps_proximal(g, k, epsilon, mode, sample_count, seed))
+        except CertificationFailure as e:
+            e.args = (f"degree {k}: {e.args[0]}",) + e.args[1:]
+            raise
+    return certs
 
 
 def compose_certificates(certs, powers) -> ComposedProximality:

@@ -8,13 +8,17 @@ system inherit proximality letter-by-letter and their Lyapunov projections are
 additive up to a uniformly bounded defect.
 
 Forging builds a certified system whose per-generator Lyapunov directions are
-prescribed rays: generators are rotation conjugates of exponentials of the
-rays, powered up until certification passes.  Zariski density is not machine
-checked; the checkable proxies are regularity, non-commutation, and distinct
-attracting flags.
+prescribed rays: generators are rotation conjugates q diag(exp(p r)) q^T of
+exponentials of the rays.  Their certification is exact (see `proximality`),
+and depends on the ray, the power and epsilon only, so each power p is
+computed, not searched: the smallest p >= 1 at which every degree of the
+letter (and, for a group, of its inverse) passes the exact image clause.
+Zariski density is not machine checked; the checkable proxies are
+regularity, non-commutation, and distinct attracting flags.
 """
 
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -52,8 +56,11 @@ from .projections import (
 from .proximality import (
     DEFAULT_SAMPLE_COUNT,
     ProximalityCertificate,
-    certify_degrees,
+    certify_theta_proximal,
     contraction_check,
+    exact_image_distance,
+    exact_ratio_bound,
+    exact_spectrum,
     top_eigendata,
 )
 
@@ -187,8 +194,9 @@ def verify_schottky(
 ) -> SchottkySystem:
     """Certify the full Schottky condition, or raise with diagnostics.
 
-    On a separation failure the exception carries the separation matrix
-    computed so far.
+    Each letter is certified by `certify_theta_proximal` at every degree: a
+    factored letter exactly, whatever `mode` says.  On a separation failure
+    the exception carries the separation matrix computed so far.
     """
     generators = list(generators)
     if len(generators) < 2:
@@ -202,9 +210,8 @@ def verify_schottky(
 
     eigendata = {}
     for i, (e, (j, _, _)) in enumerate(zip(alphabet.elements, alphabet.letters)):
-        matrices = ((k, exterior_power(e, k)) for k in range(1, alphabet.n))
         try:
-            certs = certify_degrees(matrices, alphabet.n, epsilons[j], mode, samples, seed)
+            certs = certify_theta_proximal(e, range(1, alphabet.n), epsilons[j], mode, samples, seed)
         except CertificationFailure as e:
             e.args = (f"element {i}, {e.args[0]}",) + e.args[1:]
             raise
@@ -394,8 +401,6 @@ def _forge(
     seed: int,
     max_power: int,
     kind: str,
-    mode: str,
-    samples: int,
 ) -> SchottkySystem:
     # the Schottky separation 6*epsilon cannot exceed the largest gap, 1
     if not 0.0 < epsilon <= 1.0 / 6.0:
@@ -440,64 +445,16 @@ def _forge(
             f"no rotation draw reached 6*epsilon separation in {FORGE_RETRY_CAP} tries"
         )
 
-    def exterior_powers(j: int, power: int, inverse: bool):
-        # (k, Lambda^k) of generator j (or of its inverse) at `power`, made as
-        # certification asks for them, from the exact factored form; a minor
-        # expansion of the entries would cancel catastrophically at the dynamic
-        # range certification requires
-        try:
-            e = GroupElement.from_factors(rotations[j], rays[j], -power if inverse else power)
-            for k in range(1, n):
-                yield k, exterior_power(e, k)
-        except NumericalFailure as err:
-            raise MaxPowerExceeded(
-                f"generator {j} compound overflowed at power {power}"
-            ) from err
-
-    def certificates(j: int, power: int):
-        # per (letter, degree), for generator j and, for a group, its
-        # inverse; None when one fails
-        certs = {}
-        for i, (g, inverse, _) in enumerate(letters):
-            if g != j:
-                continue
-            matrices = exterior_powers(j, power, inverse)
-            try:
-                per_degree = certify_degrees(matrices, n, epsilon, mode, samples, seed)
-            except CertificationFailure:
-                return None
-            certs.update(((i, k), c) for k, c in enumerate(per_degree, start=1))
-        return certs
-
-    # certification depends only on the seed and the compound's bytes, so the
-    # chosen power's certificates are the system's eigendata
-    powers, eigendata = [], {}
-    for j in range(t):
-        m = 1
-        while (certs := certificates(j, m)) is None:
-            m *= 2
-            if m > max_power:
-                raise MaxPowerExceeded(
-                    f"generator {j} failed to certify at power {max_power}"
-                )
-        # take the smallest certifying power: excess power inflates the
-        # generator's dynamic range without improving the certificate
-        lo, hi = m // 2, m
-        while hi - lo > 1:
-            mid = (lo + hi) // 2
-            found = certificates(j, mid)
-            if found is None:
-                lo = mid
-            else:
-                hi, certs = mid, found
-        powers.append(hi)
-        eigendata.update(certs)
-    eigendata = dict(sorted(eigendata.items()))
-
-    gens = tuple(GroupElement.from_factors(rotations[j], rays[j], powers[j]) for j in range(t))
-    alphabet = Alphabet.of(gens, kind)
-    epsilons = [float(epsilon)] * t
-    separation = _separation(alphabet, epsilons, eigendata)
+    signs = (1.0, -1.0) if kind == "group" else (1.0,)
+    powers = [_certifying_power(j, r, signs, epsilon, max_power) for j, r in enumerate(rays)]
+    try:
+        gens = [GroupElement.from_factors(rotations[j], rays[j], powers[j]) for j in range(t)]
+        # a factored letter's certificate is exact and builds its exterior
+        # powers, which are where float64 overflows
+        system = verify_schottky(gens, kind, [float(epsilon)] * t)
+    except NumericalFailure as err:
+        raise MaxPowerExceeded(f"a letter overflowed at powers {powers}") from err
+    alphabet = system.alphabet
 
     # sampled word directions up to length 6: how far inside the cone they stay
     rays_mat = cone.rays_matrix()
@@ -518,15 +475,34 @@ def _forge(
         "word_count": count,
         "max_direction_distance": max_dist,
     }
-    return SchottkySystem(
-        generators=gens,
-        kind=kind,
-        epsilons=tuple(epsilons),
-        eigendata=eigendata,
-        separation=separation,
-        alphabet=alphabet,
-        forge_report=report,
-    )
+    return replace(system, forge_report=report)
+
+
+def _certifying_power(j: int, ray: np.ndarray, signs, epsilon: float, max_power: int) -> int:
+    """The smallest power p >= 1 at which every degree of q diag(exp(s p ray)) q^T,
+    s in `signs`, passes the exact image clause; any q, so no rotation is needed.
+
+    The closed form's inverse at the smallest eigenvalue gap gives p; the
+    certifier's own kernel then settles the neighbouring powers, so the
+    forge's decision and the certificate's agree bit for bit.
+    """
+
+    def passes(p: int) -> bool:
+        return all(
+            exact_image_distance(exact_spectrum(ray, sign * p, k).log_ratio, epsilon) <= epsilon
+            for sign in signs
+            for k in range(1, len(ray))
+        )
+
+    # log(b/a) = -p * (r_k - r_{k+1}) per degree k, for the letter and its inverse
+    p = max(1, math.ceil(-math.log(exact_ratio_bound(epsilon)) / -float(np.diff(ray).max())))
+    while p <= max_power and not passes(p):
+        p += 1
+    if p > max_power:
+        raise MaxPowerExceeded(f"generator {j} needs a power above {max_power}")
+    while p > 1 and passes(p - 1):
+        p -= 1
+    return p
 
 
 def _sample_forge_words(alphabet: Alphabet, rng_seed: int, depth: int = 6):
@@ -548,11 +524,9 @@ def forge_semigroup(
     epsilon: float,
     seed: int = 0,
     max_power: int = DEFAULT_MAX_POWER,
-    mode: str = "sampled",
-    samples: int = DEFAULT_SAMPLE_COUNT,
 ) -> SchottkySystem:
     """Build a certified Schottky semigroup whose Lyapunov directions are the rays."""
-    return _forge(n, cone, epsilon, seed, max_power, "semigroup", mode, samples)
+    return _forge(n, cone, epsilon, seed, max_power, "semigroup")
 
 
 def forge_group(
@@ -561,12 +535,10 @@ def forge_group(
     epsilon: float,
     seed: int = 0,
     max_power: int = DEFAULT_MAX_POWER,
-    mode: str = "sampled",
-    samples: int = DEFAULT_SAMPLE_COUNT,
 ) -> SchottkySystem:
     """As forge_semigroup, for a group; the cone must be involution-stable."""
     if not cone.involution_stable():
         raise ConeNotInvolutionStable(
             "the target cone is not stable under the opposition involution"
         )
-    return _forge(n, cone, epsilon, seed, max_power, "group", mode, samples)
+    return _forge(n, cone, epsilon, seed, max_power, "group")

@@ -13,10 +13,17 @@ from limitcone.errors import (
 from limitcone.proximality import (
     analytic_contraction_bounds,
     contraction_check,
+    exact_spectrum,
     sampled_contraction_check,
 )
 
-from .conftest import reference_top_eigendata, rotation2, strongly_contracting_element
+from .conftest import (
+    FORGE_RAY_1,
+    FORGE_RAY_2,
+    reference_top_eigendata,
+    rotation2,
+    strongly_contracting_element,
+)
 
 
 class TestTopEigendata:
@@ -80,7 +87,7 @@ class TestTopEigendataEqualsTheReference:
     @pytest.mark.parametrize("n, rays, eps", FORGES)
     def test_forged_letters(self, forge, n, rays, eps):
         rays = np.array(rays) / np.linalg.norm(rays, axis=1, keepdims=True)
-        sys_ = forge(n, lc.TargetCone.from_rays(rays), eps, seed=0, samples=2000)
+        sys_ = forge(n, lc.TargetCone.from_rays(rays), eps, seed=0)
         letters = sys_.alphabet.elements
         matrices = [lc.exterior_power(e, k) for e in letters for k in range(1, n)]
         assert all(isinstance(o, float) for o in _assert_equals_the_reference(matrices))
@@ -230,7 +237,8 @@ class TestAnalyticMode:
     @pytest.mark.slow
     def test_analytic_is_conservative_against_dense_sampling(self):
         # 100 seeded instances: no analytic pass may be refuted by 10^6-pair
-        # sampling, at either exterior degree
+        # sampling, at either exterior degree; the corpus is symmetric, so no
+        # sampled image point may lie beyond the exact closed form either
         from scipy.linalg import expm
 
         rng = np.random.default_rng(99)
@@ -253,9 +261,12 @@ class TestAnalyticMode:
                 continue
             passes += 1
             for k in (1, 2):
-                lc.certify_eps_proximal(
-                    g, k, 0.1, mode="sampled", sample_count=1_000_000, seed=4
-                )
+                # the decision sampled certification makes, with its observed maximum
+                m = lc.exterior_power(g, k)
+                ed = lc.top_eigendata(m)
+                image, _ = contraction_check(m, ed, ed[1], ed[2], 0.1, "sampled", 1_000_000, 4)
+                closed = lc.exact_image_distance(exact_spectrum(d, 1.0, k).log_ratio, 0.1)
+                assert image <= closed * (1.0 + 1e-9)
 
 
 class TestCertifyThetaProximal:
@@ -279,6 +290,124 @@ class TestCertifyThetaProximal:
         g = lc.GroupElement.from_matrix(np.diag([4.0, 0.5, 0.5]))
         with pytest.raises(NotProximal, match="degree 2"):
             lc.certify_theta_proximal(g, [1, 2], 0.4)
+
+
+SL4_RAYS = [[3.0, 1.0, -1.0, -3.0], [5.0, 1.0, -2.0, -4.0], [4.0, 2.0, -2.0, -4.0]]
+
+
+def _witness_image_distance(g, k, x):
+    """The chordal distance of Lambda^k g x from x+, applied numerically."""
+    q, r, s = g.factors
+    y = lc.exterior_power(g, k) @ x
+    top = exact_spectrum(r, s, k).top
+    return lc.proj_distance(
+        lc.ProjectivePoint.from_vector(y),
+        lc.ProjectivePoint.from_vector(lc.compound_matrix(q, k)[:, top]),
+    )
+
+
+class TestExactCertification:
+    def test_factored_elements_are_exact_whatever_the_mode(self, forged_semigroup):
+        g = forged_semigroup.generators[0]
+        for mode in ("sampled", "analytic"):
+            certs = lc.certify_theta_proximal(g, [1, 2], 0.05, mode=mode, sample_count=0)
+            assert [(c.mode, c.sample_count, c.gap_value) for c in certs] == [("exact", 0, 1.0)] * 2
+        with pytest.raises(InvalidInput, match="mode"):
+            lc.certify_eps_proximal(g, 1, 0.05, mode="exact")
+        with pytest.raises(InvalidInput, match="epsilon"):
+            lc.certify_eps_proximal(g, 1, 1.0)
+
+    def test_false_sampled_certificate_is_refuted(self):
+        # sampling certified this letter at power 22 (seed 5, letter 2); its
+        # worst point of B^eps maps to 1.057 * eps at degrees 1 and 3
+        sys_ = lc.forge_semigroup(4, lc.TargetCone.from_rays(SL4_RAYS), 0.03, seed=5)
+        assert sys_.forge_report["powers"] == [16, 24, 23]
+        q, r, _ = sys_.generators[2].factors
+        g = lc.GroupElement.from_factors(q, r, 22)
+        for k in (1, 3):
+            with pytest.raises(ContractionUnverified) as exc:
+                lc.certify_eps_proximal(g, k, 0.03)
+            err = exc.value
+            assert err.refuted
+            assert err.image_distance == pytest.approx(0.0317, abs=5e-5)
+            x = err.witness
+            x_plus = lc.compound_matrix(q, k)[:, exact_spectrum(r, 22.0, k).top]
+            assert np.linalg.norm(x) == pytest.approx(1.0, abs=1e-12)
+            assert abs(x_plus @ x) == pytest.approx(0.03, abs=1e-12)  # on the edge of B^eps
+            got = _witness_image_distance(g, k, x)
+            assert got == pytest.approx(err.image_distance, rel=1e-9)
+            assert got > 0.03
+        lc.certify_eps_proximal(g, 2, 0.03)
+        certs = lc.certify_theta_proximal(lc.GroupElement.from_factors(q, r, 23), [1, 2, 3], 0.03)
+        assert [c.mode for c in certs] == ["exact"] * 3
+
+    @pytest.mark.parametrize("seed", [5, 20])
+    def test_certified_letters_map_their_witness_inside(self, seed):
+        eps = 0.03
+        sys_ = lc.forge_semigroup(4, lc.TargetCone.from_rays(SL4_RAYS), eps, seed=seed)
+        for (i, k), cert in sys_.eigendata.items():
+            g = sys_.alphabet.elements[i]
+            q, r, s = g.factors
+            spec = exact_spectrum(r, s, k)
+            qk = lc.compound_matrix(q, k)
+            x = eps * qk[:, spec.top] + np.sqrt(1.0 - eps * eps) * qk[:, spec.second]
+            got = _witness_image_distance(g, k, x)
+            assert got == pytest.approx(lc.exact_image_distance(spec.log_ratio, eps), rel=1e-9)
+            assert got <= eps
+
+    @pytest.mark.parametrize(
+        "kind, n, rays, eps, seed",
+        [
+            ("semigroup", 3, [FORGE_RAY_1, FORGE_RAY_2], 0.05, 7),
+            ("group", 3, [FORGE_RAY_1, FORGE_RAY_2], 0.05, 7),
+            ("group", 2, [[1.0, -1.0]], 0.1, 0),
+            ("semigroup", 4, SL4_RAYS, 0.03, 5),
+            ("semigroup", 4, [[3.0, 1.0, -1.0, -3.0], [3.0, -0.5, -1.0, -1.5]], 0.02, 1),
+        ],
+    )
+    def test_one_power_less_is_refuted(self, kind, n, rays, eps, seed):
+        forge = lc.forge_group if kind == "group" else lc.forge_semigroup
+        sys_ = forge(n, lc.TargetCone.from_rays(rays), eps, seed=seed)
+        for g, p in zip(sys_.generators, sys_.forge_report["powers"]):
+            if p == 1:
+                continue
+            below = lc.GroupElement.from_factors(g.factors[0], g.factors[1], p - 1)
+            letters = [below, below.inverse()] if kind == "group" else [below]
+            refuted = []
+            for e in letters:
+                try:
+                    lc.certify_theta_proximal(e, range(1, n), eps)
+                except ContractionUnverified as err:
+                    refuted.append(err.refuted)
+            assert refuted and all(refuted)
+
+    def test_closed_form_bounds_every_sampled_maximum(self):
+        # forged letters at, just below and just above their forged power: no
+        # sampled image point lies farther from x+ than the closed form
+        rng = np.random.default_rng(11)
+        checked = 0
+        for n in range(2, 7):
+            ray = np.cumsum(rng.uniform(0.5, 1.5, n))[::-1]
+            ray -= ray.mean()
+            ray /= np.linalg.norm(ray)
+            q = lc.schottky._haar_rotation(rng, n)
+            for eps in (0.02, 0.03, 0.05, 0.1):
+                p = lc.schottky._certifying_power(0, ray, (1.0,), eps, 2**20)
+                for power in {max(1, p - 1), p, p + 1}:
+                    g = lc.GroupElement.from_factors(q, ray, power)
+                    for k in range(1, n):
+                        spec = exact_spectrum(ray, float(power), k)
+                        closed = lc.exact_image_distance(spec.log_ratio, eps)
+                        v = lc.compound_matrix(q, k)[:, spec.top]
+                        observed, _ = sampled_contraction_check(
+                            lc.exterior_power(g, k),
+                            lc.ProjectivePoint.from_vector(v),
+                            lc.ProjectiveHyperplane.from_covector(v),
+                            eps, 2000, seed=power,
+                        )
+                        assert observed <= closed * (1.0 + 1e-9)
+                        checked += 1
+        assert checked >= 4 * 15 * 2
 
 
 class TestSampledContractionCheck:

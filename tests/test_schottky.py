@@ -423,16 +423,22 @@ class TestForgeSemigroup:
         with pytest.raises(InvalidInput, match="dimension"):
             forge(n, forge_cone, 0.05)
 
-    def test_overflow_is_max_power_exceeded(self, forge_cone, monkeypatch):
-        # a certifier that never passes drives the power up until the exact
-        # exterior powers overflow float64
-        def refuse(matrices, *args):
-            list(matrices)
-            raise lc.NotProximal("refused")
-
-        monkeypatch.setattr(lc.schottky, "certify_degrees", refuse)
+    def test_overflow_is_max_power_exceeded(self):
+        # a ray this close to the wall x1 = x2 needs a power near 1,500:
+        # exp(p * r1) still fits float64, exp(p * (r1 + r2)) of Lambda^2 does not
+        r = np.array([1.0, 0.99, -1.99])
+        r /= np.linalg.norm(r)
+        power = lc.schottky._certifying_power(0, r, (1.0,), 0.05, 2**20)
+        assert (r[0] + r[1]) * power > np.log(np.finfo(float).max) > r[0] * power
+        cone = lc.TargetCone.from_rays([r, FORGE_RAY_1])
         with pytest.raises(lc.MaxPowerExceeded, match="overflowed"):
-            lc.forge_semigroup(3, forge_cone, 0.05)
+            lc.forge_semigroup(3, cone, 0.05)
+
+    def test_power_above_max_power_is_max_power_exceeded(self, forge_cone):
+        # the fixture cone needs power 16
+        with pytest.raises(lc.MaxPowerExceeded, match="above 15"):
+            lc.forge_semigroup(3, forge_cone, 0.05, seed=7, max_power=15)
+        assert lc.forge_semigroup(3, forge_cone, 0.05, seed=7, max_power=16)
 
     def test_single_ray_is_thickened(self):
         cone = lc.TargetCone.from_rays([FORGE_RAY_1])
@@ -507,12 +513,12 @@ class TestForgeCertifiesOnce:
 
     @pytest.mark.parametrize("kind", ["semigroup", "group"])
     def test_no_letter_is_certified_twice(self, monkeypatch, forge_cone, kind):
-        original = lc.proximality.certify_matrix_eps_proximal
+        original = lc.proximality.certify_eps_proximal
         seen = []
 
-        def counted(m, rep, *args, **kwargs):
-            seen.append((np.ascontiguousarray(m).tobytes(), rep.k))
-            return original(m, rep, *args, **kwargs)
+        def counted(g, k, *args, **kwargs):
+            seen.append((g.entries.tobytes(), k))
+            return original(g, k, *args, **kwargs)
 
         # replace the function wherever a module of the package bound it
         for name, module in list(sys.modules.items()):
@@ -521,9 +527,9 @@ class TestForgeCertifiesOnce:
                     if value is original:
                         monkeypatch.setattr(module, attr, counted)
         if kind == "group":
-            lc.forge_group(2, self._half_line(), 0.1, seed=0, samples=2000)
+            lc.forge_group(2, self._half_line(), 0.1, seed=0)
         else:
-            lc.forge_semigroup(3, forge_cone, 0.05, seed=7, samples=2000)
+            lc.forge_semigroup(3, forge_cone, 0.05, seed=7)
         assert seen
         assert len(seen) == len(set(seen))
 
@@ -540,9 +546,9 @@ class TestForgeCertifiesOnce:
             (i, k) for i in range(len(alphabet.elements)) for k in range(1, sys_.n)
         }
         for (i, k), cert in sys_.eigendata.items():
-            fresh = lc.proximality.certify_matrix_eps_proximal(
-                lc.exterior_power(alphabet.elements[i], k),
-                lc.Representation(n=sys_.n, k=k),
+            fresh = lc.certify_eps_proximal(
+                lc.GroupElement.from_factors(*alphabet.elements[i].factors),
+                k,
                 sys_.epsilons[alphabet.letters[i][0]],
                 seed=seed,
             )
