@@ -53,7 +53,6 @@ from .proximality import (
     certify_eps_proximal,
     certify_theta_proximal,
     compose_certificates,
-    exact_image_distance,
     top_eigendata,
 )
 from .cones import (

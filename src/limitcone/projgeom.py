@@ -46,6 +46,9 @@ class GroupElement:
     factors: tuple | None = field(default=None, init=False, repr=False, compare=False)
     # Lambda^k per degree k, each computed once by `exterior_power`
     _powers: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    # compound_matrix(q, k) of a factored element per degree k, each computed
+    # once by `rotation_compound`; shared with the inverse, which has the same q
+    _compounds: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @classmethod
     def from_matrix(cls, matrix) -> "GroupElement":
@@ -114,7 +117,9 @@ class GroupElement:
     def inverse(self) -> "GroupElement":
         if self.factors is not None:
             q, r, s = self.factors
-            return GroupElement.from_factors(q, r, -s)
+            inv = GroupElement.from_factors(q, r, -s)
+            object.__setattr__(inv, "_compounds", self._compounds)
+            return inv
         try:
             inv = np.linalg.inv(self.entries)
         except np.linalg.LinAlgError as e:
@@ -240,10 +245,23 @@ def exterior_power(g: GroupElement, k: int) -> np.ndarray:
             if not np.isfinite(power).all():
                 raise NumericalFailure(f"Lambda^{k} overflowed")
         else:
-            q, r, s = g.factors
-            power = _factored(compound_matrix(q, k), exterior_logs(r, s, k))
+            _, r, s = g.factors
+            power = _factored(rotation_compound(g, k), exterior_logs(r, s, k))
         power = g._powers[k] = _freeze(power)
     return power
+
+
+def rotation_compound(g: GroupElement, k: int) -> np.ndarray:
+    """compound_matrix(q, k) of a factored element's rotation q, read-only.
+
+    Its columns are the eigenvectors of Lambda^k g, in the order of
+    `exterior_logs`.  Each element computes each degree once.
+    """
+    qk = g._compounds.get(k)
+    if qk is None:
+        qk = g._compounds[k] = compound_matrix(g.factors[0], k)
+        qk.flags.writeable = False
+    return qk
 
 
 def exterior_logs(ray: np.ndarray, power: float, k: int) -> np.ndarray:

@@ -11,18 +11,20 @@ hyperplane) pair: certification passes the element's own, open-semigroup
 membership (`schottky.in_open_semigroup`) a frame's.
 
 A factored element q diag(exp(s r)) q^T (`GroupElement.from_factors`, every
-forged letter) is certified in ``exact`` mode, whatever mode is asked for:
-its Lambda^k is symmetric with a known spectrum, so x+ is a column of
-compound_matrix(q, k), X< is its orthogonal complement (gap 1), and the image
-supremum over B^eps has a closed form (`exact_image_distance`) in the ratio
-b/a of the two top eigenvalues.  An exact pass proves the separation and
-image conditions up to floating point; an exact failure is a refutation whose
-witness is the worst point of B^eps.  The Lipschitz condition is not proved:
-the certificate records the projective stretch in the plane of the two top
+forged letter) asked for in ``sampled`` mode, the default, is certified in
+``exact`` mode instead: its Lambda^k is symmetric with a known spectrum, so
+x+ is a column of compound_matrix(q, k), X< is its orthogonal complement
+(gap 1), and the image supremum over B^eps has a closed form
+(`exact_image_distance`) in the ratio b/a of the two top eigenvalues.  An
+exact pass proves the separation and image conditions up to floating point;
+an exact failure is a refutation whose witness is the worst point of B^eps.
+Like sampled mode, exact mode does not prove the Lipschitz condition: the
+certificate records the projective stretch in the plane of the two top
 eigenvectors at the slab's edge, a lower bound on the Lipschitz constant,
-and does not gate on it.
+and does not gate on it.  In ``analytic`` mode, which gates on a Lipschitz
+bound, a factored element is certified like any other matrix.
 
-Two certification modes for any other matrix (`certify_matrix_eps_proximal`):
+Two certification modes for any matrix (`certify_matrix_eps_proximal`):
 
 * ``analytic``: conservative closed-form bounds in the splitting R*v+ (+) ker(phi).
   Writing alpha for the top eigenvalue and A for the restriction of the matrix
@@ -61,11 +63,11 @@ from .projgeom import (
     ProjectivePoint,
     Representation,
     chordal_distances,
-    compound_matrix,
     exterior_logs,
     exterior_power,
     gap,
     proj_distance,
+    rotation_compound,
 )
 
 EIGEN_GAP_TOL = 1e-10
@@ -335,6 +337,17 @@ def exact_spectrum(ray: np.ndarray, power: float, k: int) -> ExactSpectrum:
     return ExactSpectrum(int(top), int(second), float(logs[top]), float(logs[second] - logs[top]))
 
 
+def exact_image_passes(ray: np.ndarray, power: float, k: int, epsilon: float):
+    """The exact image clause for Lambda^k of q diag(exp(power * ray)) q^T, any q.
+
+    Returns (`exact_spectrum`, image distance, whether it is <= epsilon):
+    the one rule by which both the certificate and the forge's power decide.
+    """
+    spectrum = exact_spectrum(ray, power, k)
+    image = exact_image_distance(spectrum.log_ratio, epsilon)
+    return spectrum, image, image <= epsilon
+
+
 def exact_image_distance(log_ratio: float, epsilon: float) -> float:
     """sup over B^eps of the chordal distance from x+ of the image, for a
     symmetric matrix whose two top eigenvalues a > b > 0 have log(b/a) = log_ratio.
@@ -372,20 +385,19 @@ def _certify_factored(g: GroupElement, k: int, epsilon: float) -> ProximalityCer
     """
     if not 0.0 < epsilon < 1.0:
         raise InvalidInput(f"epsilon must be in (0, 1), got {epsilon}")
-    q, r, s = g.factors
+    _, r, s = g.factors
     # built here so that an overflowing Lambda^k raises rather than certifies
     exterior_power(g, k)
-    top, second, log_top, log_ratio = exact_spectrum(r, s, k)
+    (top, second, log_top, log_ratio), image, passes = exact_image_passes(r, s, k, epsilon)
     if -np.expm1(log_ratio) < EIGEN_GAP_TOL:
         raise NotProximal(f"dominant log modulus {log_top} is not simple (log ratio {log_ratio})")
-    qk = compound_matrix(q, k)
+    qk = rotation_compound(g, k)
     attracting = ProjectivePoint.from_vector(qk[:, top])
     repelling = ProjectiveHyperplane.from_covector(qk[:, top])
     gap_value = gap(attracting, repelling)
     if gap_value < 2.0 * epsilon:
         raise SeparationViolated(f"gap {gap_value} < 2*epsilon = {2.0 * epsilon}")
-    image = exact_image_distance(log_ratio, epsilon)
-    if image > epsilon:
+    if not passes:
         u = np.sqrt(1.0 - epsilon * epsilon)
         raise ContractionUnverified(
             f"exact image point at distance {image} > epsilon {epsilon}",
@@ -417,13 +429,13 @@ def certify_eps_proximal(
 ) -> ProximalityCertificate:
     """Certify that Lambda^k g is epsilon-proximal on P(Lambda^k R^n).
 
-    A factored element (`GroupElement.from_factors`) is certified exactly,
-    `mode="exact"`, whatever `mode` says; any other goes through
-    `certify_matrix_eps_proximal` in `mode`.
+    In sampled mode a factored element (`GroupElement.from_factors`) is
+    certified exactly, `mode="exact"`, without sampling; any other case goes
+    through `certify_matrix_eps_proximal` in `mode`.
     """
-    if g.factors is not None:
-        if mode not in ("analytic", "sampled"):
-            raise InvalidInput(f"unknown mode {mode!r}")
+    if g.factors is not None and mode == "sampled":
+        if sample_count < 1:
+            raise InvalidInput(f"sample_count must be >= 1, got {sample_count}")
         return _certify_factored(g, k, epsilon)
     return certify_matrix_eps_proximal(
         exterior_power(g, k), Representation(n=g.n, k=k), epsilon, mode, sample_count, seed
@@ -440,9 +452,9 @@ def certify_matrix_eps_proximal(
 ) -> ProximalityCertificate:
     """Certify that m, a Lambda^k g in `rep`, is epsilon-proximal on P(Lambda^k R^n).
 
-    Every epsilon-proximality decision on an unfactored element is made here,
-    its contraction conditions by `contraction_check` against the element's
-    own pair; a factored element's is exact (`certify_eps_proximal`).  Raises
+    Every epsilon-proximality decision but the exact one (a factored element
+    in sampled mode, `certify_eps_proximal`) is made here, its contraction
+    conditions by `contraction_check` against the element's own pair.  Raises
     a CertificationFailure naming the first condition that failed.
     """
     if not 0.0 < epsilon < 1.0:

@@ -46,6 +46,7 @@ from .projgeom import (
     compound_matrix,
     exterior_power,
     gap,
+    rotation_compound,
 )
 from .projections import (
     ChamberVector,
@@ -58,9 +59,8 @@ from .proximality import (
     ProximalityCertificate,
     certify_theta_proximal,
     contraction_check,
-    exact_image_distance,
+    exact_image_passes,
     exact_ratio_bound,
-    exact_spectrum,
     top_eigendata,
 )
 
@@ -195,7 +195,7 @@ def verify_schottky(
     """Certify the full Schottky condition, or raise with diagnostics.
 
     Each letter is certified by `certify_theta_proximal` at every degree: a
-    factored letter exactly, whatever `mode` says.  On a separation failure
+    factored letter exactly in sampled mode, the default.  On a separation failure
     the exception carries the separation matrix computed so far.
     """
     generators = list(generators)
@@ -420,35 +420,34 @@ def _forge(
     t = len(rays)
     rng = np.random.default_rng(int(seed))
 
-    letters = Alphabet.spell(t, kind)
-    for _ in range(FORGE_RETRY_CAP):
-        rotations = [_haar_rotation(rng, n) for _ in range(t)]
-        comps = [
-            {k: compound_matrix(q, k) for k in range(1, n)} for q in rotations
-        ]
-        # per letter and degree: the attracting vector of every power of the letter
-        flags = [
-            [comps[j][k][:, -1 if inv else 0] for k in range(1, n)]
-            for j, inv, _ in letters
-        ]
-        if not any(
-            abs(float(va @ vb)) / (np.linalg.norm(va) * np.linalg.norm(vb))
-            < 6.0 * epsilon * 1.05  # 5% safety over the contract
-            for a, (_, _, inverse) in enumerate(letters)
-            for b in range(len(letters))
-            if b != inverse  # the (g, g^-1) pair is exempt
-            for va, vb in zip(flags[a], flags[b])
-        ):
-            break
-    else:
-        raise SeparationUnachievable(
-            f"no rotation draw reached 6*epsilon separation in {FORGE_RETRY_CAP} tries"
-        )
-
     signs = (1.0, -1.0) if kind == "group" else (1.0,)
     powers = [_certifying_power(j, r, signs, epsilon, max_power) for j, r in enumerate(rays)]
+    letters = Alphabet.spell(t, kind)
     try:
-        gens = [GroupElement.from_factors(rotations[j], rays[j], powers[j]) for j in range(t)]
+        for _ in range(FORGE_RETRY_CAP):
+            gens = [
+                GroupElement.from_factors(_haar_rotation(rng, n), r, p)
+                for r, p in zip(rays, powers)
+            ]
+            # per letter and degree: the attracting vector of every power of the
+            # letter, from the rotation compounds its certificate reads again
+            flags = [
+                [rotation_compound(gens[j], k)[:, -1 if inv else 0] for k in range(1, n)]
+                for j, inv, _ in letters
+            ]
+            if not any(
+                abs(float(va @ vb)) / (np.linalg.norm(va) * np.linalg.norm(vb))
+                < 6.0 * epsilon * 1.05  # 5% safety over the contract
+                for a, (_, _, inverse) in enumerate(letters)
+                for b in range(len(letters))
+                if b != inverse  # the (g, g^-1) pair is exempt
+                for va, vb in zip(flags[a], flags[b])
+            ):
+                break
+        else:
+            raise SeparationUnachievable(
+                f"no rotation draw reached 6*epsilon separation in {FORGE_RETRY_CAP} tries"
+            )
         # a factored letter's certificate is exact and builds its exterior
         # powers, which are where float64 overflows
         system = verify_schottky(gens, kind, [float(epsilon)] * t)
@@ -489,7 +488,7 @@ def _certifying_power(j: int, ray: np.ndarray, signs, epsilon: float, max_power:
 
     def passes(p: int) -> bool:
         return all(
-            exact_image_distance(exact_spectrum(ray, sign * p, k).log_ratio, epsilon) <= epsilon
+            exact_image_passes(ray, sign * p, k, epsilon)[2]
             for sign in signs
             for k in range(1, len(ray))
         )

@@ -429,6 +429,22 @@ class TestSystemFileFactors:
                 assert getattr(fresh, name) == getattr(cert, name), name
         assert np.array_equal(again.separation, forged.separation)
 
+    def test_certify_schottky_mode_flags_apply_to_factored_letters(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        # sampled mode certifies factored letters exactly but still checks its
+        # sample count; analytic mode keeps its Lipschitz gate, which the forged
+        # letters' plane stretch (a lower bound on their constant) exceeds
+        monkeypatch.chdir(tmp_path)
+        _forge_file(SL4_RAYS, 0.03, 5)
+        code, text = run_cli(["certify-schottky", "--system", "system.json", "--mode", "analytic"])
+        assert code == 2
+        assert text.startswith("inconclusive:")
+        capsys.readouterr()
+        code, _ = run_cli(["certify-schottky", "--system", "system.json", "--samples", "0"])
+        assert code == 3
+        assert "sample_count" in capsys.readouterr().err
+
     @pytest.mark.parametrize("edit", ["entry", "rotation", "power", "nan", "shape"])
     def test_entries_that_disagree_with_the_factors_exit_3(self, tmp_path, monkeypatch, edit):
         monkeypatch.chdir(tmp_path)

@@ -146,6 +146,24 @@ class TestFactoredElement:
         assert lc.exterior_power(g, 2) is first
         assert not first.flags.writeable
 
+    def test_rotation_compounds_are_built_once_per_degree(self, monkeypatch):
+        # exterior powers and exact certificates of a letter and of its
+        # inverse, which has the same rotation, share one compound per degree
+        g, q, _ = self._factored(power=30.0)
+        built = []
+        original = lc.projgeom.compound_matrix
+        monkeypatch.setattr(
+            lc.projgeom, "compound_matrix", lambda m, k: built.append(k) or original(m, k)
+        )
+        inv = g.inverse()
+        for e in (g, inv):
+            lc.certify_theta_proximal(e, range(1, 4), 0.05)
+        assert sorted(built) == [1, 2, 3]
+        for k in range(1, 4):
+            qk = lc.projgeom.rotation_compound(inv, k)
+            assert qk is lc.projgeom.rotation_compound(g, k)
+            assert np.array_equal(qk, original(q, k)) and not qk.flags.writeable
+
     def test_inverse_negates_the_power(self):
         g, q, ray = self._factored()
         inv = g.inverse()

@@ -13,6 +13,7 @@ from limitcone.errors import (
 from limitcone.proximality import (
     analytic_contraction_bounds,
     contraction_check,
+    exact_image_distance,
     exact_spectrum,
     sampled_contraction_check,
 )
@@ -265,7 +266,7 @@ class TestAnalyticMode:
                 m = lc.exterior_power(g, k)
                 ed = lc.top_eigendata(m)
                 image, _ = contraction_check(m, ed, ed[1], ed[2], 0.1, "sampled", 1_000_000, 4)
-                closed = lc.exact_image_distance(exact_spectrum(d, 1.0, k).log_ratio, 0.1)
+                closed = exact_image_distance(exact_spectrum(d, 1.0, k).log_ratio, 0.1)
                 assert image <= closed * (1.0 + 1e-9)
 
 
@@ -307,15 +308,42 @@ def _witness_image_distance(g, k, x):
 
 
 class TestExactCertification:
-    def test_factored_elements_are_exact_whatever_the_mode(self, forged_semigroup):
+    def test_factored_elements_are_exact_in_sampled_mode(self, forged_semigroup):
         g = forged_semigroup.generators[0]
-        for mode in ("sampled", "analytic"):
-            certs = lc.certify_theta_proximal(g, [1, 2], 0.05, mode=mode, sample_count=0)
-            assert [(c.mode, c.sample_count, c.gap_value) for c in certs] == [("exact", 0, 1.0)] * 2
+        certs = lc.certify_theta_proximal(g, [1, 2], 0.05, mode="sampled", sample_count=1)
+        assert [(c.mode, c.sample_count, c.gap_value) for c in certs] == [("exact", 0, 1.0)] * 2
         with pytest.raises(InvalidInput, match="mode"):
             lc.certify_eps_proximal(g, 1, 0.05, mode="exact")
         with pytest.raises(InvalidInput, match="epsilon"):
             lc.certify_eps_proximal(g, 1, 1.0)
+
+    @pytest.mark.parametrize("count", [0, -5])
+    def test_sampled_mode_still_validates_the_sample_count(self, forged_semigroup, count):
+        g = forged_semigroup.generators[0]
+        with pytest.raises(InvalidInput, match="sample_count"):
+            lc.certify_eps_proximal(g, 1, 0.05, sample_count=count)
+
+    @pytest.mark.parametrize("n, rays, eps", [(3, [FORGE_RAY_1, FORGE_RAY_2], 0.05), (4, SL4_RAYS, 0.03)])
+    def test_analytic_mode_keeps_its_lipschitz_gate(self, n, rays, eps):
+        # the exact certificate's recorded stretch is a lower bound on the
+        # Lipschitz constant: above epsilon, the analytic mode, which proves
+        # that clause, must not certify; where it does, its bound is the larger
+        sys_ = lc.forge_semigroup(n, lc.TargetCone.from_rays(rays), eps, seed=5)
+        gated = 0
+        for (i, k), exact in sys_.eigendata.items():
+            g = sys_.alphabet.elements[i]
+            if exact.lipschitz_bound > eps:
+                with pytest.raises(lc.CertificationFailure):
+                    lc.certify_eps_proximal(g, k, eps, mode="analytic")
+                gated += 1
+                continue
+            try:
+                cert = lc.certify_eps_proximal(g, k, eps, mode="analytic")
+            except lc.CertificationFailure:
+                continue
+            assert cert.mode == "analytic"
+            assert cert.lipschitz_bound >= exact.lipschitz_bound
+        assert gated >= 2
 
     def test_false_sampled_certificate_is_refuted(self):
         # sampling certified this letter at power 22 (seed 5, letter 2); its
@@ -352,7 +380,7 @@ class TestExactCertification:
             qk = lc.compound_matrix(q, k)
             x = eps * qk[:, spec.top] + np.sqrt(1.0 - eps * eps) * qk[:, spec.second]
             got = _witness_image_distance(g, k, x)
-            assert got == pytest.approx(lc.exact_image_distance(spec.log_ratio, eps), rel=1e-9)
+            assert got == pytest.approx(exact_image_distance(spec.log_ratio, eps), rel=1e-9)
             assert got <= eps
 
     @pytest.mark.parametrize(
@@ -397,7 +425,7 @@ class TestExactCertification:
                     g = lc.GroupElement.from_factors(q, ray, power)
                     for k in range(1, n):
                         spec = exact_spectrum(ray, float(power), k)
-                        closed = lc.exact_image_distance(spec.log_ratio, eps)
+                        closed = exact_image_distance(spec.log_ratio, eps)
                         v = lc.compound_matrix(q, k)[:, spec.top]
                         observed, _ = sampled_contraction_check(
                             lc.exterior_power(g, k),

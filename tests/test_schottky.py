@@ -533,6 +533,32 @@ class TestForgeCertifiesOnce:
         assert seen
         assert len(seen) == len(set(seen))
 
+    @pytest.mark.parametrize(
+        "forge, rays, eps",
+        [
+            (lc.forge_semigroup, [[3.0, 1.0, -1.0, -3.0], [5.0, 1.0, -2.0, -4.0]], 0.03),
+            (lc.forge_group, [FORGE_RAY_1, FORGE_RAY_2], 0.05),
+        ],
+    )
+    def test_no_rotation_compound_is_built_twice(self, monkeypatch, forge, rays, eps):
+        # the separation draw, the exterior powers and the exact certificates
+        # of a letter and its inverse read one compound per (rotation, degree)
+        original = lc.projgeom.compound_matrix
+        built = []
+
+        def counted(m, k):
+            built.append((np.asarray(m).tobytes(), k))
+            return original(m, k)
+
+        for name, module in list(sys.modules.items()):
+            if name == "limitcone" or name.startswith("limitcone."):
+                for attr, value in list(vars(module).items()):
+                    if value is original:
+                        monkeypatch.setattr(module, attr, counted)
+        forge(len(rays[0]), lc.TargetCone.from_rays(rays), eps, seed=7)
+        assert built
+        assert len(built) == len(set(built))
+
     @pytest.mark.parametrize("kind", ["semigroup", "group"])
     def test_eigendata_equals_a_fresh_certification(self, forged_semigroup, kind):
         sys_ = (
