@@ -226,9 +226,11 @@ def _cmd_certify_schottky(args, out):
         )
     except CertificationFailure as e:
         return _failed_verdict(e, out)
+    modes = sorted({cert.mode for cert in system.eigendata.values()})
     print(
         f"certified: {kind} with {system.t} generators, "
-        f"min separation {fmt(float(np.nanmin(system.separation)))}",
+        f"min separation {fmt(float(np.nanmin(system.separation)))}, "
+        f"mode {'+'.join(modes)}",
         file=out,
     )
     return EXIT_OK

@@ -48,7 +48,9 @@ class ContractionUnverified(CertificationFailure):
     `refuted` is True when the check exhibited an explicit violation (a genuine
     counterexample), False when it was merely inconclusive.  A refutation
     carries its witness's `image_distance` (and, sampled, the `expansion`
-    seen; exact, the `witness` point itself, a unit vector of B^eps).
+    seen over the consecutive point pairs of the same sample, 0.0 for a
+    sample of one point, which has no distinct pair; exact, the `witness`
+    point itself, a unit vector of B^eps).
     """
 
     def __init__(self, message, refuted=False, image_distance=None, expansion=None, witness=None):

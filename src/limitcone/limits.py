@@ -538,8 +538,10 @@ def estimate_facets(
 ) -> list[FacetSample]:
     """Per proximal sampled word, its attracting flag pair and a transversality flag.
 
-    A word is kept when, at every degree, it is proximal and its smallest
-    eigenvalue modulus, whose eigenvector is the backward flag, is nonzero.
+    A word is kept when, at every degree, it is proximal both ways: the
+    `Splitting.proximal` mask holds forward and backward, so the smallest
+    eigenvalue modulus, whose eigenvector is the backward flag, is nonzero,
+    simple and real.
     """
     out = []
     for batch, product in _batches(sampler, words):
@@ -547,7 +549,7 @@ def estimate_facets(
         covectors = [
             repelling_covectors(p, fwd.eigenvalue) for (p, _), (fwd, _) in zip(product, splits)
         ]
-        kept = np.logical_and.reduce([f.proximal & (b.top > 0.0) for f, b in splits])
+        kept = np.logical_and.reduce([f.proximal & b.proximal for f, b in splits])
         for row in np.flatnonzero(kept):
             forward = tuple(ProjectivePoint.from_vector(f.vectors[row]) for f, _ in splits)
             gaps = [

@@ -37,9 +37,11 @@ Two certification modes for any matrix (`certify_matrix_eps_proximal`):
   the slab shrinks by the hyperplanes' distance and the radius grows by the
   points'.  A pass is a proof up to floating point; a failure is inconclusive
   unless the attracting point lies in B^eps outside the target ball.
-* ``sampled``: seeded Monte Carlo over B^eps point pairs; a violation refutes,
-  a clean run records the observed maxima as evidence.  The observed
-  pairwise expansion is recorded, not gated.
+* ``sampled``: seeded Monte Carlo over one sample of B^eps; a violation
+  refutes, a clean run records the observed maxima as evidence.  The
+  observed pairwise expansion, over the consecutive pairs of that same
+  sample (a sample of one point has no distinct pair and records 0.0), is
+  recorded, not gated.
 """
 
 import hashlib
@@ -226,28 +228,23 @@ def sampled_contraction_check(
 ):
     """Monte Carlo falsifier for image containment, plus observed expansion.
 
-    Returns (max_image_distance, max_expansion_ratio) over sample_count points
-    and sample_count independent point pairs of B^eps.  Deterministic given
-    (seed, matrix contents).
+    Returns (max_image_distance, max_expansion_ratio) over one sample of
+    sample_count points x_i of B^eps.  The expansion is read from the same
+    sample, over the sample_count consecutive pairs (x_i, x_{(i+1) mod N}),
+    each two independent points of B^eps; pairs closer than 1e-12 are
+    dropped, so with sample_count == 1 (no distinct pair) it is 0.0.
+    Deterministic given (seed, matrix contents).
     """
     if sample_count < 1:
         raise InvalidInput(f"sample_count must be >= 1, got {sample_count}")
-    rng = _instance_rng(seed, m)
-    phi = repelling.covector
-    p = target.rep
-
-    x = _sample_bset(rng, phi, epsilon, sample_count)
+    x = _sample_bset(_instance_rng(seed, m), repelling.covector, epsilon, sample_count)
     y = _normalize_cols(m @ x)
-    max_image = float(chordal_distances(y, p[:, None]).max())
+    max_image = float(chordal_distances(y, target.rep[:, None]).max())
 
-    a = _sample_bset(rng, phi, epsilon, sample_count)
-    b = _sample_bset(rng, phi, epsilon, sample_count)
-    d_in = chordal_distances(a, b)
+    d_in = chordal_distances(x, np.roll(x, -1, axis=1))
+    d_out = chordal_distances(y, np.roll(y, -1, axis=1))
     ok = d_in > 1e-12
-    if not ok.all():
-        a, b, d_in = a[:, ok], b[:, ok], d_in[ok]
-    d_out = chordal_distances(_normalize_cols(m @ a), _normalize_cols(m @ b))
-    max_ratio = float((d_out / d_in).max()) if d_in.size else 0.0
+    max_ratio = float((d_out[ok] / d_in[ok]).max()) if ok.any() else 0.0
     return max_image, max_ratio
 
 

@@ -147,6 +147,17 @@ class TestCertifySchottky:
         assert code == 0
         assert "group" in text
 
+    @pytest.mark.parametrize("mode", ["sampled", "analytic"])
+    def test_verdict_names_the_mode_of_a_raw_matrix_file(self, tmp_path, mode):
+        g1 = np.diag([1000.0, 0.001])
+        c = s = np.sqrt(0.5)
+        r = np.array([[c, -s], [s, c]])
+        sys_file = write_system(tmp_path / "sys.json", [g1, r @ g1 @ r.T])
+        code, text = run_cli(["certify-schottky", "--system", str(sys_file), "--mode", mode])
+        assert code == 0
+        assert text.startswith("certified: semigroup with 2 generators")
+        assert text.rstrip().endswith(f", mode {mode}")
+
     def test_refuted(self, tmp_path):
         g1 = np.diag([10.0, 0.1])
         g2 = np.diag([0.1, 10.0])
@@ -428,6 +439,14 @@ class TestSystemFileFactors:
                          "norm_ratio", "mode", "sample_count"):
                 assert getattr(fresh, name) == getattr(cert, name), name
         assert np.array_equal(again.separation, forged.separation)
+
+    def test_certify_schottky_names_the_exact_mode(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        _forge_file(SL4_RAYS, 0.03, 20)
+        code, text = run_cli(["certify-schottky", "--system", "system.json", "--seed", "20"])
+        assert code == 0
+        assert text.startswith("certified: semigroup with 3 generators")
+        assert text.rstrip().endswith(", mode exact")
 
     def test_certify_schottky_mode_flags_apply_to_factored_letters(
         self, tmp_path, monkeypatch, capsys

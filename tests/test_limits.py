@@ -426,11 +426,20 @@ def _reference_facets(words, epsilon_filter=limits.DEFAULT_PROXIMALITY_FILTER):
         except lc.NotProximal:
             continue
         backward = _reference_eigdata(w.compounds, backward=True)
-        if backward is None:
+        if backward is None or not all(_reference_backward_proximal(p) for p, _ in w.compounds):
             continue
         bwd = [lc.ProjectivePoint.from_vector(vec).rep for _, vec in backward]
         out.append((w.word, np.concatenate(fwd), np.concatenate(bwd), min(gaps) > epsilon_filter))
     return out
+
+
+def _reference_backward_proximal(p):
+    """The backward `Splitting.proximal` mask of one matrix: its smallest
+    eigenvalue modulus is nonzero, simple and real."""
+    vals = np.linalg.eig(p)[0]
+    low, runner = vals[np.argsort(np.abs(vals))[:2]]
+    a, b = abs(low), abs(runner)
+    return a > 0.0 and (b - a) / b >= 1e-10 and abs(low.imag) <= 1e-10 * a
 
 
 def _reference_distinct_rows(rows, tol):

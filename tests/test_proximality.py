@@ -10,7 +10,10 @@ from limitcone.errors import (
     NotProximal,
     SeparationViolated,
 )
+from limitcone import proximality
 from limitcone.proximality import (
+    _instance_rng,
+    _sample_bset,
     analytic_contraction_bounds,
     contraction_check,
     exact_image_distance,
@@ -445,6 +448,83 @@ class TestSampledContractionCheck:
         a = sampled_contraction_check(m, x, h, 0.1, 2000, seed=7)
         b = sampled_contraction_check(m, x, h, 0.1, 2000, seed=7)
         assert a == b
+
+    @staticmethod
+    def _instances():
+        """(m, target, repelling, epsilon, count, seed) over d = 2-6, several
+        epsilon and counts 1, 777 and 10,000; the pair is the matrix's own."""
+        rng = np.random.default_rng(41)
+        for d in range(2, 7):
+            logs = np.sort(rng.uniform(-3.0, 3.0, d))[::-1]
+            q, _ = np.linalg.qr(rng.standard_normal((d, d)))
+            m = q @ np.diag(np.exp(logs - logs.mean())) @ q.T + 0.1 * rng.standard_normal((d, d))
+            _, x, h = lc.top_eigendata(m)
+            for eps in (0.02, 0.1, 0.3):
+                for count in (1, 777, 10_000):
+                    yield m, x, h, eps, count, d + count
+
+    @staticmethod
+    def _reference_sample(m, h, eps, count, seed):
+        """The one sample of B^eps and its normalised image, by the formula
+        the check used before it took its pairs from that sample."""
+        x = _sample_bset(_instance_rng(seed, m), h.covector, eps, count)
+        y = m @ x
+        return x, y / np.linalg.norm(y, axis=0)
+
+    @staticmethod
+    def _chordal(a, b):
+        return np.minimum(np.linalg.norm(a - b, axis=0), np.linalg.norm(a + b, axis=0))
+
+    def test_image_maximum_is_the_first_draw_bit_for_bit(self):
+        for m, x, h, eps, count, seed in self._instances():
+            _, y = self._reference_sample(m, h, eps, count, seed)
+            expected = float(self._chordal(y, x.rep[:, None]).max())
+            assert sampled_contraction_check(m, x, h, eps, count, seed)[0] == expected
+
+    def test_expansion_is_the_maximum_over_consecutive_pairs(self):
+        checked = 0
+        for m, x, h, eps, count, seed in self._instances():
+            if count == 1:
+                continue
+            xs, ys = self._reference_sample(m, h, eps, count, seed)
+            # pair i is (x_i, x_{(i+1) mod N})
+            after = (np.arange(count) + 1) % count
+            d_in = self._chordal(xs, xs[:, after])
+            d_out = self._chordal(ys, ys[:, after])
+            assert (d_in > 1e-12).all()
+            got = sampled_contraction_check(m, x, h, eps, count, seed)[1]
+            assert got == float((d_out / d_in).max())
+            checked += 1
+        assert checked == 5 * 3 * 2
+
+    def test_one_draw_per_check(self, monkeypatch):
+        calls = []
+
+        def counting(*args):
+            calls.append(args[-1])
+            return _sample_bset(*args)
+
+        monkeypatch.setattr(proximality, "_sample_bset", counting)
+        m = np.diag([50.0, 1.0, 0.02])
+        _, x, h = lc.top_eigendata(m)
+        sampled_contraction_check(m, x, h, 0.1, 2000, seed=7)
+        assert calls == [2000]
+
+    def test_one_point_has_no_pair_and_the_image_still_decides(self):
+        # a single point has no distinct pair: the expansion is 0.0, while
+        # the image clause passes or refutes on that point alone
+        m = np.diag([1e6, 1.0, 1e-6])
+        ed = lc.top_eigendata(m)
+        image, expansion = contraction_check(m, ed, ed[1], ed[2], 0.1, "sampled", 1, 3)
+        assert expansion == 0.0
+        assert 0.0 < image <= 1e-5
+        m = np.diag([2.0, 1.0, 0.5])
+        ed = lc.top_eigendata(m)
+        with pytest.raises(ContractionUnverified) as exc:
+            contraction_check(m, ed, ed[1], ed[2], 0.1, "sampled", 1, 3)
+        assert exc.value.refuted and exc.value.expansion == 0.0
+        assert exc.value.image_distance == sampled_contraction_check(m, ed[1], ed[2], 0.1, 1, 3)[0]
+        assert exc.value.image_distance > 0.1
 
     def test_image_distance_matches_worst_case(self):
         # for diag(r^-1, 1, r) at the standard splitting the worst image sine
