@@ -80,11 +80,9 @@ from .limits import (
     ConvexityReport,
     FacetSample,
     LimitSetSample,
-    WordProduct,
     WordSampler,
     check_convexity,
     compare_mu_lambda,
-    enumerate_words,
     estimate_cone,
     estimate_facets,
     estimate_limit_set,

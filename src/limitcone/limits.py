@@ -3,9 +3,12 @@
 Words of a finitely generated (semi)group are enumerated or sampled, their
 products accumulated in log-scaled exterior-power form, and their Cartan and
 Jordan projections, attracting flags, and convex-cone hull are read off.
-Exhaustive words are made one length at a time: each level is one batch,
-extended from the previous level by one batched matmul per exterior degree and
-read off by one batched decomposition per degree.
+A word is a tuple of letter indices into an `Alphabet`; `WordSampler.words`
+lists the sampled ones.  Exhaustive words are made one length at a time: each
+level is one batch, extended from the previous level by one batched matmul per
+exterior degree and read off by one batched decomposition per degree.  Any
+other word list, random or supplied through `words=`, is one ragged batch
+(`Alphabet.accumulate`).
 """
 
 from dataclasses import dataclass, field
@@ -186,95 +189,70 @@ class WordSampler:
             total += run
         return total
 
+    def words(self) -> list:
+        """The sampled words as letter tuples, in the order the estimators read them.
 
-@dataclass(frozen=True)
-class WordProduct:
-    """A word together with its log-scaled per-degree compound products."""
-
-    word: tuple  # letter indices into the sampler's alphabet
-    n: int
-    compounds: tuple  # per degree (P_k, logscale_k) of this word alone
-
-    @classmethod
-    def at(cls, word: tuple, n: int, product: tuple, row: int) -> "WordProduct":
-        """The word at `row` of an accumulated product, as views into it."""
-        return cls(word=word, n=n, compounds=tuple((p[row], ls[row]) for p, ls in product))
-
-    @property
-    def length(self) -> int:
-        return len(self.word)
-
-    def matrix(self) -> np.ndarray:
-        p, ls = self.compounds[0]
-        return np.exp(ls) * p
-
-    def _batch(self) -> tuple:
-        return tuple((p[None], np.reshape(ls, 1)) for p, ls in self.compounds)
-
-    def mu(self) -> ChamberVector:
-        return ChamberVector.from_coords(product_projection(self._batch(), jordan=False)[0])
-
-    def lam(self) -> ChamberVector:
-        return ChamberVector.from_coords(product_projection(self._batch(), jordan=True)[0])
+        Exhaustive: the reduced words of `Alphabet.levels`, length then lex.
+        Random: `count` reduced words drawn letter by letter from the seed.
+        """
+        _check_budget(self.expected_word_count())
+        if self.strategy == "exhaustive":
+            return [w for level, _, _ in self.alphabet.levels(self.max_length) for w in level]
+        alphabet = self.alphabet
+        rng = np.random.default_rng(int(self.seed))
+        words = []
+        for _ in range(self.count):
+            word = []
+            for _ in range(int(rng.integers(1, self.max_length + 1))):
+                while True:
+                    i = int(rng.integers(0, len(alphabet.elements)))
+                    if not word or i != alphabet.inverse_index(word[-1]):
+                        break
+                word.append(i)
+            words.append(tuple(word))
+        return words
 
 
-def _draw_words(sampler: WordSampler) -> list:
-    """The random strategy's words, drawn letter by letter from the seed."""
-    alphabet = sampler.alphabet
-    rng = np.random.default_rng(int(sampler.seed))
-    words = []
-    for _ in range(sampler.count):
-        length = int(rng.integers(1, sampler.max_length + 1))
-        word = []
-        for _ in range(length):
-            while True:
-                i = int(rng.integers(0, len(alphabet.elements)))
-                if not word or i != alphabet.inverse_index(word[-1]):
-                    break
-            word.append(i)
-        words.append(tuple(word))
+def _check_budget(count: int):
+    if count > WORD_BUDGET:
+        raise BudgetExceeded(f"{count} words exceed the {WORD_BUDGET} budget")
+
+
+def _supplied(sampler: WordSampler, words) -> list:
+    """A caller's words as letter tuples, each checked against the sampler."""
+    words = [tuple(w) for w in words]
+    _check_budget(len(words))
+    if not words:
+        raise DegenerateSample("no words were supplied")
+    size = len(sampler.alphabet.elements)
+    for w in words:
+        if not 1 <= len(w) <= sampler.max_length:
+            raise InvalidInput(f"word {w} must have 1 to {sampler.max_length} letters")
+        if not all(isinstance(i, (int, np.integer)) and 0 <= i < size for i in w):
+            raise InvalidInput(f"word {w} spells a letter outside the {size}-letter alphabet")
     return words
 
 
 def _batches(sampler: WordSampler, words=None):
-    """The sampled words as batches (words, accumulated product), in order.
+    """The words as batches (words, accumulated product), in order.
 
     Exhaustive sampling yields one batch per length, each in lex order, so the
-    batches run in length-then-lex order; only the previous level's product
-    is kept to make the next.  Random sampling yields its words as one batch,
-    as do caller-supplied `words` (WordProducts).
+    batches run in length-then-lex order; each level extends the previous
+    level's product by one letter, and only that product is kept.  Any word
+    list, the random strategy's or a caller's `words` (letter sequences over
+    `sampler.alphabet`, checked here), is one batch accumulated by
+    `Alphabet.accumulate`.
     """
-    if words is not None:
-        if words:
-            product = tuple(
-                (np.stack([w.compounds[k][0] for w in words]),
-                 np.array([w.compounds[k][1] for w in words]))
-                for k in range(sampler.n - 1)
-            )
-            yield [w.word for w in words], product
-        return
-    if sampler.expected_word_count() > WORD_BUDGET:
-        raise BudgetExceeded(
-            f"{sampler.expected_word_count()} words exceed the {WORD_BUDGET} budget"
-        )
     alphabet = sampler.alphabet
-    if sampler.strategy == "random":
-        drawn = _draw_words(sampler)
-        yield drawn, alphabet.accumulate(drawn)
+    if words is None and sampler.strategy == "exhaustive":
+        _check_budget(sampler.expected_word_count())
+        product = empty_product(sampler.n)
+        for level, parent, letter in alphabet.levels(sampler.max_length):
+            product = extend_product(take_words(product, parent), alphabet._stacked(letter))
+            yield level, product
         return
-    product = empty_product(sampler.n)
-    for level, parent, letter in alphabet.levels(sampler.max_length):
-        product = extend_product(take_words(product, parent), alphabet._stacked(letter))
-        yield level, product
-
-
-def enumerate_words(sampler: WordSampler) -> list[WordProduct]:
-    """All sampled words with overflow-free products, in deterministic order."""
-    return [
-        WordProduct.at(word, sampler.n, product, row)
-        for words, product in _batches(sampler)
-        for row, word in enumerate(words)
-    ]
+    words = sampler.words() if words is None else _supplied(sampler, words)
+    yield words, alphabet.accumulate(words)
 
 
 @dataclass(frozen=True)
@@ -399,6 +377,8 @@ def check_convexity(
     seed: int = 0,
 ) -> ConvexityReport:
     """For random word pairs (w1, w2), lambda(w1^m w2^m)/(2m) must drift to the midpoint."""
+    if trials < 1:
+        raise InvalidInput(f"trials must be >= 1, got {trials}")
     words, lams = [], []
     for batch, product in _batches(sampler):
         words.extend(batch)

@@ -458,6 +458,8 @@ def certify_matrix_eps_proximal(
         raise InvalidInput(f"epsilon must be in (0, 1), got {epsilon}")
     if mode not in ("analytic", "sampled"):
         raise InvalidInput(f"unknown mode {mode!r}")
+    if mode == "sampled" and sample_count < 1:
+        raise InvalidInput(f"sample_count must be >= 1, got {sample_count}")
     top, attracting, repelling = eigendata = top_eigendata(m)
     gap_value = gap(attracting, repelling)
     if gap_value < 2.0 * epsilon:

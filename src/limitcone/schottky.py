@@ -118,8 +118,8 @@ class TargetCone:
 
     @classmethod
     def from_rays(cls, rays, margin: float = 0.05) -> "TargetCone":
-        if margin <= 0.0:
-            raise InvalidInput("margin must be positive")
+        if not (np.isfinite(margin) and margin > 0.0):
+            raise InvalidInput(f"margin must be positive and finite, got {margin}")
         coords = [r.coords if isinstance(r, ChamberVector) else np.asarray(r, float) for r in rays]
         if not coords:
             raise InvalidInput("a cone needs at least one ray")
@@ -317,6 +317,8 @@ def in_open_semigroup(
         raise EpsilonTooLarge(f"epsilon {epsilon} >= epsilon_f {eps_f}")
     if mode not in ("analytic", "sampled"):
         raise InvalidInput(f"unknown mode {mode!r}")
+    if mode == "sampled" and samples < 1:
+        raise InvalidInput(f"sample_count must be >= 1, got {samples}")
     worst_image, worst_ratio = 0.0, 0.0
     for k in range(1, g.n):
         m = exterior_power(g, k)

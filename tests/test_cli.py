@@ -324,8 +324,13 @@ class TestUsageErrors:
         assert code == 3
         assert "epsilon" in capsys.readouterr().err
 
-    def test_zero_samples(self, tmp_path):
-        m = write_matrix(tmp_path / "g.json", np.diag([100.0, 1.0, 0.01]))
+    @pytest.mark.parametrize(
+        "matrix",
+        [np.diag([100.0, 1.0, 0.01]), np.array([[0.0, -1.0], [1.0, 0.0]])],
+        ids=["proximal", "rotation"],
+    )
+    def test_zero_samples(self, tmp_path, matrix):
+        m = write_matrix(tmp_path / "g.json", matrix)
         code, _ = run_cli(
             ["certify", "--matrix", str(m), "--degree", "1", "--epsilon", "0.1",
              "--samples", "0"]

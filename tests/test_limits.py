@@ -131,7 +131,7 @@ class TestAlphabet:
         s = _sampler(sl2_pair, kind="group", max_length=3)
         a = s.alphabet
         inv = a.inverse_index
-        words = [w.word for w in lc.enumerate_words(s)]
+        words = s.words()
         admitted = 0
         for w1 in words:
             for w2 in words:
@@ -146,11 +146,24 @@ class TestAlphabet:
         assert 0 < admitted < len(words) ** 2
 
 
-class TestEnumerateWords:
+def _assert_batches_equal_letter_products(s, words=None):
+    """Every word's mu/lambda, read from its batch, are bit-identical to the
+    product_cartan/product_jordan of its letters: one accumulator."""
+    elems = s.alphabet.elements
+    for batch, product in limits._batches(s, words):
+        mu = lc.projections.product_projection(product, jordan=False)
+        lam = lc.projections.product_projection(product, jordan=True)
+        for row, word in enumerate(batch):
+            letters = [elems[i] for i in word]
+            assert np.array_equal(lc.product_jordan(letters).coords, lam[row])
+            assert np.array_equal(lc.product_cartan(letters).coords, mu[row])
+
+
+class TestSamplerWords:
     def test_exhaustive_order_and_count(self, sl2_pair):
-        words = lc.enumerate_words(_sampler(sl2_pair, max_length=3))
+        words = _sampler(sl2_pair, max_length=3).words()
         assert len(words) == 14
-        assert [w.word for w in words[:6]] == [
+        assert words[:6] == [
             (0,),
             (1,),
             (0, 0),
@@ -158,62 +171,52 @@ class TestEnumerateWords:
             (1, 0),
             (1, 1),
         ]
-        assert all(w.length <= 3 for w in words)
+        assert all(len(w) <= 3 for w in words)
 
     def test_group_words_are_reduced(self, sl2_pair):
         s = _sampler(sl2_pair, kind="group", max_length=3)
-        words = lc.enumerate_words(s)
+        words = s.words()
         assert len(words) == 4 + 12 + 36
         for w in words:
-            for a, b in zip(w.word, w.word[1:]):
+            for a, b in zip(w, w[1:]):
                 assert b != s.alphabet.inverse_index(a)
 
     def test_random_reproducible(self, sl2_pair):
         kw = dict(strategy="random", count=100, max_length=5, seed=9)
-        a = lc.enumerate_words(_sampler(sl2_pair, **kw))
-        b = lc.enumerate_words(_sampler(sl2_pair, **kw))
-        assert [w.word for w in a] == [w.word for w in b]
-        c = lc.enumerate_words(_sampler(sl2_pair, **{**kw, "seed": 10}))
-        assert [w.word for w in a] != [w.word for w in c]
+        a = _sampler(sl2_pair, **kw).words()
+        b = _sampler(sl2_pair, **kw).words()
+        assert a == b
+        c = _sampler(sl2_pair, **{**kw, "seed": 10}).words()
+        assert a != c
 
     def test_budget_guard(self, sl2_pair):
         with pytest.raises(BudgetExceeded):
-            lc.enumerate_words(_sampler(sl2_pair, max_length=25))
+            _sampler(sl2_pair, max_length=25).words()
 
     def test_word_product_matches_direct(self, sl2_pair):
         g1, g2 = sl2_pair
-        words = lc.enumerate_words(_sampler(sl2_pair, max_length=3))
-        lookup = {w.word: w for w in words}
-        w = lookup[(0, 1, 1)]
+        s = _sampler(sl2_pair, max_length=3)
+        product = s.alphabet.accumulate([(0, 1, 1)])
         direct = g1 @ g2 @ g2
-        assert np.allclose(w.matrix(), direct.entries, atol=1e-9)
-        assert np.allclose(
-            w.mu().coords, lc.cartan_projection(direct).coords, atol=1e-9
-        )
-        assert np.allclose(
-            w.lam().coords, lc.jordan_projection(direct).coords, atol=1e-9
-        )
+        (p, ls), = product
+        assert np.allclose(np.exp(ls[0]) * p[0], direct.entries, atol=1e-9)
+        mu = lc.projections.product_projection(product, jordan=False)[0]
+        lam = lc.projections.product_projection(product, jordan=True)[0]
+        assert np.allclose(mu, lc.cartan_projection(direct).coords, atol=1e-9)
+        assert np.allclose(lam, lc.jordan_projection(direct).coords, atol=1e-9)
 
     @pytest.mark.parametrize("kind", ["semigroup", "group"])
     def test_word_projections_equal_letter_products(self, sl2_pair, kind):
-        # one accumulator: a word's mu/lambda are bit-identical to the
-        # product_cartan/product_jordan of its letters
         s = _sampler(sl2_pair, kind=kind, max_length=4)
-        elems = s.alphabet.elements
-        for w in lc.enumerate_words(s):
-            letters = [elems[i] for i in w.word]
-            assert np.array_equal(lc.product_jordan(letters).coords, w.lam().coords)
-            assert np.array_equal(lc.product_cartan(letters).coords, w.mu().coords)
+        _assert_batches_equal_letter_products(s)
+        # a supplied list of the same words is one ragged batch, read the same
+        _assert_batches_equal_letter_products(s, s.words())
 
     def test_random_word_projections_equal_letter_products(self, forged_semigroup):
         s = _sampler(
             forged_semigroup.generators, strategy="random", count=20, max_length=8, seed=3
         )
-        elems = s.alphabet.elements
-        for w in lc.enumerate_words(s):
-            letters = [elems[i] for i in w.word]
-            assert np.array_equal(lc.product_jordan(letters).coords, w.lam().coords)
-            assert np.array_equal(lc.product_cartan(letters).coords, w.mu().coords)
+        _assert_batches_equal_letter_products(s)
 
 
 class TestEstimateCone:
@@ -285,6 +288,13 @@ class TestCheckConvexity:
         assert report.trials == 5
         assert len(report.angular_errors) == 5
         assert all(len(e) == 4 for e in report.angular_errors)
+
+    @pytest.mark.parametrize("trials", [0, -1])
+    def test_trials_must_be_positive(self, sl2_pair, trials):
+        # a usage error, not a sampling failure
+        s = _sampler(sl2_pair, max_length=2)
+        with pytest.raises(InvalidInput, match="trials"):
+            lc.check_convexity(lc.estimate_cone(s), s, trials=trials)
 
 
 class TestCompareMuLambda:
@@ -404,7 +414,7 @@ class TestEstimateFacets:
         else:
             sampler = _sampler(sl2_pair, kind=name[4:], max_length=5)
         facets = lc.estimate_facets(sampler)
-        reference = _reference_facets(lc.enumerate_words(sampler))
+        reference = _reference_facets(sampler)
         assert len(facets) == len(reference) > 0
         for f, (word, fwd, bwd, general) in zip(facets, reference):
             assert f.word == word and f.general_position == general
@@ -412,24 +422,25 @@ class TestEstimateFacets:
             assert np.array_equal(np.concatenate([x.rep for x in f.backward]), bwd)
 
 
-def _reference_facets(words, epsilon_filter=limits.DEFAULT_PROXIMALITY_FILTER):
+def _reference_facets(sampler, epsilon_filter=limits.DEFAULT_PROXIMALITY_FILTER):
     """estimate_facets one word and one readout at a time: per proximal word,
     (word, forward reps, backward reps, general position)."""
     out = []
-    for w in words:
+    for word in sampler.words():
+        compounds = _reference_accumulate(sampler.alphabet, word)
         fwd, gaps = [], []
         try:
-            for p, _ in w.compounds:
+            for p, _ in compounds:
                 _, attracting, repelling = reference_top_eigendata(p)
                 fwd.append(attracting.rep)
                 gaps.append(abs(float(repelling.covector @ attracting.rep)))
         except lc.NotProximal:
             continue
-        backward = _reference_eigdata(w.compounds, backward=True)
-        if backward is None or not all(_reference_backward_proximal(p) for p, _ in w.compounds):
+        backward = _reference_eigdata(compounds, backward=True)
+        if backward is None or not all(_reference_backward_proximal(p) for p, _ in compounds):
             continue
         bwd = [lc.ProjectivePoint.from_vector(vec).rep for _, vec in backward]
-        out.append((w.word, np.concatenate(fwd), np.concatenate(bwd), min(gaps) > epsilon_filter))
+        out.append((word, np.concatenate(fwd), np.concatenate(bwd), min(gaps) > epsilon_filter))
     return out
 
 
@@ -507,21 +518,26 @@ def _offset(v, w, distance):
     return v + distance * w / np.linalg.norm(w)
 
 
+def _lambda_directions(sampler):
+    """The unit Jordan projection of each sampled word, from its letters."""
+    elems = sampler.alphabet.elements
+    return [lc.product_jordan([elems[i] for i in w]).direction() for w in sampler.words()]
+
+
 class TestDedupKernels:
     DIRECTION_TOL = 1e-12  # the tolerance estimate_cone uses
 
     @pytest.mark.parametrize("kind", ["semigroup", "group"])
     def test_sl2_clouds_and_directions_match_the_loops(self, sl2_pair, kind):
         s = _sampler(sl2_pair, kind=kind, max_length=5)
-        words = lc.enumerate_words(s)
+        products = [_reference_accumulate(s.alphabet, w) for w in s.words()]
         for side in (False, True):
-            vecs = [eigen_splittings(w.compounds[0][0][None])[side].vectors[0] for w in words]
+            vecs = [eigen_splittings(p[0][0][None])[side].vectors[0] for p in products]
             _assert_same_dedup(vecs, limits.MERGE_TOL)
-        dirs = [w.lam().direction() for w in words]
-        _assert_same_dedup(dirs, self.DIRECTION_TOL)
+        _assert_same_dedup(_lambda_directions(s), self.DIRECTION_TOL)
 
     def test_forged_directions_match_the_loop(self, forged_sampler):
-        dirs = [w.lam().direction() for w in lc.enumerate_words(forged_sampler)]
+        dirs = _lambda_directions(forged_sampler)
         kept = limits._distinct_rows(dirs, self.DIRECTION_TOL)
         assert 1 < len(kept) < len(dirs)
         assert np.array_equal(
@@ -831,7 +847,7 @@ class TestBatchedEngine:
         return _sampler(sl2_pair, kind="group", strategy="random", count=200, max_length=9, seed=4)
 
     def test_words_come_in_the_old_order(self, sampler):
-        words = [w.word for w in lc.enumerate_words(sampler)]
+        words = sampler.words()
         if sampler.strategy == "random":
             assert words == _reference_draw(sampler)
         else:
@@ -889,7 +905,7 @@ class TestBatchedEngine:
 
     def test_estimates_equal_the_per_word_pipeline(self, sampler):
         a = sampler.alphabet
-        words = [w.word for w in lc.enumerate_words(sampler)]
+        words = sampler.words()
         products = [_reference_accumulate(a, w) for w in words]
         mus = [_reference_projection(p, False) for p in products]
         lams = [_reference_projection(p, True) for p in products]
@@ -921,11 +937,24 @@ class TestBatchedEngine:
                 )
 
     def test_supplied_words_take_the_same_readout(self, sampler):
-        words = lc.enumerate_words(sampler)
+        # the sampled words, supplied as letter tuples, read the same numbers
+        words = sampler.words()
         assert lc.compare_mu_lambda(sampler, words=words) == lc.compare_mu_lambda(sampler)
         a, b = lc.estimate_cone(sampler, words=words), lc.estimate_cone(sampler)
         assert a.per_word_mu_lambda_gap == b.per_word_mu_lambda_gap
+        assert a.word_lengths == b.word_lengths
         assert [d.coords.tolist() for d in a.directions] == [d.coords.tolist() for d in b.directions]
+        a, b = lc.estimate_limit_set(sampler, words=words), lc.estimate_limit_set(sampler)
+        assert [[p.rep.tolist() for p in c] for c in a.points] == [
+            [p.rep.tolist() for p in c] for c in b.points
+        ]
+        a, b = lc.estimate_facets(sampler, words=words), lc.estimate_facets(sampler)
+        assert [f.word for f in a] == [f.word for f in b]
+        assert [f.general_position for f in a] == [f.general_position for f in b]
+        for f, g in zip(a, b):
+            assert [x.rep.tolist() for x in f.forward + f.backward] == [
+                x.rep.tolist() for x in g.forward + g.backward
+            ]
 
     def test_one_eigvals_call_per_level_and_degree(self, sl2_pair, monkeypatch):
         calls = {"eigvals": 0}
@@ -977,12 +1006,47 @@ class TestConvexityReadsTheBatch:
         assert np.array_equal(np.array(report.angular_errors), np.array(want))
 
     def test_no_per_word_lambda(self, sl2_pair, monkeypatch):
-        def refuse(self):
-            raise AssertionError("check_convexity read a word's lambda on its own")
-
-        monkeypatch.setattr(limits.WordProduct, "lam", refuse)
         s = _sampler(sl2_pair, kind="group", max_length=3)
-        lc.check_convexity(lc.estimate_cone(s), s, trials=5, seed=0)
+        est = lc.estimate_cone(s)
+        calls = []
+        readout = limits.product_projection
+
+        def counting(product, jordan):
+            calls.append(len(product[0][0]))
+            return readout(product, jordan)
+
+        monkeypatch.setattr(limits, "product_projection", counting)
+        lc.check_convexity(est, s, trials=5, seed=0)
+        # lambda is read once per level, then once for all the powers
+        assert calls == [4, 12, 36, 5 * 4]
+
+
+ESTIMATORS = [lc.estimate_cone, lc.estimate_limit_set, lc.compare_mu_lambda, lc.estimate_facets]
+
+
+class TestSuppliedWords:
+    @pytest.mark.parametrize(
+        "words, error",
+        [
+            ([()], InvalidInput),  # the empty word
+            ([(0,), (0, 1, 0)], InvalidInput),  # longer than max_length
+            ([(2,)], InvalidInput),  # outside the alphabet
+            ([(-1, 0)], InvalidInput),
+            ([(0.0,)], InvalidInput),  # not a letter index
+            ([], DegenerateSample),  # no words, as when none passes a filter
+            ([(0,)] * (limits.WORD_BUDGET + 1), BudgetExceeded),
+        ],
+        ids=["empty-word", "too-long", "outside", "negative", "not-an-index", "none", "budget"],
+    )
+    @pytest.mark.parametrize("estimate", ESTIMATORS, ids=lambda f: f.__name__)
+    def test_words_are_checked_before_any_product(self, sl2_pair, estimate, words, error):
+        with pytest.raises(error):
+            estimate(_sampler(sl2_pair, max_length=2), words=words)
+
+    def test_any_sequence_of_letters_is_a_word(self, sl2_pair):
+        s = _sampler(sl2_pair, kind="group", max_length=3)
+        est = lc.estimate_cone(s, words=[[0, 1], np.array([3, 3, 0]), (np.int64(2),)])
+        assert est.word_lengths == (2, 3, 1)
 
 
 class TestBudgetGuard:
@@ -993,7 +1057,7 @@ class TestBudgetGuard:
     )
     @pytest.mark.parametrize(
         "estimate",
-        [lc.estimate_cone, lc.estimate_limit_set, lc.compare_mu_lambda, lc.estimate_facets],
+        ESTIMATORS,
         ids=lambda f: f.__name__,
     )
     def test_word_stages_refuse_past_the_budget(self, sl2_pair, kw, estimate):

@@ -650,3 +650,15 @@ class TestSampleCount:
             lc.in_open_semigroup(
                 strongly_contracting_element(rng), lc.FacetFrame.identity(3), 0.05, samples=0
             )
+
+    @pytest.mark.parametrize("count", [0, -1])
+    def test_zero_samples_are_refused_before_the_eigendata(self, count):
+        # a non-proximal element is refused as a usage error, not as a verdict
+        rotation = lc.GroupElement.from_matrix(np.array([[0.0, -1.0], [1.0, 0.0]]))
+        with pytest.raises(InvalidInput, match="sample_count"):
+            lc.certify_eps_proximal(rotation, 1, 0.1, sample_count=count)
+        with pytest.raises(InvalidInput, match="sample_count"):
+            lc.in_open_semigroup(rotation, lc.FacetFrame.identity(2), 0.05, samples=count)
+        # analytic mode takes no samples
+        with pytest.raises(lc.NotProximal):
+            lc.certify_eps_proximal(rotation, 1, 0.1, mode="analytic", sample_count=count)

@@ -350,9 +350,11 @@ class TestTargetCone:
         with pytest.raises(RayNotInChamber):
             lc.TargetCone.from_rays([np.zeros(3)])
 
-    def test_nonpositive_margin_rejected(self):
-        with pytest.raises(InvalidInput):
-            lc.TargetCone.from_rays([FORGE_RAY_1], margin=0.0)
+    @pytest.mark.parametrize("margin", [0.0, -0.1, np.nan, np.inf, -np.inf])
+    def test_nonpositive_margin_rejected(self, margin):
+        # a rays file may spell NaN or Infinity, which json parses
+        with pytest.raises(InvalidInput, match="margin"):
+            lc.TargetCone.from_rays([FORGE_RAY_1], margin=margin)
 
     def test_rejects_empty_and_mixed_dimension_rays(self):
         with pytest.raises(InvalidInput, match="at least one ray"):

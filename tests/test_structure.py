@@ -79,6 +79,43 @@ def test_contraction_kernels_are_called_only_by_the_decision(path):
     assert not outside, outside
 
 
+ACCUMULATORS = {"extend_product", "empty_product"}
+
+
+def _qualified_functions(tree):
+    for node in tree.body:
+        if isinstance(node, ast.FunctionDef):
+            yield node.name, node
+        elif isinstance(node, ast.ClassDef):
+            for fn in node.body:
+                if isinstance(fn, ast.FunctionDef):
+                    yield f"{node.name}.{fn.name}", fn
+
+
+def test_one_accumulation_loop_per_batch_shape():
+    # limits accumulates words in two places only: the prefix-sharing levels
+    # of `_batches` and the ragged batch of `Alphabet.accumulate`; a per-word
+    # accumulator would be a third
+    tree = ast.parse((ROOT / "src" / "limitcone" / "limits.py").read_text())
+    callers = {
+        name
+        for name, fn in _qualified_functions(tree)
+        for call in ast.walk(fn)
+        if isinstance(call, ast.Call)
+        and isinstance(call.func, ast.Name)
+        and call.func.id in ACCUMULATORS
+    }
+    assert callers == {"_batches", "Alphabet.accumulate"}
+
+
+def test_a_word_has_one_form():
+    # a word is a letter sequence; no per-word product type or lister remains
+    import limitcone
+
+    for module in (limitcone, limitcone.limits):
+        assert not {"WordProduct", "enumerate_words"} & set(vars(module))
+
+
 CERTIFICATION_FAILURES = {"NotProximal", "SeparationViolated", "ContractionUnverified"}
 
 
