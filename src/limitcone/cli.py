@@ -171,6 +171,10 @@ def _print_row(label, values, out):
     print(label + "," + ",".join(fmt(v) for v in values), file=out)
 
 
+def _write_csv(path, rows):
+    path.write_text("\n".join(",".join(fmt(x) for x in r) for r in rows) + "\n")
+
+
 def _cmd_project(args, out):
     g = load_matrix(args.matrix)
     mu = cartan_projection(g)
@@ -229,7 +233,7 @@ def _cmd_certify_schottky(args, out):
     modes = sorted({cert.mode for cert in system.eigendata.values()})
     print(
         f"certified: {kind} with {system.t} generators, "
-        f"min separation {fmt(float(np.nanmin(system.separation)))}, "
+        f"min separation {fmt(system.min_separation)}, "
         f"mode {'+'.join(modes)}",
         file=out,
     )
@@ -270,32 +274,26 @@ def _cmd_forge(args, out):
     return EXIT_OK
 
 
-def _make_sampler(args, gens, kind):
-    count = getattr(args, "random", 0)  # only estimate-cone has --random
+def _sampler(args) -> WordSampler:
+    """The words of the --system file up to --depth: all of them, or --random drawn ones."""
+    gens, kind, _ = load_system(args.system)
     return WordSampler(
         generators=tuple(gens),
         kind=kind,
         max_length=args.depth,
-        strategy="random" if count else "exhaustive",
         seed=args.seed,
-        count=count,
+        count=getattr(args, "random", 0),  # only estimate-cone has --random
     )
 
 
 def _cmd_estimate_cone(args, out):
-    gens, kind, _ = load_system(args.system)
-    sampler = _make_sampler(args, gens, kind)
-    est = estimate_cone(sampler)
+    est = estimate_cone(_sampler(args))
     prefix = Path(args.out)
     rays_csv = prefix.with_suffix(".rays.csv")
     dirs_csv = prefix.with_suffix(".directions.csv")
     summary_json = prefix.with_suffix(".summary.json")
-    rays_csv.write_text(
-        "\n".join(",".join(fmt(x) for x in r.coords) for r in est.hull_rays) + "\n"
-    )
-    dirs_csv.write_text(
-        "\n".join(",".join(fmt(x) for x in d.coords) for d in est.directions) + "\n"
-    )
+    _write_csv(rays_csv, (r.coords for r in est.hull_rays))
+    _write_csv(dirs_csv, (d.coords for d in est.directions))
     summary = {
         "hull_dim": est.hull_dim,
         "rays": [_round12(r.coords) for r in est.hull_rays],
@@ -310,20 +308,14 @@ def _cmd_estimate_cone(args, out):
 
 
 def _cmd_limit_set(args, out):
-    gens, kind, _ = load_system(args.system)
-    sampler = _make_sampler(args, gens, kind)
+    sampler = _sampler(args)
     side = {"fwd": "forward", "bwd": "backward"}[args.side]
     sample = estimate_limit_set(sampler, side=side)
     prefix = Path(args.out)
     outputs = []
     for k in range(1, sampler.n):
         path = prefix.with_suffix(f".deg{k}.csv")
-        path.write_text(
-            "\n".join(
-                ",".join(fmt(x) for x in p.rep) for p in sample.cloud(k)
-            )
-            + "\n"
-        )
+        _write_csv(path, (p.rep for p in sample.cloud(k)))
         outputs.append(path)
     _write_manifest("limit-set", [args.system], args.seed, outputs)
     print(
@@ -335,9 +327,7 @@ def _cmd_limit_set(args, out):
 
 
 def _cmd_compare(args, out):
-    gens, kind, _ = load_system(args.system)
-    sampler = _make_sampler(args, gens, kind)
-    gaps = compare_mu_lambda(sampler)
+    gaps = compare_mu_lambda(_sampler(args))
     for length, g in enumerate(gaps, start=1):
         _print_row(f"length_{length}", [g], out)
     return EXIT_OK
@@ -350,58 +340,52 @@ def build_parser() -> _Parser:
     p.add_argument("--version", action="version", version=f"limitcone {__version__}")
     sub = p.add_subparsers(dest="command", required=True)
 
-    sp = sub.add_parser("project")
-    sp.add_argument("--matrix", required=True)
+    # an option that several commands share is declared once, in a parent
+    seeded = _Parser(add_help=False)
+    seeded.add_argument("--seed", type=int, default=0)
+    matrix = _Parser(add_help=False)
+    matrix.add_argument("--matrix", required=True)
+    system = _Parser(add_help=False)
+    system.add_argument("--system", required=True)
+    certifying = _Parser(add_help=False, parents=[seeded])
+    certifying.add_argument("--mode", choices=["analytic", "sampled"], default="sampled")
+    certifying.add_argument("--samples", type=int, default=10_000)
+    words = _Parser(add_help=False, parents=[system, seeded])
+    words.add_argument("--depth", type=int, required=True)
+
+    sp = sub.add_parser("project", parents=[matrix])
     sp.add_argument("--iterate", type=int, default=0)
     sp.set_defaults(func=_cmd_project)
 
-    sp = sub.add_parser("certify")
-    sp.add_argument("--matrix", required=True)
+    sp = sub.add_parser("certify", parents=[matrix, certifying])
     sp.add_argument("--degree", type=int, required=True)
     sp.add_argument("--epsilon", type=float, required=True)
-    sp.add_argument("--mode", choices=["analytic", "sampled"], default="sampled")
-    sp.add_argument("--samples", type=int, default=10_000)
-    sp.add_argument("--seed", type=int, default=0)
     sp.set_defaults(func=_cmd_certify)
 
-    sp = sub.add_parser("certify-schottky")
-    sp.add_argument("--system", required=True)
+    sp = sub.add_parser("certify-schottky", parents=[system, certifying])
     sp.add_argument("--kind", choices=["semigroup", "group"])
     sp.add_argument("--epsilon", type=float)
-    sp.add_argument("--mode", choices=["analytic", "sampled"], default="sampled")
-    sp.add_argument("--samples", type=int, default=10_000)
-    sp.add_argument("--seed", type=int, default=0)
     sp.set_defaults(func=_cmd_certify_schottky)
 
-    sp = sub.add_parser("forge")
+    sp = sub.add_parser("forge", parents=[seeded])
     sp.add_argument("--n", type=int, required=True)
     sp.add_argument("--rays", required=True)
     sp.add_argument("--epsilon", type=float, required=True)
-    sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("--group", action="store_true")
     sp.add_argument("--out", default="system.json")
     sp.set_defaults(func=_cmd_forge)
 
-    sp = sub.add_parser("estimate-cone")
-    sp.add_argument("--system", required=True)
-    sp.add_argument("--depth", type=int, required=True)
+    sp = sub.add_parser("estimate-cone", parents=[words])
     sp.add_argument("--random", type=int, default=0)
-    sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("--out", default="cone")
     sp.set_defaults(func=_cmd_estimate_cone)
 
-    sp = sub.add_parser("limit-set")
-    sp.add_argument("--system", required=True)
-    sp.add_argument("--depth", type=int, required=True)
+    sp = sub.add_parser("limit-set", parents=[words])
     sp.add_argument("--side", choices=["fwd", "bwd"], required=True)
-    sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("--out", default="limitset")
     sp.set_defaults(func=_cmd_limit_set)
 
-    sp = sub.add_parser("compare")
-    sp.add_argument("--system", required=True)
-    sp.add_argument("--depth", type=int, required=True)
-    sp.add_argument("--seed", type=int, default=0)
+    sp = sub.add_parser("compare", parents=[words])
     sp.set_defaults(func=_cmd_compare)
 
     return p

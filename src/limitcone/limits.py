@@ -1,14 +1,15 @@
 """Sampled estimates of the limit cone, the limit set, and quasiperiodic facets.
 
-Words of a finitely generated (semi)group are enumerated or sampled, their
+Words of a finitely generated (semi)group are enumerated or drawn, their
 products accumulated in log-scaled exterior-power form, and their Cartan and
 Jordan projections, attracting flags, and convex-cone hull are read off.
 A word is a tuple of letter indices into an `Alphabet`; `WordSampler.words`
-lists the sampled ones.  Exhaustive words are made one length at a time: each
-level is one batch, extended from the previous level by one batched matmul per
-exterior degree and read off by one batched decomposition per degree.  Any
-other word list, random or supplied through `words=`, is one ragged batch
-(`Alphabet.accumulate`).
+lists the sampled ones: all reduced words up to its `max_length` when its
+`count` is 0, else `count` drawn ones.  Enumerated words are made one length
+at a time: each level is one batch, extended from the previous level by one
+batched matmul per exterior degree and read off by one batched decomposition
+per degree.  Any other word list, drawn or supplied through `words=`, is one
+ragged batch (`Alphabet.accumulate`).
 """
 
 from dataclasses import dataclass, field
@@ -149,54 +150,51 @@ class Alphabet:
 class WordSampler:
     """Deterministic word source over a generating family.
 
-    `exhaustive` enumerates all (very) reduced words of length <= max_length in
-    length-then-lex order; `random` draws `count` reduced words reproducibly.
-    The words are spelled in `alphabet`, built once on construction.
+    `count` 0, the default, enumerates all reduced words of length <=
+    max_length in length-then-lex order; `count` >= 1 draws that many reduced
+    words of length <= max_length reproducibly from `seed`.  The words are
+    spelled in `alphabet`, built once on construction.
     """
 
     generators: tuple
     kind: str = "semigroup"
     max_length: int = 4
-    strategy: str = "exhaustive"
     seed: int = 0
     count: int = 0
     alphabet: Alphabet = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if self.strategy not in ("exhaustive", "random"):
-            raise InvalidInput(f"unknown strategy {self.strategy!r}")
         if self.max_length < 1:
             raise InvalidInput("max_length must be >= 1")
-        if self.strategy == "random" and self.count < 1:
-            raise InvalidInput("random strategy needs count >= 1")
+        if self.count < 0:
+            raise InvalidInput(f"count must be >= 0, got {self.count}")
         object.__setattr__(self, "alphabet", Alphabet.of(self.generators, self.kind))
 
     @property
     def n(self) -> int:
         return self.generators[0].n
 
+    @property
+    def strategy(self) -> str:
+        """How the words are made, read off `count`: "exhaustive" or "random"."""
+        return "random" if self.count else "exhaustive"
+
     def expected_word_count(self) -> int:
-        if self.strategy == "random":
+        if self.count:
             return self.count
-        t = len(self.generators)
-        if self.kind == "semigroup":
-            return sum(t**l for l in range(1, self.max_length + 1))
-        a = 2 * t
-        total = a
-        run = a
-        for _ in range(2, self.max_length + 1):
-            run *= a - 1
-            total += run
-        return total
+        # a reduced word's later letters may not cancel the one before them
+        a = len(self.alphabet.elements)
+        step = a if self.kind == "semigroup" else a - 1
+        return sum(a * step ** (l - 1) for l in range(1, self.max_length + 1))
 
     def words(self) -> list:
         """The sampled words as letter tuples, in the order the estimators read them.
 
-        Exhaustive: the reduced words of `Alphabet.levels`, length then lex.
-        Random: `count` reduced words drawn letter by letter from the seed.
+        `count` 0: the reduced words of `Alphabet.levels`, length then lex.
+        Otherwise `count` reduced words drawn letter by letter from the seed.
         """
         _check_budget(self.expected_word_count())
-        if self.strategy == "exhaustive":
+        if not self.count:
             return [w for level, _, _ in self.alphabet.levels(self.max_length) for w in level]
         alphabet = self.alphabet
         rng = np.random.default_rng(int(self.seed))
@@ -236,15 +234,15 @@ def _supplied(sampler: WordSampler, words) -> list:
 def _batches(sampler: WordSampler, words=None):
     """The words as batches (words, accumulated product), in order.
 
-    Exhaustive sampling yields one batch per length, each in lex order, so the
+    Enumerated words come as one batch per length, each in lex order, so the
     batches run in length-then-lex order; each level extends the previous
     level's product by one letter, and only that product is kept.  Any word
-    list, the random strategy's or a caller's `words` (letter sequences over
+    list, drawn (`count` >= 1) or a caller's `words` (letter sequences over
     `sampler.alphabet`, checked here), is one batch accumulated by
     `Alphabet.accumulate`.
     """
     alphabet = sampler.alphabet
-    if words is None and sampler.strategy == "exhaustive":
+    if words is None and not sampler.count:
         _check_budget(sampler.expected_word_count())
         product = empty_product(sampler.n)
         for level, parent, letter in alphabet.levels(sampler.max_length):
@@ -434,12 +432,16 @@ def check_convexity(
 
 
 def compare_mu_lambda(sampler: WordSampler, words=None) -> list[float]:
-    """Per word length l = 1..max_length, the max sup-norm gap ||mu(w) - lambda(w)||."""
-    out = np.zeros(sampler.max_length)
+    """Per word length l = 1..max_length, the max sup-norm gap ||mu(w) - lambda(w)||.
+
+    A length that no sampled word has gets NaN: there is no gap to report.
+    """
+    out = np.full(sampler.max_length, -np.inf)
     for batch, product in _batches(sampler, words):
         mu = product_projection(product, jordan=False)
         lam = product_projection(product, jordan=True)
         np.maximum.at(out, [len(w) - 1 for w in batch], np.max(np.abs(mu - lam), axis=1))
+    out[out == -np.inf] = np.nan
     return out.tolist()
 
 
@@ -472,10 +474,12 @@ def _merge_points(vectors) -> tuple:
 def estimate_limit_set(
     sampler: WordSampler,
     side: str = "forward",
-    epsilon_filter: float = DEFAULT_PROXIMALITY_FILTER,
     words=None,
 ) -> LimitSetSample:
-    """Attracting points (per degree) of the sampled words that pass the log-gap filter."""
+    """Attracting points (per degree) of the sampled words that pass the log-gap filter.
+
+    The filter is DEFAULT_PROXIMALITY_FILTER, at every degree.
+    """
     if side not in ("forward", "backward"):
         raise InvalidInput(f"unknown side {side!r}")
     clouds = [[] for _ in range(sampler.n - 1)]
@@ -486,7 +490,7 @@ def estimate_limit_set(
             # a vanishing runner-up modulus has no finite log gap
             passed = np.logical_and.reduce([
                 s.proximal & (s.second > 0.0)
-                & (np.abs(np.log(s.top) - np.log(s.second)) > epsilon_filter)
+                & (np.abs(np.log(s.top) - np.log(s.second)) > DEFAULT_PROXIMALITY_FILTER)
                 for s in splits
             ])
         hits += int(np.count_nonzero(passed))
@@ -513,7 +517,6 @@ class FacetSample:
 
 def estimate_facets(
     sampler: WordSampler,
-    epsilon_filter: float = DEFAULT_PROXIMALITY_FILTER,
     words=None,
 ) -> list[FacetSample]:
     """Per proximal sampled word, its attracting flag pair and a transversality flag.
@@ -521,7 +524,8 @@ def estimate_facets(
     A word is kept when, at every degree, it is proximal both ways: the
     `Splitting.proximal` mask holds forward and backward, so the smallest
     eigenvalue modulus, whose eigenvector is the backward flag, is nonzero,
-    simple and real.
+    simple and real.  Its flags are in general position when every forward
+    gap to its repelling hyperplane exceeds DEFAULT_PROXIMALITY_FILTER.
     """
     out = []
     for batch, product in _batches(sampler, words):
@@ -541,7 +545,7 @@ def estimate_facets(
                     word=batch[row],
                     forward=forward,
                     backward=tuple(ProjectivePoint.from_vector(b.vectors[row]) for _, b in splits),
-                    general_position=bool(min(gaps) > epsilon_filter),
+                    general_position=bool(min(gaps) > DEFAULT_PROXIMALITY_FILTER),
                 )
             )
     if not out:

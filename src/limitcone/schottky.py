@@ -183,6 +183,11 @@ class SchottkySystem:
     def certificate(self, i: int, k: int) -> ProximalityCertificate:
         return self.eigendata[(i, k)]
 
+    @property
+    def min_separation(self) -> float:
+        """The smallest gap the Schottky condition requires: the (g, g^-1) pairs are exempt."""
+        return float(min(self.separation[i, j].min() for i, j in _separated_pairs(self.alphabet)))
+
 
 def verify_schottky(
     generators,
@@ -226,6 +231,12 @@ def verify_schottky(
     )
 
 
+def _separated_pairs(alphabet):
+    """The letter pairs (i, j) whose gap(x+_i, X<_j) the Schottky condition bounds."""
+    m = len(alphabet.letters)
+    return [(i, j) for i in range(m) for j in range(m) if j != alphabet.inverse_index(i)]
+
+
 def _separation(alphabet, epsilons, eigendata):
     """The |E| x |E| x (n-1) gaps gap(x+_i, X<_j) between certified letters.
 
@@ -242,18 +253,15 @@ def _separation(alphabet, epsilons, eigendata):
                 separation[i, j, k - 1] = gap(
                     eigendata[(i, k)].attracting, eigendata[(j, k)].repelling
                 )
-    for i in range(m):
-        for j in range(m):
-            if j == alphabet.inverse_index(i):
-                continue  # the (g, g^-1) pair is exempt
-            need = 6.0 * max(elem_eps[i], elem_eps[j])
-            worst = float(separation[i, j].min())
-            if worst < need:
-                raise SeparationViolated(
-                    f"gap(x+_{i}, X<_{j}) = {worst} < {need}",
-                    pair=(i, j),
-                    separation=separation,
-                )
+    for i, j in _separated_pairs(alphabet):  # the (g, g^-1) pairs are exempt
+        need = 6.0 * max(elem_eps[i], elem_eps[j])
+        worst = float(separation[i, j].min())
+        if worst < need:
+            raise SeparationViolated(
+                f"gap(x+_{i}, X<_{j}) = {worst} < {need}",
+                pair=(i, j),
+                separation=separation,
+            )
     return separation
 
 

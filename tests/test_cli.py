@@ -1,5 +1,6 @@
 """Command-line interface: dispatch, exit codes, file outputs, reproducibility."""
 
+import argparse
 import io
 import json
 from pathlib import Path
@@ -165,6 +166,26 @@ class TestCertifySchottky:
         code, text = run_cli(["certify-schottky", "--system", str(sys_file)])
         assert code == 1
         assert text.startswith("refuted:")
+
+    def test_min_separation_is_over_the_required_pairs(self, tmp_path, monkeypatch):
+        # on the forged SL(2) half-line group, g's attracting point lies on
+        # g^-1's repelling hyperplane; that (g, g^-1) gap is exempt, so the
+        # printed minimum is the smallest gap the Schottky condition bounds
+        monkeypatch.chdir(tmp_path)
+        Path("rays.json").write_text(json.dumps({"rays": [[1.0, -1.0]]}))
+        argv = ["forge", "--n", "2", "--rays", "rays.json", "--epsilon", "0.1", "--group"]
+        assert run_cli(argv + ["--out", "system.json"])[0] == 0
+        code, text = run_cli(["certify-schottky", "--system", "system.json"])
+        assert code == 0
+        printed = text.split("min separation ")[1].split(",")[0]
+        gens, kind, eps = cli.load_system("system.json")
+        system = lc.verify_schottky(gens, kind=kind, epsilons=eps)
+        a, m = system.alphabet, len(system.alphabet.letters)
+        pairs = [(i, j) for i in range(m) for j in range(m) if j != a.inverse_index(i)]
+        required = min(float(system.separation[i, j].min()) for i, j in pairs)
+        assert printed == cli.fmt(required)
+        assert float(printed) >= 6 * 0.1
+        assert float(system.separation.min()) <= 1e-12  # an exempt pair
 
 
 class TestForgePipeline:
@@ -357,6 +378,106 @@ class TestUsageErrors:
             cli.run(["--version"])
         assert exc.value.code == 0
         assert "limitcone" in capsys.readouterr().out
+
+
+# every subcommand's options as (type, or "switch" for a flag that takes no
+# value, default, choices, required); the options that commands share come
+# from parent parsers, and this table pins what each command ends up with
+OPTIONS = {
+    "project": {
+        "--matrix": (None, None, None, True),
+        "--iterate": (int, 0, None, False),
+    },
+    "certify": {
+        "--matrix": (None, None, None, True),
+        "--degree": (int, None, None, True),
+        "--epsilon": (float, None, None, True),
+        "--mode": (None, "sampled", ["analytic", "sampled"], False),
+        "--samples": (int, 10_000, None, False),
+        "--seed": (int, 0, None, False),
+    },
+    "certify-schottky": {
+        "--system": (None, None, None, True),
+        "--kind": (None, None, ["semigroup", "group"], False),
+        "--epsilon": (float, None, None, False),
+        "--mode": (None, "sampled", ["analytic", "sampled"], False),
+        "--samples": (int, 10_000, None, False),
+        "--seed": (int, 0, None, False),
+    },
+    "forge": {
+        "--n": (int, None, None, True),
+        "--rays": (None, None, None, True),
+        "--epsilon": (float, None, None, True),
+        "--seed": (int, 0, None, False),
+        "--group": ("switch", False, None, False),
+        "--out": (None, "system.json", None, False),
+    },
+    "estimate-cone": {
+        "--system": (None, None, None, True),
+        "--depth": (int, None, None, True),
+        "--random": (int, 0, None, False),
+        "--seed": (int, 0, None, False),
+        "--out": (None, "cone", None, False),
+    },
+    "limit-set": {
+        "--system": (None, None, None, True),
+        "--depth": (int, None, None, True),
+        "--side": (None, None, ["fwd", "bwd"], True),
+        "--seed": (int, 0, None, False),
+        "--out": (None, "limitset", None, False),
+    },
+    "compare": {
+        "--system": (None, None, None, True),
+        "--depth": (int, None, None, True),
+        "--seed": (int, 0, None, False),
+    },
+}
+
+
+def _subcommand_options():
+    parser = cli.build_parser()
+    (sub,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    return {
+        name: {
+            a.option_strings[-1]: (
+                "switch" if isinstance(a, argparse._StoreTrueAction) else a.type,
+                a.default,
+                a.choices,
+                a.required,
+            )
+            for a in sp._actions
+            if not isinstance(a, argparse._HelpAction)
+        }
+        for name, sp in sub.choices.items()
+    }
+
+
+class TestOptions:
+    def test_every_subcommand_keeps_its_options(self):
+        assert _subcommand_options() == OPTIONS
+
+    @pytest.mark.parametrize("command", ["estimate-cone", "limit-set", "compare"])
+    def test_word_commands_share_one_sampler(self, tmp_path, monkeypatch, command):
+        # each word command reads the system file and hands its words to the
+        # estimator through the one sampler builder
+        write_system(tmp_path / "sys.json", sl2_pair_entries(), kind="group")
+        argv = [command, "--system", str(tmp_path / "sys.json"), "--depth", "3", "--seed", "4"]
+        if command == "limit-set":
+            argv += ["--side", "bwd", "--out", str(tmp_path / "ls")]
+        if command == "estimate-cone":
+            argv += ["--random", "9", "--out", str(tmp_path / "cone")]
+        built = []
+        make = cli._sampler
+
+        def spy(args):
+            built.append(make(args))
+            return built[-1]
+
+        monkeypatch.setattr(cli, "_sampler", spy)
+        assert run_cli(argv)[0] == 0
+        (sampler,) = built
+        assert (sampler.kind, sampler.max_length, sampler.seed) == ("group", 3, 4)
+        assert sampler.count == (9 if command == "estimate-cone" else 0)
 
 
 class TestMalformedContents:

@@ -1,5 +1,6 @@
 """Sampled limit cones, convexity evidence, limit sets, and facets."""
 
+import dataclasses
 from math import comb
 
 import numpy as np
@@ -24,21 +25,43 @@ class TestWordSampler:
         with pytest.raises(InvalidInput):
             _sampler(sl2_pair, kind="monoid")
         with pytest.raises(InvalidInput):
-            _sampler(sl2_pair, strategy="greedy")
-        with pytest.raises(InvalidInput):
             _sampler(sl2_pair, max_length=0)
         with pytest.raises(InvalidInput):
             _sampler([])
-        with pytest.raises(InvalidInput):
-            _sampler(sl2_pair, strategy="random", count=0)
+        with pytest.raises(InvalidInput, match="count must be >= 0"):
+            _sampler(sl2_pair, count=-1)
 
     def test_expected_counts(self, sl2_pair):
         assert _sampler(sl2_pair, max_length=3).expected_word_count() == 14
         assert _sampler(sl2_pair, kind="group", max_length=2).expected_word_count() == 16
-        assert (
-            _sampler(sl2_pair, strategy="random", count=37, max_length=5).expected_word_count()
-            == 37
-        )
+        assert _sampler(sl2_pair, count=37, max_length=5).expected_word_count() == 37
+        for kind in ("semigroup", "group"):
+            s = _sampler(sl2_pair, kind=kind, max_length=5)
+            assert s.expected_word_count() == len(s.words())
+
+    def test_count_zero_enumerates(self, sl2_pair):
+        s = _sampler(sl2_pair, max_length=3)
+        assert s.count == 0 and s.strategy == "exhaustive"
+        assert s.words() == sorted(_reference_walk(s.alphabet, 3), key=lambda w: (len(w), w))
+
+    def test_a_positive_count_draws(self, sl2_pair):
+        # a count beside an enumerable max_length is not ignored: 50 words are
+        # drawn, not the 14 reduced words of length <= 3
+        s = _sampler(sl2_pair, max_length=3, count=50, seed=2)
+        assert s.strategy == "random"
+        words = s.words()
+        assert len(words) == 50
+        assert words == _reference_draw(s)
+        assert all(1 <= len(w) <= 3 for w in words)
+
+    def test_strategy_is_derived_and_cannot_be_set(self, sl2_pair):
+        with pytest.raises(TypeError):
+            _sampler(sl2_pair, strategy="random", count=5)
+        s = _sampler(sl2_pair, count=5)
+        with pytest.raises(AttributeError):
+            s.strategy = "exhaustive"
+        assert s.strategy == "random"
+        assert "strategy" not in {f.name for f in dataclasses.fields(s)}
 
     def test_group_alphabet_has_inverses(self, sl2_pair):
         s = _sampler(sl2_pair, kind="group")
@@ -182,7 +205,7 @@ class TestSamplerWords:
                 assert b != s.alphabet.inverse_index(a)
 
     def test_random_reproducible(self, sl2_pair):
-        kw = dict(strategy="random", count=100, max_length=5, seed=9)
+        kw = dict(count=100, max_length=5, seed=9)
         a = _sampler(sl2_pair, **kw).words()
         b = _sampler(sl2_pair, **kw).words()
         assert a == b
@@ -214,7 +237,7 @@ class TestSamplerWords:
 
     def test_random_word_projections_equal_letter_products(self, forged_semigroup):
         s = _sampler(
-            forged_semigroup.generators, strategy="random", count=20, max_length=8, seed=3
+            forged_semigroup.generators, count=20, max_length=8, seed=3
         )
         _assert_batches_equal_letter_products(s)
 
@@ -319,6 +342,21 @@ class TestCompareMuLambda:
         gaps = lc.compare_mu_lambda(_sampler([g], max_length=1500))
         assert len(gaps) == 1500
         assert max(gaps) <= 1e-9
+
+    def test_a_length_no_word_has_is_nan(self, sl2_pair):
+        # five drawn words of lengths 6, 12, 11, 12 and 6: no gap is known at
+        # the other lengths, and 0.0 would claim mu = lambda there
+        s = _sampler(sl2_pair, count=5, max_length=12, seed=1)
+        lengths = {len(w) for w in s.words()}
+        assert lengths == {6, 11, 12}
+        gaps = lc.compare_mu_lambda(s)
+        assert len(gaps) == 12
+        for length, g in enumerate(gaps, start=1):
+            assert np.isnan(g) == (length not in lengths)
+        est = lc.estimate_cone(s)
+        for length in lengths:
+            want = max(g for g, l in zip(est.per_word_mu_lambda_gap, est.word_lengths) if l == length)
+            assert gaps[length - 1] == want
 
 
 class TestEstimateLimitSet:
@@ -843,8 +881,8 @@ class TestBatchedEngine:
             return _sampler(request.getfixturevalue("forged_sl4").generators, max_length=4)
         if name == "random-sl3":
             gens = request.getfixturevalue("forged_semigroup").generators
-            return _sampler(gens, strategy="random", count=200, max_length=12, seed=3)
-        return _sampler(sl2_pair, kind="group", strategy="random", count=200, max_length=9, seed=4)
+            return _sampler(gens, count=200, max_length=12, seed=3)
+        return _sampler(sl2_pair, kind="group", count=200, max_length=9, seed=4)
 
     def test_words_come_in_the_old_order(self, sampler):
         words = sampler.words()
@@ -1052,7 +1090,7 @@ class TestSuppliedWords:
 class TestBudgetGuard:
     @pytest.mark.parametrize(
         "kw",
-        [dict(max_length=25), dict(strategy="random", count=limits.WORD_BUDGET + 1)],
+        [dict(max_length=25), dict(count=limits.WORD_BUDGET + 1)],
         ids=["exhaustive", "random"],
     )
     @pytest.mark.parametrize(

@@ -116,6 +116,36 @@ def test_a_word_has_one_form():
         assert not {"WordProduct", "enumerate_words"} & set(vars(module))
 
 
+def test_the_cli_builds_its_word_sampler_in_one_place():
+    # the word commands share one sampler builder, so how --depth, --seed and
+    # --random become words is written once
+    tree = ast.parse((ROOT / "src" / "limitcone" / "cli.py").read_text())
+    builders = {
+        fn.name
+        for fn in ast.walk(tree)
+        if isinstance(fn, ast.FunctionDef)
+        for call in ast.walk(fn)
+        if isinstance(call, ast.Call)
+        and isinstance(call.func, ast.Name)
+        and call.func.id == "WordSampler"
+    }
+    assert builders == {"_sampler"}
+
+
+def test_shared_cli_options_are_declared_once():
+    tree = ast.parse((ROOT / "src" / "limitcone" / "cli.py").read_text())
+    flags = [
+        call.args[0].value
+        for call in ast.walk(tree)
+        if isinstance(call, ast.Call)
+        and isinstance(call.func, ast.Attribute)
+        and call.func.attr == "add_argument"
+        and isinstance(call.args[0], ast.Constant)
+    ]
+    for flag in ("--seed", "--system", "--depth", "--mode", "--samples", "--matrix"):
+        assert flags.count(flag) == 1, flag
+
+
 CERTIFICATION_FAILURES = {"NotProximal", "SeparationViolated", "ContractionUnverified"}
 
 
