@@ -1,9 +1,9 @@
 """Command-line front end: file I/O, dispatch, and deterministic run manifests.
 
 Exit codes: 0 success/certified, 1 refuted/false, 2 inconclusive,
-3 usage or I/O error.  All randomness flows through --seed (default 0) and all
-emitted reals carry 12 significant digits, so reruns with identical inputs are
-byte-identical.
+3 usage or I/O error (a negative --seed among them).  All randomness flows
+through --seed (default 0) and all emitted reals carry 12 significant digits,
+so reruns with identical inputs are byte-identical.
 """
 
 import argparse
@@ -45,6 +45,15 @@ class UsageError(Exception):
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
         raise UsageError(message)
+
+
+class _NonNegative(argparse.Action):
+    """Store an option's value, refusing a negative one (a seed)."""
+
+    def __call__(self, parser, namespace, value, option_string=None):
+        if value < 0:
+            raise argparse.ArgumentError(self, f"must be >= 0, got {value}")
+        setattr(namespace, self.dest, value)
 
 
 def fmt(x: float) -> str:
@@ -342,7 +351,7 @@ def build_parser() -> _Parser:
 
     # an option that several commands share is declared once, in a parent
     seeded = _Parser(add_help=False)
-    seeded.add_argument("--seed", type=int, default=0)
+    seeded.add_argument("--seed", type=int, default=0, action=_NonNegative)
     matrix = _Parser(add_help=False)
     matrix.add_argument("--matrix", required=True)
     system = _Parser(add_help=False)

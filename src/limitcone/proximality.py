@@ -74,6 +74,8 @@ from .projgeom import (
 
 EIGEN_GAP_TOL = 1e-10
 DEFAULT_SAMPLE_COUNT = 10_000
+# columns per block of the sampled check: a block's temporaries stay in cache
+_BLOCK_COLUMNS = 2048
 # the ascending-modulus ranks of the dominant eigenvalue, forward then
 # backward, and of the runner-up, forward then backward
 _SIDE_COLUMNS = np.array([-1, 0, -2, 1])
@@ -197,15 +199,23 @@ def _sample_bset(rng, phi: np.ndarray, epsilon: float, count: int) -> np.ndarray
     """Unit vectors x with |<phi, x>| >= epsilon, as columns; phi is unit."""
     d = phi.shape[0]
     t = rng.uniform(epsilon, 1.0, size=count)
-    # the draws of rng.choice([-1.0, 1.0], size=count), without its copies
-    t *= np.where(rng.integers(0, 2, size=count), 1.0, -1.0)
+    # the draws of rng.choice([-1.0, 1.0], size=count), without its copies; t > 0
+    np.copysign(t, rng.integers(0, 2, size=count) - 0.5, out=t)
     w = rng.standard_normal((d, count))
-    w -= np.outer(phi, phi @ w)
+    p = phi @ w
+    for row, c in zip(w, phi):
+        row -= c * p
+    del p
     wn = _column_norms(w)
     wn[wn == 0.0] = 1.0
     w /= wn
-    w *= np.sqrt(np.maximum(0.0, 1.0 - t**2))
-    w += phi[:, None] * t
+    # w * sqrt(max(0, 1 - t^2)) + phi t, in place: wn becomes the scale
+    np.multiply(t, t, out=wn)
+    np.subtract(1.0, wn, out=wn)
+    np.maximum(wn, 0.0, out=wn)
+    w *= np.sqrt(wn, out=wn)
+    for row, c in zip(w, phi):
+        row += c * t
     return w
 
 
@@ -216,6 +226,26 @@ def _normalize_cols(m: np.ndarray) -> np.ndarray:
         raise NumericalFailure("image of a unit vector vanished")
     m /= n
     return m
+
+
+def _column_blocks(count: int) -> list:
+    """(lo, hi) spans that cover range(count): _BLOCK_COLUMNS columns each,
+    the last one 2 to _BLOCK_COLUMNS + 1 wide.
+
+    Only a one-point sample gets a one-column span: numpy sums a lone column
+    over axis 0 in another order than a wider array, which can move the last
+    bit of a norm from dimension 8 on.
+    """
+    starts = list(range(0, max(count - 1, 1), _BLOCK_COLUMNS))
+    return list(zip(starts, starts[1:] + [count]))
+
+
+def _next_columns(a: np.ndarray, lo: int, hi: int) -> np.ndarray:
+    """The successors of columns lo .. hi - 1 of a: columns lo + 1 .. hi, the
+    one past the last column wrapping to column 0."""
+    if hi < a.shape[1]:
+        return a[:, lo + 1 : hi + 1]
+    return np.concatenate((a[:, lo + 1 :], a[:, :1]), axis=1)
 
 
 def sampled_contraction_check(
@@ -234,18 +264,34 @@ def sampled_contraction_check(
     each two independent points of B^eps; pairs closer than 1e-12 are
     dropped, so with sample_count == 1 (no distinct pair) it is 0.0.
     Deterministic given (seed, matrix contents).
+
+    After the one draw and the two matrix products, the work runs over
+    column blocks (`_column_blocks`), so no further temporary is sample-sized;
+    the maxima are those of the whole sample, bit for bit.
     """
     if sample_count < 1:
         raise InvalidInput(f"sample_count must be >= 1, got {sample_count}")
+    if not 0.0 < epsilon < 1.0:
+        raise InvalidInput(f"epsilon must be in (0, 1), got {epsilon}")
+    if seed < 0:
+        raise InvalidInput(f"seed must be >= 0, got {seed}")
     x = _sample_bset(_instance_rng(seed, m), repelling.covector, epsilon, sample_count)
-    y = _normalize_cols(m @ x)
-    max_image = float(chordal_distances(y, target.rep[:, None]).max())
-
-    d_in = chordal_distances(x, np.roll(x, -1, axis=1))
-    d_out = chordal_distances(y, np.roll(y, -1, axis=1))
-    ok = d_in > 1e-12
-    max_ratio = float((d_out[ok] / d_in[ok]).max()) if ok.any() else 0.0
-    return max_image, max_ratio
+    y = m @ x
+    blocks = _column_blocks(sample_count)
+    point = target.rep[:, None]
+    max_image = 0.0
+    for lo, hi in blocks:
+        image = chordal_distances(_normalize_cols(y[:, lo:hi]), point)
+        max_image = np.maximum(max_image, image.max())
+    # a second pass: a block's last pair reaches into the next block, whose
+    # images are normalised as a block (a lone column sums in another order)
+    max_ratio = 0.0
+    for lo, hi in blocks:
+        d_in = chordal_distances(x[:, lo:hi], _next_columns(x, lo, hi))
+        d_out = chordal_distances(y[:, lo:hi], _next_columns(y, lo, hi))
+        ratio = np.divide(d_out, d_in, out=np.zeros_like(d_in), where=d_in > 1e-12)
+        max_ratio = np.maximum(max_ratio, ratio.max())
+    return float(max_image), float(max_ratio)
 
 
 def analytic_contraction_bounds(m: np.ndarray, eigendata, epsilon: float):

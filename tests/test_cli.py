@@ -452,6 +452,44 @@ def _subcommand_options():
     }
 
 
+class TestNegativeSeed:
+    """Every seeded command refuses a negative --seed as a usage error, before
+    any work; the same command line with --seed 0 runs."""
+
+    @staticmethod
+    def _argv(command, tmp_path, rays_file):
+        # strong enough for the analytic bounds to certify
+        matrix = write_matrix(tmp_path / "g.json", np.diag([1e4, 1.0, 1e-4]))
+        system = write_system(tmp_path / "sys.json", sl2_pair_entries(), kind="group")
+        return {
+            "forge": ["forge", "--n", "3", "--rays", str(rays_file), "--epsilon", "0.05",
+                      "--out", str(tmp_path / "out.json")],
+            "certify": ["certify", "--matrix", str(matrix), "--degree", "1",
+                        "--epsilon", "0.1"],
+            "certify-analytic": ["certify", "--matrix", str(matrix), "--degree", "1",
+                                 "--epsilon", "0.1", "--mode", "analytic"],
+            "certify-schottky": ["certify-schottky", "--system", str(system)],
+            "estimate-cone": ["estimate-cone", "--system", str(system), "--depth", "3",
+                              "--random", "5", "--out", str(tmp_path / "out")],
+            "limit-set": ["limit-set", "--system", str(system), "--depth", "2", "--side", "fwd",
+                          "--out", str(tmp_path / "out")],
+            "compare": ["compare", "--system", str(system), "--depth", "2"],
+        }[command]
+
+    @pytest.mark.parametrize(
+        "command",
+        ["forge", "certify", "certify-analytic", "certify-schottky", "estimate-cone",
+         "limit-set", "compare"],
+    )
+    def test_negative_seed_exits_3(self, tmp_path, rays_file, capsys, command):
+        argv = self._argv(command, tmp_path, rays_file)
+        code, text = run_cli(argv + ["--seed", "-1"])
+        assert code == 3 and text == ""
+        assert "--seed" in capsys.readouterr().err
+        assert not list(tmp_path.glob("out*"))
+        assert run_cli(argv + ["--seed", "0"])[0] == 0
+
+
 class TestOptions:
     def test_every_subcommand_keeps_its_options(self):
         assert _subcommand_options() == OPTIONS

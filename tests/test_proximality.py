@@ -1,5 +1,7 @@
 """Proximality detection, epsilon-proximality certification, and composition."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -662,3 +664,105 @@ class TestSampleCount:
         # analytic mode takes no samples
         with pytest.raises(lc.NotProximal):
             lc.certify_eps_proximal(rotation, 1, 0.1, mode="analytic", sample_count=count)
+
+
+def _old_sample_bset(rng, phi, eps, count):
+    """The sampler's formula before it worked in place: np.where signs, an
+    outer-product projection and a full-size tail."""
+    t = rng.uniform(eps, 1.0, size=count)
+    t *= np.where(rng.integers(0, 2, size=count), 1.0, -1.0)
+    w = rng.standard_normal((phi.shape[0], count))
+    w -= np.outer(phi, phi @ w)
+    wn = np.linalg.norm(w, axis=0)
+    wn[wn == 0.0] = 1.0
+    w /= wn
+    w *= np.sqrt(np.maximum(0.0, 1.0 - t**2))
+    w += phi[:, None] * t
+    return w
+
+
+class TestSampledCheckInBlocks:
+    """The check works over column blocks of the one sample; its maxima are
+    those of the whole sample, bit for bit, at every block boundary."""
+
+    B = proximality._BLOCK_COLUMNS
+    COUNTS = (1, 2, B - 1, B, B + 1, 2 * B + 1, 10_000)
+
+    @staticmethod
+    def _instances(dims):
+        rng = np.random.default_rng(59)
+        for d in dims:
+            logs = np.sort(rng.uniform(-3.0, 3.0, d))[::-1]
+            q, _ = np.linalg.qr(rng.standard_normal((d, d)))
+            m = q @ np.diag(np.exp(logs - logs.mean())) @ q.T + 0.1 * rng.standard_normal((d, d))
+            _, x, h = lc.top_eigendata(m)
+            yield d, m, x, h
+
+    def test_block_boundaries_keep_the_whole_sample_maxima(self):
+        reference = TestSampledContractionCheck
+        dims = (2, 3, 4, 5, 6, 8, 10)
+        checked = 0
+        for d, m, x, h in self._instances(dims):
+            for count in self.COUNTS:
+                seed = 100 * d + count
+                xs, ys = reference._reference_sample(m, h, 0.1, count, seed)
+                image = float(reference._chordal(ys, x.rep[:, None]).max())
+                after = (np.arange(count) + 1) % count
+                d_in = reference._chordal(xs, xs[:, after])
+                d_out = reference._chordal(ys, ys[:, after])
+                ok = d_in > 1e-12
+                expansion = float((d_out[ok] / d_in[ok]).max()) if ok.any() else 0.0
+                got = sampled_contraction_check(m, x, h, 0.1, count, seed)
+                assert got == (image, expansion), (d, count)
+                checked += 1
+        assert checked == len(dims) * len(self.COUNTS)
+
+    def test_blocks_cover_the_sample_without_a_lone_column(self):
+        # numpy sums a lone column over axis 0 in another order than a wider
+        # array; from d = 8 on that can move a norm's last bit
+        B = self.B
+        for count in (1, 2, 3, B - 1, B, B + 1, B + 2, 2 * B, 2 * B + 1, 10_000):
+            spans = proximality._column_blocks(count)
+            assert spans[0][0] == 0 and spans[-1][1] == count
+            assert all(a[1] == b[0] for a, b in zip(spans, spans[1:]))
+            widths = [hi - lo for lo, hi in spans]
+            assert max(widths) <= B + 1
+            assert min(widths) >= min(count, 2), (count, widths)
+
+    def test_sampler_keeps_the_bits_of_its_old_formula(self):
+        for d, m, _, h in self._instances(range(2, 11)):
+            for count in (1, 2, 777, self.B + 1):
+                new = _sample_bset(_instance_rng(count, m), h.covector, 0.05, count)
+                old = _old_sample_bset(_instance_rng(count, m), h.covector, 0.05, count)
+                assert new.tobytes() == old.tobytes(), (d, count)
+
+    def test_no_sample_sized_temporaries(self):
+        m = np.diag([50.0, 1.0, 0.02])
+        _, x, h = lc.top_eigendata(m)
+        count = 200_000
+        tracemalloc.start()
+        try:
+            sampled_contraction_check(m, x, h, 0.1, count, seed=3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3.5 * 3 * count * 8 + 2**20
+
+    @pytest.mark.parametrize("eps", [0.0, 1.0, 1.5, -0.1, float("nan"), float("inf")])
+    def test_epsilon_outside_the_unit_interval_is_refused_before_drawing(self, eps, monkeypatch):
+        drawn = []
+        monkeypatch.setattr(proximality, "_sample_bset", lambda *a: drawn.append(a))
+        m = np.diag([50.0, 1.0, 0.02])
+        _, x, h = lc.top_eigendata(m)
+        with pytest.raises(InvalidInput, match="epsilon"):
+            sampled_contraction_check(m, x, h, eps, 100, seed=0)
+        assert drawn == []
+
+    def test_negative_seed_is_refused_before_drawing(self, monkeypatch):
+        drawn = []
+        monkeypatch.setattr(proximality, "_sample_bset", lambda *a: drawn.append(a))
+        m = np.diag([50.0, 1.0, 0.02])
+        _, x, h = lc.top_eigendata(m)
+        with pytest.raises(InvalidInput, match="seed"):
+            sampled_contraction_check(m, x, h, 0.1, 100, seed=-1)
+        assert drawn == []
