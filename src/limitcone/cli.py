@@ -218,10 +218,11 @@ def _cmd_certify(args, out):
         )
     except CertificationFailure as e:
         return _failed_verdict(e, out)
+    # sampled mode leaves the Lipschitz condition unchecked
+    lipschitz = "unchecked" if cert.lipschitz_bound is None else fmt(cert.lipschitz_bound)
     print(
         f"certified: degree {args.degree} epsilon {fmt(cert.epsilon)} "
-        f"gap {fmt(cert.gap_value)} lipschitz {fmt(cert.lipschitz_bound)} "
-        f"mode {cert.mode}",
+        f"gap {fmt(cert.gap_value)} lipschitz {lipschitz} mode {cert.mode}",
         file=out,
     )
     return EXIT_OK

@@ -1,4 +1,4 @@
-"""Exception hierarchy shared by every module."""
+"""Exception hierarchy shared by every module, and the one seed check."""
 
 
 class LimitConeError(Exception):
@@ -47,17 +47,15 @@ class ContractionUnverified(CertificationFailure):
 
     `refuted` is True when the check exhibited an explicit violation (a genuine
     counterexample), False when it was merely inconclusive.  A refutation
-    carries its witness's `image_distance` (and, sampled, the `expansion`
-    seen over the consecutive point pairs of the same sample, 0.0 for a
-    sample of one point, which has no distinct pair; exact, the `witness`
-    point itself, a unit vector of B^eps).
+    carries its witness's `image_distance` (exact, also the `witness` point
+    itself, a unit vector of B^eps).  A sampled refutation is of the image
+    condition: sampling leaves the Lipschitz condition unchecked.
     """
 
-    def __init__(self, message, refuted=False, image_distance=None, expansion=None, witness=None):
+    def __init__(self, message, refuted=False, image_distance=None, witness=None):
         super().__init__(message)
         self.refuted = refuted
         self.image_distance = image_distance
-        self.expansion = expansion
         self.witness = witness
 
 
@@ -95,3 +93,11 @@ class SeparationUnachievable(LimitConeError):
 
 class ConeNotInvolutionStable(LimitConeError):
     """A group forge was requested for a cone that is not opposition-involution stable."""
+
+
+def check_seed(seed) -> None:
+    """Refuse a negative seed with InvalidInput, before any work: numpy's
+    generators raise a bare ValueError on one, and a path that draws nothing
+    would accept it."""
+    if seed < 0:
+        raise InvalidInput(f"seed must be >= 0, got {seed}")

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import cones
-from .errors import BudgetExceeded, DegenerateSample, InvalidInput
+from .errors import BudgetExceeded, DegenerateSample, InvalidInput, check_seed
 from .projgeom import (
     ProjectiveHyperplane,
     ProjectivePoint,
@@ -168,6 +168,7 @@ class WordSampler:
             raise InvalidInput("max_length must be >= 1")
         if self.count < 0:
             raise InvalidInput(f"count must be >= 0, got {self.count}")
+        check_seed(self.seed)
         object.__setattr__(self, "alphabet", Alphabet.of(self.generators, self.kind))
 
     @property
@@ -377,6 +378,7 @@ def check_convexity(
     """For random word pairs (w1, w2), lambda(w1^m w2^m)/(2m) must drift to the midpoint."""
     if trials < 1:
         raise InvalidInput(f"trials must be >= 1, got {trials}")
+    check_seed(seed)
     words, lams = [], []
     for batch, product in _batches(sampler):
         words.extend(batch)

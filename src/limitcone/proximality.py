@@ -18,10 +18,10 @@ x+ is a column of compound_matrix(q, k), X< is its orthogonal complement
 (`exact_image_distance`) in the ratio b/a of the two top eigenvalues.  An
 exact pass proves the separation and image conditions up to floating point;
 an exact failure is a refutation whose witness is the worst point of B^eps.
-Like sampled mode, exact mode does not prove the Lipschitz condition: the
-certificate records the projective stretch in the plane of the two top
-eigenvectors at the slab's edge, a lower bound on the Lipschitz constant,
-and does not gate on it.  In ``analytic`` mode, which gates on a Lipschitz
+Like sampled mode, exact mode does not prove the Lipschitz condition; unlike
+it, the certificate records a value: the projective stretch in the plane of
+the two top eigenvectors at the slab's edge, a lower bound on the Lipschitz
+constant, not gated on.  In ``analytic`` mode, which gates on a Lipschitz
 bound, a factored element is certified like any other matrix.
 
 Two certification modes for any matrix (`certify_matrix_eps_proximal`):
@@ -37,11 +37,11 @@ Two certification modes for any matrix (`certify_matrix_eps_proximal`):
   the slab shrinks by the hyperplanes' distance and the radius grows by the
   points'.  A pass is a proof up to floating point; a failure is inconclusive
   unless the attracting point lies in B^eps outside the target ball.
-* ``sampled``: seeded Monte Carlo over one sample of B^eps; a violation
-  refutes, a clean run records the observed maxima as evidence.  The
-  observed pairwise expansion, over the consecutive pairs of that same
-  sample (a sample of one point has no distinct pair and records 0.0), is
-  recorded, not gated.
+* ``sampled``: seeded Monte Carlo over one sample of B^eps.  It falsifies
+  the image condition only: a sampled image point beyond eps refutes, a
+  clean run records the observed image maximum as evidence.  The Lipschitz
+  condition is left unchecked, and the certificate records no Lipschitz
+  value (`lipschitz_bound` None).
 """
 
 import hashlib
@@ -58,6 +58,7 @@ from .errors import (
     NotProximal,
     NumericalFailure,
     SeparationViolated,
+    check_seed,
 )
 from .projgeom import (
     GroupElement,
@@ -95,7 +96,7 @@ class ProximalityCertificate:
     repelling: ProjectiveHyperplane
     top_modulus: float
     gap_value: float
-    lipschitz_bound: float
+    lipschitz_bound: float | None  # None when sampled: that mode leaves it unchecked
     norm_ratio: float  # lambda_1 / ||M||, the Lemma-2.2.1 monitor
     mode: str  # "exact" | "analytic" | "sampled"
     sample_count: int
@@ -240,14 +241,6 @@ def _column_blocks(count: int) -> list:
     return list(zip(starts, starts[1:] + [count]))
 
 
-def _next_columns(a: np.ndarray, lo: int, hi: int) -> np.ndarray:
-    """The successors of columns lo .. hi - 1 of a: columns lo + 1 .. hi, the
-    one past the last column wrapping to column 0."""
-    if hi < a.shape[1]:
-        return a[:, lo + 1 : hi + 1]
-    return np.concatenate((a[:, lo + 1 :], a[:, :1]), axis=1)
-
-
 def sampled_contraction_check(
     m: np.ndarray,
     target: ProjectivePoint,
@@ -255,43 +248,30 @@ def sampled_contraction_check(
     epsilon: float,
     sample_count: int,
     seed: int,
-):
-    """Monte Carlo falsifier for image containment, plus observed expansion.
+) -> float:
+    """Monte Carlo falsifier for image containment, and nothing else.
 
-    Returns (max_image_distance, max_expansion_ratio) over one sample of
-    sample_count points x_i of B^eps.  The expansion is read from the same
-    sample, over the sample_count consecutive pairs (x_i, x_{(i+1) mod N}),
-    each two independent points of B^eps; pairs closer than 1e-12 are
-    dropped, so with sample_count == 1 (no distinct pair) it is 0.0.
-    Deterministic given (seed, matrix contents).
+    Returns the largest chordal distance from `target` of the normalised
+    image of one sample of sample_count points of B^eps.  It does not test
+    the Lipschitz condition.  Deterministic given (seed, matrix contents).
 
     After the one draw and the two matrix products, the work runs over
     column blocks (`_column_blocks`), so no further temporary is sample-sized;
-    the maxima are those of the whole sample, bit for bit.
+    the maximum is that of the whole sample, bit for bit.
     """
     if sample_count < 1:
         raise InvalidInput(f"sample_count must be >= 1, got {sample_count}")
     if not 0.0 < epsilon < 1.0:
         raise InvalidInput(f"epsilon must be in (0, 1), got {epsilon}")
-    if seed < 0:
-        raise InvalidInput(f"seed must be >= 0, got {seed}")
+    check_seed(seed)
     x = _sample_bset(_instance_rng(seed, m), repelling.covector, epsilon, sample_count)
     y = m @ x
-    blocks = _column_blocks(sample_count)
     point = target.rep[:, None]
     max_image = 0.0
-    for lo, hi in blocks:
+    for lo, hi in _column_blocks(sample_count):
         image = chordal_distances(_normalize_cols(y[:, lo:hi]), point)
         max_image = np.maximum(max_image, image.max())
-    # a second pass: a block's last pair reaches into the next block, whose
-    # images are normalised as a block (a lone column sums in another order)
-    max_ratio = 0.0
-    for lo, hi in blocks:
-        d_in = chordal_distances(x[:, lo:hi], _next_columns(x, lo, hi))
-        d_out = chordal_distances(y[:, lo:hi], _next_columns(y, lo, hi))
-        ratio = np.divide(d_out, d_in, out=np.zeros_like(d_in), where=d_in > 1e-12)
-        max_ratio = np.maximum(max_ratio, ratio.max())
-    return float(max_image), float(max_ratio)
+    return float(max_image)
 
 
 def analytic_contraction_bounds(m: np.ndarray, eigendata, epsilon: float):
@@ -323,20 +303,20 @@ def contraction_check(m, eigendata, target, repelling, epsilon, mode, sample_cou
     """Decide that m maps B^eps = {x : gap(x, repelling) >= eps} into the
     eps-ball around `target`, eps-Lipschitz; `eigendata` is `top_eigendata(m)`.
 
-    Returns (image distance, Lipschitz): observed maxima when sampled, bounds
-    when analytic.  Raises ContractionUnverified, refuted with its witness or
-    inconclusive.
+    Returns (image distance, Lipschitz).  Analytic, both are bounds and both
+    are gated.  Sampled, the image distance is the observed maximum, and the
+    Lipschitz value is None: sampling falsifies the image condition only and
+    leaves the Lipschitz condition unchecked.  Raises ContractionUnverified,
+    refuted with its witness or inconclusive.
     """
     if mode == "sampled":
-        image, expansion = sampled_contraction_check(
-            m, target, repelling, epsilon, sample_count, seed
-        )
+        image = sampled_contraction_check(m, target, repelling, epsilon, sample_count, seed)
         if image > epsilon:
             raise ContractionUnverified(
                 f"sampled image point at distance {image} > epsilon {epsilon}",
-                refuted=True, image_distance=image, expansion=expansion,
+                refuted=True, image_distance=image,
             )
-        return image, expansion
+        return image, None
     if mode != "analytic":
         raise InvalidInput(f"unknown mode {mode!r}")
     # offset the element's own splitting to the given pair (by exactly 0.0 for its own)
@@ -476,6 +456,7 @@ def certify_eps_proximal(
     certified exactly, `mode="exact"`, without sampling; any other case goes
     through `certify_matrix_eps_proximal` in `mode`.
     """
+    check_seed(seed)
     if g.factors is not None and mode == "sampled":
         if sample_count < 1:
             raise InvalidInput(f"sample_count must be >= 1, got {sample_count}")
@@ -502,6 +483,7 @@ def certify_matrix_eps_proximal(
     """
     if not 0.0 < epsilon < 1.0:
         raise InvalidInput(f"epsilon must be in (0, 1), got {epsilon}")
+    check_seed(seed)
     if mode not in ("analytic", "sampled"):
         raise InvalidInput(f"unknown mode {mode!r}")
     if mode == "sampled" and sample_count < 1:
@@ -512,8 +494,8 @@ def certify_matrix_eps_proximal(
         raise SeparationViolated(
             f"gap {gap_value} < 2*epsilon = {2.0 * epsilon}"
         )
-    # sampled, the observed pairwise expansion is recorded as evidence; it is
-    # not a certification gate (the analytic mode bounds the Lipschitz constant)
+    # analytic mode bounds and gates the Lipschitz constant; sampled mode
+    # leaves that condition unchecked and records None
     _, lipschitz = contraction_check(
         m, eigendata, attracting, repelling, epsilon, mode, sample_count, seed
     )
@@ -544,6 +526,7 @@ def certify_theta_proximal(
     A failing degree stops before the next Lambda^k is built; its message
     gains the prefix "degree k: ".
     """
+    check_seed(seed)
     certs = []
     for k in sorted(degrees):
         try:

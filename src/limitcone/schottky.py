@@ -37,6 +37,7 @@ from .errors import (
     SeparationUnachievable,
     SeparationViolated,
     TooFewGenerators,
+    check_seed,
 )
 from .limits import Alphabet
 from .projgeom import (
@@ -203,6 +204,7 @@ def verify_schottky(
     factored letter exactly in sampled mode, the default.  On a separation failure
     the exception carries the separation matrix computed so far.
     """
+    check_seed(seed)
     generators = list(generators)
     if len(generators) < 2:
         raise TooFewGenerators("a Schottky family needs at least 2 generators")
@@ -295,7 +297,6 @@ class MembershipEvidence:
     mode: str
     reason: str
     max_image_distance: float | None = None
-    max_expansion: float | None = None
 
     def __bool__(self) -> bool:
         return self.accepted
@@ -314,8 +315,11 @@ def in_open_semigroup(
     Membership means: on every exterior-power projective space, Lambda^k g maps
     the complement of the epsilon-slab around the frame's repelling hyperplane
     into the epsilon-ball around the frame's attracting point, with an
-    epsilon-Lipschitz restriction; epsilon lies in (0, epsilon_f).
+    epsilon-Lipschitz restriction; epsilon lies in (0, epsilon_f).  Analytic
+    mode proves both conditions.  Sampled mode falsifies the image condition
+    only and leaves the Lipschitz restriction unchecked.
     """
+    check_seed(seed)
     if g.n != f.n:
         raise InvalidInput("group element and frame dimensions differ")
     if not (np.isfinite(epsilon) and epsilon > 0.0):
@@ -327,11 +331,11 @@ def in_open_semigroup(
         raise InvalidInput(f"unknown mode {mode!r}")
     if mode == "sampled" and samples < 1:
         raise InvalidInput(f"sample_count must be >= 1, got {samples}")
-    worst_image, worst_ratio = 0.0, 0.0
+    worst_image = 0.0
     for k in range(1, g.n):
         m = exterior_power(g, k)
         try:
-            image, ratio = contraction_check(
+            image, _ = contraction_check(
                 m, top_eigendata(m), f.point(k), f.hyperplane(k), epsilon, mode, samples, seed
             )
         except NotProximal:
@@ -344,16 +348,14 @@ def in_open_semigroup(
                 raise
             return MembershipEvidence(
                 accepted=False, mode=mode, reason=e.args[0],
-                max_image_distance=e.image_distance, max_expansion=e.expansion,
+                max_image_distance=e.image_distance,
             )
         worst_image = max(worst_image, image)
-        worst_ratio = max(worst_ratio, ratio)
     return MembershipEvidence(
         accepted=True,
         mode=mode,
         reason="all degrees contract into the frame ball",
         max_image_distance=worst_image,
-        max_expansion=worst_ratio,
     )
 
 
@@ -376,7 +378,6 @@ def in_cone_semigroup(
             mode=ev.mode,
             reason="lambda(g) outside the margin-shrunk cone",
             max_image_distance=ev.max_image_distance,
-            max_expansion=ev.max_expansion,
         )
     return ev
 
@@ -412,6 +413,7 @@ def _forge(
     max_power: int,
     kind: str,
 ) -> SchottkySystem:
+    check_seed(seed)
     # the Schottky separation 6*epsilon cannot exceed the largest gap, 1
     if not 0.0 < epsilon <= 1.0 / 6.0:
         raise InvalidInput(f"epsilon must be in (0, 1/6], got {epsilon}")

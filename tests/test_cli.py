@@ -132,6 +132,26 @@ class TestCertify:
         assert code == 2
         assert text.startswith("inconclusive:")
 
+    def test_verdict_lines_say_what_each_mode_checked(self, tmp_path, monkeypatch):
+        # sampled mode leaves the Lipschitz condition unchecked; the analytic
+        # bound and the exact plane stretch print as they always have
+        def certify(matrix, *flags):
+            path = write_matrix(tmp_path / "g.json", matrix)
+            return run_cli(["certify", "--matrix", str(path), "--epsilon", "0.1", *flags])
+
+        assert certify(np.diag([100.0, 1.0, 0.01]), "--degree", "1") == (
+            0, "certified: degree 1 epsilon 0.1 gap 1 lipschitz unchecked mode sampled\n"
+        )
+        assert certify(np.diag([1e4, 1.0, 1e-4]), "--degree", "1", "--mode", "analytic") == (
+            0, "certified: degree 1 epsilon 0.1 gap 1 lipschitz 0.0141988743255 mode analytic\n"
+        )
+        # a matrix file carries no factors: the exact line, as a factored letter prints it
+        letter = lc.GroupElement.from_factors(np.eye(3), FORGE_RAY_1, 30)
+        monkeypatch.setattr(cli, "load_matrix", lambda path: letter)
+        assert certify(np.eye(3), "--degree", "2") == (
+            0, "certified: degree 2 epsilon 0.1 gap 1 lipschitz 0.000775658720057 mode exact\n"
+        )
+
 
 class TestCertifySchottky:
     def test_certified(self, tmp_path):

@@ -1,6 +1,7 @@
 """Schottky verification, word estimates, open semigroups, and forging."""
 
 import sys
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -18,7 +19,7 @@ from limitcone.errors import (
 )
 from limitcone.proximality import sampled_contraction_check
 
-from .conftest import FORGE_RAY_1, FORGE_RAY_2, strongly_contracting_element
+from .conftest import FORGE_RAY_1, FORGE_RAY_2, rotation2, strongly_contracting_element
 
 
 class TestVerifySchottky:
@@ -204,8 +205,73 @@ class TestOpenSemigroupMembership:
         witness = sampled_contraction_check(
             lc.exterior_power(g, 1), f.point(1), f.hyperplane(1), 0.05, 2000, 3
         )
-        assert (ev.max_image_distance, ev.max_expansion) == witness
+        assert ev.max_image_distance == witness
         assert ev.reason.startswith("degree 1: sampled image point")
+
+
+class TestSampledModeLeavesLipschitzUnchecked:
+    """Sampling falsifies the image condition only: no sampled outcome
+    records a Lipschitz value."""
+
+    def test_certificate_membership_and_refutation_record_none(self):
+        g = lc.GroupElement.from_matrix(np.diag([100.0, 1.0, 0.01]))
+        cert = lc.certify_eps_proximal(g, 1, 0.1, seed=5)
+        assert cert.mode == "sampled" and cert.lipschitz_bound is None
+        # None, unlike NaN, keeps same-seed certificates equal, field by field
+        again = lc.certify_eps_proximal(g, 1, 0.1, seed=5)
+        assert np.array_equal(again.attracting.rep, cert.attracting.rep)
+        assert np.array_equal(again.repelling.covector, cert.repelling.covector)
+        for name in ("rep", "epsilon", "top_modulus", "gap_value", "lipschitz_bound",
+                     "norm_ratio", "mode", "sample_count"):
+            assert getattr(again, name) == getattr(cert, name), name
+        rng = np.random.default_rng(0)
+        ev = lc.in_open_semigroup(strongly_contracting_element(rng), lc.FacetFrame.identity(3), 0.05)
+        assert ev.accepted and ev.mode == "sampled"
+        assert [f.name for f in fields(ev)] == ["accepted", "mode", "reason", "max_image_distance"]
+        with pytest.raises(lc.ContractionUnverified) as exc:
+            lc.certify_eps_proximal(lc.GroupElement.from_matrix(np.diag([8.0, 2.0, 1.0 / 16.0])), 1, 0.1)
+        assert exc.value.refuted and exc.value.image_distance > 0.1
+        assert not hasattr(exc.value, "expansion")
+
+
+def _seeded_entries():
+    """Each public entry that takes a seed, as a call of that seed."""
+    cone = lc.TargetCone.from_rays([FORGE_RAY_1, FORGE_RAY_2])
+    plain = lc.GroupElement.from_matrix(np.diag([1e4, 1.0, 1e-4]))
+    factored = lc.GroupElement.from_factors(np.eye(3), FORGE_RAY_1, 30)
+    frame = lc.FacetFrame.identity(3)
+    pair = [lc.GroupElement.from_matrix(np.diag([10.0, 0.1]))]
+    pair.append(lc.GroupElement.from_matrix(rotation2(np.pi / 4) @ pair[0].entries @ rotation2(-np.pi / 4)))
+    sampler = lc.WordSampler(tuple(pair), max_length=2)
+    return {
+        "forge_semigroup": lambda s: lc.forge_semigroup(3, cone, 0.05, seed=s),
+        "forge_group": lambda s: lc.forge_group(3, lc.TargetCone.from_rays([FORGE_RAY_1, -FORGE_RAY_1[::-1]]), 0.05, seed=s),
+        "certify_eps_proximal-exact": lambda s: lc.certify_eps_proximal(factored, 1, 0.1, seed=s),
+        "certify_eps_proximal-analytic": lambda s: lc.certify_eps_proximal(plain, 1, 0.1, mode="analytic", seed=s),
+        "certify_eps_proximal-sampled": lambda s: lc.certify_eps_proximal(plain, 1, 0.1, seed=s),
+        "certify_matrix_eps_proximal-analytic": lambda s: lc.proximality.certify_matrix_eps_proximal(
+            plain.entries, lc.Representation(n=3, k=1), 0.1, "analytic", seed=s
+        ),
+        "certify_matrix_eps_proximal-sampled": lambda s: lc.proximality.certify_matrix_eps_proximal(
+            plain.entries, lc.Representation(n=3, k=1), 0.1, seed=s
+        ),
+        "certify_theta_proximal": lambda s: lc.certify_theta_proximal(plain, [1, 2], 0.1, mode="analytic", seed=s),
+        "verify_schottky": lambda s: lc.verify_schottky(pair, seed=s),
+        "in_open_semigroup": lambda s: lc.in_open_semigroup(plain, frame, 0.05, seed=s),
+        "in_cone_semigroup": lambda s: lc.in_cone_semigroup(plain, frame, 0.05, cone, seed=s),
+        "WordSampler": lambda s: lc.WordSampler(tuple(pair), max_length=2, seed=s),
+        "check_convexity": lambda s: lc.check_convexity(lc.estimate_cone(sampler), sampler, seed=s),
+    }
+
+
+@pytest.mark.parametrize("entry", list(_seeded_entries()))
+def test_a_negative_seed_is_refused_before_any_work(entry, monkeypatch):
+    call = _seeded_entries()[entry]
+    call(0)  # the call is well formed: seed 0 runs
+    calls = count_top_eigendata(monkeypatch)
+    with pytest.raises(InvalidInput, match="seed must be >= 0, got -1"):
+        call(-1)
+    assert not calls
 
 
 def count_top_eigendata(monkeypatch) -> list:
