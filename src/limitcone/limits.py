@@ -48,23 +48,13 @@ class Alphabet:
 
     The letters are the generators, then, for a group, their inverses in the
     same order; each letter's exterior powers are its `exterior_power`s.
-    Build one with `Alphabet.of`; a word is a sequence of letter indices.
+    Build one with `Alphabet.of`, the only place the letters are laid out; a
+    word is a sequence of letter indices.  `inverse_index` gives the (g, g^-1)
+    pairs that the Schottky condition, and so the forge, exempts from separation.
     """
 
     elements: tuple  # GroupElement per letter
-    letters: tuple  # per letter, as in `spell`
-
-    @staticmethod
-    def spell(t: int, kind: str) -> tuple:
-        """E_Gamma over t generators: per letter (generator, inverted, inverse letter).
-
-        The inverse letter is the one that cancels it, None in a semigroup.
-        """
-        if kind != "group":
-            return tuple((j, False, None) for j in range(t))
-        return tuple((j, False, t + j) for j in range(t)) + tuple(
-            (j, True, j) for j in range(t)
-        )
+    letters: tuple  # per letter: (generator, inverted, the letter that cancels it or None)
 
     @classmethod
     def of(cls, generators, kind="semigroup") -> "Alphabet":
@@ -77,7 +67,10 @@ class Alphabet:
         n = generators[0].n
         if any(g.n != n for g in generators):
             raise InvalidInput("generators must share one dimension")
-        letters = cls.spell(len(generators), kind)
+        t = len(generators)
+        letters = tuple((j, False, t + j if kind == "group" else None) for j in range(t))
+        if kind == "group":
+            letters += tuple((j, True, j) for j in range(t))
         elements = tuple(
             generators[j].inverse() if inv else generators[j] for j, inv, _ in letters
         )

@@ -8,7 +8,7 @@ hyperplane is |<covector, rep>| for unit representatives.  The gap is within a
 factor sqrt(2) of the chordal point-to-hyperplane distance.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from itertools import combinations
 from math import comb
 
@@ -168,8 +168,21 @@ def _canonical_unit(v: np.ndarray, what: str) -> np.ndarray:
     return _freeze(canonical_units(np.asarray(v, dtype=float).reshape(1, -1), what)[0])
 
 
-@dataclass(frozen=True)
-class ProjectivePoint:
+class _CanonicalVector:
+    """Value equality and hashing by the one field, a canonical read-only vector."""
+
+    _vector = property(lambda self: getattr(self, fields(self)[0].name))
+
+    def __eq__(self, other) -> bool:
+        return type(self) is type(other) and np.array_equal(self._vector, other._vector)
+
+    def __hash__(self) -> int:
+        # + 0.0 turns -0.0 into 0.0, which np.array_equal calls equal
+        return hash((type(self), (self._vector + 0.0).tobytes()))
+
+
+@dataclass(frozen=True, eq=False)
+class ProjectivePoint(_CanonicalVector):
     """A point of P(R^m), stored as a unit representative with canonical sign."""
 
     rep: np.ndarray
@@ -183,8 +196,8 @@ class ProjectivePoint:
         return self.rep.shape[0]
 
 
-@dataclass(frozen=True)
-class ProjectiveHyperplane:
+@dataclass(frozen=True, eq=False)
+class ProjectiveHyperplane(_CanonicalVector):
     """A hyperplane of P(R^m), stored as a unit covector with canonical sign."""
 
     covector: np.ndarray
@@ -270,8 +283,8 @@ def exterior_logs(ray: np.ndarray, power: float, k: int) -> np.ndarray:
     One per k-subset S, in the lexicographic wedge basis: the eigenvector of
     subset S is column S of `compound_matrix(q, k)`, whatever the rotation q.
     """
-    sums = np.array([ray[list(c)].sum() for c in combinations(range(len(ray)), k)])
-    return float(power) * sums
+    subsets = np.array(list(combinations(range(len(ray)), k)))
+    return float(power) * ray[subsets].sum(axis=1)
 
 
 def chordal_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:

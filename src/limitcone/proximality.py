@@ -416,7 +416,7 @@ def _certify_factored(g: GroupElement, k: int, epsilon: float) -> ProximalityCer
         raise NotProximal(f"dominant log modulus {log_top} is not simple (log ratio {log_ratio})")
     qk = rotation_compound(g, k)
     attracting = ProjectivePoint.from_vector(qk[:, top])
-    repelling = ProjectiveHyperplane.from_covector(qk[:, top])
+    repelling = ProjectiveHyperplane(covector=attracting.rep)
     gap_value = gap(attracting, repelling)
     if gap_value < 2.0 * epsilon:
         raise SeparationViolated(f"gap {gap_value} < 2*epsilon = {2.0 * epsilon}")

@@ -13,6 +13,8 @@ exponentials of the rays.  Their certification is exact (see `proximality`),
 and depends on the ray, the power and epsilon only, so each power p is
 computed, not searched: the smallest p >= 1 at which every degree of the
 letter (and, for a group, of its inverse) passes the exact image clause.
+The forge keeps the first rotation draw that `verify_schottky`, where the
+separation rule lives, certifies with 5% slack over 6*epsilon (`FORGE_SEPARATION_SLACK`).
 Zariski density is not machine checked; the checkable proxies are
 regularity, non-commutation, and distinct attracting flags.
 """
@@ -47,7 +49,6 @@ from .projgeom import (
     compound_matrix,
     exterior_power,
     gap,
-    rotation_compound,
 )
 from .projections import (
     ChamberVector,
@@ -67,6 +68,9 @@ from .proximality import (
 
 FRAME_CONDITION_CAP = 1e6
 FORGE_RETRY_CAP = 100
+# the forge keeps a rotation draw only if it clears the Schottky condition's
+# 6*epsilon by this factor, so that no rounding error separates it from refusal
+FORGE_SEPARATION_SLACK = 1.05
 DEFAULT_MAX_POWER = 2**20
 
 
@@ -429,41 +433,30 @@ def _forge(
         if np.any(np.diff(tweak) >= 0.0):
             raise RayNotInChamber("could not perturb the single ray inside the chamber")
         rays = [r, tweak]
-    t = len(rays)
     rng = np.random.default_rng(int(seed))
 
     signs = (1.0, -1.0) if kind == "group" else (1.0,)
     powers = [_certifying_power(j, r, signs, epsilon, max_power) for j, r in enumerate(rays)]
-    letters = Alphabet.spell(t, kind)
+    need = 6.0 * epsilon * FORGE_SEPARATION_SLACK
     try:
         for _ in range(FORGE_RETRY_CAP):
             gens = [
                 GroupElement.from_factors(_haar_rotation(rng, n), r, p)
                 for r, p in zip(rays, powers)
             ]
-            # per letter and degree: the attracting vector of every power of the
-            # letter, from the rotation compounds its certificate reads again
-            flags = [
-                [rotation_compound(gens[j], k)[:, -1 if inv else 0] for k in range(1, n)]
-                for j, inv, _ in letters
-            ]
-            if not any(
-                abs(float(va @ vb)) / (np.linalg.norm(va) * np.linalg.norm(vb))
-                < 6.0 * epsilon * 1.05  # 5% safety over the contract
-                for a, (_, _, inverse) in enumerate(letters)
-                for b in range(len(letters))
-                if b != inverse  # the (g, g^-1) pair is exempt
-                for va, vb in zip(flags[a], flags[b])
-            ):
+            try:
+                system = verify_schottky(gens, kind, [epsilon] * len(gens))
+            except SeparationViolated:
+                continue
+            if system.min_separation >= need:
                 break
         else:
             raise SeparationUnachievable(
-                f"no rotation draw reached 6*epsilon separation in {FORGE_RETRY_CAP} tries"
+                f"no rotation draw reached separation 6*epsilon*{FORGE_SEPARATION_SLACK}"
+                f" = {need:.6g} in {FORGE_RETRY_CAP} tries"
             )
-        # a factored letter's certificate is exact and builds its exterior
-        # powers, which are where float64 overflows
-        system = verify_schottky(gens, kind, [float(epsilon)] * t)
     except NumericalFailure as err:
+        # a factored letter's certificate builds its exterior powers: float64 overflows there
         raise MaxPowerExceeded(f"a letter overflowed at powers {powers}") from err
     alphabet = system.alphabet
 

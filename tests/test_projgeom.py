@@ -298,6 +298,34 @@ class TestCanonicalRepresentatives:
             lc.ProjectivePoint.from_vector([0.0, 0.0])
 
 
+class TestValueEquality:
+    def test_same_seed_certificates_are_equal(self):
+        g = lc.GroupElement.from_matrix(np.diag([100.0, 1.0, 0.01]))
+        a, b = (lc.certify_eps_proximal(g, 1, 0.1, seed=5) for _ in range(2))
+        assert a == b
+        assert hash(a) == hash(b)
+
+    def test_a_point_is_its_line(self):
+        v = np.array([1.0, -2.0, 0.5])
+        a, b = lc.ProjectivePoint.from_vector(v), lc.ProjectivePoint.from_vector(-2.0 * v)
+        assert a == b
+        assert len({a, b}) == 1
+        assert a != lc.ProjectivePoint.from_vector([1.0, 2.0, 0.5])
+
+    def test_signed_zero_hashes_equal(self):
+        # the canonical flip leaves -0.0 where a zero coordinate was negated
+        a = lc.ProjectiveHyperplane.from_covector([0.0, 1.0])
+        b = lc.ProjectiveHyperplane.from_covector([0.0, -1.0])
+        assert a == b
+        assert hash(a) == hash(b)
+
+    def test_a_point_never_equals_a_hyperplane(self):
+        v = [1.0, 0.0, 0.0]
+        x, h = lc.ProjectivePoint.from_vector(v), lc.ProjectiveHyperplane.from_covector(v)
+        assert x != h
+        assert h != x
+
+
 class TestHausdorffDistance:
     def test_identical_clouds(self):
         p = [lc.ProjectivePoint.from_vector(v) for v in ([1.0, 0.0], [1.0, 1.0])]

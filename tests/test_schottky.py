@@ -14,6 +14,7 @@ from limitcone.errors import (
     InvalidInput,
     NotReduced,
     RayNotInChamber,
+    SeparationUnachievable,
     SeparationViolated,
     TooFewGenerators,
 )
@@ -217,13 +218,8 @@ class TestSampledModeLeavesLipschitzUnchecked:
         g = lc.GroupElement.from_matrix(np.diag([100.0, 1.0, 0.01]))
         cert = lc.certify_eps_proximal(g, 1, 0.1, seed=5)
         assert cert.mode == "sampled" and cert.lipschitz_bound is None
-        # None, unlike NaN, keeps same-seed certificates equal, field by field
-        again = lc.certify_eps_proximal(g, 1, 0.1, seed=5)
-        assert np.array_equal(again.attracting.rep, cert.attracting.rep)
-        assert np.array_equal(again.repelling.covector, cert.repelling.covector)
-        for name in ("rep", "epsilon", "top_modulus", "gap_value", "lipschitz_bound",
-                     "norm_ratio", "mode", "sample_count"):
-            assert getattr(again, name) == getattr(cert, name), name
+        # None, unlike NaN, keeps same-seed certificates equal
+        assert lc.certify_eps_proximal(g, 1, 0.1, seed=5) == cert
         rng = np.random.default_rng(0)
         ev = lc.in_open_semigroup(strongly_contracting_element(rng), lc.FacetFrame.identity(3), 0.05)
         assert ev.accepted and ev.mode == "sampled"
@@ -341,8 +337,7 @@ class TestFacetFrame:
             e0[0] = 1.0
             x = lc.ProjectivePoint.from_vector(ck[:, 0])
             phi = lc.ProjectiveHyperplane.from_covector(np.linalg.solve(ck.T, e0))
-            assert np.array_equal(f.point(k).rep, x.rep)
-            assert np.array_equal(f.hyperplane(k).covector, phi.covector)
+            assert f.point(k) == x and f.hyperplane(k) == phi
             gaps.append(lc.gap(x, phi))
         assert f.epsilon_bound() == 0.1 * min(gaps)
 
@@ -609,8 +604,8 @@ class TestForgeCertifiesOnce:
         ],
     )
     def test_no_rotation_compound_is_built_twice(self, monkeypatch, forge, rays, eps):
-        # the separation draw, the exterior powers and the exact certificates
-        # of a letter and its inverse read one compound per (rotation, degree)
+        # each draw's exterior powers and exact certificates, of a letter and
+        # its inverse, read one compound per (rotation, degree)
         original = lc.projgeom.compound_matrix
         built = []
 
@@ -646,13 +641,7 @@ class TestForgeCertifiesOnce:
                 sys_.epsilons[alphabet.letters[i][0]],
                 seed=seed,
             )
-            assert np.array_equal(cert.attracting.rep, fresh.attracting.rep)
-            assert np.array_equal(cert.repelling.covector, fresh.repelling.covector)
-            for name in (
-                "rep", "epsilon", "top_modulus", "gap_value", "lipschitz_bound",
-                "norm_ratio", "mode", "sample_count",
-            ):
-                assert getattr(cert, name) == getattr(fresh, name), name
+            assert cert == fresh, (i, k)
 
 
 class TestForgeEpsilonRange:
@@ -662,6 +651,41 @@ class TestForgeEpsilonRange:
     def test_unreachable_epsilon_is_invalid(self, forge_cone, forge, epsilon):
         with pytest.raises(InvalidInput, match="epsilon"):
             forge(3, forge_cone, epsilon)
+
+
+SL4_BENCH_RAYS = [[3.0, 1.0, -1.0, -3.0], [5.0, 1.0, -2.0, -4.0], [4.0, 2.0, -2.0, -4.0]]
+
+
+class TestForgeSeparationSlack:
+    @staticmethod
+    def _forge_counting_draws(monkeypatch):
+        draws = []
+        original = lc.schottky.verify_schottky
+
+        def counted(*args, **kwargs):
+            draws.append(args)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(lc.schottky, "verify_schottky", counted)
+        cone = lc.TargetCone.from_rays(SL4_BENCH_RAYS)
+        return lc.forge_semigroup(4, cone, 0.03, seed=7), len(draws)
+
+    def test_the_slack_decides_which_draw_is_kept(self, monkeypatch):
+        kept, draws = self._forge_counting_draws(monkeypatch)
+        assert kept.min_separation >= 6 * 0.03 * 1.05
+        assert kept.min_separation / 0.03 == pytest.approx(7.09, abs=0.01)
+        # without the slack an earlier draw, certified at 6.11 epsilon, is kept
+        monkeypatch.setattr(lc.schottky, "FORGE_SEPARATION_SLACK", 1.0)
+        bare, bare_draws = self._forge_counting_draws(monkeypatch)
+        assert bare_draws < draws
+        assert bare.min_separation / 0.03 == pytest.approx(6.11, abs=0.01)
+        assert not np.array_equal(bare.generators[0].entries, kept.generators[0].entries)
+
+    def test_refusal_names_the_separation_it_applied(self):
+        # no rotation draw of seed 5 reaches 6 * 0.05 * 1.05 = 0.315
+        cone = lc.TargetCone.from_rays(SL4_BENCH_RAYS)
+        with pytest.raises(SeparationUnachievable, match=r"6\*epsilon\*1\.05 = 0\.315 in 100 tries"):
+            lc.forge_semigroup(4, cone, 0.05, seed=5)
 
 
 class TestForgeGroup:

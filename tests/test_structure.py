@@ -24,16 +24,26 @@ def test_no_private_cross_module_imports(path):
     assert not private, private
 
 
-@pytest.mark.parametrize("name", ["limits.py", "projections.py"])
-def test_letter_powers_come_from_the_element(name):
-    # a letter's exterior powers come only from projgeom.exterior_power
-    imported = {
+def _imported(name):
+    """The names a module of the package imports with `from ... import`."""
+    return {
         a.name
         for node in ast.walk(ast.parse((ROOT / "src" / "limitcone" / name).read_text()))
         if isinstance(node, ast.ImportFrom)
         for a in node.names
     }
-    assert "compound_matrix" not in imported
+
+
+@pytest.mark.parametrize("name", ["limits.py", "projections.py"])
+def test_letter_powers_come_from_the_element(name):
+    # a letter's exterior powers come only from projgeom.exterior_power
+    assert "compound_matrix" not in _imported(name)
+
+
+def test_the_forge_asks_the_certificates_for_attracting_points():
+    # where a factored letter's x+ sits in its rotation compound is read in
+    # proximality alone; the forge's separation test is verify_schottky's
+    assert "rotation_compound" not in _imported("schottky.py")
 
 
 def _attributes(name):
@@ -56,13 +66,7 @@ CONTRACTION_KERNELS = {"sampled_contraction_check", "analytic_contraction_bounds
 
 def test_schottky_does_not_decide_contraction():
     # open-semigroup membership calls proximality's one contraction decision
-    imported = {
-        a.name
-        for node in ast.walk(ast.parse((ROOT / "src" / "limitcone" / "schottky.py").read_text()))
-        if isinstance(node, ast.ImportFrom)
-        for a in node.names
-    }
-    assert not imported & CONTRACTION_KERNELS
+    assert not _imported("schottky.py") & CONTRACTION_KERNELS
 
 
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
