@@ -26,7 +26,7 @@ from .projections import (
     opposition_involution,
     regularity_gaps,
 )
-from .proximality import certify_eps_proximal
+from .proximality import DEFAULT_SAMPLE_COUNT, MODES, certify_eps_proximal
 from .schottky import TargetCone, forge_group, forge_semigroup, verify_schottky
 
 EXIT_OK = 0
@@ -358,8 +358,8 @@ def build_parser() -> _Parser:
     system = _Parser(add_help=False)
     system.add_argument("--system", required=True)
     certifying = _Parser(add_help=False, parents=[seeded])
-    certifying.add_argument("--mode", choices=["analytic", "sampled"], default="sampled")
-    certifying.add_argument("--samples", type=int, default=10_000)
+    certifying.add_argument("--mode", choices=MODES, default="sampled")
+    certifying.add_argument("--samples", type=int, default=DEFAULT_SAMPLE_COUNT)
     words = _Parser(add_help=False, parents=[system, seeded])
     words.add_argument("--depth", type=int, required=True)
 

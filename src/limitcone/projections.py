@@ -25,11 +25,11 @@ from math import comb
 import numpy as np
 
 from .errors import DimensionMismatch, InvalidInput, NumericalFailure
-from .projgeom import CHAMBER_SUM_TOL, GroupElement, exterior_power
+from .projgeom import CHAMBER_SUM_TOL, ArrayValued, GroupElement, exterior_power
 
 
-@dataclass(frozen=True)
-class ChamberVector:
+@dataclass(frozen=True, eq=False)
+class ChamberVector(ArrayValued):
     """A sorted (nonincreasing), zero-sum real n-vector: an element of a+."""
 
     coords: np.ndarray

@@ -30,8 +30,22 @@ def _freeze(a: np.ndarray) -> np.ndarray:
     return a
 
 
-@dataclass(frozen=True)
-class GroupElement:
+class ArrayValued:
+    """Value equality and hashing by the first dataclass field, an array, where the
+    generated `__eq__` would compare arrays and raise; subclasses set `eq=False`."""
+
+    _array = property(lambda self: getattr(self, fields(self)[0].name))
+
+    def __eq__(self, other) -> bool:
+        return type(self) is type(other) and np.array_equal(self._array, other._array)
+
+    def __hash__(self) -> int:
+        # + 0.0 turns -0.0 into 0.0, which np.array_equal calls equal
+        return hash((type(self), (self._array + 0.0).tobytes()))
+
+
+@dataclass(frozen=True, eq=False)
+class GroupElement(ArrayValued):
     """An n x n real matrix of determinant 1 (n >= 2).
 
     Inputs with |det - 1| <= 1e-6 are renormalized by det**(1/n); anything
@@ -52,14 +66,9 @@ class GroupElement:
 
     @classmethod
     def from_matrix(cls, matrix) -> "GroupElement":
-        m = np.asarray(matrix, dtype=float)
-        if m.ndim != 2 or m.shape[0] != m.shape[1]:
-            raise InvalidInput(f"expected a square matrix, got shape {m.shape}")
-        n = m.shape[0]
-        if n < 2:
-            raise InvalidInput(f"dimension must be >= 2, got {n}")
-        if not np.all(np.isfinite(m)):
-            raise InvalidInput("matrix entries must be finite")
+        """`from_unimodular`'s checks, then the determinant's."""
+        g = cls.from_unimodular(matrix)
+        m, n = g.entries, g.n
         det = float(np.linalg.det(m))
         # a floating-point determinant only resolves unimodularity down to
         # ~ n * eps * sigma_1^n; past that the check is vacuous by necessity
@@ -68,8 +77,8 @@ class GroupElement:
         if abs(det - 1.0) > max(DET_STRICT_TOL, resolution):
             if abs(det - 1.0) > max(DET_RENORM_TOL, resolution) or det <= 0.0:
                 raise InvalidInput(f"determinant {det} is not 1 within {DET_RENORM_TOL}")
-            m = m / det ** (1.0 / n)
-        return cls(entries=_freeze(m), n=n)
+            return cls(entries=_freeze(m / det ** (1.0 / n)), n=n)
+        return g
 
     @classmethod
     def from_unimodular(cls, matrix) -> "GroupElement":
@@ -168,21 +177,8 @@ def _canonical_unit(v: np.ndarray, what: str) -> np.ndarray:
     return _freeze(canonical_units(np.asarray(v, dtype=float).reshape(1, -1), what)[0])
 
 
-class _CanonicalVector:
-    """Value equality and hashing by the one field, a canonical read-only vector."""
-
-    _vector = property(lambda self: getattr(self, fields(self)[0].name))
-
-    def __eq__(self, other) -> bool:
-        return type(self) is type(other) and np.array_equal(self._vector, other._vector)
-
-    def __hash__(self) -> int:
-        # + 0.0 turns -0.0 into 0.0, which np.array_equal calls equal
-        return hash((type(self), (self._vector + 0.0).tobytes()))
-
-
 @dataclass(frozen=True, eq=False)
-class ProjectivePoint(_CanonicalVector):
+class ProjectivePoint(ArrayValued):
     """A point of P(R^m), stored as a unit representative with canonical sign."""
 
     rep: np.ndarray
@@ -197,7 +193,7 @@ class ProjectivePoint(_CanonicalVector):
 
 
 @dataclass(frozen=True, eq=False)
-class ProjectiveHyperplane(_CanonicalVector):
+class ProjectiveHyperplane(ArrayValued):
     """A hyperplane of P(R^m), stored as a unit covector with canonical sign."""
 
     covector: np.ndarray

@@ -42,6 +42,9 @@ Two certification modes for any matrix (`certify_matrix_eps_proximal`):
   clean run records the observed image maximum as evidence.  The Lipschitz
   condition is left unchecked, and the certificate records no Lipschitz
   value (`lipschitz_bound` None).
+
+Every public certification entry, here and in `schottky`, first refuses a bad
+request (epsilon, mode, sample count, seed) by one rule, `check_request`.
 """
 
 import hashlib
@@ -74,6 +77,8 @@ from .projgeom import (
 )
 
 EIGEN_GAP_TOL = 1e-10
+# the modes a caller may request; exact mode is the certifier's own choice
+MODES = ("analytic", "sampled")
 DEFAULT_SAMPLE_COUNT = 10_000
 # columns per block of the sampled check: a block's temporaries stay in cache
 _BLOCK_COLUMNS = 2048
@@ -86,6 +91,18 @@ _SIDE_COLUMNS = np.array([-1, 0, -2, 1])
 # test suite.
 def _letter_constant(epsilon: float) -> float:
     return 8.0 / epsilon**2
+
+
+def check_request(epsilon: float, mode: str, sample_count: int, seed: int) -> None:
+    """Refuse with InvalidInput, before any work, unless epsilon is in (0, 1), mode
+    in MODES, sample_count >= 1 when sampling (analytic takes none) and seed >= 0."""
+    if not 0.0 < epsilon < 1.0:
+        raise InvalidInput(f"epsilon must be in (0, 1), got {epsilon}")
+    if mode not in MODES:
+        raise InvalidInput(f"unknown mode {mode!r}")
+    if mode == "sampled" and sample_count < 1:
+        raise InvalidInput(f"sample_count must be >= 1, got {sample_count}")
+    check_seed(seed)
 
 
 @dataclass(frozen=True)
@@ -259,11 +276,7 @@ def sampled_contraction_check(
     column blocks (`_column_blocks`), so no further temporary is sample-sized;
     the maximum is that of the whole sample, bit for bit.
     """
-    if sample_count < 1:
-        raise InvalidInput(f"sample_count must be >= 1, got {sample_count}")
-    if not 0.0 < epsilon < 1.0:
-        raise InvalidInput(f"epsilon must be in (0, 1), got {epsilon}")
-    check_seed(seed)
+    check_request(epsilon, "sampled", sample_count, seed)
     x = _sample_bset(_instance_rng(seed, m), repelling.covector, epsilon, sample_count)
     y = m @ x
     point = target.rep[:, None]
@@ -396,6 +409,14 @@ def exact_ratio_bound(epsilon: float) -> float:
     return float(epsilon * np.sqrt(1.0 - cos * cos) / (cos * np.sqrt(1.0 - epsilon * epsilon)))
 
 
+def _separation_gap(attracting, repelling, epsilon: float) -> float:
+    """gap(x+, X<), refused with SeparationViolated below 2*epsilon."""
+    gap_value = gap(attracting, repelling)
+    if gap_value < 2.0 * epsilon:
+        raise SeparationViolated(f"gap {gap_value} < 2*epsilon = {2.0 * epsilon}")
+    return gap_value
+
+
 def _certify_factored(g: GroupElement, k: int, epsilon: float) -> ProximalityCertificate:
     """The exact certificate of Lambda^k g for a factored g: no eigensolver, no sampling.
 
@@ -406,8 +427,6 @@ def _certify_factored(g: GroupElement, k: int, epsilon: float) -> ProximalityCer
     the projective stretch in the (v1, v2) plane at the slab's edge: a lower
     bound on the Lipschitz constant, reported and not gated.
     """
-    if not 0.0 < epsilon < 1.0:
-        raise InvalidInput(f"epsilon must be in (0, 1), got {epsilon}")
     _, r, s = g.factors
     # built here so that an overflowing Lambda^k raises rather than certifies
     exterior_power(g, k)
@@ -417,9 +436,7 @@ def _certify_factored(g: GroupElement, k: int, epsilon: float) -> ProximalityCer
     qk = rotation_compound(g, k)
     attracting = ProjectivePoint.from_vector(qk[:, top])
     repelling = ProjectiveHyperplane(covector=attracting.rep)
-    gap_value = gap(attracting, repelling)
-    if gap_value < 2.0 * epsilon:
-        raise SeparationViolated(f"gap {gap_value} < 2*epsilon = {2.0 * epsilon}")
+    gap_value = _separation_gap(attracting, repelling, epsilon)
     if not passes:
         u = np.sqrt(1.0 - epsilon * epsilon)
         raise ContractionUnverified(
@@ -456,10 +473,8 @@ def certify_eps_proximal(
     certified exactly, `mode="exact"`, without sampling; any other case goes
     through `certify_matrix_eps_proximal` in `mode`.
     """
-    check_seed(seed)
+    check_request(epsilon, mode, sample_count, seed)
     if g.factors is not None and mode == "sampled":
-        if sample_count < 1:
-            raise InvalidInput(f"sample_count must be >= 1, got {sample_count}")
         return _certify_factored(g, k, epsilon)
     return certify_matrix_eps_proximal(
         exterior_power(g, k), Representation(n=g.n, k=k), epsilon, mode, sample_count, seed
@@ -481,19 +496,9 @@ def certify_matrix_eps_proximal(
     conditions by `contraction_check` against the element's own pair.  Raises
     a CertificationFailure naming the first condition that failed.
     """
-    if not 0.0 < epsilon < 1.0:
-        raise InvalidInput(f"epsilon must be in (0, 1), got {epsilon}")
-    check_seed(seed)
-    if mode not in ("analytic", "sampled"):
-        raise InvalidInput(f"unknown mode {mode!r}")
-    if mode == "sampled" and sample_count < 1:
-        raise InvalidInput(f"sample_count must be >= 1, got {sample_count}")
+    check_request(epsilon, mode, sample_count, seed)
     top, attracting, repelling = eigendata = top_eigendata(m)
-    gap_value = gap(attracting, repelling)
-    if gap_value < 2.0 * epsilon:
-        raise SeparationViolated(
-            f"gap {gap_value} < 2*epsilon = {2.0 * epsilon}"
-        )
+    gap_value = _separation_gap(attracting, repelling, epsilon)
     # analytic mode bounds and gates the Lipschitz constant; sampled mode
     # leaves that condition unchecked and records None
     _, lipschitz = contraction_check(
@@ -526,7 +531,7 @@ def certify_theta_proximal(
     A failing degree stops before the next Lambda^k is built; its message
     gains the prefix "degree k: ".
     """
-    check_seed(seed)
+    check_request(epsilon, mode, sample_count, seed)
     certs = []
     for k in sorted(degrees):
         try:

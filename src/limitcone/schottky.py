@@ -60,6 +60,7 @@ from .proximality import (
     DEFAULT_SAMPLE_COUNT,
     ProximalityCertificate,
     certify_theta_proximal,
+    check_request,
     contraction_check,
     exact_image_passes,
     exact_ratio_bound,
@@ -208,16 +209,17 @@ def verify_schottky(
     factored letter exactly in sampled mode, the default.  On a separation failure
     the exception carries the separation matrix computed so far.
     """
-    check_seed(seed)
     generators = list(generators)
     if len(generators) < 2:
         raise TooFewGenerators("a Schottky family needs at least 2 generators")
-    alphabet = Alphabet.of(generators, kind)
     if epsilons is None:
         epsilons = [0.1] * len(generators)
     epsilons = [float(e) for e in epsilons]
-    if len(epsilons) != len(generators) or any(not 0.0 < e < 1.0 for e in epsilons):
-        raise InvalidInput("need one epsilon in (0,1) per generator")
+    if len(epsilons) != len(generators):
+        raise InvalidInput("need one epsilon per generator")
+    for e in epsilons:
+        check_request(e, mode, samples, seed)
+    alphabet = Alphabet.of(generators, kind)
 
     eigendata = {}
     for i, (e, (j, _, _)) in enumerate(zip(alphabet.elements, alphabet.letters)):
@@ -323,18 +325,12 @@ def in_open_semigroup(
     mode proves both conditions.  Sampled mode falsifies the image condition
     only and leaves the Lipschitz restriction unchecked.
     """
-    check_seed(seed)
+    check_request(epsilon, mode, samples, seed)
     if g.n != f.n:
         raise InvalidInput("group element and frame dimensions differ")
-    if not (np.isfinite(epsilon) and epsilon > 0.0):
-        raise InvalidInput(f"epsilon must be positive and finite, got {epsilon}")
     eps_f = f.epsilon_bound()
     if epsilon >= eps_f:
         raise EpsilonTooLarge(f"epsilon {epsilon} >= epsilon_f {eps_f}")
-    if mode not in ("analytic", "sampled"):
-        raise InvalidInput(f"unknown mode {mode!r}")
-    if mode == "sampled" and samples < 1:
-        raise InvalidInput(f"sample_count must be >= 1, got {samples}")
     worst_image = 0.0
     for k in range(1, g.n):
         m = exterior_power(g, k)
@@ -396,16 +392,11 @@ def _haar_rotation(rng, n: int) -> np.ndarray:
 
 
 def _validate_forge_rays(cone: TargetCone) -> list[np.ndarray]:
-    rays = []
-    for r in cone.rays:
-        c = r.coords
-        if float(np.linalg.norm(c)) == 0.0:
-            raise RayNotInChamber("zero ray")
+    rays = [r.coords for r in cone.rays]
+    for c in rays:
+        # a zero ray is not strictly sorted either
         if np.any(np.diff(c) >= 0.0):
-            raise RayNotInChamber(
-                f"ray {c} is not strictly sorted (not a regular direction)"
-            )
-        rays.append(c)
+            raise RayNotInChamber(f"ray {c} is not strictly sorted (not a regular direction)")
     return rays
 
 
@@ -425,13 +416,12 @@ def _forge(
         raise InvalidInput(f"n = {n} must be >= 2 and equal the rays' dimension {cone.n}")
     rays = _validate_forge_rays(cone)
     if len(rays) == 1:
-        # duplicate with a deterministic in-chamber perturbation
+        # duplicate with a deterministic in-chamber perturbation: each
+        # consecutive gap grows by 0.02, so the tweak stays strictly sorted
         r = rays[0]
         tweak = np.sort(r + 0.02 * np.arange(n, 0, -1.0))[::-1]
         tweak -= tweak.mean()
         tweak /= np.linalg.norm(tweak)
-        if np.any(np.diff(tweak) >= 0.0):
-            raise RayNotInChamber("could not perturb the single ray inside the chamber")
         rays = [r, tweak]
     rng = np.random.default_rng(int(seed))
 

@@ -412,7 +412,7 @@ OPTIONS = {
         "--matrix": (None, None, None, True),
         "--degree": (int, None, None, True),
         "--epsilon": (float, None, None, True),
-        "--mode": (None, "sampled", ["analytic", "sampled"], False),
+        "--mode": (None, "sampled", ("analytic", "sampled"), False),
         "--samples": (int, 10_000, None, False),
         "--seed": (int, 0, None, False),
     },
@@ -420,7 +420,7 @@ OPTIONS = {
         "--system": (None, None, None, True),
         "--kind": (None, None, ["semigroup", "group"], False),
         "--epsilon": (float, None, None, False),
-        "--mode": (None, "sampled", ["analytic", "sampled"], False),
+        "--mode": (None, "sampled", ("analytic", "sampled"), False),
         "--samples": (int, 10_000, None, False),
         "--seed": (int, 0, None, False),
     },

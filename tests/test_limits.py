@@ -312,6 +312,23 @@ class TestCheckConvexity:
         assert len(report.angular_errors) == 5
         assert all(len(e) == 4 for e in report.angular_errors)
 
+    def test_a_narrower_hull_misses_the_powers(self, forged_sampler, forged_cone_estimate):
+        # one of the two hull rays alone cannot hold the midpoints between them
+        est = forged_cone_estimate
+        assert lc.check_convexity(est, forged_sampler, trials=5).all_in_hull
+        narrow = dataclasses.replace(est, hull_rays=est.hull_rays[:1], hull_dim=1)
+        assert not lc.check_convexity(narrow, forged_sampler, trials=5).all_in_hull
+
+    def test_no_admissible_pair_is_a_degenerate_sample(self, sl2_pair):
+        # one drawn word, the conjugate g2 g1 g2^-1: its last letter undoes its
+        # first, so no w^m w^m is very reduced
+        s = _sampler(sl2_pair, kind="group", max_length=3, count=1, seed=8)
+        (word,) = [w for batch, _ in limits._batches(s) for w in batch]
+        assert not s.alphabet.very_reduced(word * 4)
+        est = lc.estimate_cone(_sampler(sl2_pair, max_length=2))
+        with pytest.raises(DegenerateSample, match="no admissible word pair"):
+            lc.check_convexity(est, s, trials=3)
+
     @pytest.mark.parametrize("trials", [0, -1])
     def test_trials_must_be_positive(self, sl2_pair, trials):
         # a usage error, not a sampling failure

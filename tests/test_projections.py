@@ -38,6 +38,17 @@ class TestChamberVector:
         v = lc.ChamberVector.from_coords([0.0, 0.0])
         assert np.array_equal(v.direction(), np.zeros(2))
 
+    def test_compares_and_hashes_by_its_coordinates(self):
+        # the generated dataclass __eq__ compared the coords arrays and raised
+        a = lc.ChamberVector.from_coords([1.0, 0.0, -1.0])
+        b = lc.ChamberVector.from_coords(np.array([1.0, 0.0, -1.0]))
+        assert a == b
+        assert hash(a) == hash(b)
+        assert a != lc.ChamberVector.from_coords([2.0, -1.0, -1.0])
+        zero, signed = lc.ChamberVector.from_coords([0.0, 0.0]), lc.ChamberVector.from_coords([-0.0, 0.0])
+        assert zero == signed
+        assert len({zero, signed}) == 1
+
 
 class TestCartanProjection:
     def test_diagonal(self):

@@ -325,6 +325,19 @@ class TestValueEquality:
         assert x != h
         assert h != x
 
+    def test_group_elements_compare_and_hash_by_their_entries(self):
+        # the generated dataclass __eq__ compared the entries arrays and raised
+        m = np.diag([4.0, 1.0, 0.25])
+        a, b = lc.GroupElement.from_matrix(m), lc.GroupElement.from_unimodular(m)
+        assert a == b
+        assert hash(a) == hash(b)
+        assert len({a, b, lc.GroupElement.from_matrix(np.diag([0.25, 1.0, 4.0]))}) == 2
+        assert a != lc.GroupElement.from_matrix(np.eye(3))
+        assert a != lc.GroupElement.from_matrix(np.eye(2))
+        # a factored element is the matrix it carries factors for
+        f = lc.GroupElement.from_factors(np.eye(2), np.array([1.0, -1.0]), 2.0)
+        assert f == lc.GroupElement.from_unimodular(f.entries)
+
 
 class TestHausdorffDistance:
     def test_identical_clouds(self):

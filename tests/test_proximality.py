@@ -280,6 +280,12 @@ class TestCertifyThetaProximal:
         g = lc.GroupElement.from_matrix(rotation2(0.2))
         assert lc.certify_theta_proximal(g, [], 0.1) == []
 
+    def test_epsilon_is_checked_even_with_no_degree(self):
+        # the request rule runs before the loop over degrees
+        g = lc.GroupElement.from_matrix(rotation2(0.2))
+        with pytest.raises(InvalidInput, match="epsilon"):
+            lc.certify_theta_proximal(g, [], 5.0)
+
     def test_full_theta_strong_element(self):
         rng = np.random.default_rng(30)
         g = strongly_contracting_element(rng)
@@ -321,6 +327,13 @@ class TestExactCertification:
             lc.certify_eps_proximal(g, 1, 0.05, mode="exact")
         with pytest.raises(InvalidInput, match="epsilon"):
             lc.certify_eps_proximal(g, 1, 1.0)
+
+    @pytest.mark.parametrize("epsilon", [0.55, 0.9])
+    def test_separation_refuses_epsilon_above_one_half(self, forged_semigroup, epsilon):
+        # an exact certificate's gap is 1, which is below 2 * epsilon here
+        g = forged_semigroup.generators[0]
+        with pytest.raises(SeparationViolated, match="2\\*epsilon"):
+            lc.certify_eps_proximal(g, 1, epsilon)
 
     @pytest.mark.parametrize("count", [0, -5])
     def test_sampled_mode_still_validates_the_sample_count(self, forged_semigroup, count):
@@ -614,6 +627,30 @@ class TestComposeCertificates:
             lc.compose_certificates([cert], [0])
         with pytest.raises(InvalidInput):
             lc.compose_certificates([], [])
+
+
+class TestCheckRequest:
+    def test_a_good_request_passes(self):
+        assert proximality.MODES == ("analytic", "sampled")
+        for mode in proximality.MODES:
+            assert proximality.check_request(0.5, mode, 1, 0) is None
+        # analytic mode takes no samples
+        assert proximality.check_request(0.5, "analytic", 0, 0) is None
+
+    @pytest.mark.parametrize(
+        "request_, words",
+        [
+            ((0.0, "sampled", 1, 0), r"epsilon must be in \(0, 1\), got 0.0"),
+            ((1.0, "analytic", 1, 0), r"epsilon must be in \(0, 1\), got 1.0"),
+            ((float("nan"), "sampled", 1, 0), r"epsilon must be in \(0, 1\), got nan"),
+            ((0.1, "exact", 1, 0), "unknown mode 'exact'"),
+            ((0.1, "sampled", 0, 0), "sample_count must be >= 1, got 0"),
+            ((0.1, "sampled", 1, -1), "seed must be >= 0, got -1"),
+        ],
+    )
+    def test_each_rule_refuses(self, request_, words):
+        with pytest.raises(InvalidInput, match=words):
+            proximality.check_request(*request_)
 
 
 class TestSampleCount:

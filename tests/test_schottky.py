@@ -53,6 +53,26 @@ class TestVerifySchottky:
         with pytest.raises(InvalidInput):
             lc.verify_schottky([sl2_pair[0], g3])
 
+    @pytest.mark.parametrize(
+        "request_, words",
+        [
+            ({"mode": "exact"}, "unknown mode"),
+            ({"samples": 0}, "sample_count"),
+            ({"epsilons": [0.1, 1.5]}, "epsilon"),
+            ({"seed": -1}, "seed"),
+        ],
+    )
+    def test_a_bad_request_is_refused_before_the_alphabet(
+        self, sl2_pair, monkeypatch, request_, words
+    ):
+        # the request rule runs once per generator epsilon, before any letter is built
+        def build(*args):
+            raise AssertionError("alphabet built")
+
+        monkeypatch.setattr(lc.schottky.Alphabet, "of", build)
+        with pytest.raises(InvalidInput, match=words):
+            lc.verify_schottky(sl2_pair, **request_)
+
     def test_group_kind(self, sl2_group):
         sys_ = sl2_group
         assert len(sys_.alphabet.elements) == 4
@@ -186,6 +206,24 @@ class TestOpenSemigroupMembership:
         with pytest.raises(InvalidInput, match="epsilon"):
             lc.in_open_semigroup(g, lc.FacetFrame.identity(3), epsilon, mode=mode)
         assert not calls  # epsilon is checked before any degree runs
+
+    def test_unknown_mode_is_invalid(self, monkeypatch):
+        calls = count_top_eigendata(monkeypatch)
+        g = lc.GroupElement.from_matrix(np.diag([4.0, 1.0, 0.25]))
+        with pytest.raises(InvalidInput, match="unknown mode 'exact'"):
+            lc.in_open_semigroup(g, lc.FacetFrame.identity(3), 0.05, mode="exact")
+        assert not calls
+
+    @pytest.mark.parametrize("epsilon", [1.0, 1.5])
+    def test_epsilon_of_one_or_more_breaks_the_request_rule(self, epsilon):
+        # no epsilon >= 1 is a certification request; the frame's bound
+        # epsilon_f judges the epsilons that are
+        g = lc.GroupElement.from_matrix(np.diag([4.0, 1.0, 0.25]))
+        f = lc.FacetFrame.identity(3)
+        with pytest.raises(InvalidInput, match=r"epsilon must be in \(0, 1\)"):
+            lc.in_open_semigroup(g, f, epsilon)
+        with pytest.raises(EpsilonTooLarge):
+            lc.in_open_semigroup(g, f, 0.5)
 
     @pytest.mark.parametrize("mode", ["sampled", "analytic"])
     def test_non_proximal_element_rejected_as_such(self, mode):
@@ -365,6 +403,21 @@ class TestConeSemigroupMembership:
         f = lc.FacetFrame.identity(3)
         assert lc.in_cone_semigroup(g, f, 0.05, cone)
 
+    def test_open_semigroup_refusal_is_passed_on(self, monkeypatch):
+        # an element outside the open semigroup is refused with
+        # in_open_semigroup's evidence, before its lambda is read
+        g = lc.GroupElement.from_matrix(np.diag([100.0, 1.0, 0.01]))
+        f = lc.FacetFrame.identity(3)
+        cone = self._bracketing_cone(lc.jordan_projection(g).coords)
+
+        def read(*args):
+            raise AssertionError("lambda read")
+
+        monkeypatch.setattr(lc.schottky, "jordan_projection", read)
+        ev = lc.in_cone_semigroup(g, f, 0.05, cone)
+        assert not ev
+        assert ev == lc.in_open_semigroup(g, f, 0.05)
+
     def test_outside_direction_rejected(self):
         rng = np.random.default_rng(45)
         g = strongly_contracting_element(rng)
@@ -429,6 +482,24 @@ class TestTargetCone:
         assert not lc.TargetCone.from_rays([FORGE_RAY_1]).involution_stable()
         half_line = lc.TargetCone.from_rays([np.array([1.0, -1.0]) / np.sqrt(2.0)])
         assert half_line.involution_stable()
+
+
+class TestValueEquality:
+    def test_forged_systems_compare_and_hash_by_their_generators(
+        self, forged_semigroup, forge_cone
+    ):
+        # the generators' dataclass __eq__ compared numpy arrays and raised
+        again = lc.forge_semigroup(3, forge_cone, 0.05, seed=7)
+        assert again == forged_semigroup
+        assert hash(again) == hash(forged_semigroup)
+        assert lc.forge_semigroup(3, forge_cone, 0.05, seed=8) != forged_semigroup
+
+    def test_target_cones_compare_and_hash_by_their_rays(self, forge_cone):
+        again = lc.TargetCone.from_rays([FORGE_RAY_1, FORGE_RAY_2])
+        assert again == forge_cone
+        assert len({again, forge_cone}) == 1
+        assert lc.TargetCone.from_rays([FORGE_RAY_1, FORGE_RAY_2], margin=0.1) != forge_cone
+        assert lc.TargetCone.from_rays([FORGE_RAY_1]) != forge_cone
 
 
 class TestForgeSemigroup:

@@ -150,6 +150,65 @@ def test_shared_cli_options_are_declared_once():
         assert flags.count(flag) == 1, flag
 
 
+def _raised_in(words):
+    """The functions of the package, as module.qualified_name, that raise a
+    message holding `words`."""
+    found = set()
+    for path in SOURCES:
+        for name, fn in _qualified_functions(ast.parse(path.read_text())):
+            for node in ast.walk(fn):
+                if isinstance(node, ast.Raise) and any(
+                    isinstance(c, ast.Constant) and isinstance(c.value, str) and words in c.value
+                    for c in ast.walk(node)
+                ):
+                    found.add(f"{path.stem}.{name}")
+    return found
+
+
+@pytest.mark.parametrize(
+    "words, where",
+    [
+        ("epsilon must be in (0, 1)", {"proximality.check_request"}),
+        ("sample_count must be >= 1", {"proximality.check_request"}),
+        ("seed must be >= 0", {"errors.check_seed"}),
+        # contraction_check keeps the else branch of its own mode dispatch
+        ("unknown mode", {"proximality.check_request", "proximality.contraction_check"}),
+    ],
+)
+def test_each_request_refusal_is_raised_in_one_function(words, where):
+    assert _raised_in(words) == where
+
+
+MODE_NAMES = {"analytic", "sampled"}
+
+
+def _mode_collections(path):
+    """Line numbers of list, tuple and set literals in a module that name a mode."""
+    return [
+        node.lineno
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, (ast.List, ast.Tuple, ast.Set))
+        and any(isinstance(e, ast.Constant) and e.value in MODE_NAMES for e in node.elts)
+    ]
+
+
+def test_the_modes_are_listed_once():
+    listed = {path.name: _mode_collections(path) for path in SOURCES}
+    assert {name for name, lines in listed.items() if lines} == {"proximality.py"}
+    assert len(listed["proximality.py"]) == 1  # MODES
+
+
+def test_the_cli_spells_no_sample_count():
+    from limitcone.proximality import DEFAULT_SAMPLE_COUNT
+
+    counts = [
+        node.lineno
+        for node in ast.walk(ast.parse((ROOT / "src" / "limitcone" / "cli.py").read_text()))
+        if isinstance(node, ast.Constant) and node.value == DEFAULT_SAMPLE_COUNT
+    ]
+    assert not counts, counts
+
+
 CERTIFICATION_FAILURES = {"NotProximal", "SeparationViolated", "ContractionUnverified"}
 
 
