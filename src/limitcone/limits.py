@@ -26,12 +26,12 @@ from .projgeom import (
     exterior_power,
     gap,
     proj_distance,
-    row_norms,
 )
 from .projections import (
     ChamberVector,
     empty_product,
     extend_product,
+    lyapunov_directions,
     product_projection,
     take_words,
 )
@@ -324,11 +324,7 @@ def estimate_cone(sampler: WordSampler, words=None) -> ConeEstimate:
         length = np.array([len(w) for w in batch])
         gaps.append(np.max(np.abs(mu - lam), axis=1))
         lengths.append(length)
-        nl = row_norms(lam)
-        # a per-letter noise floor: log-scaled accumulation leaves O(eps)
-        # residue per factor even when lambda vanishes exactly
-        keep = nl > 1e-9 * np.maximum(1.0, length)
-        dirs.append(lam[keep] / nl[keep, None])
+        dirs.append(lyapunov_directions(lam, length)[1])
     dirs = np.concatenate(dirs) if dirs else np.empty((0, n))
     if not len(dirs):
         raise DegenerateSample("no sampled word has a nonzero Jordan projection")
@@ -368,61 +364,53 @@ def check_convexity(
     trials: int = 20,
     seed: int = 0,
 ) -> ConvexityReport:
-    """For random word pairs (w1, w2), lambda(w1^m w2^m)/(2m) must drift to the midpoint."""
+    """For random word pairs (w1, w2), lambda(w1^m w2^m)/(2m) must drift to the midpoint.
+
+    Pairs of `sampler.words()` are drawn from `seed` until `trials` of them
+    keep w1^m w2^m very reduced, or 50 * trials draws are spent.  The drawn
+    words and their powers, m = 1, 2, 4, 8, are read in one batch.  A pair
+    whose midpoint (lambda(w1) + lambda(w2))/2 has no direction
+    (`lyapunov_directions`, at the mean length) is dropped, not redrawn, so
+    the report's `trials` counts the pairs kept; a power without a direction
+    scores pi.
+    """
     if trials < 1:
         raise InvalidInput(f"trials must be >= 1, got {trials}")
     check_seed(seed)
-    words, lams = [], []
-    for batch, product in _batches(sampler):
-        words.extend(batch)
-        lams.append(product_projection(product, jordan=True))
-    lam = np.concatenate(lams)
-    rng = np.random.default_rng(int(seed))
+    words = sampler.words()
     alphabet = sampler.alphabet
-    pairs, mids = [], []
+    rng = np.random.default_rng(int(seed))
+    pairs = []
     attempts = 0
     while len(pairs) < trials and attempts < 50 * trials:
         attempts += 1
-        i1 = int(rng.integers(0, len(words)))
-        i2 = int(rng.integers(0, len(words)))
-        w1, w2 = words[i1], words[i2]
+        w1 = words[int(rng.integers(0, len(words)))]
+        w2 = words[int(rng.integers(0, len(words)))]
         # w1^m w2^m must stay reduced at every seam, for every m
-        if not alphabet.very_reduced(w1 * 2 + w2 * 2):
-            continue
-        mid = 0.5 * (lam[i1] + lam[i2])
-        norm = float(np.linalg.norm(mid))
-        if norm == 0.0:
-            continue
-        pairs.append((w1, w2))
-        mids.append(mid / norm)
-    if not pairs:
-        raise DegenerateSample("no admissible word pair found for convexity trials")
+        if alphabet.very_reduced(w1 * 2 + w2 * 2):
+            pairs.append((w1, w2))
     reps = (1, 2, 4, 8)
-    powers = alphabet.accumulate([w1 * m + w2 * m for w1, w2 in pairs for m in reps])
-    power_lam = product_projection(powers, jordan=True)
-    power_norms = row_norms(power_lam)
+    spelled = [w for w1, w2 in pairs for w in (w1, w2, *(w1 * m + w2 * m for m in reps))]
+    lam = product_projection(alphabet.accumulate(spelled), jordan=True)
+    lam = lam.reshape(len(pairs), 2 + len(reps), sampler.n)
+    lengths = np.array([len(w1) + len(w2) for w1, w2 in pairs], dtype=float)
+    kept, mids = lyapunov_directions(0.5 * (lam[:, 0] + lam[:, 1]), 0.5 * lengths)
+    if not len(mids):
+        raise DegenerateSample("no admissible word pair found for convexity trials")
+    powers = lam[kept, 2:].reshape(-1, sampler.n)
+    has, units = lyapunov_directions(powers, np.outer(lengths[kept], reps).reshape(-1))
+    errors = np.full(len(powers), np.pi)
+    mids = np.repeat(mids, len(reps), axis=0)[has]
+    errors[has] = [_angle(d, mid) for d, mid in zip(units, mids)]
+    errors = errors.reshape(-1, len(reps))
     hull = np.stack([r.coords for r in estimate.hull_rays])
     slack = np.sin(np.deg2rad(1.0))
-    errors = []
-    in_hull = True
-    for t, mid in enumerate(mids):
-        errs = []
-        for j in range(t * len(reps), (t + 1) * len(reps)):
-            if power_norms[j] == 0.0:
-                errs.append(np.pi)
-                continue
-            d = power_lam[j] / power_norms[j]
-            errs.append(_angle(d, mid))
-            if cones.cone_distance(d, hull) > slack:
-                in_hull = False
-        errors.append(tuple(errs))
-    finals = [errs[-1] for errs in errors]
     return ConvexityReport(
         trials=len(errors),
-        angular_errors=tuple(errors),
-        final_errors=tuple(finals),
-        max_final_error=float(max(finals)),
-        all_in_hull=in_hull,
+        angular_errors=tuple(map(tuple, errors.tolist())),
+        final_errors=tuple(errors[:, -1].tolist()),
+        max_final_error=float(errors[:, -1].max()),
+        all_in_hull=not any(cones.cone_distance(d, hull) > slack for d in units),
     )
 
 

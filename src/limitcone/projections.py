@@ -25,7 +25,7 @@ from math import comb
 import numpy as np
 
 from .errors import DimensionMismatch, InvalidInput, NumericalFailure
-from .projgeom import CHAMBER_SUM_TOL, ArrayValued, GroupElement, exterior_power
+from .projgeom import CHAMBER_SUM_TOL, ArrayValued, GroupElement, exterior_power, row_norms
 
 
 @dataclass(frozen=True, eq=False)
@@ -169,6 +169,19 @@ def product_projection(product: tuple, jordan: bool) -> np.ndarray:
             top = np.linalg.svd(p, compute_uv=False)[:, 0]
         partial[:, k] = np.log(top) + ls
     return _chamber_rows(partial[:, 1:] - partial[:, :-1])
+
+
+def lyapunov_directions(lam, lengths) -> tuple:
+    """(keep, units): which rows of lambda have a direction, and their unit vectors.
+
+    `lam` holds one Jordan projection per row, of a word of `lengths` letters
+    (per row).  A row has a direction when its norm exceeds a per-letter noise
+    floor, 1e-9 * max(1, length): log-scaled accumulation leaves O(eps) residue
+    per factor even when lambda vanishes exactly.
+    """
+    norms = row_norms(lam)
+    keep = norms > 1e-9 * np.maximum(1.0, lengths)
+    return keep, lam[keep] / norms[keep, None]
 
 
 def _accumulate(elements) -> tuple:

@@ -77,6 +77,8 @@ from .projgeom import (
 )
 
 EIGEN_GAP_TOL = 1e-10
+# the Schottky condition separates certified letters by this multiple of epsilon
+SEPARATION_FACTOR = 6.0
 # the modes a caller may request; exact mode is the certifier's own choice
 MODES = ("analytic", "sampled")
 DEFAULT_SAMPLE_COUNT = 10_000
@@ -559,7 +561,7 @@ def compose_certificates(certs, powers) -> ComposedProximality:
     l = len(certs)
     for j in range(l):
         prev, cur = certs[j - 1], certs[j]
-        need = 6.0 * max(prev.epsilon, cur.epsilon)
+        need = SEPARATION_FACTOR * max(prev.epsilon, cur.epsilon)
         got = gap(prev.attracting, cur.repelling)
         if got < need:
             raise SeparationViolated(

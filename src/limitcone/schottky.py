@@ -3,9 +3,9 @@
 A system of generators is Schottky when every element of the generating set
 (generators, plus inverses for groups) is eps-proximal on every exterior-power
 projective space and every required attracting-point / repelling-hyperplane
-pair is separated by at least 6*max of the two epsilons.  Words of such a
-system inherit proximality letter-by-letter and their Lyapunov projections are
-additive up to a uniformly bounded defect.
+pair is separated by at least SEPARATION_FACTOR (6) * max of the two epsilons.
+Words of such a system inherit proximality letter-by-letter and their Lyapunov
+projections are additive up to a uniformly bounded defect.
 
 Forging builds a certified system whose per-generator Lyapunov directions are
 prescribed rays: generators are rotation conjugates q diag(exp(p r)) q^T of
@@ -53,11 +53,14 @@ from .projgeom import (
 from .projections import (
     ChamberVector,
     jordan_projection,
+    lyapunov_directions,
     opposition_involution,
     product_jordan,
+    product_projection,
 )
 from .proximality import (
     DEFAULT_SAMPLE_COUNT,
+    SEPARATION_FACTOR,
     ProximalityCertificate,
     certify_theta_proximal,
     check_request,
@@ -262,7 +265,7 @@ def _separation(alphabet, epsilons, eigendata):
                     eigendata[(i, k)].attracting, eigendata[(j, k)].repelling
                 )
     for i, j in _separated_pairs(alphabet):  # the (g, g^-1) pairs are exempt
-        need = 6.0 * max(elem_eps[i], elem_eps[j])
+        need = SEPARATION_FACTOR * max(elem_eps[i], elem_eps[j])
         worst = float(separation[i, j].min())
         if worst < need:
             raise SeparationViolated(
@@ -287,12 +290,11 @@ def word_lyapunov_estimate(system: SchottkySystem, word):
     alphabet = system.alphabet
     if not alphabet.very_reduced([i for i, _ in word]):
         raise NotReduced(f"word {word} is empty or not very reduced")
-    letters = alphabet.elements
-    expected = np.zeros(system.n)
-    for i, p in word:
-        expected += p * product_jordan([letters[i]]).coords
-    lam = product_jordan([letters[i] for i, p in word for _ in range(p)])
-    return lam, lam.coords - expected
+    # the letters, then the spelled word, as one batch
+    spelled = [(i,) for i, _ in word] + [[i for i, p in word for _ in range(p)]]
+    rows = product_projection(alphabet.accumulate(spelled), jordan=True)
+    lam = ChamberVector.from_coords(rows[-1])
+    return lam, lam.coords - sum(p * row for (_, p), row in zip(word, rows))
 
 
 @dataclass(frozen=True)
@@ -410,8 +412,8 @@ def _forge(
 ) -> SchottkySystem:
     check_seed(seed)
     # the Schottky separation 6*epsilon cannot exceed the largest gap, 1
-    if not 0.0 < epsilon <= 1.0 / 6.0:
-        raise InvalidInput(f"epsilon must be in (0, 1/6], got {epsilon}")
+    if not 0.0 < epsilon <= 1.0 / SEPARATION_FACTOR:
+        raise InvalidInput(f"epsilon must be in (0, 1/{SEPARATION_FACTOR:g}], got {epsilon}")
     if n < 2 or n != cone.n:
         raise InvalidInput(f"n = {n} must be >= 2 and equal the rays' dimension {cone.n}")
     rays = _validate_forge_rays(cone)
@@ -427,7 +429,7 @@ def _forge(
 
     signs = (1.0, -1.0) if kind == "group" else (1.0,)
     powers = [_certifying_power(j, r, signs, epsilon, max_power) for j, r in enumerate(rays)]
-    need = 6.0 * epsilon * FORGE_SEPARATION_SLACK
+    need = SEPARATION_FACTOR * epsilon * FORGE_SEPARATION_SLACK
     try:
         for _ in range(FORGE_RETRY_CAP):
             gens = [
@@ -442,8 +444,8 @@ def _forge(
                 break
         else:
             raise SeparationUnachievable(
-                f"no rotation draw reached separation 6*epsilon*{FORGE_SEPARATION_SLACK}"
-                f" = {need:.6g} in {FORGE_RETRY_CAP} tries"
+                f"no rotation draw reached separation {SEPARATION_FACTOR:g}*epsilon*"
+                f"{FORGE_SEPARATION_SLACK} = {need:.6g} in {FORGE_RETRY_CAP} tries"
             )
     except NumericalFailure as err:
         # a factored letter's certificate builds its exterior powers: float64 overflows there
@@ -452,22 +454,16 @@ def _forge(
 
     # sampled word directions up to length 6: how far inside the cone they stay
     rays_mat = cone.rays_matrix()
-    max_dist = 0.0
-    count = 0
-    for word in _sample_forge_words(alphabet, rng_seed=seed):
-        lam = product_jordan([alphabet.elements[i] for i in word])
-        d = lam.direction()
-        if np.linalg.norm(d) == 0.0:
-            continue
-        dist = cones.cone_distance(d, rays_mat)
-        # NNLS residue of a unit direction inside the cone, as in cones.in_cone
-        max_dist = max(max_dist, dist if dist > 1e-9 else 0.0)
-        count += 1
+    words = _sample_forge_words(alphabet, rng_seed=seed)
+    lam = np.stack([product_jordan([alphabet.elements[i] for i in w]).coords for w in words])
+    _, units = lyapunov_directions(lam, [len(w) for w in words])
+    dists = [cones.cone_distance(d, rays_mat) for d in units]
     report = {
         "powers": powers,
         "word_depth": 6,
-        "word_count": count,
-        "max_direction_distance": max_dist,
+        "word_count": len(units),
+        # NNLS residue of a unit direction inside the cone, as in cones.in_cone
+        "max_direction_distance": max((d for d in dists if d > 1e-9), default=0.0),
     }
     return replace(system, forge_report=report)
 

@@ -329,6 +329,52 @@ class TestCheckConvexity:
         with pytest.raises(DegenerateSample, match="no admissible word pair"):
             lc.check_convexity(est, s, trials=3)
 
+    def test_rotations_have_no_direction_to_converge_to(self, sl2_pair):
+        # lambda of a rotation word is rounding noise: estimate_cone and
+        # check_convexity refuse the sample alike
+        s = _sampler([lc.GroupElement.from_matrix(rotation2(t)) for t in (0.5, 1.1)], max_length=3)
+        with pytest.raises(DegenerateSample):
+            lc.estimate_cone(s)
+        est = lc.estimate_cone(_sampler(sl2_pair, max_length=2))
+        with pytest.raises(DegenerateSample, match="no admissible word pair"):
+            lc.check_convexity(est, s, trials=5)
+
+    def test_kept_midpoints_clear_the_noise_floor(self, sl2_pair):
+        # diag(10, 0.1) with a rotation: a pair of rotation words has a
+        # midpoint of rounding noise, and is dropped, not redrawn
+        s = _sampler([sl2_pair[0], lc.GroupElement.from_matrix(rotation2(0.5))], max_length=3)
+        a = s.alphabet
+        words = s.words()
+        rng = np.random.default_rng(4)
+        drawn = []
+        for _ in range(20):  # a semigroup's pairs are all very reduced
+            w1 = words[int(rng.integers(0, len(words)))]
+            w2 = words[int(rng.integers(0, len(words)))]
+            drawn.append((w1, w2))
+
+        def lam(word):
+            return _reference_projection(_reference_accumulate(a, word), True)
+
+        def floor(length):
+            return 1e-9 * max(1.0, length)
+
+        want = []
+        for w1, w2 in drawn:
+            mid = 0.5 * (lam(w1) + lam(w2))
+            length = len(w1) + len(w2)
+            if np.linalg.norm(mid) <= floor(0.5 * length):
+                continue
+            mid = mid / np.linalg.norm(mid)
+            errs = []
+            for m in (1, 2, 4, 8):
+                power = lam(w1 * m + w2 * m)
+                norm = np.linalg.norm(power)
+                errs.append(np.pi if norm <= floor(m * length) else limits._angle(power / norm, mid))
+            want.append(tuple(errs))
+        report = lc.check_convexity(lc.estimate_cone(s), s, trials=20, seed=4)
+        assert 0 < report.trials == len(want) < len(drawn)
+        assert np.array_equal(np.array(report.angular_errors), np.array(want))
+
     @pytest.mark.parametrize("trials", [0, -1])
     def test_trials_must_be_positive(self, sl2_pair, trials):
         # a usage error, not a sampling failure
@@ -1072,8 +1118,9 @@ class TestConvexityReadsTheBatch:
 
         monkeypatch.setattr(limits, "product_projection", counting)
         lc.check_convexity(est, s, trials=5, seed=0)
-        # lambda is read once per level, then once for all the powers
-        assert calls == [4, 12, 36, 5 * 4]
+        # lambda is read once, six rows per drawn pair: the two words, then
+        # w1^m w2^m for m = 1, 2, 4, 8
+        assert calls == [6 * 5]
 
 
 ESTIMATORS = [lc.estimate_cone, lc.estimate_limit_set, lc.compare_mu_lambda, lc.estimate_facets]

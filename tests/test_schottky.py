@@ -130,6 +130,30 @@ class TestWordLyapunovEstimate:
         lam, _ = lc.word_lyapunov_estimate(sl2_group, [(0, 1), (1, 1), (0, 1)])
         assert lam.coords[0] > 0.0
 
+    @pytest.mark.parametrize("name", ["sl2_group", "forged_semigroup"])
+    def test_one_batch_equals_one_product_per_letter(self, request, name):
+        # the letters and the spelled word are read in one batch, to the bits
+        # of one product_jordan call per letter and one for the word
+        system = request.getfixturevalue(name)
+        letters = system.alphabet.elements
+        rng = np.random.default_rng(0)
+        checked = 0
+        while checked < 100:
+            word = [
+                (int(rng.integers(0, len(letters))), int(rng.integers(1, 4)))
+                for _ in range(int(rng.integers(1, 5)))
+            ]
+            if not system.alphabet.very_reduced([i for i, _ in word]):
+                continue
+            expected = np.zeros(system.n)
+            for i, p in word:
+                expected += p * lc.product_jordan([letters[i]]).coords
+            lam = lc.product_jordan([letters[i] for i, p in word for _ in range(p)]).coords
+            got, disc = lc.word_lyapunov_estimate(system, word)
+            assert np.array_equal(got.coords, lam)
+            assert np.array_equal(disc, lam - expected)
+            checked += 1
+
     def test_rejects_nonpositive_exponents(self, sl2_semigroup):
         with pytest.raises(InvalidInput):
             lc.word_lyapunov_estimate(sl2_semigroup, [(0, 0)])

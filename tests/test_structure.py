@@ -112,6 +112,51 @@ def test_one_accumulation_loop_per_batch_shape():
     assert callers == {"_batches", "Alphabet.accumulate"}
 
 
+def _functions_holding(predicate):
+    """The functions of the package, as module.qualified_name, holding a node
+    that satisfies `predicate`."""
+    return {
+        f"{path.stem}.{name}"
+        for path in SOURCES
+        for name, fn in _qualified_functions(ast.parse(path.read_text()))
+        if any(predicate(node) for node in ast.walk(fn))
+    }
+
+
+def test_one_noise_floor_for_lambda():
+    # whether a word's lambda has a direction is decided by one rule
+    def floor(node):
+        return (
+            isinstance(node, ast.BinOp)
+            and isinstance(node.op, ast.Mult)
+            and any(isinstance(c, ast.Constant) and c.value == 1e-9 for c in (node.left, node.right))
+        )
+
+    assert _functions_holding(floor) == {"projections.lyapunov_directions"}
+
+
+def test_check_convexity_reads_only_the_words_it_draws():
+    tree = ast.parse((ROOT / "src" / "limitcone" / "limits.py").read_text())
+    fn = dict(_qualified_functions(tree))["check_convexity"]
+    called = {
+        call.func.id
+        for call in ast.walk(fn)
+        if isinstance(call, ast.Call) and isinstance(call.func, ast.Name)
+    }
+    assert "_batches" not in called
+
+
+def test_the_separation_factor_is_written_once():
+    # the Schottky condition's 6 (times epsilon) is proximality.SEPARATION_FACTOR
+    sixes = [
+        f"{path.name}:{node.lineno}"
+        for path in SOURCES
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Constant) and type(node.value) is float and node.value == 6.0
+    ]
+    assert len(sixes) == 1 and sixes[0].startswith("proximality.py:"), sixes
+
+
 def test_a_word_has_one_form():
     # a word is a letter sequence; no per-word product type or lister remains
     import limitcone
@@ -153,16 +198,13 @@ def test_shared_cli_options_are_declared_once():
 def _raised_in(words):
     """The functions of the package, as module.qualified_name, that raise a
     message holding `words`."""
-    found = set()
-    for path in SOURCES:
-        for name, fn in _qualified_functions(ast.parse(path.read_text())):
-            for node in ast.walk(fn):
-                if isinstance(node, ast.Raise) and any(
-                    isinstance(c, ast.Constant) and isinstance(c.value, str) and words in c.value
-                    for c in ast.walk(node)
-                ):
-                    found.add(f"{path.stem}.{name}")
-    return found
+    return _functions_holding(
+        lambda node: isinstance(node, ast.Raise)
+        and any(
+            isinstance(c, ast.Constant) and isinstance(c.value, str) and words in c.value
+            for c in ast.walk(node)
+        )
+    )
 
 
 @pytest.mark.parametrize(
