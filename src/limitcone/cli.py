@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .errors import CertificationFailure, ContractionUnverified, InvalidInput, LimitConeError
+from .errors import CertificationFailure, InvalidInput, LimitConeError
 from .limits import WordSampler, compare_mu_lambda, estimate_cone, estimate_limit_set
 from .projgeom import GroupElement
 from .projections import (
@@ -199,10 +199,8 @@ def _cmd_project(args, out):
 
 def _failed_verdict(e, out) -> int:
     """Print the verdict on a certification failure and return its exit code."""
-    # a contraction check that found no explicit violation is inconclusive
-    refuted = not isinstance(e, ContractionUnverified) or e.refuted
-    print(f"{'refuted' if refuted else 'inconclusive'}: {e}", file=out)
-    return EXIT_REFUTED if refuted else EXIT_INCONCLUSIVE
+    print(f"{'refuted' if e.refuted else 'inconclusive'}: {e}", file=out)
+    return EXIT_REFUTED if e.refuted else EXIT_INCONCLUSIVE
 
 
 def _cmd_certify(args, out):

@@ -22,11 +22,15 @@ class NumericalFailure(LimitConeError):
 
 
 class CertificationFailure(LimitConeError):
-    """A certification condition failed: answered with a verdict, not an error."""
+    """A certification condition failed: answered with a verdict, not an error,
+    which refutes the condition unless `refuted` is False (inconclusive)."""
+
+    refuted = True
 
 
 class NotProximal(CertificationFailure):
-    """The dominant eigenvalue modulus is not simple and strictly dominant."""
+    """The dominant eigenvalue modulus is not simple and strictly dominant; of a
+    real matrix, a complex one is not simple, since it ties with its conjugate."""
 
 
 class SeparationViolated(CertificationFailure):

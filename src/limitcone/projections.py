@@ -134,14 +134,12 @@ def extend_product(product: tuple, letter) -> tuple:
     out = []
     for (p, ls), c in zip(product, letter):
         q = p @ c
-        f = q.reshape(q.shape[0], -1)
-        # projgeom.row_norms of the flattened matrices, kept (N, 1, 1) to broadcast
-        s = np.sqrt(f[:, None, :] @ f[:, :, None])
+        s = row_norms(q.reshape(q.shape[0], -1))
         # finite exactly when 0 < s < inf, since ls is finite
-        logscale = ls + np.log(s[:, 0, 0])
+        logscale = ls + np.log(s)
         if not np.isfinite(logscale).all():
             raise NumericalFailure("word product degenerated despite rescaling")
-        out.append((q / s, logscale))
+        out.append((q / s[:, None, None], logscale))
     return tuple(out)
 
 

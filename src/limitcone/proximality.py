@@ -138,7 +138,7 @@ class Splitting(NamedTuple):
     top: np.ndarray  # (N,) its modulus
     second: np.ndarray  # (N,) the runner-up modulus
     vectors: np.ndarray  # (N, d) the real part of its eigenvector
-    proximal: np.ndarray  # (N,) bool: whether the eigenvalue is real and simply dominant
+    proximal: np.ndarray  # (N,) bool: whether the eigenvalue is nonzero and simply dominant
 
 
 def _eig(stack: np.ndarray):
@@ -153,8 +153,9 @@ def eigen_splittings(stack: np.ndarray) -> tuple:
 
     Backward, the dominant eigenvalue is the inverse's: `top` and `second` are
     the bottom two moduli.  A row is proximal when its dominant modulus is
-    nonzero, its relative gap to the runner-up at least EIGEN_GAP_TOL and the
-    eigenvalue real; its vector then spans the attracting line.
+    nonzero and its relative gap to the runner-up at least EIGEN_GAP_TOL, and its
+    vector then spans the attracting line.  Of a real matrix, that eigenvalue
+    is real: `eig` gives a complex one with its conjugate, of bit-equal modulus.
     """
     vals, vecs = _eig(stack)
     mod = np.abs(vals)
@@ -164,7 +165,7 @@ def eigen_splittings(stack: np.ndarray) -> tuple:
     alpha, top, second = vals[rows, i], mod[rows, i], mod[rows, j]
     with np.errstate(divide="ignore", invalid="ignore"):
         simple = np.abs(top - second) / np.maximum(top, second) >= EIGEN_GAP_TOL
-    proximal = (top > 0.0) & simple & (np.abs(alpha.imag) <= EIGEN_GAP_TOL * top)
+    proximal = (top > 0.0) & simple
     return tuple(map(Splitting, alpha, top, second, np.real(vecs[rows, :, i]), proximal))
 
 
@@ -181,8 +182,8 @@ def top_eigendata(m: np.ndarray):
     """(top modulus, attracting point, repelling hyperplane) of an invertible matrix.
 
     Raises NotProximal unless the dominant eigenvalue modulus is simple and
-    strictly dominant (relative gap >= 1e-10) and real: `eigen_splittings`
-    of a stack of one.
+    strictly dominant (relative gap >= 1e-10), and so real: the proximal mask
+    of `eigen_splittings` of a stack of one.
     """
     stack = np.asarray(m, dtype=float)[None]
     forward, _ = eigen_splittings(stack)
@@ -190,11 +191,7 @@ def top_eigendata(m: np.ndarray):
     if top <= 0.0:
         raise NumericalFailure("vanishing top eigenvalue modulus")
     if not forward.proximal[0]:
-        if (top - second) / top < EIGEN_GAP_TOL:
-            raise NotProximal(
-                f"dominant modulus {top} is not simple (runner-up {second})"
-            )
-        raise NotProximal("dominant eigenvalue is not real")
+        raise NotProximal(f"dominant modulus {top} is not simple (runner-up {second})")
     phi = repelling_covectors(stack, forward.eigenvalue)[0]
     return (
         float(top),
@@ -411,6 +408,16 @@ def exact_ratio_bound(epsilon: float) -> float:
     return float(epsilon * np.sqrt(1.0 - cos * cos) / (cos * np.sqrt(1.0 - epsilon * epsilon)))
 
 
+def check_separation(got: float, pair: tuple, epsilons: tuple, separation=None) -> None:
+    """The Schottky pair rule: SeparationViolated, carrying `separation`, unless
+    got = gap(x+_i, X<_j) of pair (i, j) is >= SEPARATION_FACTOR * max(eps_i, eps_j)."""
+    need = SEPARATION_FACTOR * max(epsilons)
+    if got < need:
+        raise SeparationViolated(
+            f"gap(x+_{pair[0]}, X<_{pair[1]}) = {got} < {need}", pair=pair, separation=separation
+        )
+
+
 def _separation_gap(attracting, repelling, epsilon: float) -> float:
     """gap(x+, X<), refused with SeparationViolated below 2*epsilon."""
     gap_value = gap(attracting, repelling)
@@ -561,13 +568,9 @@ def compose_certificates(certs, powers) -> ComposedProximality:
     l = len(certs)
     for j in range(l):
         prev, cur = certs[j - 1], certs[j]
-        need = SEPARATION_FACTOR * max(prev.epsilon, cur.epsilon)
-        got = gap(prev.attracting, cur.repelling)
-        if got < need:
-            raise SeparationViolated(
-                f"gap(x+_{(j - 1) % l}, X<_{j}) = {got} < {need}",
-                pair=((j - 1) % l, j),
-            )
+        check_separation(
+            gap(prev.attracting, cur.repelling), ((j - 1) % l, j), (prev.epsilon, cur.epsilon)
+        )
     eps_out = 2.0 * max(certs[0].epsilon, certs[-1].epsilon)
     log_center = float(
         sum(n * np.log(c.top_modulus) for n, c in zip(powers, certs))

@@ -64,6 +64,7 @@ from .proximality import (
     ProximalityCertificate,
     certify_theta_proximal,
     check_request,
+    check_separation,
     contraction_check,
     exact_image_passes,
     exact_ratio_bound,
@@ -251,8 +252,8 @@ def _separated_pairs(alphabet):
 def _separation(alphabet, epsilons, eigendata):
     """The |E| x |E| x (n-1) gaps gap(x+_i, X<_j) between certified letters.
 
-    `epsilons` has one entry per generator.  Raises on the first pair not
-    separated by 6*max of its two epsilons, with the matrix attached.
+    `epsilons` has one entry per generator.  Raises on the first pair that
+    fails `check_separation`, with the matrix attached.
     """
     n = alphabet.n
     elem_eps = [epsilons[j] for j, _, _ in alphabet.letters]
@@ -265,14 +266,9 @@ def _separation(alphabet, epsilons, eigendata):
                     eigendata[(i, k)].attracting, eigendata[(j, k)].repelling
                 )
     for i, j in _separated_pairs(alphabet):  # the (g, g^-1) pairs are exempt
-        need = SEPARATION_FACTOR * max(elem_eps[i], elem_eps[j])
-        worst = float(separation[i, j].min())
-        if worst < need:
-            raise SeparationViolated(
-                f"gap(x+_{i}, X<_{j}) = {worst} < {need}",
-                pair=(i, j),
-                separation=separation,
-            )
+        check_separation(
+            float(separation[i, j].min()), (i, j), (elem_eps[i], elem_eps[j]), separation
+        )
     return separation
 
 

@@ -187,6 +187,15 @@ class TestCertifySchottky:
         assert code == 1
         assert text.startswith("refuted:")
 
+    def test_epsilon_flag_overrides_the_file(self, tmp_path):
+        sys_file = write_system(tmp_path / "sys.json", sl2_pair_entries(), epsilons=[0.1, 0.1])
+        argv = ["certify-schottky", "--system", str(sys_file)]
+        assert run_cli(argv)[0] == 0
+        # 6 * 0.12 exceeds the pair's gap sqrt(1/2)
+        assert run_cli(argv + ["--epsilon", "0.12"]) == (
+            1, "refuted: gap(x+_0, X<_1) = 0.7071067811865476 < 0.72\n"
+        )
+
     def test_min_separation_is_over_the_required_pairs(self, tmp_path, monkeypatch):
         # on the forged SL(2) half-line group, g's attracting point lies on
         # g^-1's repelling hyperplane; that (g, g^-1) gap is exempt, so the
@@ -568,6 +577,38 @@ class TestMalformedContents:
     def test_non_numeric_epsilons(self, tmp_path):
         path = write_system(tmp_path / "sys.json", sl2_pair_entries(), epsilons=["a", "b"])
         assert run_cli(["certify-schottky", "--system", str(path)])[0] == 3
+
+    SYSTEM = {"generators": [np.eye(2).tolist(), np.eye(2).tolist()]}
+
+    @pytest.mark.parametrize(
+        "command, doc, refusal",
+        [
+            ("project", [[2.0, 0.0], [0.0, 0.5]], "expected a JSON object"),
+            ("project", {"n": [2], "entries": [[2.0, 0.0], [0.0, 0.5]]}, "expected a number"),
+            ("certify-schottky", {**SYSTEM, "epsilons": 0.1}, "expected a list of numbers"),
+            ("certify-schottky", {**SYSTEM, "factors": [1.0, 2.0]}, "factors must be an object"),
+            ("certify-schottky", {"generators": {"a": [[1.0]]}}, "generators must be a list"),
+            ("certify-schottky", {**SYSTEM, "factors": []}, "one entry per generator"),
+            ("forge", {"rays": {"a": [2.0, -0.5, -1.5]}}, "rays must be a list"),
+        ],
+        ids=[
+            "array-document", "list-for-number", "number-for-list", "non-object-factors",
+            "generators-not-a-list", "factors-of-the-wrong-length", "rays-not-a-list",
+        ],
+    )
+    def test_malformed_file_is_refused_with_nothing_on_stdout(
+        self, tmp_path, capsys, command, doc, refusal
+    ):
+        path = tmp_path / "in.json"
+        path.write_text(json.dumps(doc))
+        flag = {"project": "--matrix", "certify-schottky": "--system", "forge": "--rays"}[command]
+        argv = [command, flag, str(path)]
+        if command == "forge":
+            argv += ["--n", "3", "--epsilon", "0.05"]
+        assert run_cli(argv) == (3, "")
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert refusal in err
 
     def test_non_numeric_margin(self, tmp_path):
         path = tmp_path / "rays.json"

@@ -54,6 +54,13 @@ class TestTopEigendata:
         with pytest.raises(NotProximal):
             lc.top_eigendata(np.diag([2.0, 2.0, 0.25]))
 
+    def test_complex_dominant_pair_is_not_simple(self):
+        # modulus 2 at angle 1e-9: the pair ties, so the gap test refuses it
+        m = np.diag([2.0, 2.0, 0.25])
+        m[:2, :2] = 2.0 * rotation2(1e-9)
+        with pytest.raises(NotProximal, match=r"dominant modulus 2\.0 is not simple"):
+            lc.top_eigendata(m)
+
     def test_negative_dominant_eigenvalue_accepted(self):
         top, x, _ = lc.top_eigendata(np.diag([-3.0, 1.0, -1.0 / 3.0]))
         assert top == pytest.approx(3.0, abs=1e-12)
@@ -76,6 +83,38 @@ def _assert_equals_the_reference(matrices):
         assert got == _readout(reference_top_eigendata, m)
         outcomes.append(got[0])
     return outcomes
+
+
+def _near_real_corpus(rng, d, count):
+    """count random real d x d matrices, then count conjugates P^-1 C P of a
+    diagonal C with a planted complex pair r e^(+-i theta), theta in 1e-12..1e-4,
+    whose modulus r is often the largest or the smallest."""
+    core = np.zeros((count, d, d))
+    core[:, range(d), range(d)] = rng.choice([-1.0, 1.0], (count, d)) * np.exp(
+        rng.normal(0.0, 1.0, (count, d))
+    )
+    theta = 10.0 ** rng.uniform(-12.0, -4.0, count)
+    r = np.exp(rng.choice([-1.0, 1.0], count) * rng.uniform(0.5, 2.5, count))
+    core[:, 0, 0] = core[:, 1, 1] = r * np.cos(theta)
+    core[:, 1, 0] = r * np.sin(theta)
+    core[:, 0, 1] = -core[:, 1, 0]
+    p = rng.standard_normal((count, d, d))
+    return np.concatenate([rng.standard_normal((count, d, d)), np.linalg.solve(p, core @ p)])
+
+
+class TestOneSimpleDominanceTest:
+    # the relative-gap test alone decides proximality: a real matrix's complex
+    # eigenvalue ties with its conjugate, so a realness clause changes no row
+    def test_the_mask_equals_one_that_keeps_the_realness_clause(self):
+        rng = np.random.default_rng(2020)
+        near_real = 0
+        for d in range(2, 9):
+            for side in proximality.eigen_splittings(_near_real_corpus(rng, d, 300)):
+                real = np.abs(side.eigenvalue.imag) <= proximality.EIGEN_GAP_TOL * side.top
+                assert np.array_equal(side.proximal, side.proximal & real)
+                near_real += np.count_nonzero(real & (side.eigenvalue.imag != 0.0))
+        # complex dominant eigenvalues that the realness clause would have let through
+        assert near_real > 100
 
 
 FORGES = [
@@ -334,6 +373,14 @@ class TestExactCertification:
         g = forged_semigroup.generators[0]
         with pytest.raises(SeparationViolated, match="2\\*epsilon"):
             lc.certify_eps_proximal(g, 1, epsilon)
+
+    def test_a_tied_top_is_not_proximal(self):
+        # the top two of power * ray tie at degree 1, so the exact spectrum's
+        # relative gap is 0
+        ray = np.array([1.0, 1.0, -2.0]) / np.sqrt(6.0)
+        g = lc.GroupElement.from_factors(np.eye(3), ray, 5)
+        with pytest.raises(NotProximal, match="is not simple"):
+            lc.certify_eps_proximal(g, 1, 0.1)
 
     @pytest.mark.parametrize("count", [0, -5])
     def test_sampled_mode_still_validates_the_sample_count(self, forged_semigroup, count):

@@ -10,6 +10,7 @@ from scipy.linalg import expm
 import limitcone as lc
 from limitcone.errors import (
     ConeNotInvolutionStable,
+    ContractionUnverified,
     EpsilonTooLarge,
     InvalidInput,
     NotReduced,
@@ -260,6 +261,17 @@ class TestOpenSemigroupMembership:
         )
         assert not ev
         assert ev.reason == "degree 1: not proximal"
+
+    def test_inconclusive_degree_is_raised_with_its_prefix(self):
+        # g's repelling hyperplane lies 0.46 from the frame's, wider than the
+        # 0.05 slab: the analytic comparison proves nothing, and says so
+        g = lc.GroupElement.from_matrix(np.array([[10.0, 5.0], [0.0, 0.1]]))
+        with pytest.raises(ContractionUnverified) as exc:
+            lc.in_open_semigroup(g, lc.FacetFrame.identity(2), 0.05, mode="analytic")
+        assert not exc.value.refuted
+        assert str(exc.value).startswith(
+            "degree 1: analytic slab comparison degenerate (hyperplane offset 0.4634"
+        )
 
     def test_sampled_rejection_carries_its_witness(self):
         g = lc.GroupElement.from_matrix(np.diag([100.0, 1.0, 0.01]))

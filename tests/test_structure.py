@@ -221,6 +221,38 @@ def test_each_request_refusal_is_raised_in_one_function(words, where):
     assert _raised_in(words) == where
 
 
+def test_the_schottky_pair_rule_is_written_once():
+    # the need SEPARATION_FACTOR * max(eps_i, eps_j) of a letter pair
+    def need(node):
+        return (
+            isinstance(node, ast.BinOp)
+            and isinstance(node.left, ast.Name)
+            and node.left.id == "SEPARATION_FACTOR"
+            and isinstance(node.right, ast.Call)
+            and isinstance(node.right.func, ast.Name)
+            and node.right.func.id == "max"
+        )
+
+    assert _functions_holding(need) == {"proximality.check_separation"}
+
+
+def test_simple_dominance_is_refused_by_its_two_readers():
+    # eigen_splittings' mask read by top_eigendata, the exact spectrum by
+    # _certify_factored; realness follows from the gap, so no branch refuses it
+    assert _raised_in("is not simple") == {
+        "proximality.top_eigendata",
+        "proximality._certify_factored",
+    }
+    assert not _raised_in("not real")
+
+
+def test_the_cli_reads_refuted_off_the_failure():
+    # whether a verdict refutes is the failure's `refuted`, not a type test
+    tree = ast.parse((ROOT / "src" / "limitcone" / "cli.py").read_text())
+    named = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    assert "ContractionUnverified" not in named | _imported("cli.py")
+
+
 MODE_NAMES = {"analytic", "sampled"}
 
 
