@@ -27,6 +27,10 @@ class CertificationFailure(LimitConeError):
 
     refuted = True
 
+    def prefix_message(self, prefix: str) -> None:
+        """Put `prefix` before the message, in place, as a caller re-raises it."""
+        self.args = (f"{prefix}{self.args[0]}",) + self.args[1:]
+
 
 class NotProximal(CertificationFailure):
     """The dominant eigenvalue modulus is not simple and strictly dominant; of a

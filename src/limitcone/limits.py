@@ -40,6 +40,9 @@ from .proximality import eigen_splittings, repelling_covectors
 WORD_BUDGET = 10**6
 MERGE_TOL = 1e-9
 DEFAULT_PROXIMALITY_FILTER = 1e-6
+# relative slack of dedup's vectorised prefilter over the exact decider's
+# threshold: far above the few ulps by which their summation orders differ
+_PREFILTER_SLACK = 2.0**-20
 
 
 @dataclass(frozen=True)
@@ -276,9 +279,10 @@ def _greedy_distinct(reps, tol, distances, same) -> list:
     the first representative of a cluster wins.  Each kept row drops its
     later duplicates at once: `distances(others, rep)` measures the rows
     whose keys lie within 4 * tol of its own (see `_dedup_keys`) in one
-    vectorised call; it is the metric that `same` thresholds at `tol`, up to
-    rounding.  Only the rows within 4 * tol are handed to `same`, which
-    stays the decider.
+    vectorised call; it is the metric that `same` thresholds at `tol`, summed
+    in another order, so the two agree to a few ulps per coordinate.  Only
+    the rows it puts within tol * (1 + _PREFILTER_SLACK) are handed to
+    `same`, which stays the decider: a row beyond that cannot merge.
     """
     keys = _dedup_keys(reps)
     order = np.argsort(keys, kind="stable")
@@ -294,7 +298,7 @@ def _greedy_distinct(reps, tol, distances, same) -> list:
         window = order[lo[i] : hi[i]]
         later = window[(window > i) & alive[window]]
         if later.size:
-            near = later[distances(reps[later], reps[i]) <= 4.0 * tol]
+            near = later[distances(reps[later], reps[i]) <= tol * (1.0 + _PREFILTER_SLACK)]
             for j in near.tolist():
                 if same(j, i):
                     alive[j] = False

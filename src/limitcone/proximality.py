@@ -49,6 +49,7 @@ request (epsilon, mode, sample count, seed) by one rule, `check_request`.
 
 import hashlib
 from dataclasses import dataclass
+from functools import partial
 from typing import NamedTuple
 
 import numpy as np
@@ -82,8 +83,6 @@ SEPARATION_FACTOR = 6.0
 # the modes a caller may request; exact mode is the certifier's own choice
 MODES = ("analytic", "sampled")
 DEFAULT_SAMPLE_COUNT = 10_000
-# columns per block of the sampled check: a block's temporaries stay in cache
-_BLOCK_COLUMNS = 2048
 # the ascending-modulus ranks of the dominant eigenvalue, forward then
 # backward, and of the runner-up, forward then backward
 _SIDE_COLUMNS = np.array([-1, 0, -2, 1])
@@ -236,25 +235,69 @@ def _sample_bset(rng, phi: np.ndarray, epsilon: float, count: int) -> np.ndarray
     return w
 
 
-def _normalize_cols(m: np.ndarray) -> np.ndarray:
-    """m with unit columns, in place."""
-    n = _column_norms(m)
-    if np.any(n == 0.0):
+def _sum_rows(a: np.ndarray) -> np.ndarray:
+    """The sum of the rows of a (d, k) array, row after row: the order in
+    which numpy reduces a wide array over axis 0, at every k.  numpy sums a
+    gathered column or two in another order, which moves last bits from d = 8 on."""
+    total = a[0].copy()
+    for row in a[1:]:
+        total += row
+    return total
+
+
+def _image_distances(cols: np.ndarray, point: np.ndarray, sum_rows) -> np.ndarray:
+    """The chordal distance from the unit column `point` of the normalised
+    columns of `cols`: the formula of `projgeom.chordal_distances`, its row
+    sums taken by `sum_rows`.  Raises NumericalFailure on a vanishing column."""
+    norms = np.sqrt(sum_rows(cols * cols))
+    if np.any(norms == 0.0):
         raise NumericalFailure("image of a unit vector vanished")
-    m /= n
-    return m
+    units = cols / norms
+    diff, total = units - point, units + point
+    diff *= diff
+    total *= total
+    return np.sqrt(np.minimum(sum_rows(diff), sum_rows(total)))
 
 
-def _column_blocks(count: int) -> list:
-    """(lo, hi) spans that cover range(count): _BLOCK_COLUMNS columns each,
-    the last one 2 to _BLOCK_COLUMNS + 1 wide.
+# a column whose squared norm lies outside this range may overflow, underflow
+# or vanish in some summation order: it is always recomputed exactly
+_TAME_SQUARES = (2.0**-900, 2.0**900)
 
-    Only a one-point sample gets a one-column span: numpy sums a lone column
-    over axis 0 in another order than a wider array, which can move the last
-    bit of a norm from dimension 8 on.
-    """
-    starts = list(range(0, max(count - 1, 1), _BLOCK_COLUMNS))
-    return list(zip(starts, starts[1:] + [count]))
+
+def _sine_squares(y: np.ndarray, point: np.ndarray) -> tuple:
+    """(s2, tame): per column of y, |H'y|^2 / |y|^2, the sine squared of its
+    angle to the line of the unit vector `point`, and whether its squared
+    norm is in _TAME_SQUARES; s2 is 0 where it is not.  H' is the rows but
+    the first of the Householder reflection that sends `point` to -+e1, an
+    orthonormal basis of point-perp."""
+    d = point.shape[0]
+    v = point.copy()
+    v[0] += np.copysign(np.linalg.norm(point), point[0])
+    basis = (-2.0 / (v @ v)) * np.outer(v[1:], v)
+    basis[:, 1:] += np.eye(d - 1)
+    z = basis @ y
+    s2 = np.einsum("ij,ij->j", z, z)
+    del z
+    yy = np.einsum("ij,ij->j", y, y)
+    tame = (yy >= _TAME_SQUARES[0]) & (yy <= _TAME_SQUARES[1])
+    with np.errstate(all="ignore"):
+        s2 /= yy
+    s2[~tame] = 0.0
+    return s2, tame
+
+
+def _image_candidates(y: np.ndarray, point: np.ndarray) -> np.ndarray:
+    """The indices of the columns of y that `sampled_contraction_check`
+    recomputes exactly: those outside _TAME_SQUARES and those whose sine
+    (`_sine_squares`) is within the margin of the largest.  The proof that
+    they hold the exact maximum is in `sampled_contraction_check`."""
+    s2, tame = _sine_squares(y, point)
+    d = point.shape[0]
+    unit = np.finfo(float).eps / 2.0
+    # 4(A + B) of the proof, rounded up
+    margin = 4.0 * ((d**1.5 + 8.0 * d + 27.0) * unit + abs(np.linalg.norm(point) - 1.0))
+    floor = max(float(np.sqrt(s2.max())) - margin, 0.0)
+    return np.flatnonzero((s2 >= floor * floor) | ~tame)
 
 
 def sampled_contraction_check(
@@ -271,19 +314,57 @@ def sampled_contraction_check(
     image of one sample of sample_count points of B^eps.  It does not test
     the Lipschitz condition.  Deterministic given (seed, matrix contents).
 
-    After the one draw and the two matrix products, the work runs over
-    column blocks (`_column_blocks`), so no further temporary is sample-sized;
-    the maximum is that of the whole sample, bit for bit.
+    The maximum is that of `_image_distances` (the column's norm, then the
+    sign-minimised chordal distance) over every column y of the image, bit
+    for bit, but that formula runs only on the few columns that
+    `_image_candidates` selects by one cheaper pass: s2 = |z|^2 / |y|^2 with
+    z = H'y, H' an orthonormal basis of target-perp, the sine squared of the
+    angle between y and the target's line, free of cancellation however
+    small the angle.  A cosine proxy is not: when the image lies within
+    about 1e-7 of the target, every column ties at cos^2 = 1 to rounding.
+
+    Why the exact maximum is among the candidates.  Let u be the unit
+    roundoff, d the dimension, p = target.rep, and for a column y (of the
+    computed image: both passes read the same y) let theta be the angle
+    between the lines of y and p, c = 2 sin(theta/2) its true chordal
+    distance and t = sin(theta).  Let e be the formula's value and
+    sigma = sqrt(s2).  In a column whose squared norm is in _TAME_SQUARES
+    no square overflows, and an underflowing one moves e or sigma by less
+    than sqrt(d) 2^-87, far below u.  Standard error bounds then give
+      |e - c| <= A = (1.5d + 6)u + |(|p| - 1)|: the norm's sum, its square
+        root and the division put y/|y| within (d/2 + 2)u of the unit
+        vector, the differences with p add 2u in norm, the two sums and the
+        square root (d + 2)u, and |p| may differ from 1;
+      |sigma - t| <= B = (d^1.5 + 6d + 19)u: the computed H' lies within
+        (5d + 18)u of an exactly orthonormal basis of p-perp (the Householder
+        vector and its scale carry relative errors of (d/2 + 2)u and
+        (d + 3)u), the product z is within sqrt(d - 1) gamma_d |y| of H'y,
+        and the two sums and the quotient add du after the square root.
+    Let j maximise e and k maximise sigma.  Then c_j >= e_j - A >= e_k - A
+    >= c_k - 2A, and t = c sqrt(1 - c^2/4) is increasing and 1-Lipschitz in
+    c on [0, sqrt 2], so t_j >= t_k - 2A and sigma_j >= sigma_k - 2(A + B).
+    The margin below the largest sigma is twice that, 4(A + B), which covers
+    the rounding of the threshold (sigma_k - margin)^2 itself.  A column
+    outside _TAME_SQUARES (non-finite, vanishing, overflowing or
+    underflowing in some summation order) is always a candidate, so the
+    vanishing image's NumericalFailure and a non-finite maximum are those of
+    the formula.  Ties in e between candidates do not matter: the maximum
+    is a value, not a column.
+
+    The formula sums rows in the order numpy reduces a wide array
+    (`_sum_rows`), as a pass over the whole sample of two columns or more
+    does; a one-point sample keeps numpy's order for a lone column.  Besides
+    the image y, which replaces the sample, the check holds at most z, one
+    row shorter than y, and two sample-sized vectors.
     """
     check_request(epsilon, "sampled", sample_count, seed)
     x = _sample_bset(_instance_rng(seed, m), repelling.covector, epsilon, sample_count)
     y = m @ x
-    point = target.rep[:, None]
-    max_image = 0.0
-    for lo, hi in _column_blocks(sample_count):
-        image = chordal_distances(_normalize_cols(y[:, lo:hi]), point)
-        max_image = np.maximum(max_image, image.max())
-    return float(max_image)
+    del x
+    point = target.rep
+    cols = y[:, _image_candidates(y, point)]
+    sum_rows = _sum_rows if sample_count > 1 else partial(np.add.reduce, axis=0)
+    return float(_image_distances(cols, point[:, None], sum_rows).max())
 
 
 def analytic_contraction_bounds(m: np.ndarray, eigendata, epsilon: float):
@@ -546,7 +627,7 @@ def certify_theta_proximal(
         try:
             certs.append(certify_eps_proximal(g, k, epsilon, mode, sample_count, seed))
         except CertificationFailure as e:
-            e.args = (f"degree {k}: {e.args[0]}",) + e.args[1:]
+            e.prefix_message(f"degree {k}: ")
             raise
     return certs
 

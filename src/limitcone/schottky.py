@@ -230,7 +230,7 @@ def verify_schottky(
         try:
             certs = certify_theta_proximal(e, range(1, alphabet.n), epsilons[j], mode, samples, seed)
         except CertificationFailure as e:
-            e.args = (f"element {i}, {e.args[0]}",) + e.args[1:]
+            e.prefix_message(f"element {i}, ")
             raise
         eigendata.update(((i, k), c) for k, c in enumerate(certs, start=1))
     return SchottkySystem(
@@ -341,7 +341,7 @@ def in_open_semigroup(
                 accepted=False, mode=mode, reason=f"degree {k}: not proximal"
             )
         except ContractionUnverified as e:
-            e.args = (f"degree {k}: {e.args[0]}",) + e.args[1:]
+            e.prefix_message(f"degree {k}: ")
             if not e.refuted:
                 raise
             return MembershipEvidence(

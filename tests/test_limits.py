@@ -777,6 +777,28 @@ class TestDedupKernels:
             assert np.ptp(limits._dedup_keys(np.stack(rows))) < tol
             _assert_same_dedup(rng.permutation(rows), tol)
 
+    def test_only_rows_within_tol_reach_the_decider(self):
+        # rows at 1.001 tol cannot merge and are never asked about; rows a
+        # few ulps either side of tol still are, and the decider settles them
+        tol = self.DIRECTION_TOL
+        base = np.array([0.6, 0.0, -0.8])
+        ulp = np.finfo(float).eps
+        for factor, asked, kept in (
+            (1.001, 0, 2), (1.0 + 4 * ulp, 1, 2), (1.0, 1, 1), (1.0 - 4 * ulp, 1, 1),
+        ):
+            # the offset sits where base is 0, so the difference is exact
+            rows = np.stack([base, base + [0.0, factor * tol, 0.0]])
+            asked_about = []
+
+            def same(j, i):
+                asked_about.append((j, i))
+                return np.linalg.norm(rows[j] - rows[i]) <= tol
+
+            got = limits._greedy_distinct(
+                rows, tol, lambda others, r: np.linalg.norm(others - r, axis=1), same
+            )
+            assert (len(asked_about), len(got)) == (asked, kept), factor
+
     @given(
         seed=st.integers(0, 2**32 - 1),
         d=st.integers(2, 6),

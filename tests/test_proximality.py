@@ -747,52 +747,138 @@ def _old_sample_bset(rng, phi, eps, count):
     return w
 
 
-class TestSampledCheckInBlocks:
-    """The check works over column blocks of the one sample; its image maximum
-    is that of the whole sample, bit for bit, at every block boundary."""
+class TestSampledCheckCandidates:
+    """The check takes the sine of every image column's angle to the target
+    in one pass and recomputes the exact formula on the few candidate
+    columns; its maximum is the reference formula's over the whole sample,
+    bit for bit."""
 
-    B = proximality._BLOCK_COLUMNS
-    COUNTS = (1, 2, B - 1, B, B + 1, 2 * B + 1, 10_000)
+    COUNTS = (1, 2, 3, 2047, 2048, 2049, 2050, 4097, 10_000)
 
     @staticmethod
-    def _instances(dims):
-        rng = np.random.default_rng(59)
+    def _instances(dims, top_gap=None, seed=59):
+        """(d, m) per dimension; with `top_gap`, m's top log gap is that."""
+        rng = np.random.default_rng(seed)
         for d in dims:
             logs = np.sort(rng.uniform(-3.0, 3.0, d))[::-1]
             q, _ = np.linalg.qr(rng.standard_normal((d, d)))
-            m = q @ np.diag(np.exp(logs - logs.mean())) @ q.T + 0.1 * rng.standard_normal((d, d))
-            _, x, h = lc.top_eigendata(m)
-            yield d, m, x, h
+            if top_gap is None:
+                m = q @ np.diag(np.exp(logs - logs.mean())) @ q.T + 0.1 * rng.standard_normal((d, d))
+            else:
+                logs[0] = logs[1] + top_gap
+                m = q @ np.diag(np.exp(logs - logs.mean())) @ q.T
+            yield d, m
 
-    def test_block_boundaries_keep_the_whole_sample_maxima(self):
+    @staticmethod
+    def _reference_maximum(m, x, h, eps, count, seed):
         reference = TestSampledContractionCheck
-        dims = (2, 3, 4, 5, 6, 8, 10)
-        checked = 0
-        for d, m, x, h in self._instances(dims):
-            for count in self.COUNTS:
-                seed = 100 * d + count
-                _, ys = reference._reference_sample(m, h, 0.1, count, seed)
-                image = float(reference._chordal(ys, x.rep[:, None]).max())
-                got = sampled_contraction_check(m, x, h, 0.1, count, seed)
-                assert got == image, (d, count)
-                checked += 1
-        assert checked == len(dims) * len(self.COUNTS)
+        _, ys = reference._reference_sample(m, h, eps, count, seed)
+        return float(reference._chordal(ys, x.rep[:, None]).max())
 
-    def test_blocks_cover_the_sample_without_a_lone_column(self):
-        # numpy sums a lone column over axis 0 in another order than a wider
-        # array; from d = 8 on that can move a norm's last bit
-        B = self.B
-        for count in (1, 2, 3, B - 1, B, B + 1, B + 2, 2 * B, 2 * B + 1, 10_000):
-            spans = proximality._column_blocks(count)
-            assert spans[0][0] == 0 and spans[-1][1] == count
-            assert all(a[1] == b[0] for a, b in zip(spans, spans[1:]))
-            widths = [hi - lo for lo, hi in spans]
-            assert max(widths) <= B + 1
-            assert min(widths) >= min(count, 2), (count, widths)
+    @staticmethod
+    def _counting_candidates(monkeypatch):
+        counts = []
+        select = proximality._image_candidates
+
+        def counting(y, point):
+            chosen = select(y, point)
+            counts.append(len(chosen))
+            return chosen
+
+        monkeypatch.setattr(proximality, "_image_candidates", counting)
+        return counts
+
+    def test_candidates_keep_the_whole_sample_maxima(self):
+        checked = 0
+        for d, m in self._instances(range(2, 11)):
+            for scale in (1e-120, 1.0, 1e120):
+                _, x, h = lc.top_eigendata(scale * m)
+                for count in self.COUNTS:
+                    seed = 100 * d + count
+                    expected = self._reference_maximum(scale * m, x, h, 0.1, count, seed)
+                    got = sampled_contraction_check(scale * m, x, h, 0.1, count, seed)
+                    assert got == expected, (d, scale, count)
+                    checked += 1
+        assert checked == 9 * 3 * len(self.COUNTS)
+
+    def test_strongly_contracting_maxima_below_1e_7(self):
+        for d, m in self._instances(range(2, 11), top_gap=22.0):
+            _, x, h = lc.top_eigendata(m)
+            for count in self.COUNTS:
+                expected = self._reference_maximum(m, x, h, 0.1, count, d + count)
+                assert 0.0 < expected < 1e-7
+                assert sampled_contraction_check(m, x, h, 0.1, count, d + count) == expected
+
+    def test_strongly_contracting_inputs_have_few_candidates(self, monkeypatch):
+        # images within 1e-7 of the target all tie in cos^2, not in sin^2
+        counts = self._counting_candidates(monkeypatch)
+        rng = np.random.default_rng(23)
+        e1 = np.eye(3)[0]
+        frame = (lc.ProjectivePoint.from_vector(e1), lc.ProjectiveHyperplane.from_covector(e1))
+        for seed in range(8):
+            g1, g2 = strongly_contracting_element(rng), strongly_contracting_element(rng)
+            for k in (1, 2):
+                for g in (g1, g1 @ g2):
+                    m = lc.exterior_power(g, k)
+                    _, x, h = lc.top_eigendata(m)
+                    for target, repelling in ((x, h), frame):
+                        sampled_contraction_check(m, target, repelling, 0.05, 10_000, seed)
+        for d, m in self._instances(range(2, 11), top_gap=22.0):
+            _, x, h = lc.top_eigendata(m)
+            sampled_contraction_check(m, x, h, 0.1, 10_000, d)
+        assert len(counts) == 8 * 2 * 2 * 2 + 9
+        assert 1 <= min(counts) and max(counts) <= 8
+
+    def test_a_near_tie_recomputes_both_columns(self):
+        # columns a few ulps apart: where the sine proxy orders them one way
+        # and the exact formula the other, both must be recomputed
+        rng = np.random.default_rng(17)
+        disagreements = 0
+        for trial in range(600):
+            d = 2 + trial % 9
+            point = lc.ProjectivePoint.from_vector(rng.standard_normal(d)).rep
+            w = rng.standard_normal(d)
+            w -= (w @ point) * point
+            first = point + 10.0 ** rng.uniform(-8.0, -1.0) * w / np.linalg.norm(w)
+            cols = np.stack([first, first * (1.0 + 4e-16 * rng.standard_normal(d))], axis=1)
+            exact = proximality._image_distances(cols, point[:, None], proximality._sum_rows)
+            s2, tame = proximality._sine_squares(cols, point)
+            assert tame.all()
+            if np.sign(exact[1] - exact[0]) * np.sign(s2[1] - s2[0]) < 0:
+                disagreements += 1
+                assert proximality._image_candidates(cols, point).tolist() == [0, 1]
+        assert disagreements >= 20
+
+    def test_a_single_candidate_at_d_8_and_up_sums_rows_in_wide_order(self, monkeypatch):
+        # numpy sums a gathered lone column over axis 0 in another order than
+        # a wide array; from d = 8 on that can move the maximum's last bit
+        counts = self._counting_candidates(monkeypatch)
+        reference = TestSampledContractionCheck
+        lone_differs = 0
+        for d, m in self._instances((8, 9, 10, 12), seed=61):
+            _, x, h = lc.top_eigendata(m)
+            for seed in range(15):
+                xs, ys = reference._reference_sample(m, h, 0.1, 777, seed)
+                image = reference._chordal(ys, x.rep[:, None])
+                assert sampled_contraction_check(m, x, h, 0.1, 777, seed) == image.max()
+                assert counts[-1] == 1
+                worst = (m @ xs)[:, [int(np.argmax(image))]]
+                lone = reference._chordal(worst / np.linalg.norm(worst, axis=0), x.rep[:, None])
+                lone_differs += int(lone[0] != image.max())
+        assert lone_differs >= 1
+
+    def test_rows_are_summed_in_wide_order_at_any_width(self):
+        rng = np.random.default_rng(8)
+        for d in range(2, 13):
+            a = rng.standard_normal((d, 50))
+            wide = np.add.reduce(a, axis=0)
+            for idx in ([7], [3, 41], [0, 9, 33]):
+                assert proximality._sum_rows(a[:, idx]).tobytes() == wide[idx].tobytes(), (d, idx)
 
     def test_sampler_keeps_the_bits_of_its_old_formula(self):
-        for d, m, _, h in self._instances(range(2, 11)):
-            for count in (1, 2, 777, self.B + 1):
+        for d, m in self._instances(range(2, 11)):
+            _, _, h = lc.top_eigendata(m)
+            for count in (1, 2, 777, 2049):
                 new = _sample_bset(_instance_rng(count, m), h.covector, 0.05, count)
                 old = _old_sample_bset(_instance_rng(count, m), h.covector, 0.05, count)
                 assert new.tobytes() == old.tobytes(), (d, count)
