@@ -4,10 +4,15 @@ The Weyl chamber of SL(n,R) lives in the (n-1)-dimensional zero-sum hyperplane
 of R^n; we fix the Helmert basis as a deterministic orthonormal chart.  Cones
 are given by finitely many spanning rays; membership is a nonnegative
 least-squares fit and the distance to a cone is the corresponding residual.
+
+numpy is the only dependency `import limitcone` loads.  scipy is imported by
+the function that calls it, on first use: NNLS (`cone_distance`: the forge
+report, `in_cone`, hulls of 3-D or larger chambers) and `ConvexHull`
+(`facet_normals`) here, `null_space` in analytic certification
+(`proximality.analytic_contraction_bounds`).
 """
 
 import numpy as np
-import scipy.optimize
 
 from .errors import InvalidInput
 
@@ -24,6 +29,8 @@ def chamber_basis(n: int) -> np.ndarray:
 
 def cone_distance(v: np.ndarray, rays: np.ndarray) -> float:
     """Euclidean distance from v to the cone spanned by the rows of `rays`."""
+    import scipy.optimize
+
     v = np.asarray(v, dtype=float)
     r = np.atleast_2d(np.asarray(rays, dtype=float))
     _, residual = scipy.optimize.nnls(r.T, v)

@@ -53,7 +53,6 @@ from functools import partial
 from typing import NamedTuple
 
 import numpy as np
-import scipy.linalg
 
 from .errors import (
     CertificationFailure,
@@ -373,6 +372,8 @@ def analytic_contraction_bounds(m: np.ndarray, eigendata, epsilon: float):
     `eigendata` is `top_eigendata(m)`.  Returns (image_radius, lipschitz, gap).
     Either bound may be inf when the splitting estimate degenerates.
     """
+    import scipy.linalg
+
     alpha, attracting, repelling = eigendata
     v = attracting.rep
     phi = repelling.covector

@@ -1,12 +1,18 @@
 """Module boundaries and test tooling."""
 
 import ast
+import json
+import os
 import shutil
 import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
+
+from .conftest import FORGE_RAY_1, FORGE_RAY_2
+from .test_cli import run_cli, sl2_pair_entries, write_matrix, write_system
 
 ROOT = Path(__file__).resolve().parent.parent
 SOURCES = sorted((ROOT / "src" / "limitcone").glob("*.py"))
@@ -59,6 +65,95 @@ def test_one_readout_per_quantity():
     assert not decompositions, decompositions
     entries = [a for a in _attributes("projections.py") if a[1] == "entries"]
     assert not entries, entries
+
+
+def _module_level_imports(tree):
+    """The modules a module imports at its top level, not inside a function."""
+    for node in tree.body:
+        if isinstance(node, ast.Import):
+            yield from (a.name for a in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            yield node.module
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_scipy_is_imported_by_the_function_that_calls_it(path):
+    # `import limitcone` loads numpy only; NNLS, ConvexHull and null_space
+    # load their part of scipy on first use
+    eager = [
+        m for m in _module_level_imports(ast.parse(path.read_text()))
+        if m == "scipy" or m.startswith("scipy.")
+    ]
+    assert not eager, eager
+
+
+# Run in a fresh interpreter: prints, per step, the exit code, the standard
+# output and the scipy modules loaded by then.  The test process itself
+# cannot tell, because conftest imports scipy.linalg.
+COLD_RUN = """
+import io, json, sys
+from limitcone import cli
+
+def scipy_modules():
+    return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+
+steps = [{"scipy": scipy_modules()}]
+for argv in json.loads(sys.argv[1]):
+    buf = io.StringIO()
+    code = cli.run(argv, out=buf)
+    steps.append({"code": code, "out": buf.getvalue(), "scipy": scipy_modules()})
+print(json.dumps(steps))
+"""
+
+
+def _cold_run(cwd, *argvs):
+    """[after the import, after each argv]: {"code", "out", "scipy"} of a fresh
+    interpreter that runs the CLI commands `argvs` in turn in `cwd`."""
+    path = [str(ROOT / "src"), os.environ.get("PYTHONPATH", "")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
+    proc = subprocess.run(
+        [sys.executable, "-c", COLD_RUN, json.dumps(argvs)],
+        cwd=cwd, env=env, capture_output=True, text=True, timeout=120, check=True,
+    )
+    return json.loads(proc.stdout)
+
+
+def test_numpy_commands_load_no_scipy(tmp_path):
+    write_system(tmp_path / "sys.json", sl2_pair_entries(), kind="group")
+    write_matrix(tmp_path / "g.json", np.diag([100.0, 1.0, 0.01]))
+    words = ["--system", "sys.json", "--depth", "4"]
+    steps = _cold_run(
+        tmp_path,
+        ["limit-set", *words, "--side", "fwd"],
+        ["compare", *words],
+        ["estimate-cone", *words],  # a 1-d chamber: no hull
+        ["certify", "--matrix", "g.json", "--degree", "1", "--epsilon", "0.1", "--mode", "sampled"],
+    )
+    assert [step["code"] for step in steps[1:]] == [0] * 4
+    assert steps[-1]["out"].startswith("certified:")
+    assert [step["scipy"] for step in steps] == [[]] * 5
+
+
+def test_the_forge_report_loads_nnls(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    Path("rays.json").write_text(json.dumps({"rays": [FORGE_RAY_1.tolist(), FORGE_RAY_2.tolist()]}))
+    argv = ["forge", "--n", "3", "--rays", "rays.json", "--epsilon", "0.05", "--seed", "7", "--out"]
+    (cold,) = _cold_run(tmp_path, argv + ["cold.json"])[1:]
+    assert "scipy.optimize" in cold["scipy"]
+    code, out = run_cli(argv + ["warm.json"])
+    assert (cold["code"], cold["out"]) == (code, out.replace("warm", "cold"))
+    assert Path("cold.json").read_bytes() == Path("warm.json").read_bytes()
+
+
+def test_analytic_certification_loads_null_space(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    write_matrix(Path("g.json"), np.diag([1e4, 1.0, 1e-4]))
+    argv = ["certify", "--matrix", "g.json", "--degree", "1", "--epsilon", "0.1", "--mode", "analytic"]
+    (cold,) = _cold_run(tmp_path, argv)[1:]
+    assert "scipy.linalg" in cold["scipy"]
+    assert "scipy.optimize" not in cold["scipy"]
+    assert (cold["code"], cold["out"]) == run_cli(argv)
+    assert cold["out"].startswith("certified:")
 
 
 CONTRACTION_KERNELS = {"sampled_contraction_check", "analytic_contraction_bounds"}
