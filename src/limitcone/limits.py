@@ -19,12 +19,10 @@ import numpy as np
 from . import cones
 from .errors import BudgetExceeded, DegenerateSample, InvalidInput, check_seed
 from .projgeom import (
-    ProjectiveHyperplane,
     ProjectivePoint,
     canonical_units,
     chordal_distances,
     exterior_power,
-    gap,
     proj_distance,
 )
 from .projections import (
@@ -444,9 +442,15 @@ class LimitSetSample:
         return self.points[k - 1]
 
 
-def _merge_points(vectors) -> tuple:
+def _points(vectors) -> np.ndarray:
+    """The rows' canonical units, read-only: each row is a `ProjectivePoint.rep`."""
     reps = canonical_units(vectors, "projective point representative")
     reps.flags.writeable = False
+    return reps
+
+
+def _merge_points(vectors) -> tuple:
+    reps = _points(vectors)
     kept = _greedy_distinct(
         reps,
         MERGE_TOL,
@@ -458,38 +462,40 @@ def _merge_points(vectors) -> tuple:
     return tuple(ProjectivePoint(rep=reps[k]) for k in kept)
 
 
-def estimate_limit_set(
-    sampler: WordSampler,
-    side: str = "forward",
-    words=None,
-) -> LimitSetSample:
-    """Attracting points (per degree) of the sampled words that pass the log-gap filter.
+def _flag_readout(sampler: WordSampler, words=None):
+    """Per batch of `_batches`: (words, product, (forward, backward), kept).
 
-    The filter is DEFAULT_PROXIMALITY_FILTER, at every degree.
-    """
-    if side not in ("forward", "backward"):
-        raise InvalidInput(f"unknown side {side!r}")
-    clouds = [[] for _ in range(sampler.n - 1)]
-    hits = 0
-    for _, product in _batches(sampler, words):
-        splits = [eigen_splittings(p)[side == "backward"] for p, _ in product]
+    Each side is one `eigen_splittings` Splitting per degree.  `kept` is, per
+    side, the one keep rule: the rows proximal at every degree, with a
+    positive runner-up modulus and a log gap above DEFAULT_PROXIMALITY_FILTER."""
+    for batch, product in _batches(sampler, words):
+        sides = tuple(zip(*(eigen_splittings(p) for p, _ in product)))
         with np.errstate(divide="ignore"):
             # a vanishing runner-up modulus has no finite log gap
-            passed = np.logical_and.reduce([
-                s.proximal & (s.second > 0.0)
-                & (np.abs(np.log(s.top) - np.log(s.second)) > DEFAULT_PROXIMALITY_FILTER)
-                for s in splits
-            ])
-        hits += int(np.count_nonzero(passed))
-        for cloud, s in zip(clouds, splits):
-            cloud.append(s.vectors[passed])
-    if hits == 0:
+            kept = [
+                np.logical_and.reduce([
+                    s.proximal & (s.second > 0.0)
+                    & (np.abs(np.log(s.top) - np.log(s.second)) > DEFAULT_PROXIMALITY_FILTER)
+                    for s in side
+                ])
+                for side in sides
+            ]
+        yield batch, product, sides, kept
+
+
+def estimate_limit_set(sampler: WordSampler, side: str = "forward", words=None) -> LimitSetSample:
+    """Attracting points (per degree) of the sampled words `_flag_readout` keeps on `side`."""
+    if side not in ("forward", "backward"):
+        raise InvalidInput(f"unknown side {side!r}")
+    backward = side == "backward"
+    clouds = [[] for _ in range(sampler.n - 1)]
+    for _, _, sides, kept in _flag_readout(sampler, words):
+        for cloud, s in zip(clouds, sides[backward]):
+            cloud.append(s.vectors[kept[backward]])
+    clouds = [np.concatenate(c) for c in clouds]
+    if not len(clouds[0]):
         raise DegenerateSample("no sampled word passed the proximality filter")
-    return LimitSetSample(
-        points=tuple(_merge_points(np.concatenate(c)) for c in clouds),
-        side=side,
-        depth=sampler.max_length,
-    )
+    return LimitSetSample(tuple(_merge_points(c) for c in clouds), side, sampler.max_length)
 
 
 @dataclass(frozen=True)
@@ -502,39 +508,32 @@ class FacetSample:
     general_position: bool
 
 
-def estimate_facets(
-    sampler: WordSampler,
-    words=None,
-) -> list[FacetSample]:
-    """Per proximal sampled word, its attracting flag pair and a transversality flag.
+def estimate_facets(sampler: WordSampler, words=None) -> list[FacetSample]:
+    """Per sampled word `_flag_readout` keeps on both sides, its attracting flag
+    pair and a transversality flag.
 
-    A word is kept when, at every degree, it is proximal both ways: the
-    `Splitting.proximal` mask holds forward and backward, so the smallest
-    eigenvalue modulus, whose eigenvector is the backward flag, is nonzero,
-    simple and real.  Its flags are in general position when every forward
-    gap to its repelling hyperplane exceeds DEFAULT_PROXIMALITY_FILTER.
+    So a word yields a facet when the limit set keeps it both ways.  A batch's
+    kept rows are read as stacks, one `canonical_units` per side and degree,
+    and their repelling covectors from one transposed `eig` per degree, none
+    when no row is kept.  The flags are in general position when every
+    forward gap min(1, |phi . x|) exceeds DEFAULT_PROXIMALITY_FILTER.
     """
     out = []
-    for batch, product in _batches(sampler, words):
-        splits = [eigen_splittings(p) for p, _ in product]
-        covectors = [
-            repelling_covectors(p, fwd.eigenvalue) for (p, _), (fwd, _) in zip(product, splits)
-        ]
-        kept = np.logical_and.reduce([f.proximal & b.proximal for f, b in splits])
-        for row in np.flatnonzero(kept):
-            forward = tuple(ProjectivePoint.from_vector(f.vectors[row]) for f, _ in splits)
-            gaps = [
-                gap(x, ProjectiveHyperplane.from_covector(phi[row]))
-                for x, phi in zip(forward, covectors)
-            ]
-            out.append(
-                FacetSample(
-                    word=batch[row],
-                    forward=forward,
-                    backward=tuple(ProjectivePoint.from_vector(b.vectors[row]) for _, b in splits),
-                    general_position=bool(min(gaps) > DEFAULT_PROXIMALITY_FILTER),
-                )
-            )
+    for batch, product, (forward, backward), kept in _flag_readout(sampler, words):
+        rows = np.flatnonzero(kept[0] & kept[1])
+        if not rows.size:
+            continue
+        fwd, bwd = ([_points(s.vectors[rows]) for s in side] for side in (forward, backward))
+        gaps = []
+        for (p, _), s, x in zip(product, forward, fwd):
+            phi = repelling_covectors(p[rows], s.eigenvalue[rows])
+            phi = canonical_units(phi, "hyperplane covector")
+            # one dot product per row, the bits of each row's phi @ x
+            gaps.append(np.abs(phi[:, None, :] @ x[:, :, None]).reshape(-1))
+        general = np.minimum(1.0, np.min(gaps, axis=0)) > DEFAULT_PROXIMALITY_FILTER
+        for i, row in enumerate(rows.tolist()):
+            flags = [tuple(ProjectivePoint(rep=x[i]) for x in side) for side in (fwd, bwd)]
+            out.append(FacetSample(batch[row], *flags, bool(general[i])))
     if not out:
-        raise DegenerateSample("no sampled word is proximal at every degree")
+        raise DegenerateSample("no sampled word passed the proximality filter both ways")
     return out

@@ -503,10 +503,40 @@ class TestEstimateFacets:
         assert lc.proj_distance(probe.forward[0], lead.forward[0]) <= 0.1
         assert lc.proj_distance(probe.backward[0], tail.backward[0]) <= 0.1
 
-    def test_degenerate_sample(self):
+    @pytest.mark.filterwarnings("error")
+    def test_degenerate_sample(self, monkeypatch):
+        calls = []
+        eig = np.linalg.eig
+
+        def counting(a):
+            calls.append(a.shape)
+            return eig(a)
+
+        monkeypatch.setattr(np.linalg, "eig", counting)
         g = lc.GroupElement.from_matrix(rotation2(0.4))
-        with pytest.raises(DegenerateSample):
+        with np.errstate(all="raise"), pytest.raises(DegenerateSample):
             lc.estimate_facets(_sampler([g], max_length=2))
+        # one splitting per level; a level that keeps no row reads no covectors
+        assert calls == [(1, 2, 2), (1, 2, 2)]
+
+    # log gap 6e-7 < DEFAULT_PROXIMALITY_FILTER, relative gap far above
+    # EIGEN_GAP_TOL: proximal to the splitting, unresolved to the limit set
+    FLAT = np.diag(np.exp([3e-7, -3e-7]))
+
+    def test_a_log_gap_under_the_filter_yields_no_facet(self):
+        reference_top_eigendata(self.FLAT)  # no NotProximal
+        s = _sampler([lc.GroupElement.from_matrix(self.FLAT)], max_length=1)
+        with pytest.raises(DegenerateSample):
+            lc.estimate_limit_set(s)
+        with pytest.raises(DegenerateSample):
+            lc.estimate_facets(s)
+
+    def test_keep_the_words_the_limit_set_keeps_both_ways(self, sl2_pair):
+        s = _sampler([*sl2_pair, lc.GroupElement.from_matrix(self.FLAT)], max_length=3)
+        words = [f.word for f in lc.estimate_facets(s)]
+        assert words == [word for word, *_ in _reference_facets(s)]
+        # the lone letter is refused; its square, log gap 1.2e-6, is kept
+        assert (2,) not in words and (2, 2) in words
 
     @pytest.mark.parametrize("name", ["sl2-semigroup", "sl2-group", "forged-sl3"])
     def test_equal_the_per_word_reference(self, request, sl2_pair, name):
@@ -519,16 +549,25 @@ class TestEstimateFacets:
         assert len(facets) == len(reference) > 0
         for f, (word, fwd, bwd, general) in zip(facets, reference):
             assert f.word == word and f.general_position == general
+            # read-only C-contiguous reps, as ProjectivePoint.from_vector makes
+            assert all(
+                x.rep.flags.c_contiguous and not x.rep.flags.writeable
+                for x in f.forward + f.backward
+            )
             assert np.array_equal(np.concatenate([x.rep for x in f.forward]), fwd)
             assert np.array_equal(np.concatenate([x.rep for x in f.backward]), bwd)
 
 
 def _reference_facets(sampler, epsilon_filter=limits.DEFAULT_PROXIMALITY_FILTER):
-    """estimate_facets one word and one readout at a time: per proximal word,
-    (word, forward reps, backward reps, general position)."""
+    """estimate_facets one word and one readout at a time: per word that is
+    proximal both ways with log gaps above the filter at every degree, the
+    limit set's rule, (word, forward reps, backward reps, general position)."""
     out = []
     for word in sampler.words():
         compounds = _reference_accumulate(sampler.alphabet, word)
+        data = [_reference_eigdata(compounds, backward) for backward in (False, True)]
+        if any(d is None or not all(g > epsilon_filter for g, _ in d) for d in data):
+            continue
         fwd, gaps = [], []
         try:
             for p, _ in compounds:

@@ -230,6 +230,45 @@ def test_one_noise_floor_for_lambda():
     assert _functions_holding(floor) == {"projections.lyapunov_directions"}
 
 
+def test_one_keep_rule_for_flags():
+    # whether a word's flag is resolved, the log gap of a splitting's top two
+    # moduli against DEFAULT_PROXIMALITY_FILTER, is decided by one rule,
+    # which the limit set and the facets both read
+    def log_gap(node):
+        return (
+            isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Attribute)
+            and node.func.attr == "log"
+            and any(isinstance(a, ast.Attribute) and a.attr in ("top", "second") for a in node.args)
+        )
+
+    assert _functions_holding(log_gap) == {"limits._flag_readout"}
+
+
+def test_limits_reads_flags_as_stacks():
+    # facets test general position on whole stacks, not per point and hyperplane
+    assert not {"gap", "ProjectiveHyperplane"} & _imported("limits.py")
+
+
+def test_facets_make_no_point_from_a_vector(sl2_pair, monkeypatch):
+    import limitcone as lc
+    from limitcone.projgeom import ProjectivePoint
+
+    calls = []
+    from_vector = ProjectivePoint.from_vector.__func__
+
+    def counting(cls, v):
+        calls.append(len(v))
+        return from_vector(cls, v)
+
+    monkeypatch.setattr(ProjectivePoint, "from_vector", classmethod(counting))
+    ProjectivePoint.from_vector([1.0, 0.0])
+    assert calls == [2]  # the hook counts
+    facets = lc.estimate_facets(lc.WordSampler(generators=sl2_pair, kind="group", max_length=4))
+    # a facet's points are rows of its batch's stacks, not one point per vector
+    assert len(facets) == 160 and calls == [2]
+
+
 def test_check_convexity_reads_only_the_words_it_draws():
     tree = ast.parse((ROOT / "src" / "limitcone" / "limits.py").read_text())
     fn = dict(_qualified_functions(tree))["check_convexity"]
