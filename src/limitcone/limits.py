@@ -24,6 +24,7 @@ from .projgeom import (
     chordal_distances,
     exterior_power,
     proj_distance,
+    row_norms,
 )
 from .projections import (
     ChamberVector,
@@ -273,20 +274,22 @@ def _dedup_keys(reps) -> np.ndarray:
 def _greedy_distinct(reps, tol, distances, same) -> list:
     """The indices of the rows of `reps` that a greedy in-order pass keeps.
 
-    Row j is dropped when `same(j, i)` holds for a row i kept before it, so
-    the first representative of a cluster wins.  Each kept row drops its
-    later duplicates at once: `distances(others, rep)` measures the rows
-    whose keys lie within 4 * tol of its own (see `_dedup_keys`) in one
-    vectorised call; it is the metric that `same` thresholds at `tol`, summed
-    in another order, so the two agree to a few ulps per coordinate.  Only
-    the rows it puts within tol * (1 + _PREFILTER_SLACK) are handed to
-    `same`, which stays the decider: a row beyond that cannot merge.
+    Row j is dropped when row i, kept before it, finds it the same, so the
+    first representative of a cluster wins.  Each kept row drops its later
+    duplicates at once: `distances(others, rep)` measures the rows whose keys
+    lie within 4 * tol of its own (see `_dedup_keys`) in one vectorised call;
+    it is the metric that `same` thresholds at `tol`, summed in another order,
+    so the two agree to a few ulps per coordinate.  Only the rows it puts
+    within tol * (1 + _PREFILTER_SLACK) are handed to `same`, which stays the
+    decider: a row beyond that cannot merge.  `same(near, i)` is called once
+    per kept row i that has such rows, with their list `near`, and says per
+    row whether it merges into row i.
     """
     keys = _dedup_keys(reps)
     order = np.argsort(keys, kind="stable")
     sorted_keys = keys[order]
-    lo = np.searchsorted(sorted_keys, keys - 4.0 * tol, side="left")
-    hi = np.searchsorted(sorted_keys, keys + 4.0 * tol, side="right")
+    lo = np.searchsorted(sorted_keys, keys - 4.0 * tol, side="left").tolist()
+    hi = np.searchsorted(sorted_keys, keys + 4.0 * tol, side="right").tolist()
     alive = np.ones(len(reps), dtype=bool)
     kept = []
     for i in range(len(reps)):
@@ -297,21 +300,22 @@ def _greedy_distinct(reps, tol, distances, same) -> list:
         later = window[(window > i) & alive[window]]
         if later.size:
             near = later[distances(reps[later], reps[i]) <= tol * (1.0 + _PREFILTER_SLACK)]
-            for j in near.tolist():
-                if same(j, i):
-                    alive[j] = False
+            if near.size:
+                alive[near[same(near.tolist(), i)]] = False
     return kept
 
 
-def _distinct_rows(rows, tol):
+def _distinct_rows(rows, tol) -> np.ndarray:
+    """The rows the greedy pass keeps at Euclidean distance `tol`, as one array."""
     rows = np.asarray(rows, dtype=float)
     kept = _greedy_distinct(
         rows,
         tol,
         lambda others, r: np.linalg.norm(others - r, axis=1),
-        lambda j, i: np.linalg.norm(rows[j] - rows[i]) <= tol,
+        # the bits of np.linalg.norm(rows[j] - rows[i]) per near row j
+        lambda near, i: row_norms(rows[near] - rows[i]) <= tol,
     )
-    return list(rows[kept])
+    return rows[kept]
 
 
 def estimate_cone(sampler: WordSampler, words=None) -> ConeEstimate:
@@ -331,13 +335,12 @@ def estimate_cone(sampler: WordSampler, words=None) -> ConeEstimate:
     if not len(dirs):
         raise DegenerateSample("no sampled word has a nonzero Jordan projection")
     distinct = _distinct_rows(dirs, 1e-12)
-    mat = np.stack(distinct)
-    hull_dim = int(np.linalg.matrix_rank(mat, tol=1e-9))
+    hull_dim = int(np.linalg.matrix_rank(distinct, tol=1e-9))
     basis = cones.chamber_basis(n)
-    idx = cones.extreme_ray_indices(mat @ basis)
+    idx = cones.extreme_ray_indices(distinct @ basis)
     return ConeEstimate(
         directions=tuple(ChamberVector.from_coords(d) for d in distinct),
-        hull_rays=tuple(ChamberVector.from_coords(mat[i]) for i in idx),
+        hull_rays=tuple(ChamberVector.from_coords(distinct[i]) for i in idx),
         hull_dim=hull_dim,
         per_word_mu_lambda_gap=tuple(np.concatenate(gaps).tolist()),
         word_lengths=tuple(np.concatenate(lengths).tolist()),
@@ -451,13 +454,14 @@ def _points(vectors) -> np.ndarray:
 
 def _merge_points(vectors) -> tuple:
     reps = _points(vectors)
+
+    def same(near, i):
+        # points are made only for the rows compared and kept, the kept one once
+        point = ProjectivePoint(rep=reps[i])
+        return [proj_distance(ProjectivePoint(rep=reps[j]), point) <= MERGE_TOL for j in near]
+
     kept = _greedy_distinct(
-        reps,
-        MERGE_TOL,
-        lambda others, r: chordal_distances(others.T, r[:, None]),
-        # points are made only for the pairs compared and the rows kept
-        lambda j, i: proj_distance(ProjectivePoint(rep=reps[j]), ProjectivePoint(rep=reps[i]))
-        <= MERGE_TOL,
+        reps, MERGE_TOL, lambda others, r: chordal_distances(others.T, r[:, None]), same
     )
     return tuple(ProjectivePoint(rep=reps[k]) for k in kept)
 

@@ -10,7 +10,7 @@ factor sqrt(2) of the chordal point-to-hyperplane distance.
 
 from dataclasses import dataclass, field, fields
 from itertools import combinations
-from math import comb
+from math import comb, sqrt
 
 import numpy as np
 
@@ -304,13 +304,12 @@ def proj_distance(x1: ProjectivePoint, x2: ProjectivePoint) -> float:
     if x1.dim != x2.dim:
         raise DimensionMismatch(f"ambient dimensions differ: {x1.dim} vs {x2.dim}")
     # min over signs of ||v1 -+ v2||: algebraically sqrt(2 - 2|<v1,v2>|), but
-    # the difference form keeps full relative accuracy for nearby points
-    return float(
-        min(
-            np.linalg.norm(x1.rep - x2.rep),
-            np.linalg.norm(x1.rep + x2.rep),
-        )
-    )
+    # the difference form keeps full relative accuracy for nearby points.  The
+    # bits of min(np.linalg.norm(diff), np.linalg.norm(total)), which is
+    # sqrt(x.dot(x)) for a vector: one sqrt, since it is monotone and correctly
+    # rounded and so commutes with the minimum
+    diff, total = x1.rep - x2.rep, x1.rep + x2.rep
+    return sqrt(min(diff.dot(diff), total.dot(total)))
 
 
 def gap(x: ProjectivePoint, h: ProjectiveHyperplane) -> float:

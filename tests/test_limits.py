@@ -730,6 +730,31 @@ class TestDedupKernels:
             assert len(limits._distinct_rows(rows, tol)) == expected
         assert len(limits._merge_points(rows)) == expected
 
+    def test_decider_called_at_most_once_per_kept_row(self):
+        rng = np.random.default_rng(5)
+        base = rng.standard_normal((6, 3))
+        corpora = [(base[rng.integers(0, 6, size=40)], tol)
+                   for tol in (self.DIRECTION_TOL, limits.MERGE_TOL)]
+        v = np.array([0.6, -0.48, 0.64])
+        w = np.array([0.0, 1.0, 0.0])
+        for order in ((0, 1, 2), (1, 0, 2), (2, 1, 0), (1, 2, 0)):
+            for tol in (self.DIRECTION_TOL, limits.MERGE_TOL):
+                chain = [_offset(v, w, s * tol) for s in (0.0, 0.7, 1.4)]
+                corpora.append((np.stack([chain[i] for i in order]), tol))
+        for rows, tol in corpora:
+            asked = []
+
+            def same(near, i):
+                assert type(near) is list and i not in asked
+                asked.append(i)
+                return [np.linalg.norm(rows[j] - rows[i]) <= tol for j in near]
+
+            kept = limits._greedy_distinct(
+                rows, tol, lambda others, r: np.linalg.norm(others - r, axis=1), same
+            )
+            assert 0 < len(asked) <= len(kept) and set(asked) <= set(kept)
+            assert np.array_equal(rows[kept], np.stack(_reference_distinct_rows(rows, tol)))
+
     def test_point_dedup_makes_at_most_one_exact_call_per_candidate(
         self, sl2_pair, monkeypatch
     ):

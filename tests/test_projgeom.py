@@ -239,6 +239,31 @@ class TestProjDistance:
                 lc.ProjectivePoint.from_vector([1.0, 0.0, 0.0]),
             )
 
+    def test_bits_of_the_two_norm_form(self):
+        # the oracle: one np.linalg.norm per sign, bit for bit
+        rng = np.random.default_rng(24)
+        for d in range(2, 11):
+            pairs = []
+            for _ in range(40):
+                a, b, w = rng.standard_normal((3, d))
+                pairs += [(a, b), (a, a + 1e-9 * w), (a, a + 1e-13 * w), (a, -a + 1e-9 * w)]
+                # the largest coordinates tie, so the canonical signs differ
+                # and the representatives point almost opposite ways
+                tie = rng.uniform(-0.5, 0.5, size=d)
+                tie[:2] = (1.0, -1.0)
+                u, v = tie.copy(), tie.copy()
+                u[0] += 1e-10
+                v[1] -= 1e-10
+                pairs.append((u, v))
+            for a, b in pairs:
+                x, y = lc.ProjectivePoint.from_vector(a), lc.ProjectivePoint.from_vector(b)
+                want = float(min(np.linalg.norm(x.rep - y.rep), np.linalg.norm(x.rep + y.rep)))
+                got = lc.proj_distance(x, y)
+                assert type(got) is float and got == want
+            assert np.linalg.norm(x.rep + y.rep) < 1e-9  # the last pair is a tie
+            with pytest.raises(DimensionMismatch):
+                lc.proj_distance(x, lc.ProjectivePoint.from_vector(np.append(b, 1.0)))
+
     @given(
         st.lists(st.floats(-10, 10), min_size=3, max_size=3),
         st.lists(st.floats(-10, 10), min_size=3, max_size=3),
