@@ -90,7 +90,10 @@ def extreme_ray_indices(directions: np.ndarray) -> list[int]:
     """Indices of directions that are extreme rays of the spanned cone.
 
     `directions` has one unit vector per row.  A direction is extreme iff it is
-    not a nonnegative combination of the others.
+    not a nonnegative combination of the others.  Rows within 1e-9 of each
+    other are one ray: each row is tested against the rows farther than that
+    only, and is extreme when there are none, so every near-duplicate of an
+    extreme ray is reported.
     """
     u = np.atleast_2d(np.asarray(directions, dtype=float))
     m = u.shape[0]
@@ -106,7 +109,7 @@ def extreme_ray_indices(directions: np.ndarray) -> list[int]:
         return [lo] if lo == hi else sorted({lo, hi})
     out = []
     for i in range(m):
-        others = np.delete(u, i, axis=0)
-        if cone_distance(u[i], others) > 1e-9:
+        far = np.linalg.norm(u - u[i], axis=1) > 1e-9
+        if not far.any() or cone_distance(u[i], u[far]) > 1e-9:
             out.append(i)
     return out

@@ -39,9 +39,6 @@ from .proximality import eigen_splittings, repelling_covectors
 WORD_BUDGET = 10**6
 MERGE_TOL = 1e-9
 DEFAULT_PROXIMALITY_FILTER = 1e-6
-# relative slack of dedup's vectorised prefilter over the exact decider's
-# threshold: far above the few ulps by which their summation orders differ
-_PREFILTER_SLACK = 2.0**-20
 
 
 @dataclass(frozen=True)
@@ -271,19 +268,16 @@ def _dedup_keys(reps) -> np.ndarray:
     return np.abs(reps @ (u / np.linalg.norm(u)))
 
 
-def _greedy_distinct(reps, tol, distances, same) -> list:
+def _greedy_distinct(reps, tol, merges) -> list:
     """The indices of the rows of `reps` that a greedy in-order pass keeps.
 
-    Row j is dropped when row i, kept before it, finds it the same, so the
-    first representative of a cluster wins.  Each kept row drops its later
-    duplicates at once: `distances(others, rep)` measures the rows whose keys
-    lie within 4 * tol of its own (see `_dedup_keys`) in one vectorised call;
-    it is the metric that `same` thresholds at `tol`, summed in another order,
-    so the two agree to a few ulps per coordinate.  Only the rows it puts
-    within tol * (1 + _PREFILTER_SLACK) are handed to `same`, which stays the
-    decider: a row beyond that cannot merge.  `same(near, i)` is called once
-    per kept row i that has such rows, with their list `near`, and says per
-    row whether it merges into row i.
+    Row j is dropped when row i, kept before it, merges it, so the first
+    representative of a cluster wins.  Each kept row drops its later
+    duplicates at once: `merges(later, i)` is called once per kept row i
+    whose key window holds alive later rows, with their index array `later`
+    (the rows whose keys lie within 4 * tol of its own, see `_dedup_keys`; a
+    row beyond that is farther than tol), and returns one bool per row, True
+    for the rows that merge into row i.
     """
     keys = _dedup_keys(reps)
     order = np.argsort(keys, kind="stable")
@@ -299,22 +293,15 @@ def _greedy_distinct(reps, tol, distances, same) -> list:
         window = order[lo[i] : hi[i]]
         later = window[(window > i) & alive[window]]
         if later.size:
-            near = later[distances(reps[later], reps[i]) <= tol * (1.0 + _PREFILTER_SLACK)]
-            if near.size:
-                alive[near[same(near.tolist(), i)]] = False
+            alive[later[merges(later, i)]] = False
     return kept
 
 
 def _distinct_rows(rows, tol) -> np.ndarray:
     """The rows the greedy pass keeps at Euclidean distance `tol`, as one array."""
     rows = np.asarray(rows, dtype=float)
-    kept = _greedy_distinct(
-        rows,
-        tol,
-        lambda others, r: np.linalg.norm(others - r, axis=1),
-        # the bits of np.linalg.norm(rows[j] - rows[i]) per near row j
-        lambda near, i: row_norms(rows[near] - rows[i]) <= tol,
-    )
+    # the bits of np.linalg.norm(rows[j] - rows[i]) per later row j
+    kept = _greedy_distinct(rows, tol, lambda later, i: row_norms(rows[later] - rows[i]) <= tol)
     return rows[kept]
 
 
@@ -454,16 +441,23 @@ def _points(vectors) -> np.ndarray:
 
 def _merge_points(vectors) -> tuple:
     reps = _points(vectors)
+    # the vectorised prefilter's relative slack over the exact decider's
+    # threshold: far above the few ulps by which their summation orders differ
+    reach = MERGE_TOL * (1.0 + 2.0**-20)
 
-    def same(near, i):
-        # points are made only for the rows compared and kept, the kept one once
-        point = ProjectivePoint(rep=reps[i])
-        return [proj_distance(ProjectivePoint(rep=reps[j]), point) <= MERGE_TOL for j in near]
+    def merges(later, i):
+        near = chordal_distances(reps[later].T, reps[i][:, None]) <= reach
+        # prefilter and decider become one test once proj_distance is unpinned (ROADMAP item 3)
+        rows = later[near].tolist()
+        if rows:
+            # points are made only for the rows compared and kept, the kept one once
+            point = ProjectivePoint(rep=reps[i])
+            near[near] = [
+                proj_distance(ProjectivePoint(rep=reps[j]), point) <= MERGE_TOL for j in rows
+            ]
+        return near
 
-    kept = _greedy_distinct(
-        reps, MERGE_TOL, lambda others, r: chordal_distances(others.T, r[:, None]), same
-    )
-    return tuple(ProjectivePoint(rep=reps[k]) for k in kept)
+    return tuple(ProjectivePoint(rep=reps[k]) for k in _greedy_distinct(reps, MERGE_TOL, merges))
 
 
 def _flag_readout(sampler: WordSampler, words=None):

@@ -77,6 +77,8 @@ FORGE_RETRY_CAP = 100
 # 6*epsilon by this factor, so that no rounding error separates it from refusal
 FORGE_SEPARATION_SLACK = 1.05
 DEFAULT_MAX_POWER = 2**20
+# the forge report reads the very reduced words of up to this many letters
+FORGE_REPORT_DEPTH = 6
 
 
 class FacetFrame:
@@ -91,6 +93,8 @@ class FacetFrame:
         f = np.asarray(frame, dtype=float)
         if f.ndim != 2 or f.shape[0] != f.shape[1] or f.shape[0] < 2:
             raise InvalidInput("frame must be a square matrix of size >= 2")
+        if not np.all(np.isfinite(f)):
+            raise InvalidInput("frame entries must be finite")
         if np.linalg.cond(f) > FRAME_CONDITION_CAP:
             raise InvalidInput(f"frame condition number exceeds {FRAME_CONDITION_CAP}")
         self.frame = f
@@ -448,7 +452,7 @@ def _forge(
         raise MaxPowerExceeded(f"a letter overflowed at powers {powers}") from err
     alphabet = system.alphabet
 
-    # sampled word directions up to length 6: how far inside the cone they stay
+    # sampled word directions: how far inside the cone they stay
     rays_mat = cone.rays_matrix()
     words = _sample_forge_words(alphabet, rng_seed=seed)
     lam = np.stack([product_jordan([alphabet.elements[i] for i in w]).coords for w in words])
@@ -456,7 +460,7 @@ def _forge(
     dists = [cones.cone_distance(d, rays_mat) for d in units]
     report = {
         "powers": powers,
-        "word_depth": 6,
+        "word_depth": FORGE_REPORT_DEPTH,
         "word_count": len(units),
         # NNLS residue of a unit direction inside the cone, as in cones.in_cone
         "max_direction_distance": max((d for d in dists if d > 1e-9), default=0.0),
@@ -491,12 +495,11 @@ def _certifying_power(j: int, ray: np.ndarray, signs, epsilon: float, max_power:
     return p
 
 
-def _sample_forge_words(alphabet: Alphabet, rng_seed: int, depth: int = 6):
-    """All very reduced words up to `depth` letters, capped at 1000 via seeded sampling."""
+def _sample_forge_words(alphabet: Alphabet, rng_seed: int):
+    """The very reduced words of up to FORGE_REPORT_DEPTH letters, 1000 at most (seeded)."""
+    levels = alphabet.levels(FORGE_REPORT_DEPTH)
     # sorted as tuples, each word precedes its extensions (preorder)
-    words = sorted(
-        w for level, _, _ in alphabet.levels(depth) for w in level if alphabet.very_reduced(w)
-    )
+    words = sorted(w for level, _, _ in levels for w in level if alphabet.very_reduced(w))
     if len(words) > 1000:
         rng = np.random.default_rng(int(rng_seed))
         keep = rng.choice(len(words), size=1000, replace=False)

@@ -127,3 +127,20 @@ class TestExtremeRayIndices:
         ]
         interior = sum(rays)
         assert cones.extreme_ray_indices(rays + [interior]) == [0, 1, 2]
+
+    @staticmethod
+    def _units(*rows):
+        return [np.asarray(r, dtype=float) / np.linalg.norm(r) for r in rows]
+
+    def test_near_duplicate_keeps_its_ray(self):
+        # a and a + 5e-12 w lie within the slack: neither counts as a
+        # combination of the other
+        a, b, c, w = self._units([1.0, 0.2, 0.1], [0.1, 1.0, 0.2], [0.2, 0.1, 1.0], [3, -5, 8])
+        got = cones.extreme_ray_indices([a, b, c, a + 5e-12 * w])
+        assert got == [0, 1, 2, 3]
+
+    def test_identical_rows_are_one_extreme_ray(self):
+        a, b = self._units([1.0, 0.2, 0.1], [0.1, 1.0, 0.2])
+        assert cones.extreme_ray_indices([a, a]) == [0, 1]
+        (mid,) = self._units(a + b)
+        assert cones.extreme_ray_indices([a, b, mid, a, b]) == [0, 1, 3, 4]

@@ -293,6 +293,21 @@ class TestEstimateCone:
         with pytest.raises(DegenerateSample):
             lc.estimate_cone(_sampler([g], max_length=3))
 
+    @pytest.mark.parametrize("power", [6, 8, 10])
+    def test_one_ray_cone_of_near_duplicate_directions(self, power):
+        # from p = 8 on, rounding splits lambda's one direction into several
+        # within 1e-9; the hull keeps the ray they share
+        q, _ = np.linalg.qr(np.random.default_rng(1).standard_normal((4, 4)))
+        r = np.array([3.0, 1.0, -1.0, -3.0]) / np.sqrt(20.0)
+        gens = [
+            lc.GroupElement.from_unimodular(q @ np.diag(np.exp(s * power * r)) @ q.T)
+            for s in (1, 2)
+        ]
+        est = lc.estimate_cone(_sampler(gens, max_length=6))
+        assert est.hull_rays
+        for ray in est.hull_rays:
+            assert np.abs(ray.coords - r).max() <= 1e-9
+
 
 class TestCheckConvexity:
     def test_sl2_midpoints_converge(self, sl2_pair):
@@ -744,14 +759,12 @@ class TestDedupKernels:
         for rows, tol in corpora:
             asked = []
 
-            def same(near, i):
-                assert type(near) is list and i not in asked
+            def merges(later, i):
+                assert later.size and (later > i).all() and i not in asked
                 asked.append(i)
-                return [np.linalg.norm(rows[j] - rows[i]) <= tol for j in near]
+                return np.array([np.linalg.norm(rows[j] - rows[i]) <= tol for j in later])
 
-            kept = limits._greedy_distinct(
-                rows, tol, lambda others, r: np.linalg.norm(others - r, axis=1), same
-            )
+            kept = limits._greedy_distinct(rows, tol, merges)
             assert 0 < len(asked) <= len(kept) and set(asked) <= set(kept)
             assert np.array_equal(rows[kept], np.stack(_reference_distinct_rows(rows, tol)))
 
@@ -841,26 +854,29 @@ class TestDedupKernels:
             assert np.ptp(limits._dedup_keys(np.stack(rows))) < tol
             _assert_same_dedup(rng.permutation(rows), tol)
 
-    def test_only_rows_within_tol_reach_the_decider(self):
-        # rows at 1.001 tol cannot merge and are never asked about; rows a
-        # few ulps either side of tol still are, and the decider settles them
-        tol = self.DIRECTION_TOL
+    def test_only_rows_within_tol_reach_the_decider(self, monkeypatch):
+        # a point at 1.001 MERGE_TOL cannot merge and is never asked about;
+        # points a few ulps either side of MERGE_TOL still are, and
+        # proj_distance settles them
+        tol = limits.MERGE_TOL
         base = np.array([0.6, 0.0, -0.8])
         ulp = np.finfo(float).eps
+        asked_about = []
+        proj_distance = limits.proj_distance
+
+        def counting_distance(x1, x2):
+            asked_about.append(1)
+            return proj_distance(x1, x2)
+
+        monkeypatch.setattr(limits, "proj_distance", counting_distance)
         for factor, asked, kept in (
             (1.001, 0, 2), (1.0 + 4 * ulp, 1, 2), (1.0, 1, 1), (1.0 - 4 * ulp, 1, 1),
         ):
-            # the offset sits where base is 0, so the difference is exact
+            # the offset sits where base is 0 and both rows have norm 1.0, so
+            # their canonical representatives differ by exactly the offset
             rows = np.stack([base, base + [0.0, factor * tol, 0.0]])
-            asked_about = []
-
-            def same(j, i):
-                asked_about.append((j, i))
-                return np.linalg.norm(rows[j] - rows[i]) <= tol
-
-            got = limits._greedy_distinct(
-                rows, tol, lambda others, r: np.linalg.norm(others - r, axis=1), same
-            )
+            asked_about.clear()
+            got = limits._merge_points(rows)
             assert (len(asked_about), len(got)) == (asked, kept), factor
 
     @given(

@@ -214,6 +214,13 @@ class TestOpenSemigroupMembership:
         assert not ev
         assert "attracting point" in ev.reason
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_frame_with_a_non_finite_entry_is_invalid(self, bad):
+        f = np.eye(3)
+        f[1, 2] = bad
+        with pytest.raises(InvalidInput, match="finite"):
+            lc.FacetFrame(f)
+
     def test_frame_validation(self):
         with pytest.raises(InvalidInput):
             lc.FacetFrame(np.diag([1e5, 1.0, 1e-5]))
