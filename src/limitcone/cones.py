@@ -5,11 +5,22 @@ of R^n; we fix the Helmert basis as a deterministic orthonormal chart.  Cones
 are given by finitely many spanning rays; membership is a nonnegative
 least-squares fit and the distance to a cone is the corresponding residual.
 
+The extreme rays of a cone of 3-D or larger chamber directions are decided by
+that fit, run only on the rows Qhull proposes.  Slice the cone by c.x = 1,
+with c the sum of the rows: two chamber vectors have a nonnegative inner
+product (the fundamental weights span the closed chamber and pairwise have
+inner product min(i, j) - ij/n > 0, and the Helmert chart is an isometry), so
+each unit row has height u.c >= u.u = 1.  A row that is not a vertex of the
+slice hull, nor within 1e-9 of one, is a convex combination of vertex slice
+points, so a nonnegative combination of vertex rows, all of them farther than
+1e-9 from it: the fit would find it inside the cone of its far rows up to
+Qhull's roundoff, far below the fit's 1e-9 slack, and drop it.
+
 numpy is the only dependency `import limitcone` loads.  scipy is imported by
 the function that calls it, on first use: NNLS (`cone_distance`: the forge
 report, `in_cone`, hulls of 3-D or larger chambers) and `ConvexHull`
-(`facet_normals`) here, `null_space` in analytic certification
-(`proximality.analytic_contraction_bounds`).
+(`facet_normals`, and the candidate rays of those hulls) here, `null_space`
+in analytic certification (`proximality.analytic_contraction_bounds`).
 """
 
 import numpy as np
@@ -86,30 +97,63 @@ def margin_distance(v: np.ndarray, rays: np.ndarray) -> float:
     return float(np.min(normals @ v) / nv)
 
 
+def _hull_candidates(u: np.ndarray) -> np.ndarray:
+    """Indices of the rows that may be extreme rays of cone(u).
+
+    Qhull's vertices of the rows' slice by c.x = 1, c the sum of the rows, and
+    every row within 1e-9 of a vertex (see the module docstring).  All rows
+    in a 1-D chart, when some height u.c is not positive (not a set of chamber
+    directions) or when Qhull refuses the slice (rank below d, or too few
+    rows).
+    """
+    from scipy.spatial import ConvexHull, QhullError
+
+    c = u.sum(axis=0)
+    heights = u @ c
+    if u.shape[1] == 1 or np.any(heights <= 0.0):
+        return np.arange(len(u))
+    perp = np.linalg.svd(c[None, :])[2][1:]  # orthonormal rows spanning c-perp
+    try:
+        vertices = ConvexHull((u / heights[:, None]) @ perp.T).vertices
+    except QhullError:
+        return np.arange(len(u))
+    near = np.zeros(len(u), dtype=bool)
+    for v in vertices:
+        near |= np.linalg.norm(u - u[v], axis=1) <= 1e-9
+    return np.flatnonzero(near)
+
+
 def extreme_ray_indices(directions: np.ndarray) -> list[int]:
     """Indices of directions that are extreme rays of the spanned cone.
 
-    `directions` has one unit vector per row.  A direction is extreme iff it is
-    not a nonnegative combination of the others.  Rows within 1e-9 of each
-    other are one ray: each row is tested against the rows farther than that
-    only, and is extreme when there are none, so every near-duplicate of an
-    extreme ray is reported.
+    `directions` has one unit vector per row; a non-finite entry is refused.
+    A direction is extreme iff it is not a nonnegative combination of the
+    others.  Rows within 1e-9 of each other are one ray: each row is tested
+    against the rows farther than that only, and is extreme when there are
+    none, so every near-duplicate of an extreme ray is reported.  In 3-D or
+    larger charts only `_hull_candidates` are tested: a non-candidate is a
+    nonnegative combination of its far rows, which the test would find too
+    (the module docstring has the argument).  Planar angles are measured from
+    row 0, so a cone straddling angle pi is read as one arc.
     """
     u = np.atleast_2d(np.asarray(directions, dtype=float))
+    if not np.all(np.isfinite(u)):
+        raise InvalidInput("directions must be finite")
     m = u.shape[0]
     if m == 1:
         return [0]
     if u.shape[1] == 2:
-        # planar cone: extreme rays are the angular endpoints
-        ang = np.arctan2(u[:, 1], u[:, 0])
+        # planar cone: extreme rays are the angular endpoints.  Any arc holding
+        # every row holds row 0, so the spread from it is the narrowest arc's.
+        ang = np.arctan2(u[0, 0] * u[:, 1] - u[0, 1] * u[:, 0], u @ u[0])
         spread = ang.max() - ang.min()
         if spread > np.pi:
             raise InvalidInput("planar direction set spans more than a half-plane")
         lo, hi = int(np.argmin(ang)), int(np.argmax(ang))
         return [lo] if lo == hi else sorted({lo, hi})
     out = []
-    for i in range(m):
+    for i in _hull_candidates(u):
         far = np.linalg.norm(u - u[i], axis=1) > 1e-9
         if not far.any() or cone_distance(u[i], u[far]) > 1e-9:
-            out.append(i)
+            out.append(int(i))
     return out

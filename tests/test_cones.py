@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+import limitcone as lc
 from limitcone import cones
 from limitcone.errors import InvalidInput
 
@@ -144,3 +145,121 @@ class TestExtremeRayIndices:
         assert cones.extreme_ray_indices([a, a]) == [0, 1]
         (mid,) = self._units(a + b)
         assert cones.extreme_ray_indices([a, b, mid, a, b]) == [0, 1, 3, 4]
+
+    def test_planar_cone_straddling_pi(self):
+        # a 20 degree cone across the negative x-axis: 170, -170 and 180 degrees
+        a = np.deg2rad([170.0, -170.0, 180.0])
+        u = np.column_stack([np.cos(a), np.sin(a)])
+        assert cones.extreme_ray_indices(u) == [0, 1]
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize(
+        "rows", [[[1.0, 0.0], [0.0, 1.0]], [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]]
+    )
+    def test_rejects_non_finite(self, rows, bad):
+        u = np.array(rows)
+        u[-1, 0] = bad
+        with pytest.raises(InvalidInput, match="finite"):
+            cones.extreme_ray_indices(u)
+
+
+def _reference_extreme_ray_indices(directions):
+    # the loop over every row that the Qhull candidates replaced (3-D and up)
+    u = np.atleast_2d(np.asarray(directions, dtype=float))
+    out = []
+    for i in range(len(u)):
+        far = np.linalg.norm(u - u[i], axis=1) > 1e-9
+        if not far.any() or cones.cone_distance(u[i], u[far]) > 1e-9:
+            out.append(i)
+    return out
+
+
+def _planted_corpus(rng, d):
+    """Unit rows: positive generators, rows planted within 1e-9 of a
+    generator, rows on edges and faces, interior rows; in a random order."""
+    k = int(rng.integers(d, 3 * d + 3))
+    gens = np.abs(rng.standard_normal((k, d))) + 0.05
+    rows = list(gens)
+    for _ in range(int(rng.integers(1, 4))):
+        g, w = gens[rng.integers(k)], rng.standard_normal(d)
+        offset = rng.choice([5e-12, 1e-10, 5e-10])
+        rows.append(g / np.linalg.norm(g) + offset * w / np.linalg.norm(w))
+    for _ in range(int(rng.integers(2, 8))):
+        idx = rng.choice(k, size=int(rng.integers(2, min(d, k) + 1)), replace=False)
+        rows.append(rng.random(len(idx)) @ gens[idx])
+    for _ in range(int(rng.integers(2, 10))):
+        rows.append(rng.random(k) @ gens)
+    u = np.array(rows)
+    u /= np.linalg.norm(u, axis=1)[:, None]
+    return u[rng.permutation(len(u))]
+
+
+@pytest.fixture(scope="module", params=[0, 5, 21, 47])
+def forged_sl4_hull(request):
+    """The chart directions `estimate_cone` hands to `extreme_ray_indices`
+    on the benchmark's forged SL(4) system (epsilon 0.03, depth 7) at a seed,
+    its index list and the NNLS calls made meanwhile."""
+    rays = np.array([(3, 1, -1, -3), (5, 1, -2, -4), (4, 2, -2, -4)], dtype=float)
+    cone = lc.TargetCone.from_rays(list(rays / np.linalg.norm(rays, axis=1)[:, None]))
+    system = lc.forge_semigroup(4, cone, 0.03, seed=request.param)
+    sampler = lc.WordSampler(generators=tuple(system.generators), max_length=7)
+    seen, calls = [], []
+    hull, distance = cones.extreme_ray_indices, cones.cone_distance
+
+    def capture(u):
+        seen.append((u, hull(u)))
+        return seen[-1][1]
+
+    def count(v, r):
+        calls.append(1)
+        return distance(v, r)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(cones, "extreme_ray_indices", capture)
+        mp.setattr(cones, "cone_distance", count)
+        lc.estimate_cone(sampler)
+    ((u, got),) = seen
+    return request.param, u, got, len(calls)
+
+
+class TestHullCandidates:
+    @pytest.mark.parametrize("seed", range(30))
+    def test_random_corpora_match_the_loop(self, seed):
+        rng = np.random.default_rng(seed)
+        u = _planted_corpus(rng, 3 + seed % 3)
+        assert len(cones._hull_candidates(u)) < len(u)
+        assert cones.extreme_ray_indices(u) == _reference_extreme_ray_indices(u)
+
+    def test_forged_sl4_matches_the_loop(self, forged_sl4_hull):
+        _, u, got, _ = forged_sl4_hull
+        assert u.shape[1] == 3
+        assert got == _reference_extreme_ray_indices(u)
+
+    def test_forged_sl4_nnls_calls_are_the_candidates(self, forged_sl4_hull):
+        # every row was an NNLS call before the Qhull prefilter: 338 at seed 21
+        seed, u, _, calls = forged_sl4_hull
+        assert calls == len(cones._hull_candidates(u)) < len(u)
+        if seed == 21:
+            assert calls <= 40
+
+    def test_rank_deficient_takes_every_row(self):
+        # rays of a 2-D cone in a 3-D chart: Qhull refuses the flat slice
+        r1, r2 = np.array([1.0, 0.0, 1.0]), np.array([0.0, 1.0, 1.0])
+        u = np.array([r1, r1 + r2, r2, 2 * r1 + r2]) / np.sqrt([2.0, 6.0, 2.0, 14.0])[:, None]
+        assert list(cones._hull_candidates(u)) == [0, 1, 2, 3]
+        assert cones.extreme_ray_indices(u) == _reference_extreme_ray_indices(u) == [0, 2]
+
+    def test_one_dimensional_chart_takes_every_row(self):
+        u = np.array([[1.0], [1.0], [1.0 + 1e-10]])
+        assert list(cones._hull_candidates(u)) == [0, 1, 2]
+        assert cones.extreme_ray_indices(u) == _reference_extreme_ray_indices(u) == [0, 1, 2]
+
+    def test_non_positive_height_takes_every_row(self):
+        # not a chamber set: the sum of the rows has a negative inner product
+        # with the last one
+        u = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0], [-0.9, -0.9, 0.1]])
+        u /= np.linalg.norm(u, axis=1)[:, None]
+        assert np.any(u @ u.sum(axis=0) <= 0.0)
+        assert list(cones._hull_candidates(u)) == [0, 1, 2, 3]
+        # e3 is 0.9 e1 + 0.9 e2 plus the last row, up to scale
+        assert cones.extreme_ray_indices(u) == _reference_extreme_ray_indices(u) == [0, 1, 3]
