@@ -322,12 +322,13 @@ def estimate_cone(sampler: WordSampler, words=None) -> ConeEstimate:
     if not len(dirs):
         raise DegenerateSample("no sampled word has a nonzero Jordan projection")
     distinct = _distinct_rows(dirs, 1e-12)
-    hull_dim = int(np.linalg.matrix_rank(distinct, tol=1e-9))
+    hull_dim = int(np.linalg.matrix_rank(distinct, tol=cones.SLACK))
     basis = cones.chamber_basis(n)
     idx = cones.extreme_ray_indices(distinct @ basis)
+    directions = tuple(ChamberVector.from_coords(d) for d in distinct)
     return ConeEstimate(
-        directions=tuple(ChamberVector.from_coords(d) for d in distinct),
-        hull_rays=tuple(ChamberVector.from_coords(distinct[i]) for i in idx),
+        directions=directions,
+        hull_rays=tuple(directions[i] for i in idx),
         hull_dim=hull_dim,
         per_word_mu_lambda_gap=tuple(np.concatenate(gaps).tolist()),
         word_lengths=tuple(np.concatenate(lengths).tolist()),
@@ -402,7 +403,7 @@ def check_convexity(
         angular_errors=tuple(map(tuple, errors.tolist())),
         final_errors=tuple(errors[:, -1].tolist()),
         max_final_error=float(errors[:, -1].max()),
-        all_in_hull=not any(cones.cone_distance(d, hull) > slack for d in units),
+        all_in_hull=all(cones.in_cone(d, hull, slack) for d in units),
     )
 
 

@@ -9,6 +9,7 @@ factor sqrt(2) of the chordal point-to-hyperplane distance.
 """
 
 from dataclasses import dataclass, field, fields
+from functools import lru_cache
 from itertools import combinations
 from math import comb, sqrt
 
@@ -225,6 +226,15 @@ class Representation:
         return comb(self.n, self.k)
 
 
+@lru_cache
+def _wedge_subsets(n: int, k: int) -> np.ndarray:
+    """The k-subsets of range(n) in lexicographic order, one per row, read-only:
+    the wedge basis of Lambda^k R^n."""
+    s = np.array(list(combinations(range(n), k)))
+    s.flags.writeable = False
+    return s
+
+
 def compound_matrix(m: np.ndarray, k: int) -> np.ndarray:
     """k-th compound of a square matrix: minors over lexicographic k-subsets."""
     m = np.asarray(m, dtype=float)
@@ -233,7 +243,7 @@ def compound_matrix(m: np.ndarray, k: int) -> np.ndarray:
         raise DimensionMismatch(f"compound degree {k} out of range for size {n}")
     if k == 1:
         return m.copy()
-    s = np.array(list(combinations(range(n), k)))
+    s = _wedge_subsets(n, k)
     # all d x d minors gathered into one (d, d, k, k) stack, one batched det
     return np.linalg.det(m[s[:, None, :, None], s[None, :, None, :]])
 
@@ -277,10 +287,10 @@ def exterior_logs(ray: np.ndarray, power: float, k: int) -> np.ndarray:
     """The log eigenvalues power * Sigma_S ray of Lambda^k of q diag(exp(power * ray)) q^T.
 
     One per k-subset S, in the lexicographic wedge basis: the eigenvector of
-    subset S is column S of `compound_matrix(q, k)`, whatever the rotation q.
+    subset S is column S of `compound_matrix(q, k)`, whatever the rotation q:
+    both read `_wedge_subsets`.
     """
-    subsets = np.array(list(combinations(range(len(ray)), k)))
-    return float(power) * ray[subsets].sum(axis=1)
+    return float(power) * ray[_wedge_subsets(len(ray), k)].sum(axis=1)
 
 
 def chordal_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:

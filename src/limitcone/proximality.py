@@ -72,7 +72,6 @@ from .projgeom import (
     exterior_logs,
     exterior_power,
     gap,
-    proj_distance,
     rotation_compound,
 )
 
@@ -415,7 +414,7 @@ def contraction_check(m, eigendata, target, repelling, epsilon, mode, sample_cou
         raise InvalidInput(f"unknown mode {mode!r}")
     # offset the element's own splitting to the given pair (by exactly 0.0 for its own)
     _, attracting, own_repelling = eigendata
-    e_point = proj_distance(attracting, target)
+    e_point = float(chordal_distances(attracting.rep, target.rep))
     if gap(attracting, repelling) >= epsilon and e_point > epsilon:
         # the attracting point lies in B^eps outside the target ball: a witness
         raise ContractionUnverified(

@@ -147,7 +147,7 @@ class TargetCone:
             normed.append(ChamberVector.from_coords(np.sort(c / norm)[::-1]))
         for i in range(len(normed)):
             for j in range(i + 1, len(normed)):
-                if np.linalg.norm(normed[i].coords - normed[j].coords) <= 1e-9:
+                if np.linalg.norm(normed[i].coords - normed[j].coords) <= cones.SLACK:
                     raise InvalidInput("cone rays must be pairwise distinct directions")
         return cls(rays=tuple(normed), margin=float(margin))
 
@@ -166,12 +166,9 @@ class TargetCone:
             >= self.margin
         )
 
-    def involution_stable(self, tol: float = 1e-9) -> bool:
+    def involution_stable(self) -> bool:
         rm = self.rays_matrix()
-        return all(
-            cones.cone_distance(opposition_involution(r).coords, rm) <= tol
-            for r in self.rays
-        )
+        return all(cones.in_cone(opposition_involution(r).coords, rm) for r in self.rays)
 
 
 @dataclass(frozen=True)
@@ -463,7 +460,7 @@ def _forge(
         "word_depth": FORGE_REPORT_DEPTH,
         "word_count": len(units),
         # NNLS residue of a unit direction inside the cone, as in cones.in_cone
-        "max_direction_distance": max((d for d in dists if d > 1e-9), default=0.0),
+        "max_direction_distance": max((d for d in dists if d > cones.SLACK), default=0.0),
     }
     return replace(system, forge_report=report)
 

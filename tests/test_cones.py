@@ -1,5 +1,7 @@
 """Convex-cone helpers in the chamber hyperplane."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -161,6 +163,42 @@ class TestExtremeRayIndices:
         u[-1, 0] = bad
         with pytest.raises(InvalidInput, match="finite"):
             cones.extreme_ray_indices(u)
+
+
+class TestUnitRows:
+    """Both readers of rays take their rows as unit vectors, and refuse a
+    non-finite entry or a zero row."""
+
+    def test_a_rescaled_row_is_its_ray(self):
+        rows = [[1.0, 0.0, 0.0], [2.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]
+        assert cones.extreme_ray_indices(rows) == [0, 1, 2, 3]
+        assert cones.extreme_ray_indices([[1.0], [2.0]]) == [0, 1]
+        assert cones.extreme_ray_indices([[1.0, 0.0], [2.0, 0.0], [0.0, 1.0]]) == [0, 2]
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_positive_rescaling_keeps_the_index_list(self, seed):
+        rng = np.random.default_rng(seed)
+        u = _planted_corpus(rng, 3 + seed % 3)
+        scaled = u * rng.uniform(0.1, 10.0, size=len(u))[:, None]
+        assert cones.extreme_ray_indices(scaled) == cones.extreme_ray_indices(u)
+
+    @pytest.mark.parametrize(
+        "rows", [[[1.0, 0.0], [0.0, 0.0]], [[1.0, 0.0, 0.0], [0.0, 0.0, 0.0], [0.0, 1.0, 0.0]]]
+    )
+    def test_a_zero_row_is_refused(self, rows):
+        with pytest.raises(InvalidInput, match="zero ray"):
+            cones.extreme_ray_indices(rows)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_facets_refuse_a_non_finite_row_without_a_warning(self, bad):
+        rays = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
+        rays[1, 2] = bad
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InvalidInput, match="finite"):
+                cones.facet_normals(rays)
+            with pytest.raises(InvalidInput, match="finite"):
+                cones.margin_distance(np.ones(3), rays)
 
 
 def _reference_extreme_ray_indices(directions):

@@ -115,6 +115,22 @@ class TestExteriorPower:
             for k in range(1, g.n):
                 assert abs(np.linalg.det(lc.exterior_power(g, k)) - 1.0) <= 1e-8
 
+    @pytest.mark.parametrize("n", [2, 3, 4, 6])
+    def test_compounds_and_logs_read_one_wedge_basis(self, n):
+        # one cached read-only array of lexicographic k-subsets; both readers
+        # give the bits of the subsets built afresh
+        rng = np.random.default_rng(n)
+        m, ray = rng.standard_normal((n, n)), rng.standard_normal(n)
+        for k in range(2, n + 1):
+            s = lc.projgeom._wedge_subsets(n, k)
+            assert s is lc.projgeom._wedge_subsets(n, k) and not s.flags.writeable
+            fresh = np.array(list(combinations(range(n), k)))
+            assert np.array_equal(s, fresh)
+            minors = np.linalg.det(m[fresh[:, None, :, None], fresh[None, :, None, :]])
+            assert np.array_equal(lc.compound_matrix(m, k), minors)
+            logs = lc.projgeom.exterior_logs(ray, 2.5, k)
+            assert np.array_equal(logs, 2.5 * ray[fresh].sum(axis=1))
+
     def test_representation_dimensions(self):
         rep = lc.Representation(n=4, k=2)
         assert rep.dim == 6

@@ -291,6 +291,73 @@ def test_the_separation_factor_is_written_once():
     assert len(sixes) == 1 and sixes[0].startswith("proximality.py:"), sixes
 
 
+def _float_literals(name, value):
+    """The lines of a module holding the float literal `value`, and the
+    module-level names assigned exactly that literal."""
+    tree = ast.parse((ROOT / "src" / "limitcone" / name).read_text())
+    lines = [
+        node.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Constant) and type(node.value) is float and node.value == value
+    ]
+    named = {
+        target.id
+        for node in tree.body
+        if isinstance(node, ast.Assign) and isinstance(node.value, ast.Constant)
+        and node.value.value == value
+        for target in node.targets
+    }
+    return lines, named
+
+
+@pytest.mark.parametrize(
+    "name, names", [("cones.py", {"SLACK"}), ("limits.py", {"MERGE_TOL"}), ("schottky.py", set())]
+)
+def test_the_cone_slack_is_written_once(name, names):
+    # the cone layer decides at cones.SLACK; limits' one other 1e-9 is the point merge's
+    lines, named = _float_literals(name, 1e-9)
+    assert named == names and len(lines) == len(names), lines
+
+
+def test_involution_stability_takes_no_tolerance():
+    import inspect
+
+    import limitcone as lc
+
+    assert list(inspect.signature(lc.TargetCone.involution_stable).parameters) == ["self"]
+
+
+def _calls_to(names):
+    def call(node):
+        if not isinstance(node, ast.Call):
+            return False
+        f = node.func
+        return (f.id if isinstance(f, ast.Name) else getattr(f, "attr", None)) in names
+
+    return _functions_holding(call)
+
+
+def test_one_membership_test_reads_nnls_residuals():
+    # a residual is compared with a slack in cones.in_cone only; the forge
+    # report records the residues of its directions
+    assert _calls_to({"nnls"}) == {"cones.cone_distance"}
+    assert _calls_to({"cone_distance"}) == {"cones.in_cone", "schottky._forge"}
+
+
+def test_the_readers_of_rays_share_one_row_rule():
+    assert _calls_to({"_unit_rows"}) == {"cones.extreme_ray_indices", "cones.facet_normals"}
+    finite = _functions_holding(
+        lambda node: isinstance(node, ast.Attribute) and node.attr == "isfinite"
+    )
+    assert {f for f in finite if f.startswith("cones.")} == {"cones._unit_rows"}
+
+
+def test_one_chordal_kernel_outside_the_point_merge():
+    # proj_distance's one library caller is the pinned point merge (ROADMAP item 4)
+    assert _calls_to({"proj_distance"}) == {"limits._merge_points"}
+    assert "proj_distance" not in _imported("proximality.py")
+
+
 def test_a_word_has_one_form():
     # a word is a letter sequence; no per-word product type or lister remains
     import limitcone
