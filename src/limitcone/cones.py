@@ -2,8 +2,27 @@
 
 The Weyl chamber of SL(n,R) lives in the (n-1)-dimensional zero-sum hyperplane
 of R^n; we fix the Helmert basis as a deterministic orthonormal chart.  Cones
-are given by finitely many spanning rays; membership is a nonnegative
-least-squares fit and the distance to a cone is the corresponding residual.
+are given by finitely many spanning rays; the distance to a cone is the
+residual of the nonnegative least-squares (NNLS) fit of v on its rays, and
+membership is that distance within a slack.
+
+With at most as many rays as coordinates the distance has a finite form: it is
+the smallest of |v| and, over the subsets of the rays, the residual of the
+least-squares fit of v on the subset whose coefficients are all >= 0 (at most
+2^n - 1 fits).  It is exact, with dependent rays too.  Let p be the point of
+the cone nearest v.  By Caratheodory, p = sum of x_i a_i over an independent
+subset S with every x_i > 0 (S is empty when p = 0).  Moving p along +-a_i,
+i in S, stays in the cone, so v - p is orthogonal to each a_i and p is the
+least-squares fit on S, with coefficients x >= 0 (Lawson & Hanson, Solving
+Least Squares Problems, ch. 23).  Every other nonnegative fit is a point of
+the cone, no nearer to v.  A subset whose smallest singular value is at most
+FACE_RANK_TOL times its largest is skipped as dependent: moving its
+coefficients along the near-null vector until one vanishes shows that each
+point of its cone lies within sqrt(k) * FACE_RANK_TOL * |x| * |A| of the cone
+of a proper subset, and a dependent subset (n zero-sum rays in R^n) that
+rounding left barely independent would otherwise fit v with a direction the
+rays do not span.  More rays than coordinates take one NNLS fit (scipy) per
+vector.
 
 The extreme rays of a cone of 3-D or larger chamber directions are decided by
 that fit, run only on the rows Qhull proposes.  Slice the cone by c.x = 1,
@@ -20,19 +39,25 @@ Every decision here is made at one resolution, `SLACK`; membership is one
 test, `in_cone`; rays are read by one rule, `_unit_rows`.
 
 numpy is the only dependency `import limitcone` loads.  scipy is imported by
-the function that calls it, on first use: NNLS (`cone_distance`: the forge
-report, `in_cone`, hulls of 3-D or larger chambers) and `ConvexHull`
-(`facet_normals`, and the candidate rays of those hulls) here, `null_space`
-in analytic certification (`proximality.analytic_contraction_bounds`).
+the function that calls it, on first use: NNLS (`cone_distance` against more
+rays than coordinates: `in_cone` in the hulls of 3-D or larger chambers) and
+`ConvexHull` (`facet_normals`, and the candidate rays of those hulls) here,
+`null_space` in analytic certification
+(`proximality.analytic_contraction_bounds`).
 """
+
+import itertools
 
 import numpy as np
 
-from .errors import InvalidInput
+from .errors import DimensionMismatch, InvalidInput
 
 # the cone layer's one resolution: of near rows, membership residuals, ranks
 # and facet offsets
 SLACK = 1e-9
+# a subset of rays whose smallest singular value is at most this share of its
+# largest is dependent: the face rule skips it (module docstring)
+FACE_RANK_TOL = 1e-13
 
 
 def chamber_basis(n: int) -> np.ndarray:
@@ -45,29 +70,89 @@ def chamber_basis(n: int) -> np.ndarray:
     return b
 
 
-def cone_distance(v: np.ndarray, rays: np.ndarray) -> float:
-    """Euclidean distance from v to the cone spanned by the rows of `rays`."""
-    import scipy.optimize
+def cone_distance(v: np.ndarray, rays: np.ndarray):
+    """Euclidean distance from v to the cone spanned by the rows of `rays`.
 
+    `v` is one vector (a float is returned) or a stack of row vectors (one
+    distance per row).  With at most as many rays as coordinates the distance
+    is read over the cone's faces (`_face_distances`, the module docstring
+    has the rule); with more, each vector is one NNLS fit.
+    """
     v = np.asarray(v, dtype=float)
     r = np.atleast_2d(np.asarray(rays, dtype=float))
-    _, residual = scipy.optimize.nnls(r.T, v)
-    return float(residual)
+    rows = np.atleast_2d(v)
+    if rows.shape[1] != r.shape[1]:
+        raise DimensionMismatch(f"vectors of dimension {rows.shape[1]}, rays of {r.shape[1]}")
+    if len(r) <= r.shape[1]:
+        dist = _face_distances(rows, r)
+    else:
+        import scipy.optimize
+
+        dist = np.array([scipy.optimize.nnls(r.T, x)[1] for x in rows])
+    return float(dist[0]) if v.ndim == 1 else dist
+
+
+def _face_distances(v: np.ndarray, rays: np.ndarray) -> np.ndarray:
+    """Distances from the rows of v to cone(rays), for len(rays) <= v.shape[1].
+
+    The smallest of |v| and, over the independent subsets of the rays
+    (smallest singular value above FACE_RANK_TOL times the largest), the
+    least-squares residual of the fits whose coefficients are all >= 0 (the
+    module docstring has the argument).  One `svd` per subset, of the rays
+    alone, gives its least-squares map and an orthonormal basis of its span's
+    complement; they are applied to the rows by elementwise arithmetic in a
+    fixed order, so a row's bits do not depend on the rows stacked with it.
+    """
+    m, d = rays.shape
+    best = _sum_of_squares(v)  # the empty subset: the apex
+    for k in range(1, m + 1):
+        maps = []  # per independent k-subset: k rows of its fit, d - k of its complement
+        for subset in itertools.combinations(range(m), k):
+            u, s, vt = np.linalg.svd(rays[list(subset)].T)
+            if s[-1] > FACE_RANK_TOL * s[0]:
+                maps.append(np.vstack([vt.T @ (u[:, :k].T / s[:, None]), u[:, k:].T]))
+        if not maps:
+            continue
+        t = np.ascontiguousarray(np.transpose(maps, (2, 0, 1)))  # (column, subset, row)
+        x = v[:, 0, None, None] * t[0]
+        for j in range(1, d):
+            x += v[:, j, None, None] * t[j]
+        feasible = x[:, :, :k].min(axis=2) >= 0.0
+        fits = np.where(feasible, _sum_of_squares(x[:, :, k:]), np.inf)
+        best = np.minimum(best, fits.min(axis=1))
+    return np.sqrt(best)
+
+
+def _sum_of_squares(x: np.ndarray) -> np.ndarray:
+    """Sum of squares along the last axis, added in index order (0 if empty)."""
+    out = np.zeros(x.shape[:-1])
+    for j in range(x.shape[-1]):
+        out += x[..., j] * x[..., j]
+    return out
 
 
 def in_cone(v: np.ndarray, rays: np.ndarray, slack: float = SLACK) -> bool:
-    """Membership of v in cone(rays): the NNLS residual is at most
-    slack * max(1, |v|).  The only comparison of a residual with a slack."""
+    """Membership of v in cone(rays): its distance (`cone_distance`) is at
+    most slack * max(1, |v|).  The only comparison of a residual with a slack."""
     scale = max(1.0, float(np.linalg.norm(v)))
     return cone_distance(v, rays) <= slack * scale
 
 
 def _unit_rows(rows) -> np.ndarray:
-    """The rows as unit vectors; a non-finite entry or a zero row is refused."""
+    """The rows as unit vectors; a non-finite entry or a zero row is refused.
+    A nonzero row whose plain norm overflows, or is so small that its squares
+    lose bits below the normal range, is first divided by its largest entry;
+    the other rows keep their bits."""
     r = np.atleast_2d(np.asarray(rows, dtype=float))
-    norms = np.linalg.norm(r, axis=1)
-    if not np.all(np.isfinite(norms)):
-        raise InvalidInput("rays must be finite, with a finite norm")
+    if not np.all(np.isfinite(r)):
+        raise InvalidInput("rays must be finite")
+    with np.errstate(over="ignore"):
+        norms = np.linalg.norm(r, axis=1)
+    odd = (np.isinf(norms) | (norms < np.sqrt(np.finfo(float).tiny))) & r.any(axis=1)
+    if odd.any():
+        r = r.copy()
+        r[odd] /= np.abs(r[odd]).max(axis=1)[:, None]
+        norms[odd] = np.linalg.norm(r[odd], axis=1)
     if np.any(norms == 0.0):
         raise InvalidInput("zero ray")
     return r / norms[:, None]

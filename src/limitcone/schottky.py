@@ -132,6 +132,8 @@ class TargetCone:
 
     @classmethod
     def from_rays(cls, rays, margin: float = 0.05) -> "TargetCone":
+        """The cone of `rays`, normalised: each is a chamber vector, its
+        coordinates nonincreasing (ties allowed), or RayNotInChamber names it."""
         if not (np.isfinite(margin) and margin > 0.0):
             raise InvalidInput(f"margin must be positive and finite, got {margin}")
         coords = [r.coords if isinstance(r, ChamberVector) else np.asarray(r, float) for r in rays]
@@ -144,7 +146,9 @@ class TargetCone:
             norm = float(np.linalg.norm(c))
             if norm == 0.0:
                 raise RayNotInChamber("zero ray")
-            normed.append(ChamberVector.from_coords(np.sort(c / norm)[::-1]))
+            if np.any(np.diff(c) > 0.0):
+                raise RayNotInChamber(f"ray {c} is not in the chamber: its coordinates increase")
+            normed.append(ChamberVector.from_coords(c / norm))
         for i in range(len(normed)):
             for j in range(i + 1, len(normed)):
                 if np.linalg.norm(normed[i].coords - normed[j].coords) <= cones.SLACK:
@@ -454,13 +458,13 @@ def _forge(
     words = _sample_forge_words(alphabet, rng_seed=seed)
     lam = np.stack([product_jordan([alphabet.elements[i] for i in w]).coords for w in words])
     _, units = lyapunov_directions(lam, [len(w) for w in words])
-    dists = [cones.cone_distance(d, rays_mat) for d in units]
+    dists = cones.cone_distance(units, rays_mat)
     report = {
         "powers": powers,
         "word_depth": FORGE_REPORT_DEPTH,
         "word_count": len(units),
-        # NNLS residue of a unit direction inside the cone, as in cones.in_cone
-        "max_direction_distance": max((d for d in dists if d > cones.SLACK), default=0.0),
+        # a unit direction's residue inside the cone, as in cones.in_cone
+        "max_direction_distance": float(dists[dists > cones.SLACK].max(initial=0.0)),
     }
     return replace(system, forge_report=report)
 

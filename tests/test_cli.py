@@ -402,6 +402,15 @@ class TestUsageErrors:
         code, _ = run_cli(["forge", "--n", "3", "--rays", str(path), "--epsilon", "0.05"])
         assert code == 3
 
+    def test_forge_refuses_a_ray_outside_the_chamber(self, tmp_path, capsys):
+        path = tmp_path / "rays.json"
+        path.write_text(json.dumps({"rays": [[-3.0, -1.0, 1.0, 3.0], [5.0, 1.0, -2.0, -4.0]]}))
+        out = tmp_path / "sys.json"
+        code, _ = run_cli(["forge", "--n", "4", "--rays", str(path), "--epsilon", "0.03", "--out", str(out)])
+        assert code == 3
+        assert "not in the chamber" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_version(self, capsys):
         with pytest.raises(SystemExit) as exc:
             cli.run(["--version"])

@@ -4,10 +4,11 @@ import warnings
 
 import numpy as np
 import pytest
+import scipy.optimize
 
 import limitcone as lc
 from limitcone import cones
-from limitcone.errors import InvalidInput
+from limitcone.errors import DimensionMismatch, InvalidInput
 
 
 class TestChamberBasis:
@@ -39,6 +40,99 @@ class TestConeDistance:
         rays = [np.array([1.0, 0.0])]
         v = np.array([0.0, 2.0])
         assert cones.cone_distance(v, rays) == pytest.approx(2.0, abs=1e-10)
+
+
+def _face_corpus(rng, d, m, kind):
+    """m unit rays in R^d (random, nonnegative, or 1e-8 to 1e-3 apart) and a
+    stack of points inside their cone, on its faces and outside it."""
+    if kind == "random":
+        rays = rng.standard_normal((m, d))
+    elif kind == "nonnegative":
+        rays = np.abs(rng.standard_normal((m, d)))
+    else:
+        apart = 10.0 ** rng.uniform(-8.0, -3.0, size=(m, 1))
+        rays = rng.standard_normal(d) + apart * rng.standard_normal((m, d))
+    rays /= np.linalg.norm(rays, axis=1)[:, None]
+    inside = rng.random((8, m)) @ rays
+    faces = (rng.random((8, m)) * (rng.random((8, m)) < 0.5)) @ rays
+    points = [
+        inside,
+        faces,
+        faces + 1e-9 * rng.standard_normal((8, d)),
+        inside + 0.1 * rng.standard_normal((8, d)),
+        rng.standard_normal((8, d)),
+    ]
+    return rays, np.vstack(points)
+
+
+def _nnls_distances(v, rays):
+    return np.array([scipy.optimize.nnls(rays.T, x)[1] for x in v])
+
+
+def _decisions(dist, v):
+    # in_cone's rule
+    return dist <= cones.SLACK * np.maximum(1.0, np.linalg.norm(v, axis=1))
+
+
+class TestFaceDistances:
+    """At most as many rays as coordinates: the closed form over the faces
+    against scipy's NNLS."""
+
+    @pytest.mark.parametrize("kind", ["random", "nonnegative", "near"])
+    @pytest.mark.parametrize("d", [2, 3, 4, 5, 6])
+    def test_matches_nnls(self, d, kind):
+        rng = np.random.default_rng(100 * d + len(kind))
+        for m in range(1, d + 1):
+            for _ in range(6):
+                rays, v = _face_corpus(rng, d, m, kind)
+                got, want = cones.cone_distance(v, rays), _nnls_distances(v, rays)
+                assert np.abs(got - want).max() <= 1e-11
+                assert np.array_equal(_decisions(got, v), _decisions(want, v))
+
+    @pytest.mark.parametrize("kind", ["random", "nonnegative", "near"])
+    @pytest.mark.parametrize("d", [2, 4, 6])
+    def test_a_stack_gives_the_bits_of_its_rows(self, d, kind):
+        rng = np.random.default_rng(d + len(kind))
+        for m in range(1, d + 1):
+            rays, v = _face_corpus(rng, d, m, kind)
+            one_by_one = np.array([cones.cone_distance(x, rays) for x in v])
+            assert np.array_equal(cones.cone_distance(v, rays), one_by_one)
+            assert isinstance(cones.cone_distance(v[0], rays), float)
+
+    @pytest.mark.parametrize("d", [3, 4, 5, 6])
+    def test_dependent_rays(self, d):
+        # d zero-sum rays span the d - 1 dimensional hyperplane, as a forge
+        # target of n rays does
+        rng = np.random.default_rng(d)
+        for _ in range(20):
+            rays = rng.standard_normal((d, d))
+            rays -= rays.mean(axis=1, keepdims=True)
+            rays /= np.linalg.norm(rays, axis=1)[:, None]
+            _, v = _face_corpus(rng, d, d, "random")
+            v -= v.mean(axis=1, keepdims=True)
+            got, want = cones.cone_distance(v, rays), _nnls_distances(v, rays)
+            assert np.abs(got - want).max() <= 1e-11
+            assert np.array_equal(_decisions(got, v), _decisions(want, v))
+
+    def test_known_distances_with_a_dependent_ray(self):
+        rays = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [1.0, 1.0, 0.0]])
+        v = np.array([[1.0, 1.0, 1.0], [-1.0, 2.0, 0.0], [2.0, 3.0, 0.0], [-1.0, -1.0, 0.0]])
+        assert np.array_equal(cones.cone_distance(v, rays), [1.0, 1.0, 0.0, np.sqrt(2.0)])
+
+    def test_zero_rays_and_no_rows(self):
+        assert cones.cone_distance([3.0, 4.0], [[0.0, 0.0]]) == 5.0
+        assert cones.cone_distance(np.zeros((0, 3)), np.eye(3)).shape == (0,)
+
+    @pytest.mark.parametrize("rays", [[[1.0, 0.0]], [[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]]])
+    def test_vectors_and_rays_share_one_dimension(self, rays):
+        with pytest.raises(DimensionMismatch):
+            cones.cone_distance([1.0, 2.0, 3.0], rays)
+
+    def test_more_rays_than_coordinates_take_nnls(self):
+        rng = np.random.default_rng(7)
+        rays = rng.standard_normal((5, 3))
+        v = rng.standard_normal((6, 3))
+        assert np.array_equal(cones.cone_distance(v, rays), _nnls_distances(v, rays))
 
 
 class TestInCone:
@@ -181,6 +275,15 @@ class TestUnitRows:
         u = _planted_corpus(rng, 3 + seed % 3)
         scaled = u * rng.uniform(0.1, 10.0, size=len(u))[:, None]
         assert cones.extreme_ray_indices(scaled) == cones.extreme_ray_indices(u)
+
+    @pytest.mark.parametrize("scale", [1e200, 1e-200])
+    def test_a_row_whose_norm_overflows_or_underflows_is_its_ray(self, scale):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert cones.extreme_ray_indices([[scale, 0, 0], [0, 1, 0], [0, 0, 1]]) == [0, 1, 2]
+            rows = cones._unit_rows([[1e300, -1e300, 0.0], [1e-160, -1e-160, 0.0], [3.0, 4.0, 0.0]])
+        assert np.array_equal(rows[:2], np.array([[1.0, -1.0, 0.0]] * 2) / np.sqrt(2.0))
+        assert np.array_equal(rows[2], np.array([3.0, 4.0, 0.0]) / 5.0)
 
     @pytest.mark.parametrize(
         "rows", [[[1.0, 0.0], [0.0, 0.0]], [[1.0, 0.0, 0.0], [0.0, 0.0, 0.0], [0.0, 1.0, 0.0]]]

@@ -2,9 +2,12 @@
 
 import sys
 from dataclasses import fields
+from decimal import Decimal, localcontext
+from fractions import Fraction
 
 import numpy as np
 import pytest
+import scipy.optimize
 from scipy.linalg import expm
 
 import limitcone as lc
@@ -499,6 +502,17 @@ class TestTargetCone:
             assert np.linalg.norm(r.coords) == pytest.approx(1.0, abs=1e-12)
             assert np.all(np.diff(r.coords) <= 0.0)
 
+    @pytest.mark.parametrize("ray", [[-3.0, -1.0, 1.0, 3.0], [1.0, -2.0, 1.0], [-1.0, 1.0]])
+    def test_a_ray_whose_coordinates_increase_is_refused(self, ray):
+        # it was sorted into the chamber, so the forge built another cone
+        with pytest.raises(RayNotInChamber, match=r"ray \[") as err:
+            lc.TargetCone.from_rays([ray])
+        assert str(np.asarray(ray, float)) in str(err.value)
+
+    def test_tied_coordinates_are_allowed(self):
+        cone = lc.TargetCone.from_rays([[1.0, 1.0, -2.0], [2.0, -1.0, -1.0]])
+        assert np.array_equal(cone.rays[0].coords, np.array([1.0, 1.0, -2.0]) / np.sqrt(6.0))
+
     def test_duplicate_rays_rejected(self):
         with pytest.raises(InvalidInput):
             lc.TargetCone.from_rays([FORGE_RAY_1, FORGE_RAY_1])
@@ -768,6 +782,61 @@ class TestForgeEpsilonRange:
 
 
 SL4_BENCH_RAYS = [[3.0, 1.0, -1.0, -3.0], [5.0, 1.0, -2.0, -4.0], [4.0, 2.0, -2.0, -4.0]]
+
+
+def _exact_distance(v, rays):
+    """The distance from v to the span of `rays`, in exact rational
+    arithmetic, as a 40-digit Decimal: |v|^2 - h.x with G x = h the normal
+    equations.  Also the coefficients x."""
+    a = [[Fraction(t) for t in r] for r in rays]
+    b = [Fraction(t) for t in v]
+    k = len(a)
+    # Gauss-Jordan on [G | h]
+    m = [[sum(p * q for p, q in zip(a[i], a[j])) for j in range(k)]
+         + [sum(p * q for p, q in zip(a[i], b))] for i in range(k)]
+    for i in range(k):
+        m[i] = [t / m[i][i] for t in m[i]]
+        for j in range(k):
+            if j != i:
+                m[j] = [p - m[j][i] * q for p, q in zip(m[j], m[i])]
+    x = [m[i][k] for i in range(k)]
+    r2 = sum(t * t for t in b) - sum(xi * sum(p * q for p, q in zip(ai, b)) for xi, ai in zip(x, a))
+    with localcontext() as ctx:
+        ctx.prec = 40
+        return (Decimal(r2.numerator) / Decimal(r2.denominator)).sqrt(), x
+
+
+@pytest.mark.parametrize("seed", range(48))
+def test_the_forge_report_matches_nnls(monkeypatch, seed):
+    # the report's one batched call reads the faces of a 3-ray cone in R^4.
+    # NNLS on each direction gives the same distances and decisions; the
+    # reported farthest distance has the 12 digits of its exact value
+    calls, distance = [], lc.cones.cone_distance
+
+    def recorded(v, rays):
+        calls.append((v, rays))
+        return distance(v, rays)
+
+    monkeypatch.setattr(lc.cones, "cone_distance", recorded)
+    sys_ = lc.forge_semigroup(4, lc.TargetCone.from_rays(SL4_BENCH_RAYS), 0.03, seed=seed)
+    ((units, rays),) = calls
+    got = distance(units, rays)
+    want = np.array([scipy.optimize.nnls(rays.T, u)[1] for u in units])
+    assert len(units) == sys_.forge_report["word_count"] == 1000
+    assert np.abs(got - want).max() <= 1e-11
+    assert np.array_equal(got <= lc.cones.SLACK, want <= lc.cones.SLACK)
+    report = sys_.forge_report["max_direction_distance"]
+    far = int(np.argmax(got))
+    if want.max() <= lc.cones.SLACK:
+        assert report == 0.0
+        return
+    support = scipy.optimize.nnls(rays.T, units[far])[0] > 0.0
+    exact, coefficients = _exact_distance(units[far], rays[support])
+    assert min(coefficients) > 0
+    assert report == got[far]
+    with localcontext() as ctx:
+        ctx.prec = 12
+        assert Decimal(f"{report:.12g}") == +exact  # unary plus rounds to 12 digits
 
 
 class TestForgeSeparationSlack:

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from .conftest import FORGE_RAY_1, FORGE_RAY_2
-from .test_cli import run_cli, sl2_pair_entries, write_matrix, write_system
+from .test_cli import SL4_RAYS, run_cli, sl2_pair_entries, write_matrix, write_system
 
 ROOT = Path(__file__).resolve().parent.parent
 SOURCES = sorted((ROOT / "src" / "limitcone").glob("*.py"))
@@ -134,15 +134,34 @@ def test_numpy_commands_load_no_scipy(tmp_path):
     assert [step["scipy"] for step in steps] == [[]] * 5
 
 
-def test_the_forge_report_loads_nnls(tmp_path, monkeypatch):
+@pytest.mark.parametrize(
+    "n, rays, epsilon",
+    [(3, [FORGE_RAY_1.tolist(), FORGE_RAY_2.tolist()], "0.05"), (4, SL4_RAYS, "0.03")],
+    ids=["n3", "n4"],
+)
+def test_a_cold_forge_loads_no_scipy(tmp_path, monkeypatch, n, rays, epsilon):
+    # the report's cone distances are closed-form for a target of at most n rays
     monkeypatch.chdir(tmp_path)
-    Path("rays.json").write_text(json.dumps({"rays": [FORGE_RAY_1.tolist(), FORGE_RAY_2.tolist()]}))
-    argv = ["forge", "--n", "3", "--rays", "rays.json", "--epsilon", "0.05", "--seed", "7", "--out"]
+    Path("rays.json").write_text(json.dumps({"rays": rays}))
+    argv = ["forge", "--n", str(n), "--rays", "rays.json", "--epsilon", epsilon, "--seed", "7", "--out"]
     (cold,) = _cold_run(tmp_path, argv + ["cold.json"])[1:]
-    assert "scipy.optimize" in cold["scipy"]
+    assert cold["scipy"] == []
     code, out = run_cli(argv + ["warm.json"])
-    assert (cold["code"], cold["out"]) == (code, out.replace("warm", "cold"))
-    assert Path("cold.json").read_bytes() == Path("warm.json").read_bytes()
+    assert (cold["code"], cold["out"]) == (code, out.replace("warm", "cold")) and code == 0
+    for suffix in (".json", ".summary.txt"):
+        assert Path(f"cold{suffix}").read_bytes() == Path(f"warm{suffix}").read_bytes()
+
+
+def test_a_cold_hull_at_n_4_loads_nnls(tmp_path, monkeypatch):
+    # the 3-D chart's hull tests candidates against more rays than coordinates
+    monkeypatch.chdir(tmp_path)
+    Path("rays.json").write_text(json.dumps({"rays": SL4_RAYS}))
+    argv = ["forge", "--n", "4", "--rays", "rays.json", "--epsilon", "0.03", "--seed", "7"]
+    assert run_cli(argv + ["--out", "sys.json"])[0] == 0
+    argv = ["estimate-cone", "--system", "sys.json", "--depth", "5"]
+    (cold,) = _cold_run(tmp_path, argv)[1:]
+    assert "scipy.optimize" in cold["scipy"]
+    assert (cold["code"], cold["out"]) == run_cli(argv)
 
 
 def test_analytic_certification_loads_null_space(tmp_path, monkeypatch):
