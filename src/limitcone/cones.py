@@ -22,7 +22,8 @@ point of its cone lies within sqrt(k) * FACE_RANK_TOL * |x| * |A| of the cone
 of a proper subset, and a dependent subset (n zero-sum rays in R^n) that
 rounding left barely independent would otherwise fit v with a direction the
 rays do not span.  More rays than coordinates take one NNLS fit (scipy) per
-vector.
+vector, in a basis of the rays' span when they span less than the space
+(`_span_coordinates`).
 
 The extreme rays of a cone of 3-D or larger chamber directions are decided by
 that fit, run only on the rows Qhull proposes.  Slice the cone by c.x = 1,
@@ -56,7 +57,8 @@ from .errors import DimensionMismatch, InvalidInput
 # and facet offsets
 SLACK = 1e-9
 # a subset of rays whose smallest singular value is at most this share of its
-# largest is dependent: the face rule skips it (module docstring)
+# largest is dependent: the face rule skips it, and the NNLS fit counts the
+# rank of its rays by it (module docstring)
 FACE_RANK_TOL = 1e-13
 
 
@@ -88,8 +90,33 @@ def cone_distance(v: np.ndarray, rays: np.ndarray):
     else:
         import scipy.optimize
 
-        dist = np.array([scipy.optimize.nnls(r.T, x)[1] for x in rows])
+        a, coords, off = _span_coordinates(rows, r)
+        dist = np.hypot(off, [scipy.optimize.nnls(a, x)[1] for x in coords])
     return float(dist[0]) if v.ndim == 1 else dist
+
+
+def _span_coordinates(v: np.ndarray, rays: np.ndarray) -> tuple:
+    """(a, x, off): the rays as the columns of a and the rows of v as the rows
+    of x, in an orthonormal basis of the rays' span, and each row's distance
+    off the span.
+
+    The span's dimension counts the rays' singular values above FACE_RANK_TOL
+    times the largest.  Rays of full rank keep their coordinates, and off is
+    0.  Otherwise the part of a row off the span is orthogonal to the whole
+    cone, so its distance to the cone is the hypotenuse of off and the fit's
+    residual in the span: NNLS on the rays as given can read a residual of 0
+    for a point off their span.  Each row is mapped alone, so its bits do not
+    depend on the rows stacked with it.  Zero rays span nothing; any one unit
+    vector serves as their basis, fitted by their zero columns.
+    """
+    _, s, vt = np.linalg.svd(rays, full_matrices=False)
+    rank = int(np.count_nonzero(s > FACE_RANK_TOL * s[0]))
+    if rank == rays.shape[1]:
+        return rays.T, v, np.zeros(len(v))
+    basis = vt[: max(rank, 1)]
+    x = np.array([basis @ row for row in v]).reshape(len(v), len(basis))
+    off = np.array([np.linalg.norm(row - c @ basis) for row, c in zip(v, x)])
+    return basis @ rays.T, x, off
 
 
 def _face_distances(v: np.ndarray, rays: np.ndarray) -> np.ndarray:

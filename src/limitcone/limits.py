@@ -5,13 +5,16 @@ products accumulated in log-scaled exterior-power form, and their Cartan and
 Jordan projections, attracting flags, and convex-cone hull are read off.
 A word is a tuple of letter indices into an `Alphabet`; `WordSampler.words`
 lists the sampled ones: all reduced words up to its `max_length` when its
-`count` is 0, else `count` drawn ones.  Enumerated words are made one length
-at a time: each level is one batch, extended from the previous level by one
-batched matmul per exterior degree and read off by one batched decomposition
-per degree.  Any other word list, drawn or supplied through `words=`, is one
-ragged batch (`Alphabet.accumulate`).
+`count` is 0, else `count` drawn ones, each drawn by one generator call for
+its letters on the stream of the letter-by-letter draw.  Enumerated words are
+made one length at a time: each level is one batch, extended from the
+previous level by one batched matmul per exterior degree and read off by one
+batched decomposition per degree.  Any other word list, drawn or supplied
+through `words=`, is one ragged batch (`Alphabet.accumulate`), spelled longest
+word first so that the words still being spelled are a prefix of the batch.
 """
 
+import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -95,27 +98,34 @@ class Alphabet:
     def accumulate(self, words) -> tuple:
         """The words' products as one batch (see `projections.empty_product`).
 
-        Every word is accumulated letter by letter from the identity; at each
-        position the words that are still being spelled take one batched step.
+        Every word is accumulated letter by letter from the identity.  The
+        words are spelled longest first (a stable sort by length), so at each
+        position the words still being spelled are a prefix of the batch, which
+        takes one batched step in place; the rows return to the given order at
+        the end.  A row's bits do not depend on the rows batched with it (see
+        `projections`), so each row is its word accumulated alone.
         """
         lengths = np.array([len(w) for w in words], dtype=int)
+        order = np.argsort(-lengths, kind="stable")
+        lengths = lengths[order]
         spelled = np.zeros((len(words), int(lengths.max(initial=0))), dtype=int)
-        for row, word in enumerate(words):
-            spelled[row, : len(word)] = word
+        # row by row, each word's letters fill the first len(word) positions
+        spelled[np.arange(spelled.shape[1]) < lengths[:, None]] = np.fromiter(
+            itertools.chain.from_iterable(words[i] for i in order.tolist()), dtype=int
+        )
+        powers = self._letter_powers()
         product = empty_product(self.n, len(words))
         for pos in range(spelled.shape[1]):
-            rows = np.flatnonzero(lengths > pos)
-            step = extend_product(take_words(product, rows), self._stacked(spelled[rows, pos]))
-            for (p, ls), (q, qs) in zip(product, step):
-                p[rows], ls[rows] = q, qs
-        return product
+            k = int(np.count_nonzero(lengths > pos))
+            head = tuple((p[:k], ls[:k]) for p, ls in product)
+            step = extend_product(head, [c[spelled[:k, pos]] for c in powers])
+            for (p, ls), (q, qs) in zip(head, step):
+                p[...], ls[...] = q, qs
+        return take_words(product, np.argsort(order))  # the inverse permutation
 
-    def _stacked(self, letters) -> list:
-        """Per degree, the exterior powers of the given letters as one (N, d, d) stack."""
-        return [
-            np.stack([exterior_power(e, k) for e in self.elements])[letters]
-            for k in range(1, self.n)
-        ]
+    def _letter_powers(self) -> list:
+        """Per degree, the exterior powers of every letter as one (size, d, d) stack."""
+        return [np.stack([exterior_power(e, k) for e in self.elements]) for k in range(1, self.n)]
 
     def levels(self, max_length: int):
         """The reduced words of lengths 1..max_length, one level per length.
@@ -184,22 +194,27 @@ class WordSampler:
         """The sampled words as letter tuples, in the order the estimators read them.
 
         `count` 0: the reduced words of `Alphabet.levels`, length then lex.
-        Otherwise `count` reduced words drawn letter by letter from the seed.
+        Otherwise `count` reduced words drawn from the seed, each by one call
+        for its length and one call for its letters, walked in order: a letter
+        that cancels the one kept before it is dropped, and the letters still
+        missing are drawn by one more call.  For one range, a call of size k
+        gives the values of k scalar calls, so the words are those drawn
+        letter by letter, with each cancelling letter redrawn.
         """
         _check_budget(self.expected_word_count())
         if not self.count:
             return [w for level, _, _ in self.alphabet.levels(self.max_length) for w in level]
-        alphabet = self.alphabet
+        size = len(self.alphabet.elements)
+        cancels = [c for _, _, c in self.alphabet.letters]
         rng = np.random.default_rng(int(self.seed))
         words = []
         for _ in range(self.count):
+            length = int(rng.integers(1, self.max_length + 1))
             word = []
-            for _ in range(int(rng.integers(1, self.max_length + 1))):
-                while True:
-                    i = int(rng.integers(0, len(alphabet.elements)))
-                    if not word or i != alphabet.inverse_index(word[-1]):
-                        break
-                word.append(i)
+            while len(word) < length:
+                for i in rng.integers(0, size, size=length - len(word)).tolist():
+                    if not word or i != cancels[word[-1]]:
+                        word.append(i)
             words.append(tuple(word))
         return words
 
@@ -237,9 +252,9 @@ def _batches(sampler: WordSampler, words=None):
     alphabet = sampler.alphabet
     if words is None and not sampler.count:
         _check_budget(sampler.expected_word_count())
-        product = empty_product(sampler.n)
+        product, powers = empty_product(sampler.n), alphabet._letter_powers()
         for level, parent, letter in alphabet.levels(sampler.max_length):
-            product = extend_product(take_words(product, parent), alphabet._stacked(letter))
+            product = extend_product(take_words(product, parent), [c[letter] for c in powers])
             yield level, product
         return
     words = sampler.words() if words is None else _supplied(sampler, words)
@@ -359,29 +374,29 @@ def check_convexity(
 ) -> ConvexityReport:
     """For random word pairs (w1, w2), lambda(w1^m w2^m)/(2m) must drift to the midpoint.
 
-    Pairs of `sampler.words()` are drawn from `seed` until `trials` of them
-    keep w1^m w2^m very reduced, or 50 * trials draws are spent.  The drawn
-    words and their powers, m = 1, 2, 4, 8, are read in one batch.  A pair
-    whose midpoint (lambda(w1) + lambda(w2))/2 has no direction
-    (`lyapunov_directions`, at the mean length) is dropped, not redrawn, so
-    the report's `trials` counts the pairs kept; a power without a direction
-    scores pi.
+    Pairs of `sampler.words()` are drawn from `seed`, all by one call, until
+    `trials` of them keep w1^m w2^m very reduced, or 50 * trials draws are
+    spent.  The drawn words and their powers, m = 1, 2, 4, 8, are read in one
+    batch.  A pair whose midpoint (lambda(w1) + lambda(w2))/2 has no
+    direction (`lyapunov_directions`, at the mean length) is dropped, not
+    redrawn, so the report's `trials` counts the pairs kept; a power without
+    a direction scores pi.
     """
     if trials < 1:
         raise InvalidInput(f"trials must be >= 1, got {trials}")
     check_seed(seed)
     words = sampler.words()
     alphabet = sampler.alphabet
-    rng = np.random.default_rng(int(seed))
+    # every draw has one range, so one call gives the scalar calls' values
+    drawn = np.random.default_rng(int(seed)).integers(0, len(words), size=(50 * trials, 2))
     pairs = []
-    attempts = 0
-    while len(pairs) < trials and attempts < 50 * trials:
-        attempts += 1
-        w1 = words[int(rng.integers(0, len(words)))]
-        w2 = words[int(rng.integers(0, len(words)))]
+    for i, j in drawn.tolist():
+        w1, w2 = words[i], words[j]
         # w1^m w2^m must stay reduced at every seam, for every m
         if alphabet.very_reduced(w1 * 2 + w2 * 2):
             pairs.append((w1, w2))
+            if len(pairs) == trials:
+                break
     reps = (1, 2, 4, 8)
     spelled = [w for w1, w2 in pairs for w in (w1, w2, *(w1 * m + w2 * m for m in reps))]
     lam = product_projection(alphabet.accumulate(spelled), jordan=True)

@@ -1,5 +1,6 @@
 """Convex-cone helpers in the chamber hyperplane."""
 
+import itertools
 import warnings
 
 import numpy as np
@@ -133,6 +134,82 @@ class TestFaceDistances:
         rays = rng.standard_normal((5, 3))
         v = rng.standard_normal((6, 3))
         assert np.array_equal(cones.cone_distance(v, rays), _nnls_distances(v, rays))
+
+
+def _subset_distance(v, rays):
+    """The distance from v to cone(rays) by Caratheodory: the smallest of |v|
+    and the residuals of the least-squares fits with all coefficients >= 0
+    over the independent subsets of the rays."""
+    best = float(v @ v)
+    for k in range(1, min(rays.shape) + 1):
+        for subset in itertools.combinations(range(len(rays)), k):
+            a = rays[list(subset)].T
+            s = np.linalg.svd(a, compute_uv=False)
+            if s[-1] <= 1e-10 * s[0]:
+                continue
+            x = np.linalg.lstsq(a, v, rcond=None)[0]
+            if x.min() >= 0.0:
+                r = v - a @ x
+                best = min(best, float(r @ r))
+    return np.sqrt(best)
+
+
+@pytest.fixture(scope="module")
+def zero_sum_corpus():
+    """9 random zero-sum unit rays in R^5, and a point whose offset off their
+    hyperplane, 0.01 to 0.2, is a lower bound of its distance to their cone."""
+    rng = np.random.default_rng(3)
+    normal = np.ones(5) / np.sqrt(5.0)
+    out = []
+    for _ in range(2000):
+        rays = rng.normal(size=(9, 5))
+        rays -= rays.mean(axis=1, keepdims=True)
+        rays /= np.linalg.norm(rays, axis=1, keepdims=True)
+        off = rng.uniform(0.01, 0.2)
+        v = rng.normal(size=5)
+        out.append((rays, v - v.mean() + off * normal, off))
+    return out
+
+
+class TestRankDeficientNNLS:
+    """More rays than coordinates, spanning less than the space: the fit runs
+    in a basis of the rays' span."""
+
+    def test_no_point_reads_nearer_than_its_offset(self, zero_sum_corpus):
+        fooled = 0
+        for rays, v, off in zero_sum_corpus:
+            assert cones.cone_distance(v, rays) >= off - 1e-12
+            fooled += _nnls_distances(v[None], rays)[0] < off - 1e-9
+        # the plain fit reads some of these points nearer than their offset
+        assert fooled > 0
+
+    def test_distances_equal_the_subset_oracle(self, zero_sum_corpus):
+        fooled = [
+            c for c, (rays, v, off) in enumerate(zero_sum_corpus)
+            if _nnls_distances(v[None], rays)[0] < off - 1e-9
+        ]
+        for c in sorted(set(range(100)) | set(fooled)):
+            rays, v, _ = zero_sum_corpus[c]
+            assert abs(cones.cone_distance(v, rays) - _subset_distance(v, rays)) <= 1e-11
+
+    def test_a_stack_gives_the_bits_of_its_rows(self, zero_sum_corpus):
+        rays = zero_sum_corpus[0][0]
+        v = np.stack([v for _, v, _ in zero_sum_corpus[:20]])
+        one_by_one = np.array([cones.cone_distance(x, rays) for x in v])
+        assert np.array_equal(cones.cone_distance(v, rays), one_by_one)
+
+    def test_full_rank_rays_keep_the_plain_fit(self):
+        rng = np.random.default_rng(5)
+        for d in (2, 3, 4, 5):
+            for m in (d + 1, 2 * d + 3):
+                rays, v = rng.standard_normal((m, d)), rng.standard_normal((8, d))
+                assert np.array_equal(cones.cone_distance(v, rays), _nnls_distances(v, rays))
+
+    def test_zero_and_collinear_rays(self):
+        v = np.array([[3.0, 4.0, 12.0], [-1.0, 0.0, 0.0]])
+        assert np.array_equal(cones.cone_distance(v, np.zeros((4, 3))), [13.0, 1.0])
+        rays = np.array([[1.0, 0.0, 0.0], [2.0, 0.0, 0.0], [0.5, 0.0, 0.0], [3.0, 0.0, 0.0]])
+        assert np.allclose(cones.cone_distance(v, rays), [np.sqrt(160.0), 1.0], rtol=1e-15)
 
 
 class TestInCone:

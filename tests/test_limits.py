@@ -1225,6 +1225,80 @@ class TestConvexityReadsTheBatch:
         assert calls == [6 * 5]
 
 
+def _rotated_letters(t):
+    """t SL(2) generators: diag(10, 0.1) conjugated by t distinct rotations."""
+    return [
+        lc.GroupElement.from_matrix(rotation2(0.3 * j) @ np.diag([10.0, 0.1]) @ rotation2(-0.3 * j))
+        for j in range(t)
+    ]
+
+
+class TestDrawnWordsAndRaggedBatches:
+    """The drawn words keep the per-letter stream, and a ragged batch keeps
+    the bits of each word accumulated alone."""
+
+    @pytest.mark.parametrize("high", range(1, 31))
+    def test_a_sized_call_gives_the_scalar_calls(self, high):
+        # the numpy property the draw rests on; a range of one value
+        # consumes nothing, either way
+        for seed in range(5):
+            for k in (1, 2, 7, 40):
+                a, b = np.random.default_rng(seed), np.random.default_rng(seed)
+                scalars = [int(a.integers(0, high)) for _ in range(k)]
+                assert b.integers(0, high, size=k).tolist() == scalars
+                assert a.bit_generator.state == b.bit_generator.state
+
+    @pytest.mark.parametrize("max_length", [1, 2, 24, 40])
+    @pytest.mark.parametrize("kind, t", [("semigroup", t) for t in range(2, 7)]
+                             + [("group", t) for t in range(1, 4)])
+    def test_words_equal_the_per_letter_draw(self, kind, t, max_length):
+        gens = _rotated_letters(t)
+        for seed in range(21):
+            s = _sampler(gens, kind=kind, max_length=max_length, count=25, seed=seed)
+            assert s.words() == _reference_draw(s)
+
+    @pytest.fixture(params=["sl2-group", "forged-sl3"])
+    def alphabet(self, request, sl2_pair):
+        if request.param == "sl2-group":
+            return limits.Alphabet.of(sl2_pair, "group")
+        return limits.Alphabet.of(request.getfixturevalue("forged_semigroup").generators)
+
+    @staticmethod
+    def _assert_rows_alone(alphabet, words):
+        product = alphabet.accumulate(words)
+        assert all(len(p) == len(ls) == len(words) for p, ls in product)
+        for row, word in enumerate(words):
+            ref = _reference_accumulate(alphabet, word)
+            for (p, ls), (rp, rls) in zip(product, ref):
+                assert np.array_equal(p[row], rp) and ls[row] == rls
+
+    def test_ragged_batches_keep_each_words_bits(self, alphabet):
+        rng = np.random.default_rng(11)
+        size = len(alphabet.elements)
+
+        def word(length):
+            return tuple(rng.integers(0, size, size=length).tolist())
+
+        lengths = np.arange(1, 41)
+        rng.shuffle(lengths)
+        shuffled = [word(l) for l in lengths.tolist()]
+        for words in (
+            [word(17)],  # one word
+            [word(9) for _ in range(12)],  # all of one length
+            shuffled,  # lengths 1-40, shuffled
+            [shuffled[3], shuffled[0], shuffled[3], shuffled[0], shuffled[3]],  # repeats
+        ):
+            self._assert_rows_alone(alphabet, words)
+
+    def test_an_empty_list_is_an_empty_batch(self, alphabet):
+        product = alphabet.accumulate([])
+        want = lc.projections.empty_product(alphabet.n, 0)
+        assert len(product) == len(want) == alphabet.n - 1
+        for (p, ls), (wp, wls) in zip(product, want):
+            assert p.shape == wp.shape and ls.shape == wls.shape == (0,)
+            assert p.dtype == wp.dtype and ls.dtype == wls.dtype
+
+
 ESTIMATORS = [lc.estimate_cone, lc.estimate_limit_set, lc.compare_mu_lambda, lc.estimate_facets]
 
 
