@@ -12,6 +12,10 @@ previous level by one batched matmul per exterior degree and read off by one
 batched decomposition per degree.  Any other word list, drawn or supplied
 through `words=`, is one ragged batch (`Alphabet.accumulate`), spelled longest
 word first so that the words still being spelled are a prefix of the batch.
+Directions and points are deduplicated by one greedy kernel over a sorted-key
+window (`_greedy_distinct`), which keeps a row alone in its window without
+touching an array; the cone's kept directions are one checked stack
+(`ChamberVector.from_rows`).
 """
 
 import itertools
@@ -292,19 +296,23 @@ def _greedy_distinct(reps, tol, merges) -> list:
     whose key window holds alive later rows, with their index array `later`
     (the rows whose keys lie within 4 * tol of its own, see `_dedup_keys`; a
     row beyond that is farther than tol), and returns one bool per row, True
-    for the rows that merge into row i.
+    for the rows that merge into row i.  A window of one row holds row i
+    alone, so that row is kept before any array work.
     """
     keys = _dedup_keys(reps)
     order = np.argsort(keys, kind="stable")
     sorted_keys = keys[order]
-    lo = np.searchsorted(sorted_keys, keys - 4.0 * tol, side="left").tolist()
-    hi = np.searchsorted(sorted_keys, keys + 4.0 * tol, side="right").tolist()
+    lo = np.searchsorted(sorted_keys, keys - 4.0 * tol, side="left")
+    hi = np.searchsorted(sorted_keys, keys + 4.0 * tol, side="right")
+    span, lo, hi = (hi - lo).tolist(), lo.tolist(), hi.tolist()
     alive = np.ones(len(reps), dtype=bool)
     kept = []
     for i in range(len(reps)):
         if not alive[i]:
             continue
         kept.append(i)
+        if span[i] == 1:
+            continue
         window = order[lo[i] : hi[i]]
         later = window[(window > i) & alive[window]]
         if later.size:
@@ -340,7 +348,7 @@ def estimate_cone(sampler: WordSampler, words=None) -> ConeEstimate:
     hull_dim = int(np.linalg.matrix_rank(distinct, tol=cones.SLACK))
     basis = cones.chamber_basis(n)
     idx = cones.extreme_ray_indices(distinct @ basis)
-    directions = tuple(ChamberVector.from_coords(d) for d in distinct)
+    directions = ChamberVector.from_rows(distinct)
     return ConeEstimate(
         directions=directions,
         hull_rays=tuple(directions[i] for i in idx),

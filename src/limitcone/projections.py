@@ -16,6 +16,8 @@ mu and lambda of a single element are those of a product of one factor.
 They work on batches of words: per degree one (N, d, d) stack, extended by one
 batched matmul and read off by one batched `svd` or `eigvals`, whose results
 equal the per-matrix calls bit for bit; a single word is a batch of one.
+A stack of chamber vectors is checked once and wrapped row by row
+(`ChamberVector.from_rows`); one vector is a stack of one (`from_coords`).
 """
 
 from dataclasses import dataclass
@@ -36,13 +38,32 @@ class ChamberVector(ArrayValued):
 
     @classmethod
     def from_coords(cls, coords) -> "ChamberVector":
-        c = np.asarray(coords, dtype=float).reshape(-1)
-        _check_chamber_rows(c[None])
+        """The chamber vector of one vector of coordinates, checked and kept bit for bit."""
+        c = np.asarray(coords, dtype=float)
+        if c.ndim != 1:
+            raise InvalidInput(
+                f"chamber coordinates must be one vector, got shape {c.shape}; "
+                "build a stack of rows with ChamberVector.from_rows"
+            )
+        return cls.from_rows(c[None])[0]
+
+    @classmethod
+    def from_rows(cls, rows) -> tuple:
+        """One chamber vector per row of an (N, n) stack, checked as one stack.
+
+        The rows are copied once into a read-only C-contiguous stack, and each
+        vector's coords is a view of its row, so it has the bits, the read-only
+        flag, `==` and `hash` of `from_coords(row)`.  An empty (0, n) stack, n
+        >= 2, gives the empty tuple.
+        """
+        r = np.array(rows, dtype=float, order="C")
+        if r.ndim != 2:
+            raise InvalidInput(f"chamber rows must be an (N, n) stack, got shape {r.shape}")
+        _check_chamber_rows(r)
         # keep the input bits: re-centering here would break exactness of the
         # opposition involution (negation and reversal are lossless)
-        c = np.ascontiguousarray(c)
-        c.flags.writeable = False
-        return cls(coords=c)
+        r.flags.writeable = False
+        return tuple(cls(coords=row) for row in r)
 
     @property
     def n(self) -> int:

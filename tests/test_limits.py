@@ -617,6 +617,26 @@ def _reference_distinct_rows(rows, tol):
     return out
 
 
+def _reference_greedy_distinct(reps, tol, merges):
+    # the kernel's loop before it kept a one-row window untouched
+    keys = limits._dedup_keys(reps)
+    order = np.argsort(keys, kind="stable")
+    sorted_keys = keys[order]
+    lo = np.searchsorted(sorted_keys, keys - 4.0 * tol, side="left").tolist()
+    hi = np.searchsorted(sorted_keys, keys + 4.0 * tol, side="right").tolist()
+    alive = np.ones(len(reps), dtype=bool)
+    kept = []
+    for i in range(len(reps)):
+        if not alive[i]:
+            continue
+        kept.append(i)
+        window = order[lo[i] : hi[i]]
+        later = window[(window > i) & alive[window]]
+        if later.size:
+            alive[later[merges(later, i)]] = False
+    return kept
+
+
 def _reference_merge_points(vectors):
     pts = []
     for v in vectors:
@@ -913,6 +933,85 @@ class TestDedupKernels:
         _assert_same_dedup(rng.permutation(rows), tol)
 
 
+def _window_corpus(kind, seed, tol):
+    """Rows for the dedup kernel: "singletons" (most key windows hold one row,
+    as on the sl3 workload), "duplicates" (a few clusters, as on sl2 and sl4)
+    or "planted" (partners whose keys sit just inside and just outside the
+    4 * tol window, with a few exact repeats)."""
+    rng = np.random.default_rng(seed)
+    d = int(rng.integers(2, 6))
+    if kind == "singletons":
+        rows = rng.standard_normal((1500, d))
+        rows /= np.linalg.norm(rows, axis=1)[:, None]
+        rows = np.concatenate([rows, rows[rng.integers(0, 1500, size=300)]])
+    elif kind == "duplicates":
+        base = rng.standard_normal((8, d))
+        base /= np.linalg.norm(base, axis=1)[:, None]
+        rows = base[rng.integers(0, 8, size=1500)]
+        rows = rows + 0.1 * tol * rng.standard_normal(rows.shape)
+    else:
+        u = limits._dedup_keys(np.eye(d))
+        base = rng.standard_normal((60, d))
+        base *= np.sign(base @ u)[:, None]  # positive keys: moving along u adds to the key
+        partners = {f: base + f * 4.0 * tol * u for f in (0.25, 0.999, 1.001, 1.5)}
+        gap = {f: limits._dedup_keys(p) - limits._dedup_keys(base) for f, p in partners.items()}
+        assert (gap[0.999] <= 4.0 * tol).all() and (gap[1.001] > 4.0 * tol).all()
+        rows = np.concatenate([base, *partners.values(), base[:10]])
+    return rng.permutation(rows)
+
+
+class TestDedupWindows:
+    """A kept row whose key window holds it alone is kept with no array work;
+    the kernel keeps what the loop before that rule kept."""
+
+    TOLS = [1e-12, limits.MERGE_TOL]
+
+    @staticmethod
+    def _predicates(rows, tol):
+        return {
+            "distance": lambda later, i: limits.row_norms(rows[later] - rows[i]) <= tol,
+            # everything in the window merges: the kept list is the windows' own
+            "window": lambda later, i: np.ones(later.size, dtype=bool),
+        }
+
+    @staticmethod
+    def _recorded(merges, calls):
+        """`merges`, appending each call's (i, later) to `calls`."""
+        def record(later, i):
+            calls.append((i, later.tolist()))
+            return merges(later, i)
+        return record
+
+    @pytest.mark.parametrize("tol", TOLS)
+    @pytest.mark.parametrize("kind", ["singletons", "duplicates", "planted"])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_kept_rows_equal_the_loop(self, kind, seed, tol):
+        rows = _window_corpus(kind, seed, tol)
+        for name, merges in self._predicates(rows, tol).items():
+            got = limits._greedy_distinct(rows, tol, merges)
+            assert got == _reference_greedy_distinct(rows, tol, merges), name
+
+    @pytest.mark.parametrize("tol", TOLS)
+    @pytest.mark.parametrize("kind", ["singletons", "duplicates", "planted"])
+    def test_merges_is_asked_once_per_window_with_later_rows(self, kind, tol):
+        rows = _window_corpus(kind, 7, tol)
+        keys = limits._dedup_keys(rows)
+        sorted_keys = np.sort(keys)
+        span = (np.searchsorted(sorted_keys, keys + 4.0 * tol, side="right")
+                - np.searchsorted(sorted_keys, keys - 4.0 * tol, side="left"))
+        for merges in self._predicates(rows, tol).values():
+            asked, want = [], []
+            kept = limits._greedy_distinct(rows, tol, self._recorded(merges, asked))
+            _reference_greedy_distinct(rows, tol, self._recorded(merges, want))
+            assert asked == want
+            called = [i for i, _ in asked]
+            assert len(set(called)) == len(called) and set(called) <= set(kept)
+            assert all(span[i] > 1 for i in called)
+            assert all(later and min(later) > i for i, later in asked)
+            if kind == "singletons":
+                assert sum(span[i] == 1 for i in kept) > len(kept) // 2
+
+
 # The per-word engine that the batched one replaced, carried as the
 # reference: one accumulator per word, one readout per word and degree.
 
@@ -1158,6 +1257,23 @@ class TestBatchedEngine:
             assert [x.rep.tolist() for x in f.forward + f.backward] == [
                 x.rep.tolist() for x in g.forward + g.backward
             ]
+
+    def test_directions_equal_the_per_row_vectors(self, sampler, monkeypatch):
+        kept = []
+        distinct_rows = limits._distinct_rows
+
+        def capture(rows, tol):
+            kept.append(distinct_rows(rows, tol))
+            return kept[-1]
+
+        monkeypatch.setattr(limits, "_distinct_rows", capture)
+        est = lc.estimate_cone(sampler)
+        want = tuple(lc.ChamberVector.from_coords(row) for row in kept[0])
+        assert est.directions == want
+        for d, w in zip(est.directions, want):
+            assert d.coords.tobytes() == w.coords.tobytes() and hash(d) == hash(w)
+            assert not d.coords.flags.writeable
+        assert set(est.hull_rays) <= set(want)
 
     def test_one_eigvals_call_per_level_and_degree(self, sl2_pair, monkeypatch):
         calls = {"eigvals": 0}

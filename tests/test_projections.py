@@ -49,6 +49,74 @@ class TestChamberVector:
         assert zero == signed
         assert len({zero, signed}) == 1
 
+    @pytest.mark.parametrize(
+        "coords", [[[0.0, 0.0], [0.0, 0.0]], np.zeros((1, 3)), np.zeros((2, 2, 2)), 0.0]
+    )
+    def test_from_coords_refuses_anything_but_one_vector(self, coords):
+        # a stack was flattened: two zero 2-vectors read as the zero 4-vector
+        with pytest.raises(InvalidInput, match="from_rows"):
+            lc.ChamberVector.from_coords(coords)
+
+    def test_from_coords_leaves_the_callers_array_writeable(self):
+        a = np.array([1.0, 0.0, -1.0])
+        v = lc.ChamberVector.from_coords(a)
+        a[0] = 5.0
+        assert v.coords.tolist() == [1.0, 0.0, -1.0] and not v.coords.flags.writeable
+
+
+def _chamber_stack(rng, count, n):
+    """`count` random chamber rows of dimension n, each sorted and centred."""
+    rows = -np.sort(-rng.standard_normal((count, n)), axis=1)
+    return rows - rows.mean(axis=1, keepdims=True)
+
+
+class TestChamberRows:
+    @pytest.mark.parametrize("n", range(2, 7))
+    @pytest.mark.parametrize("count", [1, 2, 37, 2000])
+    def test_each_row_is_its_from_coords(self, n, count):
+        rng = np.random.default_rng(100 * n + count)
+        rows = _chamber_stack(rng, count, n)
+        rows[rng.random(count) < 0.1] = 0.0  # zero rows, some spelled -0.0
+        rows[rng.random(count) < 0.05] *= -0.0
+        for stack in (rows, np.asfortranarray(rows), list(rows)):
+            got = lc.ChamberVector.from_rows(stack)
+            assert len(got) == count
+            for v, row in zip(got, rows):
+                want = lc.ChamberVector.from_coords(row)
+                assert v.coords.tobytes() == want.coords.tobytes()
+                assert not v.coords.flags.writeable and v.coords.flags.c_contiguous
+                assert v == want and hash(v) == hash(want)
+
+    def test_rows_do_not_share_the_callers_array(self):
+        rows = _chamber_stack(np.random.default_rng(2), 4, 3)
+        got = lc.ChamberVector.from_rows(rows)
+        rows[0] = 0.0
+        assert rows.flags.writeable and got[0].coords.any()
+
+    @pytest.mark.parametrize(
+        "rows, match",
+        [
+            ([[1.0, 0.0, -1.0], [np.nan, 0.0, 0.0]], "finite"),
+            ([[1.0, 0.0, -1.0], [np.inf, 0.0, -np.inf]], "finite"),
+            ([[1.0, 0.0, -1.0], [0.0, 1.0, -1.0]], "sorted"),
+            ([[1.0, 0.0, -1.0], [1.0, 0.5, 0.0]], "sum to 0"),
+            ([[0.0], [0.0]], "dimension"),
+            ([1.0, 0.0, -1.0], "stack"),
+            (np.zeros((2, 2, 2)), "stack"),
+            ([], "stack"),
+            (np.zeros((0, 1)), "dimension"),
+        ],
+        ids=["nan", "inf", "unsorted", "nonzero-sum", "one-column", "one-vector", "3-d",
+             "empty-list", "empty-one-column"],
+    )
+    def test_refusals(self, rows, match):
+        with pytest.raises(InvalidInput, match=match):
+            lc.ChamberVector.from_rows(rows)
+
+    @pytest.mark.parametrize("n", [2, 5])
+    def test_an_empty_stack_is_no_vectors(self, n):
+        assert lc.ChamberVector.from_rows(np.empty((0, n))) == ()
+
 
 class TestCartanProjection:
     def test_diagonal(self):

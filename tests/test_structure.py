@@ -288,6 +288,28 @@ def test_facets_make_no_point_from_a_vector(sl2_pair, monkeypatch):
     assert len(facets) == 160 and calls == [2]
 
 
+def test_the_cone_builds_no_direction_one_row_at_a_time(forged_semigroup, monkeypatch):
+    import limitcone as lc
+    from limitcone.projections import ChamberVector
+
+    calls = []
+    from_coords = ChamberVector.from_coords.__func__
+
+    def counting(cls, coords):
+        calls.append(1)
+        return from_coords(cls, coords)
+
+    monkeypatch.setattr(ChamberVector, "from_coords", classmethod(counting))
+    ChamberVector.from_coords([1.0, -1.0])
+    assert calls == [1]  # the hook counts
+    sampler = lc.WordSampler(
+        generators=forged_semigroup.generators, max_length=12, count=300, seed=3
+    )
+    est = lc.estimate_cone(sampler)
+    # the directions are one checked stack, not one vector per row
+    assert len(est.directions) > 100 and calls == [1]
+
+
 def test_check_convexity_reads_only_the_words_it_draws():
     tree = ast.parse((ROOT / "src" / "limitcone" / "limits.py").read_text())
     fn = dict(_qualified_functions(tree))["check_convexity"]
