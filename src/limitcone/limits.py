@@ -12,6 +12,12 @@ previous level by one batched matmul per exterior degree and read off by one
 batched decomposition per degree.  Any other word list, drawn or supplied
 through `words=`, is one ragged batch (`Alphabet.accumulate`), spelled longest
 word first so that the words still being spelled are a prefix of the batch.
+The cone and the mu/lambda comparison share one readout (`_class_readout`),
+which reads lambda once per conjugacy class, lambda(u v u^-1) = lambda(v):
+from the class's shortest word, which is, for enumerated words, the least
+rotation of the word's cyclic core.  Every other word copies that row, which
+also spares a conjugated group word its ill-conditioned `eig`.  mu, and the
+flags of the limit set and the facets, are read per word.
 Directions and points are deduplicated by one greedy kernel over a sorted-key
 window (`_greedy_distinct`), which keeps a row alone in its window without
 touching an array; the cone's kept directions are one checked stack
@@ -46,6 +52,7 @@ from .proximality import eigen_splittings, repelling_covectors
 WORD_BUDGET = 10**6
 MERGE_TOL = 1e-9
 DEFAULT_PROXIMALITY_FILTER = 1e-6
+_INT64_MAX = int(np.iinfo(np.int64).max)
 
 
 @dataclass(frozen=True)
@@ -102,23 +109,20 @@ class Alphabet:
     def accumulate(self, words) -> tuple:
         """The words' products as one batch (see `projections.empty_product`).
 
-        Every word is accumulated letter by letter from the identity.  The
-        words are spelled longest first (a stable sort by length), so at each
-        position the words still being spelled are a prefix of the batch, which
-        takes one batched step in place; the rows return to the given order at
-        the end.  A row's bits do not depend on the rows batched with it (see
-        `projections`), so each row is its word accumulated alone.
+        `words` is a list of letter sequences, or the array `_spell` makes of
+        one.  Every word is accumulated letter by letter from the identity.
+        The words are spelled longest first (a stable sort by length), so at
+        each position the words still being spelled are a prefix of the batch,
+        which takes one batched step in place; the rows return to the given
+        order at the end.  A row's bits do not depend on the rows batched with
+        it (see `projections`), so each row is its word accumulated alone.
         """
-        lengths = np.array([len(w) for w in words], dtype=int)
+        spelled = words if isinstance(words, np.ndarray) else _spell(words)
+        lengths = np.count_nonzero(spelled >= 0, axis=1)
         order = np.argsort(-lengths, kind="stable")
-        lengths = lengths[order]
-        spelled = np.zeros((len(words), int(lengths.max(initial=0))), dtype=int)
-        # row by row, each word's letters fill the first len(word) positions
-        spelled[np.arange(spelled.shape[1]) < lengths[:, None]] = np.fromiter(
-            itertools.chain.from_iterable(words[i] for i in order.tolist()), dtype=int
-        )
+        lengths, spelled = lengths[order], spelled[order]
         powers = self._letter_powers()
-        product = empty_product(self.n, len(words))
+        product = empty_product(self.n, len(spelled))
         for pos in range(spelled.shape[1]):
             k = int(np.count_nonzero(lengths > pos))
             head = tuple((p[:k], ls[:k]) for p, ls in product)
@@ -243,13 +247,27 @@ def _supplied(sampler: WordSampler, words) -> list:
     return words
 
 
-def _batches(sampler: WordSampler, words=None):
-    """The words as batches (words, accumulated product), in order.
+def _spell(words) -> np.ndarray:
+    """The words as one (N, longest) integer array: row i holds word i's
+    letters, then -1 in the positions past its end."""
+    lengths = np.array([len(w) for w in words], dtype=int)
+    letters = np.fromiter(itertools.chain.from_iterable(words), dtype=int)
+    if (letters < 0).any():
+        # -1 marks the end of a word
+        raise InvalidInput("letters are indices from 0")
+    spelled = np.full((len(words), int(lengths.max(initial=0))), -1, dtype=int)
+    spelled[np.arange(spelled.shape[1]) < lengths[:, None]] = letters
+    return spelled
 
-    Enumerated words come as one batch per length, each in lex order, so the
-    batches run in length-then-lex order; each level extends the previous
-    level's product by one letter, and only that product is kept.  Any word
-    list, drawn (`count` >= 1) or a caller's `words` (letter sequences over
+
+def _batches(sampler: WordSampler, words=None):
+    """The words as batches (words, accumulated product, spelled), in order.
+
+    `spelled` is the batch's letters as one array (`_spell`).  Enumerated
+    words come as one batch per length, each in lex order, so the batches run
+    in length-then-lex order; each level extends the previous level's product
+    and letter array by one letter, and only those are kept.  Any word list,
+    drawn (`count` >= 1) or a caller's `words` (letter sequences over
     `sampler.alphabet`, checked here), is one batch accumulated by
     `Alphabet.accumulate`.
     """
@@ -257,12 +275,144 @@ def _batches(sampler: WordSampler, words=None):
     if words is None and not sampler.count:
         _check_budget(sampler.expected_word_count())
         product, powers = empty_product(sampler.n), alphabet._letter_powers()
+        spelled = np.zeros((1, 0), dtype=int)
         for level, parent, letter in alphabet.levels(sampler.max_length):
             product = extend_product(take_words(product, parent), [c[letter] for c in powers])
-            yield level, product
+            spelled = np.concatenate([spelled[parent], letter[:, None]], axis=1)
+            yield level, product, spelled
         return
     words = sampler.words() if words is None else _supplied(sampler, words)
-    yield words, alphabet.accumulate(words)
+    spelled = _spell(words)
+    yield words, alphabet.accumulate(spelled), spelled
+
+
+def _cyclic_classes(spelled, lengths, cancels) -> tuple:
+    """Per word of `spelled` (see `_spell`), of `lengths` letters: (core, key,
+    canon), its conjugacy class.
+
+    `cancels[i]` is the letter that cancels letter i, or -1.  A word's cyclic
+    core drops the letters at both ends that cancel each other, while one
+    letter stays between them: u v u^-1 gives v, a conjugate.  Rotating the
+    core conjugates it again, so two words whose cores have equal least
+    rotations are conjugate in any group; among the reduced words of a free
+    (semi)group they are conjugate exactly then.  `core` holds the cores'
+    lengths and `canon` their least rotations, concatenated in row order; two
+    words have equal least rotations when they have equal `core` and `key`.
+
+    Every rotation of every core is ranked at once by doubling: after the
+    step of span m, a position's key orders the m letters read cyclically
+    from it, and the pair (key at p, key at p + m) orders the 2m letters.
+    A key below `bound` is paired as two base-`bound` digits while bound**2
+    fits int64 (over two letters, up to span 32), and the keys are replaced
+    by their ranks among themselves before a pairing would overflow, so no
+    code overflows, whatever the alphabet and the lengths.  Once m reaches
+    the longest core, two positions of one core have equal keys only when
+    their rotations are equal, and a core's least key marks its least
+    rotation.  Memory is O(letters) and the work O(letters * log(longest
+    core)).
+    """
+    n_words, width = spelled.shape
+    start = np.zeros(n_words, dtype=int)
+    if (cancels >= 0).any():
+        # at most (width - 1) // 2 letters go from each end
+        cols = np.arange((width - 1) // 2)
+        mirror = np.take_along_axis(spelled, np.maximum(lengths[:, None] - 1 - cols, 0), axis=1)
+        # letter p cancels letter length - 1 - p, with a letter left between them
+        ends = (cancels[spelled[:, : len(cols)]] == mirror) & (2 * cols + 2 < lengths[:, None])
+        start = np.logical_and.accumulate(ends, axis=1).sum(axis=1)
+    core = lengths - 2 * start
+    first = np.cumsum(core) - core  # each core's first position
+    head, wrap = np.repeat(first, core), np.repeat(core, core)
+    pos = np.arange(head.size) - head
+    letters = spelled.ravel()[np.repeat(np.arange(n_words) * width + start, core) + pos]
+    # the position `span` letters on, cyclically within the core
+    succ = head + (pos + 1) % wrap
+    key, bound, span = letters, len(cancels), 1
+    # with one possible key, every rotation reads the same
+    while span < core.max() and bound > 1:
+        if bound > _INT64_MAX // bound:
+            distinct, key = np.unique(key, return_inverse=True)
+            bound = len(distinct)
+        key = key * bound + key[succ]
+        bound, span, succ = bound * bound, 2 * span, succ[succ]
+    least = np.minimum.reduceat(key, first)
+    # the least rotation starts at any position holding its core's least key
+    shift = np.minimum.reduceat(np.where(key == np.repeat(least, core), pos, width), first)
+    canon = letters[head + (pos + np.repeat(shift, core)) % wrap]
+    return core, least, canon
+
+
+def _level_rows(core, canon, cancels, starts) -> np.ndarray:
+    """Per word, the row of its class's least rotation among the enumerated words.
+
+    `canon` (see `_cyclic_classes`) holds reduced words, each at row
+    `starts[len - 1]` plus its rank in lex order among the reduced words of
+    its length: at each position, the letters below it that may follow the
+    previous letter, times the number of ways to finish the word.  Every
+    term is below the level's word count, which the budget bounds, so the
+    sum is exact.
+    """
+    group = bool((cancels >= 0).any())
+    base = len(cancels) - group
+    word = np.repeat(np.arange(len(core)), core)
+    first = np.cumsum(core) - core
+    pos = np.arange(word.size) - first[word]
+    digit = canon.copy()
+    if group:
+        # the letter that cancels the previous one may not follow it
+        later = np.flatnonzero(pos > 0)
+        digit[later] -= cancels[canon[later - 1]] < canon[later]
+    weight = np.power(base, core[word] - 1 - pos)
+    return starts[core - 1] + np.add.reduceat(digit * weight, first)
+
+
+def _first_shortest(core, key, lengths) -> np.ndarray:
+    """Per word, the first of the shortest words with its core's least rotation."""
+    order = np.lexsort((lengths, key, core))  # stable: ties keep the word order
+    c, k = core[order], key[order]
+    head = np.flatnonzero(np.r_[True, (c[1:] != c[:-1]) | (k[1:] != k[:-1])])
+    rep = np.empty_like(order)
+    rep[order] = np.repeat(order[head], np.diff(np.r_[head, len(order)]))
+    return rep
+
+
+def _class_readout(sampler: WordSampler, words=None) -> tuple:
+    """(lengths, mu, lam, rep): per word, in order, its length, its Cartan
+    and Jordan projections, and the row of its class's representative.
+
+    lambda is a class function, lambda(u v u^-1) = lambda(v), so it is read
+    once per conjugacy class (see `_cyclic_classes`), from the class's
+    representative: its shortest word in the list, the first one when
+    several are that short.  For enumerated words that is the least rotation
+    of the word's cyclic core, which is enumerated at or before the word, in
+    length-then-lex order (`_level_rows`); in a drawn or supplied list it is
+    a list member (`_first_shortest`).  `eigvals` reads the representatives'
+    products only, and every other row copies its representative's lambda
+    row.  mu is read per word: it is not a class function.
+    """
+    cancels = np.array([-1 if c is None else c for _, _, c in sampler.alphabet.letters])
+    enumerated = words is None and not sampler.count
+    # per enumerated level, the row of its first word
+    starts, rows = np.zeros(sampler.max_length, dtype=int), 0
+    lengths, mus, lams, reps = [], [], [], []
+    for batch, product, spelled in _batches(sampler, words):
+        length = np.count_nonzero(spelled >= 0, axis=1)
+        core, key, canon = _cyclic_classes(spelled, length, cancels)
+        if enumerated:
+            starts[spelled.shape[1] - 1] = rows
+            rep = _level_rows(core, canon, cancels, starts)
+        else:
+            rep = _first_shortest(core, key, length)  # the one batch
+        own = rep == np.arange(rows, rows + len(batch))
+        lam = np.zeros((len(batch), sampler.n))
+        lam[own] = product_projection(take_words(product, own), jordan=True)
+        mus.append(product_projection(product, jordan=False))
+        lengths.append(length)
+        lams.append(lam)
+        reps.append(rep)
+        rows += len(batch)
+    rep = np.concatenate(reps)
+    return np.concatenate(lengths), np.concatenate(mus), np.concatenate(lams)[rep], rep
 
 
 @dataclass(frozen=True)
@@ -272,7 +422,7 @@ class ConeEstimate:
     directions: tuple  # unit ChamberVector per distinct sampled direction
     hull_rays: tuple  # extreme directions, as ChamberVector
     hull_dim: int
-    per_word_mu_lambda_gap: tuple  # sup-norm mu/lambda gap per sampled word
+    per_word_mu_lambda_gap: tuple  # per sampled word: sup-norm |mu - lambda of the word's class|
     word_lengths: tuple
 
 
@@ -329,19 +479,25 @@ def _distinct_rows(rows, tol) -> np.ndarray:
 
 
 def estimate_cone(sampler: WordSampler, words=None) -> ConeEstimate:
-    """Convex-cone hull of the normalized Jordan projections of sampled words."""
+    """Convex-cone hull of the normalized Jordan projections of sampled words.
+
+    lambda is read once per conjugacy class (`_class_readout`), so a class's
+    rows after its first row with a direction copy that row's bits.  Such a
+    row has a direction or not, and then the same unit vector, bit for bit.
+    In the greedy pass of `_distinct_rows` over every word's direction it
+    is dropped: by the class's first row, at distance 0, when that is kept,
+    or else by the row that dropped the first one, at the same distance.  A
+    dropped row drops nothing, so the pass is given the first row with a
+    direction of each class alone and keeps the same rows.  For enumerated
+    words that row is the class's representative, or there is none: the
+    representative comes first and is the shortest, and the noise floor of
+    `lyapunov_directions` grows with the length.
+    """
     n = sampler.n
-    dirs = []
-    gaps = []
-    lengths = []
-    for batch, product in _batches(sampler, words):
-        lam = product_projection(product, jordan=True)
-        mu = product_projection(product, jordan=False)
-        length = np.array([len(w) for w in batch])
-        gaps.append(np.max(np.abs(mu - lam), axis=1))
-        lengths.append(length)
-        dirs.append(lyapunov_directions(lam, length)[1])
-    dirs = np.concatenate(dirs) if dirs else np.empty((0, n))
+    lengths, mu, lam, rep = _class_readout(sampler, words)
+    has, units = lyapunov_directions(lam, lengths)
+    _, first = np.unique(rep[has], return_index=True)
+    dirs = units[np.sort(first)]
     if not len(dirs):
         raise DegenerateSample("no sampled word has a nonzero Jordan projection")
     distinct = _distinct_rows(dirs, 1e-12)
@@ -353,8 +509,8 @@ def estimate_cone(sampler: WordSampler, words=None) -> ConeEstimate:
         directions=directions,
         hull_rays=tuple(directions[i] for i in idx),
         hull_dim=hull_dim,
-        per_word_mu_lambda_gap=tuple(np.concatenate(gaps).tolist()),
-        word_lengths=tuple(np.concatenate(lengths).tolist()),
+        per_word_mu_lambda_gap=tuple(np.max(np.abs(mu - lam), axis=1).tolist()),
+        word_lengths=tuple(lengths.tolist()),
     )
 
 
@@ -433,13 +589,13 @@ def check_convexity(
 def compare_mu_lambda(sampler: WordSampler, words=None) -> list[float]:
     """Per word length l = 1..max_length, the max sup-norm gap ||mu(w) - lambda(w)||.
 
-    A length that no sampled word has gets NaN: there is no gap to report.
+    mu is each word's own; lambda is that of the word's conjugacy class, read
+    once from its representative (`_class_readout`).  A length that no
+    sampled word has gets NaN: there is no gap to report.
     """
+    lengths, mu, lam, _ = _class_readout(sampler, words)
     out = np.full(sampler.max_length, -np.inf)
-    for batch, product in _batches(sampler, words):
-        mu = product_projection(product, jordan=False)
-        lam = product_projection(product, jordan=True)
-        np.maximum.at(out, [len(w) - 1 for w in batch], np.max(np.abs(mu - lam), axis=1))
+    np.maximum.at(out, lengths - 1, np.max(np.abs(mu - lam), axis=1))
     out[out == -np.inf] = np.nan
     return out.tolist()
 
@@ -490,7 +646,7 @@ def _flag_readout(sampler: WordSampler, words=None):
     Each side is one `eigen_splittings` Splitting per degree.  `kept` is, per
     side, the one keep rule: the rows proximal at every degree, with a
     positive runner-up modulus and a log gap above DEFAULT_PROXIMALITY_FILTER."""
-    for batch, product in _batches(sampler, words):
+    for batch, product, _ in _batches(sampler, words):
         sides = tuple(zip(*(eigen_splittings(p) for p, _ in product)))
         with np.errstate(divide="ignore"):
             # a vanishing runner-up modulus has no finite log gap

@@ -39,7 +39,7 @@ class ChamberVector(ArrayValued):
     @classmethod
     def from_coords(cls, coords) -> "ChamberVector":
         """The chamber vector of one vector of coordinates, checked and kept bit for bit."""
-        c = np.asarray(coords, dtype=float)
+        c = _float_array(coords)
         if c.ndim != 1:
             raise InvalidInput(
                 f"chamber coordinates must be one vector, got shape {c.shape}; "
@@ -56,7 +56,7 @@ class ChamberVector(ArrayValued):
         flag, `==` and `hash` of `from_coords(row)`.  An empty (0, n) stack, n
         >= 2, gives the empty tuple.
         """
-        r = np.array(rows, dtype=float, order="C")
+        r = np.array(_float_array(rows), order="C")
         if r.ndim != 2:
             raise InvalidInput(f"chamber rows must be an (N, n) stack, got shape {r.shape}")
         _check_chamber_rows(r)
@@ -75,6 +75,14 @@ class ChamberVector(ArrayValued):
         if norm == 0.0:
             return np.zeros(self.n)
         return self.coords / norm
+
+
+def _float_array(values) -> np.ndarray:
+    """`values` as a float array; ragged or non-numeric input raises InvalidInput."""
+    try:
+        return np.asarray(values, dtype=float)
+    except (TypeError, ValueError) as e:
+        raise InvalidInput(f"chamber coordinates must be a regular array of numbers: {e}") from None
 
 
 def _check_chamber_rows(rows: np.ndarray) -> None:
@@ -160,7 +168,8 @@ def extend_product(product: tuple, letter) -> tuple:
         logscale = ls + np.log(s)
         if not np.isfinite(logscale).all():
             raise NumericalFailure("word product degenerated despite rescaling")
-        out.append((q / s[:, None, None], logscale))
+        q /= s[:, None, None]
+        out.append((q, logscale))
     return tuple(out)
 
 

@@ -289,6 +289,9 @@ def word_lyapunov_estimate(system: SchottkySystem, word):
     if any(p < 1 for _, p in word):
         raise InvalidInput("word exponents must be >= 1")
     alphabet = system.alphabet
+    size = len(alphabet.elements)
+    if not all(0 <= i < size for i, _ in word):
+        raise InvalidInput(f"word {word} spells a letter outside the {size}-letter alphabet")
     if not alphabet.very_reduced([i for i, _ in word]):
         raise NotReduced(f"word {word} is empty or not very reduced")
     # the letters, then the spelled word, as one batch

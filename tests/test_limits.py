@@ -173,7 +173,7 @@ def _assert_batches_equal_letter_products(s, words=None):
     """Every word's mu/lambda, read from its batch, are bit-identical to the
     product_cartan/product_jordan of its letters: one accumulator."""
     elems = s.alphabet.elements
-    for batch, product in limits._batches(s, words):
+    for batch, product, _ in limits._batches(s, words):
         mu = lc.projections.product_projection(product, jordan=False)
         lam = lc.projections.product_projection(product, jordan=True)
         for row, word in enumerate(batch):
@@ -338,7 +338,7 @@ class TestCheckConvexity:
         # one drawn word, the conjugate g2 g1 g2^-1: its last letter undoes its
         # first, so no w^m w^m is very reduced
         s = _sampler(sl2_pair, kind="group", max_length=3, count=1, seed=8)
-        (word,) = [w for batch, _ in limits._batches(s) for w in batch]
+        (word,) = [w for batch, _, _ in limits._batches(s) for w in batch]
         assert not s.alphabet.very_reduced(word * 4)
         est = lc.estimate_cone(_sampler(sl2_pair, max_length=2))
         with pytest.raises(DegenerateSample, match="no admissible word pair"):
@@ -1094,6 +1094,60 @@ def _reference_draw(sampler):
     return words
 
 
+def _cancels(alphabet):
+    return [-1 if c is None else c for _, _, c in alphabet.letters]
+
+
+def _reference_canon(cancels, word):
+    """The least rotation of the word's cyclic core, by tuples: the end
+    letters dropped while they cancel, one letter kept, then every rotation."""
+    core = tuple(word)
+    while len(core) > 2 and core[-1] == cancels[core[0]]:
+        core = core[1:-1]
+    return min(core[i:] + core[:i] for i in range(len(core)))
+
+
+def _reference_representatives(cancels, words):
+    """Per word, the first of the shortest words of the list with its canon."""
+    canons = [_reference_canon(cancels, w) for w in words]
+    best = {}
+    for i, c in enumerate(canons):
+        if c not in best or len(words[i]) < len(words[best[c]]):
+            best[c] = i
+    return [best[c] for c in canons]
+
+
+def _mp_letters(mp, alphabet):
+    """The letters as exact matrices at the working precision of `mp` (mpmath).
+
+    A generator is its entries, or q diag(exp(s r)) q^T with q orthonormalised
+    at full precision when it is factored (its entries round away the small
+    singular values); an inverse letter is the generator's exact inverse, so
+    u v u^-1 is exactly a conjugate of v.
+    """
+    gens = {}
+    for j, _, _ in alphabet.letters:
+        g = alphabet.elements[j]
+        if g.factors is None:
+            gens[j] = mp.matrix(g.entries.tolist())
+        else:
+            q, r, power = g.factors
+            q = mp.qr(mp.matrix(q.tolist()))[0]
+            d = mp.diag([mp.exp(mp.mpf(power) * mp.mpf(x)) for x in r.tolist()])
+            gens[j] = q * d * q.T
+    return [gens[j] ** -1 if inverted else gens[j] for j, inverted, _ in alphabet.letters]
+
+
+def _mp_lambda(mp, letters, word):
+    """lambda of the word's product of `letters` (see `_mp_letters`)."""
+    m = letters[word[0]]
+    for i in word[1:]:
+        m = m * letters[i]
+    logs = sorted((mp.log(abs(e)) for e in mp.eig(m, left=False, right=False)), reverse=True)
+    mean = sum(logs) / len(logs)
+    return np.array([float(x - mean) for x in logs])
+
+
 def _reference_convexity(sampler, hull, trials, seed):
     """check_convexity's angular errors, one word and one readout at a time."""
     a = sampler.alphabet
@@ -1155,7 +1209,7 @@ class TestBatchedEngine:
         else:
             walked = _reference_walk(sampler.alphabet, sampler.max_length)
             assert words == sorted(walked, key=lambda w: (len(w), w))
-        batches = [batch for batch, _ in limits._batches(sampler)]
+        batches = [batch for batch, _, _ in limits._batches(sampler)]
         assert [w for batch in batches for w in batch] == words
         if sampler.strategy == "exhaustive":
             assert [{len(w) for w in b} for b in batches] == [
@@ -1164,7 +1218,7 @@ class TestBatchedEngine:
 
     def test_products_and_projections_equal_the_per_word_engine(self, sampler):
         a = sampler.alphabet
-        for batch, product in limits._batches(sampler):
+        for batch, product, _ in limits._batches(sampler):
             mu = lc.projections.product_projection(product, jordan=False)
             lam = lc.projections.product_projection(product, jordan=True)
             for row, word in enumerate(batch):
@@ -1178,7 +1232,7 @@ class TestBatchedEngine:
     def test_eigendata_equals_the_per_word_readout(self, sampler, backward):
         a = sampler.alphabet
         refused = 0
-        for batch, product in limits._batches(sampler):
+        for batch, product, _ in limits._batches(sampler):
             splits = [eigen_splittings(p)[backward] for p, _ in product]
             with np.errstate(divide="ignore"):
                 gaps = [np.abs(np.log(s.top) - np.log(s.second)) for s in splits]
@@ -1210,7 +1264,9 @@ class TestBatchedEngine:
         words = sampler.words()
         products = [_reference_accumulate(a, w) for w in words]
         mus = [_reference_projection(p, False) for p in products]
-        lams = [_reference_projection(p, True) for p in products]
+        # lambda of the word's class, read from its representative
+        reps = _reference_representatives(_cancels(a), words)
+        lams = [_reference_projection(products[r], True) for r in reps]
         gaps = [float(np.max(np.abs(m - l))) for m, l in zip(mus, lams)]
         est = lc.estimate_cone(sampler)
         assert est.per_word_mu_lambda_gap == tuple(gaps)
@@ -1307,6 +1363,166 @@ class TestBatchedEngine:
         calls["eig"] = 0
         lc.estimate_limit_set(s)
         assert 0 < calls["eig"] <= levels
+
+    def test_classes_equal_the_tuple_reference(self, sampler):
+        a = sampler.alphabet
+        words = sampler.words()
+        canons = []
+        for _, _, spelled in limits._batches(sampler):
+            lengths = np.count_nonzero(spelled >= 0, axis=1)
+            core, _, canon = limits._cyclic_classes(spelled, lengths, np.array(_cancels(a)))
+            canons += [tuple(c.tolist()) for c in np.split(canon, np.cumsum(core)[:-1])]
+        assert canons == [_reference_canon(_cancels(a), w) for w in words]
+        rep = limits._class_readout(sampler)[3].tolist()
+        assert rep == _reference_representatives(_cancels(a), words)
+        if sampler.strategy == "exhaustive":
+            # the least rotation of the core is enumerated, no later than the word
+            assert all(r <= i and words[r] == c for i, (r, c) in enumerate(zip(rep, canons)))
+
+    def test_class_members_read_their_representatives_lambda(self, sampler):
+        a = sampler.alphabet
+        words = sampler.words()
+        _, _, lam, rep = limits._class_readout(sampler)
+        assert (rep < np.arange(len(rep))).any()  # every sampler has classes of two words
+        for i, r in enumerate(rep.tolist()):
+            assert lam[i].tobytes() == lam[r].tobytes()
+        for r in sorted(set(rep.tolist())):
+            want = _reference_projection(_reference_accumulate(a, words[r]), True)
+            assert np.array_equal(lam[r], want)
+
+    @pytest.mark.parametrize("estimate", [lc.estimate_cone, lc.compare_mu_lambda])
+    def test_eigvals_reads_the_representatives_alone(self, forged_sl4, estimate, monkeypatch):
+        s = _sampler(forged_sl4.generators, max_length=4)
+        words = s.words()
+        reps = sorted(set(_reference_representatives(_cancels(s.alphabet), words)))
+        seen = []
+        eigvals = np.linalg.eigvals
+
+        def capture(a):
+            seen.append(np.array(a))
+            return eigvals(a)
+
+        monkeypatch.setattr(np.linalg, "eigvals", capture)
+        estimate(s)
+        # one call per level and degree, in degree order
+        assert len(seen) == s.max_length * (s.n - 1)
+        assert sum(len(p) for p in seen[:: s.n - 1]) == len(reps) < len(words)
+        for k in range(s.n - 1):
+            want = [_reference_accumulate(s.alphabet, words[r])[k][0] for r in reps]
+            assert np.array_equal(np.concatenate(seen[k :: s.n - 1]), np.stack(want))
+
+    @pytest.mark.parametrize("system", ["sl2-group", "forged-sl3-group"])
+    def test_conjugated_group_words_match_mpmath(self, system, sl2_pair, forge_cone):
+        mp = pytest.importorskip("mpmath")
+        if system == "sl2-group":
+            s = _sampler(sl2_pair, kind="group", max_length=7)
+        else:
+            gens = lc.forge_group(3, forge_cone, 0.05, seed=2).generators
+            s = _sampler(gens, kind="group", max_length=6)
+        a = s.alphabet
+        words = s.words()
+        _, _, lam, _ = limits._class_readout(s)
+        conjugated = [i for i, w in enumerate(words) if len(_reference_canon(_cancels(a), w)) < len(w)]
+        assert len(conjugated) > 300
+        with mp.workdps(200):
+            letters = _mp_letters(mp, a)
+            for i in conjugated:
+                want = _mp_lambda(mp, letters, words[i])
+                assert np.max(np.abs(lam[i] - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+def _sym2(m):
+    """The symmetric square of a 2 x 2 matrix, in an orthonormal basis."""
+    p = np.zeros((4, 3))
+    p[0, 0] = p[3, 2] = 1.0
+    p[1, 1] = p[2, 1] = np.sqrt(0.5)
+    return p.T @ np.kron(m, m) @ p
+
+
+class TestClassMap:
+    """`_cyclic_classes` against the tuple reference on words of any shape."""
+
+    @staticmethod
+    def _corpus(rng, cancels, count, longest):
+        size = len(cancels)
+        words = [tuple(rng.integers(0, size, size=int(l)).tolist())
+                 for l in rng.integers(1, longest + 1, size=count)]
+        # powers and conjugates of a few short words give ties and stripped ends
+        for w in words[:20]:
+            block = w[: 1 + len(w) % 3]
+            words.append(block * (1 + len(w) % 5))
+            if cancels[0] >= 0:
+                words.append((0,) + w + (cancels[0],))
+        return words
+
+    @pytest.mark.parametrize("cancels, longest", [
+        ([-1], 90),  # one letter
+        ([-1, -1], 200),  # spans past 32: the keys are ranked
+        ([2, 3, 0, 1], 60),  # a group of two generators, unreduced words too
+        ([3, 4, 5, 0, 1, 2], 25),
+        ([-1] * 100_000, 12),  # ranked before the pairing to span 4
+    ])
+    def test_canons_and_keys_equal_the_reference(self, cancels, longest):
+        rng = np.random.default_rng(len(cancels) + longest)
+        words = self._corpus(rng, cancels, 300, longest)
+        lengths = np.array([len(w) for w in words])
+        core, key, canon = limits._cyclic_classes(limits._spell(words), lengths, np.array(cancels))
+        want = [_reference_canon(cancels, w) for w in words]
+        assert [tuple(c.tolist()) for c in np.split(canon, np.cumsum(core)[:-1])] == want
+        assert core.tolist() == [len(c) for c in want]
+        # equal (core, key) exactly when the least rotations are equal
+        classes = {}
+        for c, k, w in zip(core.tolist(), key.tolist(), want):
+            assert classes.setdefault((c, k), w) == w
+        assert len(classes) == len(set(want))
+
+    def test_first_shortest_is_the_list_rule(self):
+        cancels = [2, 3, 0, 1]
+        rng = np.random.default_rng(5)
+        words = self._corpus(rng, cancels, 400, 8)
+        lengths = np.array([len(w) for w in words])
+        core, key, _ = limits._cyclic_classes(limits._spell(words), lengths, np.array(cancels))
+        rep = limits._first_shortest(core, key, lengths)
+        assert rep.tolist() == _reference_representatives(cancels, words)
+
+
+class TestGroupCones:
+    def test_symmetric_square_pair_is_one_ray(self, sl2_pair):
+        gens = [lc.GroupElement.from_matrix(_sym2(g.entries)) for g in sl2_pair]
+        est = lc.estimate_cone(_sampler(gens, kind="group", max_length=6))
+        # the chamber of SL(3) is 2-D, but sym^2 of SL(2) has a one-ray cone
+        assert est.hull_dim == 1
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_forged_sl3_groups_recover_their_iota_stable_target(self, forge_cone, seed):
+        gens = lc.forge_group(3, forge_cone, 0.05, seed=seed).generators
+        est = lc.estimate_cone(_sampler(gens, kind="group", max_length=6))
+        hull = np.stack([r.coords for r in est.hull_rays])
+        targets = forge_cone.rays_matrix()
+        angles = np.degrees(np.arccos(np.clip(hull @ targets.T, -1.0, 1.0)))
+        assert angles.min(axis=1).max() <= 2.0 and angles.min(axis=0).max() <= 2.0
+        assert lc.cones.cone_distance(-hull[:, ::-1], hull).max() <= 1e-12
+
+    def test_a_list_keeps_every_words_directions(self, forge_cone):
+        # reversed, the list puts conjugates before the shortest word of
+        # their class, which is their representative
+        gens = lc.forge_group(3, forge_cone, 0.05, seed=0).generators
+        s = _sampler(gens, kind="group", max_length=4)
+        a = s.alphabet
+        words = s.words()[::-1]
+        products = [_reference_accumulate(a, w) for w in words]
+        reps = _reference_representatives(_cancels(a), words)
+        assert any(r > i for i, r in enumerate(reps))
+        lams = [_reference_projection(products[r], True) for r in reps]
+        dirs = [
+            l / np.linalg.norm(l)
+            for l, w in zip(lams, words)
+            if np.linalg.norm(l) > 1e-9 * max(1.0, float(len(w)))
+        ]
+        est = lc.estimate_cone(s, words=words)
+        assert np.array_equal(
+            np.stack([d.coords for d in est.directions]), limits._distinct_rows(dirs, 1e-12)
+        )
 
 
 class TestConvexityReadsTheBatch:
@@ -1413,6 +1629,11 @@ class TestDrawnWordsAndRaggedBatches:
         for (p, ls), (wp, wls) in zip(product, want):
             assert p.shape == wp.shape and ls.shape == wls.shape == (0,)
             assert p.dtype == wp.dtype and ls.dtype == wls.dtype
+
+    def test_a_negative_letter_is_refused(self, alphabet):
+        # the spelled array marks a word's end with -1
+        with pytest.raises(InvalidInput, match="indices from 0"):
+            alphabet.accumulate([(0, 1), (1, -1)])
 
 
 ESTIMATORS = [lc.estimate_cone, lc.estimate_limit_set, lc.compare_mu_lambda, lc.estimate_facets]

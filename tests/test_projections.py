@@ -63,6 +63,19 @@ class TestChamberVector:
         a[0] = 5.0
         assert v.coords.tolist() == [1.0, 0.0, -1.0] and not v.coords.flags.writeable
 
+    # numpy refuses these with a raw ValueError while building the array
+    def test_from_coords_refuses_a_ragged_vector(self):
+        with pytest.raises(InvalidInput, match="regular array of numbers"):
+            lc.ChamberVector.from_coords([1.0, [0.0, -1.0]])
+
+    def test_from_rows_refuses_ragged_rows(self):
+        with pytest.raises(InvalidInput, match="regular array of numbers"):
+            lc.ChamberVector.from_rows([[1.0, -1.0], [0.0]])
+
+    def test_from_coords_refuses_non_numbers(self):
+        with pytest.raises(InvalidInput, match="regular array of numbers"):
+            lc.ChamberVector.from_coords(["a", "b"])
+
 
 def _chamber_stack(rng, count, n):
     """`count` random chamber rows of dimension n, each sorted and centred."""

@@ -134,6 +134,12 @@ class TestWordLyapunovEstimate:
         lam, _ = lc.word_lyapunov_estimate(sl2_group, [(0, 1), (1, 1), (0, 1)])
         assert lam.coords[0] > 0.0
 
+    @pytest.mark.parametrize("word", [[(-1, 1)], [(0, 1), (-2, 1)], [(4, 1)]])
+    def test_letters_outside_the_alphabet_are_refused(self, sl2_group, word):
+        # a negative index read the letter counted from the end
+        with pytest.raises(InvalidInput, match="outside the 4-letter alphabet"):
+            lc.word_lyapunov_estimate(sl2_group, word)
+
     @pytest.mark.parametrize("name", ["sl2_group", "forged_semigroup"])
     def test_one_batch_equals_one_product_per_letter(self, request, name):
         # the letters and the spelled word are read in one batch, to the bits

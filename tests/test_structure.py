@@ -321,6 +321,21 @@ def test_check_convexity_reads_only_the_words_it_draws():
     assert "_batches" not in called
 
 
+def test_the_cone_and_compare_share_one_lambda_readout():
+    # mu and lambda of the sampled words are read in `_class_readout` alone,
+    # which reads lambda once per conjugacy class
+    tree = ast.parse((ROOT / "src" / "limitcone" / "limits.py").read_text())
+    functions = dict(_qualified_functions(tree))
+    for name in ("estimate_cone", "compare_mu_lambda"):
+        called = {
+            call.func.id
+            for call in ast.walk(functions[name])
+            if isinstance(call, ast.Call) and isinstance(call.func, ast.Name)
+        }
+        assert "_class_readout" in called
+        assert not called & {"_batches", "product_projection"}
+
+
 def test_the_separation_factor_is_written_once():
     # the Schottky condition's 6 (times epsilon) is proximality.SEPARATION_FACTOR
     sixes = [
