@@ -16,8 +16,21 @@ The cone and the mu/lambda comparison share one readout (`_class_readout`),
 which reads lambda once per conjugacy class, lambda(u v u^-1) = lambda(v):
 from the class's shortest word, which is, for enumerated words, the least
 rotation of the word's cyclic core.  Every other word copies that row, which
-also spares a conjugated group word its ill-conditioned `eig`.  mu, and the
-flags of the limit set and the facets, are read per word.
+also spares a conjugated group word its ill-conditioned `eig`.  mu is read
+per word.
+
+The forward limit set reads attracting flags once per class too.  Let R be
+a word's class representative and p its lead prefix (`_classes`): for the
+word w = u v u^-1 with core v = a b and R = b a, p = u a.  Then w p = p R,
+since u^-1 u cancels: w p = u a b a = p R.  So for every eigenvector y of
+R's k-th compound, P_p y is an eigenvector of w's for the same eigenvalue
+(w P_p y = P_p R y), and x+(w) = P_p x+(R) at every degree, in semigroups
+and groups alike; w's moduli are R's.  `eig` reads the representatives,
+and every other word's forward vector is one matvec by its prefix's
+product.  The backward side is not carried: in a semigroup x-(R) lies near
+the repelling point of p's last letter, which P_p contracts, so the carried
+vector keeps few correct digits.  The backward side, and the facets, are
+read from each word's own `eig`.
 Directions and points are deduplicated by one greedy kernel over a sorted-key
 window (`_greedy_distinct`), which keeps a row alone in its window without
 touching an array; the cone's kept directions are one checked stack
@@ -47,7 +60,7 @@ from .projections import (
     product_projection,
     take_words,
 )
-from .proximality import eigen_splittings, repelling_covectors
+from .proximality import Splitting, eigen_splittings, repelling_covectors
 
 WORD_BUDGET = 10**6
 MERGE_TOL = 1e-9
@@ -260,6 +273,11 @@ def _spell(words) -> np.ndarray:
     return spelled
 
 
+def _enumerated(sampler: WordSampler, words) -> bool:
+    """Whether the words are the sampler's enumeration, one batch per length."""
+    return words is None and not sampler.count
+
+
 def _batches(sampler: WordSampler, words=None):
     """The words as batches (words, accumulated product, spelled), in order.
 
@@ -272,7 +290,7 @@ def _batches(sampler: WordSampler, words=None):
     `Alphabet.accumulate`.
     """
     alphabet = sampler.alphabet
-    if words is None and not sampler.count:
+    if _enumerated(sampler, words):
         _check_budget(sampler.expected_word_count())
         product, powers = empty_product(sampler.n), alphabet._letter_powers()
         spelled = np.zeros((1, 0), dtype=int)
@@ -286,48 +304,58 @@ def _batches(sampler: WordSampler, words=None):
     yield words, alphabet.accumulate(spelled), spelled
 
 
-def _cyclic_classes(spelled, lengths, cancels) -> tuple:
-    """Per word of `spelled` (see `_spell`), of `lengths` letters: (core, key,
-    canon), its conjugacy class.
+def _core_starts(spelled, lengths, cancels) -> np.ndarray:
+    """Per word of `spelled` (see `_spell`), of `lengths` letters, the number
+    of letters its cyclic core drops from each end.
 
-    `cancels[i]` is the letter that cancels letter i, or -1.  A word's cyclic
-    core drops the letters at both ends that cancel each other, while one
-    letter stays between them: u v u^-1 gives v, a conjugate.  Rotating the
-    core conjugates it again, so two words whose cores have equal least
-    rotations are conjugate in any group; among the reduced words of a free
-    (semi)group they are conjugate exactly then.  `core` holds the cores'
-    lengths and `canon` their least rotations, concatenated in row order; two
-    words have equal least rotations when they have equal `core` and `key`.
+    `cancels[i]` is the letter that cancels letter i, or -1.  The core drops
+    the letters at both ends that cancel each other, while one letter stays
+    between them: u v u^-1 gives v, a conjugate.
+    """
+    if not (cancels >= 0).any():
+        return np.zeros(len(spelled), dtype=int)
+    # at most (width - 1) // 2 letters go from each end
+    cols = np.arange((spelled.shape[1] - 1) // 2)
+    mirror = np.take_along_axis(spelled, np.maximum(lengths[:, None] - 1 - cols, 0), axis=1)
+    # letter p cancels letter length - 1 - p, with a letter left between them
+    ends = (cancels[spelled[:, : len(cols)]] == mirror) & (2 * cols + 2 < lengths[:, None])
+    return np.logical_and.accumulate(ends, axis=1).sum(axis=1)
 
-    Every rotation of every core is ranked at once by doubling: after the
+
+def _segments(spelled, start, length) -> np.ndarray:
+    """Row i's `length[i]` letters from position `start[i]`, concatenated in row order."""
+    first = np.cumsum(length) - length
+    pos = np.arange(int(length.sum())) - np.repeat(first, length)
+    head = np.arange(len(spelled)) * spelled.shape[1] + start
+    return spelled.ravel()[np.repeat(head, length) + pos]
+
+
+def _least_rotations(letters, core, size) -> tuple:
+    """(key, shift, canon) of the words of `core` letters each, concatenated
+    in `letters` over an alphabet of `size` letters.
+
+    Per word, `shift` is the first position from which its rotation is its
+    least, and `canon` holds the least rotations, concatenated; two words
+    have equal least rotations when they have equal lengths and `key`s.
+
+    Every rotation of every word is ranked at once by doubling: after the
     step of span m, a position's key orders the m letters read cyclically
     from it, and the pair (key at p, key at p + m) orders the 2m letters.
     A key below `bound` is paired as two base-`bound` digits while bound**2
     fits int64 (over two letters, up to span 32), and the keys are replaced
     by their ranks among themselves before a pairing would overflow, so no
     code overflows, whatever the alphabet and the lengths.  Once m reaches
-    the longest core, two positions of one core have equal keys only when
-    their rotations are equal, and a core's least key marks its least
+    the longest word, two positions of one word have equal keys only when
+    their rotations are equal, and a word's least key marks its least
     rotation.  Memory is O(letters) and the work O(letters * log(longest
-    core)).
+    word)).
     """
-    n_words, width = spelled.shape
-    start = np.zeros(n_words, dtype=int)
-    if (cancels >= 0).any():
-        # at most (width - 1) // 2 letters go from each end
-        cols = np.arange((width - 1) // 2)
-        mirror = np.take_along_axis(spelled, np.maximum(lengths[:, None] - 1 - cols, 0), axis=1)
-        # letter p cancels letter length - 1 - p, with a letter left between them
-        ends = (cancels[spelled[:, : len(cols)]] == mirror) & (2 * cols + 2 < lengths[:, None])
-        start = np.logical_and.accumulate(ends, axis=1).sum(axis=1)
-    core = lengths - 2 * start
-    first = np.cumsum(core) - core  # each core's first position
+    first = np.cumsum(core) - core  # each word's first position
     head, wrap = np.repeat(first, core), np.repeat(core, core)
     pos = np.arange(head.size) - head
-    letters = spelled.ravel()[np.repeat(np.arange(n_words) * width + start, core) + pos]
-    # the position `span` letters on, cyclically within the core
+    # the position `span` letters on, cyclically within the word
     succ = head + (pos + 1) % wrap
-    key, bound, span = letters, len(cancels), 1
+    key, bound, span = letters, size, 1
     # with one possible key, every rotation reads the same
     while span < core.max() and bound > 1:
         if bound > _INT64_MAX // bound:
@@ -336,21 +364,42 @@ def _cyclic_classes(spelled, lengths, cancels) -> tuple:
         key = key * bound + key[succ]
         bound, span, succ = bound * bound, 2 * span, succ[succ]
     least = np.minimum.reduceat(key, first)
-    # the least rotation starts at any position holding its core's least key
-    shift = np.minimum.reduceat(np.where(key == np.repeat(least, core), pos, width), first)
+    # the least rotation starts at any position holding its word's least key
+    shift = np.minimum.reduceat(np.where(key == np.repeat(least, core), pos, core.max()), first)
     canon = letters[head + (pos + np.repeat(shift, core)) % wrap]
-    return core, least, canon
+    return least, shift, canon
+
+
+def _cyclic_classes(spelled, lengths, cancels) -> tuple:
+    """Per word of `spelled` (see `_spell`), of `lengths` letters: (core, key,
+    canon, lead), its conjugacy class.
+
+    `cancels[i]` is the letter that cancels letter i, or -1.  A word's cyclic
+    core (`_core_starts`) is a conjugate of it, and so is every rotation of
+    the core, so two words whose cores have equal least rotations are
+    conjugate in any group; among the reduced words of a free (semi)group
+    they are conjugate exactly then.  `core` holds the cores' lengths and
+    `canon` their least rotations (`_least_rotations`), concatenated in row
+    order; two words have equal least rotations when they have equal `core`
+    and `key`.  `lead` is the length of the prefix p that ends where the
+    least rotation R of the core starts: the word w is u v u^-1 with v = a b
+    and R = b a, p = u a, and w p = u a b a = p R.
+    """
+    start = _core_starts(spelled, lengths, cancels)
+    core = lengths - 2 * start
+    key, shift, canon = _least_rotations(_segments(spelled, start, core), core, len(cancels))
+    return core, key, canon, start + shift
 
 
 def _level_rows(core, canon, cancels, starts) -> np.ndarray:
-    """Per word, the row of its class's least rotation among the enumerated words.
+    """Per reduced word, its row among the enumerated words.
 
-    `canon` (see `_cyclic_classes`) holds reduced words, each at row
-    `starts[len - 1]` plus its rank in lex order among the reduced words of
-    its length: at each position, the letters below it that may follow the
-    previous letter, times the number of ways to finish the word.  Every
-    term is below the level's word count, which the budget bounds, so the
-    sum is exact.
+    `canon` holds reduced words of `core` letters each, concatenated.  A
+    word is at row `starts[len - 1]` plus its rank in lex order among the
+    reduced words of its length: at each position, the letters below it
+    that may follow the previous letter, times the number of ways to finish
+    the word.  Every term is below the level's word count, which the budget
+    bounds, so the sum is exact.
     """
     group = bool((cancels >= 0).any())
     base = len(cancels) - group
@@ -376,41 +425,67 @@ def _first_shortest(core, key, lengths) -> np.ndarray:
     return rep
 
 
+def _cancels(alphabet) -> np.ndarray:
+    """Per letter, the letter that cancels it, or -1 in a semigroup."""
+    return np.array([-1 if c is None else c for _, _, c in alphabet.letters])
+
+
+def _classes(sampler: WordSampler, words=None):
+    """Per batch of `_batches`: (words, product, spelled, rep, lead), the
+    class map of its words.
+
+    `rep` is per word the row of its class's representative: the class's
+    shortest word in the list, the first one when several are that short.
+    For enumerated words that is the least rotation R of the word's cyclic
+    core, which is enumerated at or before the word, in length-then-lex
+    order (`_level_rows`); in a drawn or supplied list it is a list member
+    (`_first_shortest`).  `lead` is per word the length of the prefix p that
+    carries the representative r's flags to the word w, w p = p r (see the
+    module docstring): 0 for r itself, and -1 where r is not cyclically
+    reduced, which happens only in a list none of whose class members is.
+    """
+    cancels = _cancels(sampler.alphabet)
+    if not _enumerated(sampler, words):
+        ((batch, product, spelled),) = _batches(sampler, words)
+        length = np.count_nonzero(spelled >= 0, axis=1)
+        core, key, _, lead = _cyclic_classes(spelled, length, cancels)
+        rep = _first_shortest(core, key, length)
+        start = (length - core) // 2
+        # r = rot(v, m) with m = (shift of w - shift of r) mod |v|, and
+        # w (u v[:m]) = u v v[:m] = (u v[:m]) r
+        lead = np.where(core[rep] == length[rep], start + (lead - start - lead[rep]) % core, -1)
+        yield batch, product, spelled, rep, lead
+        return
+    # per enumerated level, the row of its first word
+    starts, lo = np.zeros(sampler.max_length, dtype=int), 0
+    for batch, product, spelled in _batches(sampler):
+        width = spelled.shape[1]
+        starts[width - 1] = lo
+        core, _, canon, lead = _cyclic_classes(spelled, np.full(len(batch), width), cancels)
+        yield batch, product, spelled, _level_rows(core, canon, cancels, starts), lead
+        lo += len(batch)
+
+
 def _class_readout(sampler: WordSampler, words=None) -> tuple:
     """(lengths, mu, lam, rep): per word, in order, its length, its Cartan
     and Jordan projections, and the row of its class's representative.
 
     lambda is a class function, lambda(u v u^-1) = lambda(v), so it is read
-    once per conjugacy class (see `_cyclic_classes`), from the class's
-    representative: its shortest word in the list, the first one when
-    several are that short.  For enumerated words that is the least rotation
-    of the word's cyclic core, which is enumerated at or before the word, in
-    length-then-lex order (`_level_rows`); in a drawn or supplied list it is
-    a list member (`_first_shortest`).  `eigvals` reads the representatives'
-    products only, and every other row copies its representative's lambda
-    row.  mu is read per word: it is not a class function.
+    once per conjugacy class, from the representative of `_classes`:
+    `eigvals` reads the representatives' products only, and every other row
+    copies its representative's lambda row.  mu is read per word: it is not
+    a class function.
     """
-    cancels = np.array([-1 if c is None else c for _, _, c in sampler.alphabet.letters])
-    enumerated = words is None and not sampler.count
-    # per enumerated level, the row of its first word
-    starts, rows = np.zeros(sampler.max_length, dtype=int), 0
-    lengths, mus, lams, reps = [], [], [], []
-    for batch, product, spelled in _batches(sampler, words):
-        length = np.count_nonzero(spelled >= 0, axis=1)
-        core, key, canon = _cyclic_classes(spelled, length, cancels)
-        if enumerated:
-            starts[spelled.shape[1] - 1] = rows
-            rep = _level_rows(core, canon, cancels, starts)
-        else:
-            rep = _first_shortest(core, key, length)  # the one batch
-        own = rep == np.arange(rows, rows + len(batch))
+    lengths, mus, lams, reps, lo = [], [], [], [], 0
+    for batch, product, spelled, rep, _ in _classes(sampler, words):
+        own = rep == np.arange(lo, lo + len(batch))
         lam = np.zeros((len(batch), sampler.n))
         lam[own] = product_projection(take_words(product, own), jordan=True)
         mus.append(product_projection(product, jordan=False))
-        lengths.append(length)
+        lengths.append(np.count_nonzero(spelled >= 0, axis=1))
         lams.append(lam)
         reps.append(rep)
-        rows += len(batch)
+        lo += len(batch)
     rep = np.concatenate(reps)
     return np.concatenate(lengths), np.concatenate(mus), np.concatenate(lams)[rep], rep
 
@@ -609,6 +684,9 @@ class LimitSetSample:
     depth: int
 
     def cloud(self, k: int):
+        """The points of degree k, for k = 1..n-1."""
+        if not (isinstance(k, (int, np.integer)) and 1 <= k <= len(self.points)):
+            raise InvalidInput(f"degree {k!r} is outside 1..{len(self.points)}")
         return self.points[k - 1]
 
 
@@ -640,36 +718,130 @@ def _merge_points(vectors) -> tuple:
     return tuple(ProjectivePoint(rep=reps[k]) for k in _greedy_distinct(reps, MERGE_TOL, merges))
 
 
-def _flag_readout(sampler: WordSampler, words=None):
-    """Per batch of `_batches`: (words, product, (forward, backward), kept).
+def _prefix_products(alphabet, spelled, lead, levels) -> list:
+    """Per degree, the (m, d, d) stack of the rows' first `lead` letters'
+    products (`lead` >= 1).
 
-    Each side is one `eigen_splittings` Splitting per degree.  `kept` is, per
-    side, the one keep rule: the rows proximal at every degree, with a
-    positive runner-up modulus and a log gap above DEFAULT_PROXIMALITY_FILTER."""
-    for batch, product, _ in _batches(sampler, words):
-        sides = tuple(zip(*(eigen_splittings(p) for p, _ in product)))
+    Enumerated words' prefixes are enumerated words: each is read off its
+    level's product, kept in `levels`, at its lex rank (`_level_rows`).  A
+    word list's prefixes, with `levels` None, are one `Alphabet.accumulate`.
+    A row's bits do not depend on its batch, so both give the same bits.
+    """
+    if levels is None:
+        width = int(lead.max())
+        return [p for p, _ in alphabet.accumulate(
+            np.where(np.arange(width) < lead[:, None], spelled[:, :width], -1)
+        )]
+    cancels = _cancels(alphabet)
+    rank = _level_rows(lead, _segments(spelled, np.zeros_like(lead), lead), cancels,
+                       np.zeros(len(levels), dtype=int))
+    out = [np.empty((len(lead),) + p.shape[1:]) for p, _ in levels[0]]
+    for length in np.unique(lead).tolist():
+        at = lead == length
+        for q, (p, _) in zip(out, levels[length - 1]):
+            q[at] = p[rank[at]]
+    return out
+
+
+def _carried_forward(sampler: WordSampler, words=None):
+    """Per batch of `_classes`: (words, product, forward), the forward
+    Splitting per degree of every word, read once per class.
+
+    `eigen_splittings` reads the products of the words that are their own
+    representative, or whose representative is not cyclically reduced.
+    Every other word w takes its representative r's eigenvalue and moduli,
+    class functions, and r's forward vector carried by its lead prefix's
+    product, P_p x+(r), one batched matvec per degree; a lead of 0, a
+    repeat of r in a list, copies r's vector.
+    """
+    alphabet = sampler.alphabet
+    levels = [] if _enumerated(sampler, words) else None
+    table, lo = None, 0
+    for batch, product, spelled, rep, lead in _classes(sampler, words):
+        hi = lo + len(batch)
+        own = (rep == np.arange(lo, hi)) | (lead < 0)
+        read = [eigen_splittings(p[own])[0] for p, _ in product]
+        if table is None:
+            # one row per word of the readout: reps may lie in an earlier batch
+            total = len(batch) if levels is None else sampler.expected_word_count()
+            table = [
+                Splitting(np.empty(total, complex), np.empty(total), np.empty(total),
+                          np.empty((total,) + s.vectors.shape[1:]), np.empty(total, bool))
+                for s in read
+            ]
+        carried = np.flatnonzero(~own)
+        moved = carried[lead[carried] > 0]
+        prefix = []
+        if moved.size:
+            prefix = _prefix_products(alphabet, spelled[moved], lead[moved], levels)
+        for t, s in zip(table, read):
+            for f, v in zip(t, s):
+                f[lo:hi][own] = v
+            for f in t:
+                f[lo + carried] = f[rep[carried]]
+        for t, q in zip(table, prefix):
+            t.vectors[lo + moved] = (q @ t.vectors[rep[moved], :, None])[:, :, 0]
+        yield batch, product, tuple(Splitting(*(f[lo:hi] for f in t)) for t in table)
+        if levels is not None:
+            levels.append(product)
+        lo = hi
+
+
+def _flag_readout(sampler: WordSampler, words=None, side=None):
+    """Per batch of `_batches`: (words, product, sides, kept).
+
+    `sides` holds one Splitting per degree for the side asked, "forward" or
+    "backward", or, with `side` None, for the forward and the backward side.
+    `kept` is, per side, the one keep rule: the rows proximal at every
+    degree, with a positive runner-up modulus and a log gap above
+    DEFAULT_PROXIMALITY_FILTER.
+
+    The forward side asked alone is read once per conjugacy class
+    (`_carried_forward`): its moduli, and so its keep rule, are its class
+    representative's, and its vector is the representative's carried by
+    the word's lead prefix.  The backward side, and both sides read
+    together, as the facets read them, come from each word's own `eig`:
+    in a semigroup the representative's backward point lies near the
+    repelling point of the prefix's last letter, where the prefix's product
+    contracts, so carrying it would lose the digits the carried vector
+    needs.
+    """
+    if side == "forward":
+        batches = ((b, p, (s,)) for b, p, s in _carried_forward(sampler, words))
+    else:
+        batches = (
+            (batch, product, tuple(zip(*(eigen_splittings(p) for p, _ in product))))
+            for batch, product, _ in _batches(sampler, words)
+        )
+    for batch, product, sides in batches:
+        if side == "backward":
+            sides = sides[1:]
         with np.errstate(divide="ignore"):
             # a vanishing runner-up modulus has no finite log gap
             kept = [
                 np.logical_and.reduce([
                     s.proximal & (s.second > 0.0)
                     & (np.abs(np.log(s.top) - np.log(s.second)) > DEFAULT_PROXIMALITY_FILTER)
-                    for s in side
+                    for s in splits
                 ])
-                for side in sides
+                for splits in sides
             ]
         yield batch, product, sides, kept
 
 
 def estimate_limit_set(sampler: WordSampler, side: str = "forward", words=None) -> LimitSetSample:
-    """Attracting points (per degree) of the sampled words `_flag_readout` keeps on `side`."""
+    """Attracting points (per degree) of the sampled words `_flag_readout` keeps on `side`.
+
+    The forward points are read once per conjugacy class and carried to
+    the class's other words by their lead prefixes (see the module
+    docstring); the backward points are read per word.
+    """
     if side not in ("forward", "backward"):
         raise InvalidInput(f"unknown side {side!r}")
-    backward = side == "backward"
     clouds = [[] for _ in range(sampler.n - 1)]
-    for _, _, sides, kept in _flag_readout(sampler, words):
-        for cloud, s in zip(clouds, sides[backward]):
-            cloud.append(s.vectors[kept[backward]])
+    for _, _, (splits,), (kept,) in _flag_readout(sampler, words, side):
+        for cloud, s in zip(clouds, splits):
+            cloud.append(s.vectors[kept])
     clouds = [np.concatenate(c) for c in clouds]
     if not len(clouds[0]):
         raise DegenerateSample("no sampled word passed the proximality filter")

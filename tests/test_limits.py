@@ -473,6 +473,13 @@ class TestEstimateLimitSet:
         )
         assert worst <= 0.05
 
+    @pytest.mark.parametrize("k", [0, -1, 3])
+    def test_a_degree_outside_the_clouds_is_refused(self, k):
+        # n = 3 has clouds of degrees 1 and 2; k - 1 once read another degree's
+        s = _sampler([lc.GroupElement.from_matrix(np.diag([10.0, 1.0, 0.1]))], max_length=2)
+        with pytest.raises(InvalidInput):
+            lc.estimate_limit_set(s).cloud(k)
+
     def test_invalid_side(self, sl2_pair):
         with pytest.raises(InvalidInput):
             lc.estimate_limit_set(_sampler(sl2_pair), side="sideways")
@@ -1098,13 +1105,46 @@ def _cancels(alphabet):
     return [-1 if c is None else c for _, _, c in alphabet.letters]
 
 
-def _reference_canon(cancels, word):
-    """The least rotation of the word's cyclic core, by tuples: the end
-    letters dropped while they cancel, one letter kept, then every rotation."""
-    core = tuple(word)
+def _reference_core(cancels, word):
+    """(start, core): the word's cyclic core, by tuples, the end letters
+    dropped while they cancel, one letter kept, and how many went from each end."""
+    core, start = tuple(word), 0
     while len(core) > 2 and core[-1] == cancels[core[0]]:
-        core = core[1:-1]
+        core, start = core[1:-1], start + 1
+    return start, core
+
+
+def _reference_canon(cancels, word):
+    """The least rotation of the word's cyclic core, from every rotation."""
+    core = _reference_core(cancels, word)[1]
     return min(core[i:] + core[:i] for i in range(len(core)))
+
+
+def _reference_lead(cancels, word, rep):
+    """The length of the prefix p with w p = p r, of the word w and its
+    cyclically reduced representative r: the core's letters up to the first
+    place its rotation is r, after the letters the core drops in front.
+    None when r is not cyclically reduced."""
+    if len(_reference_core(cancels, rep)[1]) < len(rep):
+        return None
+    start, core = _reference_core(cancels, word)
+    canon = _reference_canon(cancels, word)
+
+    def shift(v):
+        return min(i for i in range(len(v)) if v[i:] + v[:i] == canon)
+
+    return start + (shift(core) - shift(rep)) % len(core)
+
+
+def _free_reduction(cancels, word):
+    """The letters left once every letter next to the one that cancels it is dropped."""
+    out = []
+    for i in word:
+        if out and cancels[out[-1]] == i:
+            out.pop()
+        else:
+            out.append(i)
+    return tuple(out)
 
 
 def _reference_representatives(cancels, words):
@@ -1146,6 +1186,15 @@ def _mp_lambda(mp, letters, word):
     logs = sorted((mp.log(abs(e)) for e in mp.eig(m, left=False, right=False)), reverse=True)
     mean = sum(logs) / len(logs)
     return np.array([float(x - mean) for x in logs])
+
+
+def _reference_carried(alphabet, data, word, lead):
+    """Per degree (log gap, vector) of the representative's `data`, its
+    vectors carried by the product of the word's first `lead` letters."""
+    if data is None or not lead:
+        return data
+    prefix = _reference_accumulate(alphabet, word[:lead])
+    return [(gap, p @ vec) for (gap, vec), (p, _) in zip(data, prefix)]
 
 
 def _reference_convexity(sampler, hull, trials, seed):
@@ -1286,6 +1335,16 @@ class TestBatchedEngine:
         assert lc.compare_mu_lambda(sampler) == by_length
         for side in ("forward", "backward"):
             data = [_reference_eigdata(p, side == "backward") for p in products]
+            if side == "forward":
+                # a word's forward flag is its representative's, carried by
+                # the product of its lead prefix, with the representative's
+                # gaps; a word whose representative is not cyclically
+                # reduced reads its own
+                leads = [_reference_lead(_cancels(a), w, words[r]) for w, r in zip(words, reps)]
+                data = [
+                    data[i] if t is None else _reference_carried(a, data[r], words[i], t)
+                    for i, (r, t) in enumerate(zip(reps, leads))
+                ]
             kept = [d for d in data if d is not None and all(g > 1e-6 for g, _ in d)]
             sample = lc.estimate_limit_set(sampler, side=side)
             for k, cloud in enumerate(sample.points):
@@ -1370,7 +1429,7 @@ class TestBatchedEngine:
         canons = []
         for _, _, spelled in limits._batches(sampler):
             lengths = np.count_nonzero(spelled >= 0, axis=1)
-            core, _, canon = limits._cyclic_classes(spelled, lengths, np.array(_cancels(a)))
+            core, _, canon, _ = limits._cyclic_classes(spelled, lengths, np.array(_cancels(a)))
             canons += [tuple(c.tolist()) for c in np.split(canon, np.cumsum(core)[:-1])]
         assert canons == [_reference_canon(_cancels(a), w) for w in words]
         rep = limits._class_readout(sampler)[3].tolist()
@@ -1430,6 +1489,91 @@ class TestBatchedEngine:
                 want = _mp_lambda(mp, letters, words[i])
                 assert np.max(np.abs(lam[i] - want)) <= 1e-12 * np.max(np.abs(want))
 
+    @pytest.mark.parametrize("system", ["sl2-group", "forged-sl3-group-0", "forged-sl3-group-1",
+                                        "forged-sl3-group-2"])
+    def test_conjugated_group_flags_match_mpmath(self, system, sl2_pair, forge_cone):
+        mp = pytest.importorskip("mpmath")
+        if system == "sl2-group":
+            s = _sampler(sl2_pair, kind="group", max_length=7)
+        else:
+            gens = lc.forge_group(3, forge_cone, 0.05, seed=int(system[-1])).generators
+            s = _sampler(gens, kind="group", max_length=6)
+        a = s.alphabet
+        words = s.words()
+        forward = [np.concatenate(splits) for splits in zip(*(
+            [x.vectors[kept] for x in splits]
+            for _, _, (splits,), (kept,) in limits._flag_readout(s, side="forward")
+        ))]
+        kept = np.concatenate([k for _, _, _, (k,) in limits._flag_readout(s, side="forward")])
+        rows = np.cumsum(kept) - 1
+        conjugated = [
+            i for i, w in enumerate(words)
+            if kept[i] and len(_reference_canon(_cancels(a), w)) < len(w)
+        ]
+        assert len(conjugated) > 100
+        with mp.workdps(200):
+            letters = _mp_letters(mp, a)
+            for i in conjugated[:: max(1, len(conjugated) // 150)]:
+                m = letters[words[i][0]]
+                for j in words[i][1:]:
+                    m = m * letters[j]
+                vals, vecs = mp.eig(m)
+                top = max(range(len(vals)), key=lambda j: abs(vals[j]))
+                want = np.array([float(mp.re(vecs[r, top])) for r in range(s.n)])
+                got = forward[0][rows[i]]
+                want, got = want / np.linalg.norm(want), got / np.linalg.norm(got)
+                assert min(np.abs(got - want).max(), np.abs(got + want).max()) <= 1e-12
+
+    def test_sl2_points_lie_on_the_carried_core_point(self, sl2_pair):
+        # every forward point is u x+(core) for its word u v u^-1: none lies
+        # farther than MERGE_TOL from the exactly carried point
+        s = _sampler(sl2_pair, kind="group", max_length=7)
+        a = s.alphabet
+        words = s.words()
+        reps = _reference_representatives(_cancels(a), words)
+        products = {}
+
+        def product(word):
+            if word not in products:
+                products[word] = _reference_accumulate(a, word)[0][0]
+            return products[word]
+
+        own = {}
+        for r in set(reps):
+            data = _reference_eigdata([(product(words[r]), 0.0)], False)
+            own[r] = None if data is None else data[0][1]
+        far = 0
+        readout = limits._flag_readout(s, side="forward")
+        vectors = np.concatenate([sp[0].vectors for _, _, (sp,), _ in readout])
+        for i, (w, r) in enumerate(zip(words, reps)):
+            if own[r] is None:
+                continue
+            t = _reference_lead(_cancels(a), w, words[r])
+            want = own[r] if t == 0 else product(w[:t]) @ own[r]
+            x, y = (lc.ProjectivePoint.from_vector(v) for v in (vectors[i], want))
+            far += lc.proj_distance(x, y) > limits.MERGE_TOL
+        assert far == 0
+
+    def test_semigroup_points_stay_near_each_words_own_eig(self, forged_sl4, sl2_pair):
+        for s in (_sampler(forged_sl4.generators, max_length=5), _sampler(sl2_pair, max_length=7),
+                  _sampler(sl2_pair, count=300, max_length=9, seed=2)):
+            carried = list(limits._flag_readout(s, side="forward"))
+            both = list(limits._flag_readout(s))
+            kept = np.concatenate([k for *_, (k,) in carried])
+            own = np.concatenate([k[0] for *_, k in both])
+            rows = kept & own
+            assert rows.sum() >= 0.99 * own.sum() > 0
+            for k in range(s.n - 1):
+                x = np.concatenate([sp[k].vectors for _, _, (sp,), _ in carried])[rows]
+                y = np.concatenate([sides[0][k].vectors for _, _, sides, _ in both])[rows]
+                assert np.abs(limits._points(x) - limits._points(y)).max() <= 1e-14
+            # the backward side is each word's own, bit for bit
+            for (*_, (back,), (kb,)), (*_, sides, kept) in zip(
+                limits._flag_readout(s, side="backward"), both
+            ):
+                assert np.array_equal(kb, kept[1])
+                for x, y in zip(back, sides[1]):
+                    assert all(np.array_equal(f, g) for f, g in zip(x, y))
 
 def _sym2(m):
     """The symmetric square of a 2 x 2 matrix, in an orthonormal basis."""
@@ -1466,9 +1610,14 @@ class TestClassMap:
         rng = np.random.default_rng(len(cancels) + longest)
         words = self._corpus(rng, cancels, 300, longest)
         lengths = np.array([len(w) for w in words])
-        core, key, canon = limits._cyclic_classes(limits._spell(words), lengths, np.array(cancels))
+        classes = limits._cyclic_classes(limits._spell(words), lengths, np.array(cancels))
+        core, key, canon, lead = classes
         want = [_reference_canon(cancels, w) for w in words]
         assert [tuple(c.tolist()) for c in np.split(canon, np.cumsum(core)[:-1])] == want
+        # the lead prefix p conjugates the word w to its canon R: w p = p R
+        for w, r, t in zip(words, want, lead.tolist()):
+            assert 0 <= t < len(w)
+            assert _free_reduction(cancels, w + w[:t]) == _free_reduction(cancels, w[:t] + r)
         assert core.tolist() == [len(c) for c in want]
         # equal (core, key) exactly when the least rotations are equal
         classes = {}
@@ -1481,7 +1630,7 @@ class TestClassMap:
         rng = np.random.default_rng(5)
         words = self._corpus(rng, cancels, 400, 8)
         lengths = np.array([len(w) for w in words])
-        core, key, _ = limits._cyclic_classes(limits._spell(words), lengths, np.array(cancels))
+        core, key, _, _ = limits._cyclic_classes(limits._spell(words), lengths, np.array(cancels))
         rep = limits._first_shortest(core, key, lengths)
         assert rep.tolist() == _reference_representatives(cancels, words)
 

@@ -568,3 +568,39 @@ def test_mistyped_marker_fails_collection(tmp_path):
     )
     assert proc.returncode != 0
     assert "'slwo' not found" in proc.stdout
+
+
+def test_the_forward_limit_set_reads_eig_once_per_class(monkeypatch):
+    # a forward-only limit set splits the class representatives' products
+    # alone; every other word's flag is carried by its prefix.  The keep rule
+    # stays in `limits._flag_readout` (test_one_keep_rule_for_flags).
+    import limitcone as lc
+    from limitcone import limits
+
+    rays = np.array([(3, 1, -1, -3), (5, 1, -2, -4), (4, 2, -2, -4)], dtype=float)
+    cone = lc.TargetCone.from_rays(list(rays / np.linalg.norm(rays, axis=1)[:, None]))
+    gens = lc.forge_semigroup(4, cone, 0.03, seed=21).generators
+    rows = []
+    eigen_splittings = limits.eigen_splittings
+
+    def counting(stack):
+        rows.append(len(stack))
+        return eigen_splittings(stack)
+
+    monkeypatch.setattr(limits, "eigen_splittings", counting)
+    for sampler in (
+        lc.WordSampler(generators=gens, max_length=7),
+        lc.WordSampler(generators=gens, max_length=12, count=500, seed=3),
+    ):
+        words = sampler.words()
+        reps = limits._class_readout(sampler)[3]
+        for supplied in (None, words):
+            rows.clear()
+            lc.estimate_limit_set(sampler, words=supplied)
+            # one call per batch and degree
+            assert sum(rows) == 3 * len(np.unique(reps)) < 3 * len(words)
+        if sampler.count == 0:
+            assert (len(np.unique(reps)), len(words)) == (540, 3279)
+        rows.clear()
+        lc.estimate_limit_set(sampler, side="backward")
+        assert sum(rows) == 3 * len(words)
