@@ -27,10 +27,10 @@ R's k-th compound, P_p y is an eigenvector of w's for the same eigenvalue
 (w P_p y = P_p R y), and x+(w) = P_p x+(R) at every degree, in semigroups
 and groups alike; w's moduli are R's.  `eig` reads the representatives,
 and every other word's forward vector is one matvec by its prefix's
-product.  The backward side is not carried: in a semigroup x-(R) lies near
-the repelling point of p's last letter, which P_p contracts, so the carried
-vector keeps few correct digits.  The backward side, and the facets, are
-read from each word's own `eig`.
+product.  The facets read the same forward side.  The backward side is
+not carried: in a semigroup x-(R) lies near the repelling point of p's last
+letter, which P_p contracts, so the carried vector keeps few correct digits.
+The backward side is read from each word's own `eig`.
 Directions and points are deduplicated by one greedy kernel over a sorted-key
 window (`_greedy_distinct`), which keeps a row alone in its window without
 touching an array; the cone's kept directions are one checked stack
@@ -273,11 +273,6 @@ def _spell(words) -> np.ndarray:
     return spelled
 
 
-def _enumerated(sampler: WordSampler, words) -> bool:
-    """Whether the words are the sampler's enumeration, one batch per length."""
-    return words is None and not sampler.count
-
-
 def _batches(sampler: WordSampler, words=None):
     """The words as batches (words, accumulated product, spelled), in order.
 
@@ -290,7 +285,7 @@ def _batches(sampler: WordSampler, words=None):
     `Alphabet.accumulate`.
     """
     alphabet = sampler.alphabet
-    if _enumerated(sampler, words):
+    if words is None and not sampler.count:
         _check_budget(sampler.expected_word_count())
         product, powers = empty_product(sampler.n), alphabet._letter_powers()
         spelled = np.zeros((1, 0), dtype=int)
@@ -304,58 +299,51 @@ def _batches(sampler: WordSampler, words=None):
     yield words, alphabet.accumulate(spelled), spelled
 
 
-def _core_starts(spelled, lengths, cancels) -> np.ndarray:
-    """Per word of `spelled` (see `_spell`), of `lengths` letters, the number
-    of letters its cyclic core drops from each end.
+def _cyclic_classes(spelled, lengths, cancels) -> tuple:
+    """Per word of `spelled` (see `_spell`), of `lengths` letters: (core, key,
+    canon, lead), its conjugacy class.
 
-    `cancels[i]` is the letter that cancels letter i, or -1.  The core drops
-    the letters at both ends that cancel each other, while one letter stays
-    between them: u v u^-1 gives v, a conjugate.
-    """
-    if not (cancels >= 0).any():
-        return np.zeros(len(spelled), dtype=int)
-    # at most (width - 1) // 2 letters go from each end
-    cols = np.arange((spelled.shape[1] - 1) // 2)
-    mirror = np.take_along_axis(spelled, np.maximum(lengths[:, None] - 1 - cols, 0), axis=1)
-    # letter p cancels letter length - 1 - p, with a letter left between them
-    ends = (cancels[spelled[:, : len(cols)]] == mirror) & (2 * cols + 2 < lengths[:, None])
-    return np.logical_and.accumulate(ends, axis=1).sum(axis=1)
+    `cancels[i]` is the letter that cancels letter i, or -1.  A word's cyclic
+    core drops the letters at both ends that cancel each other, while one
+    letter stays between them: u v u^-1 gives v, a conjugate.  Rotating the
+    core conjugates it again, so two words whose cores have equal least
+    rotations are conjugate in any group; among the reduced words of a free
+    (semi)group they are conjugate exactly then.  `core` holds the cores'
+    lengths and `canon` their least rotations, concatenated in row order; two
+    words have equal least rotations when they have equal `core` and `key`.
+    `lead` is the length of the prefix p that ends where the least rotation
+    R of the core starts: the word w is u v u^-1 with v = a b and R = b a,
+    p = u a, and w p = u a b a = p R.
 
-
-def _segments(spelled, start, length) -> np.ndarray:
-    """Row i's `length[i]` letters from position `start[i]`, concatenated in row order."""
-    first = np.cumsum(length) - length
-    pos = np.arange(int(length.sum())) - np.repeat(first, length)
-    head = np.arange(len(spelled)) * spelled.shape[1] + start
-    return spelled.ravel()[np.repeat(head, length) + pos]
-
-
-def _least_rotations(letters, core, size) -> tuple:
-    """(key, shift, canon) of the words of `core` letters each, concatenated
-    in `letters` over an alphabet of `size` letters.
-
-    Per word, `shift` is the first position from which its rotation is its
-    least, and `canon` holds the least rotations, concatenated; two words
-    have equal least rotations when they have equal lengths and `key`s.
-
-    Every rotation of every word is ranked at once by doubling: after the
+    Every rotation of every core is ranked at once by doubling: after the
     step of span m, a position's key orders the m letters read cyclically
     from it, and the pair (key at p, key at p + m) orders the 2m letters.
     A key below `bound` is paired as two base-`bound` digits while bound**2
     fits int64 (over two letters, up to span 32), and the keys are replaced
     by their ranks among themselves before a pairing would overflow, so no
     code overflows, whatever the alphabet and the lengths.  Once m reaches
-    the longest word, two positions of one word have equal keys only when
-    their rotations are equal, and a word's least key marks its least
+    the longest core, two positions of one core have equal keys only when
+    their rotations are equal, and a core's least key marks its least
     rotation.  Memory is O(letters) and the work O(letters * log(longest
-    word)).
+    core)).
     """
-    first = np.cumsum(core) - core  # each word's first position
+    n_words, width = spelled.shape
+    start = np.zeros(n_words, dtype=int)
+    if (cancels >= 0).any():
+        # at most (width - 1) // 2 letters go from each end
+        cols = np.arange((width - 1) // 2)
+        mirror = np.take_along_axis(spelled, np.maximum(lengths[:, None] - 1 - cols, 0), axis=1)
+        # letter p cancels letter length - 1 - p, with a letter left between them
+        ends = (cancels[spelled[:, : len(cols)]] == mirror) & (2 * cols + 2 < lengths[:, None])
+        start = np.logical_and.accumulate(ends, axis=1).sum(axis=1)
+    core = lengths - 2 * start
+    first = np.cumsum(core) - core  # each core's first position
     head, wrap = np.repeat(first, core), np.repeat(core, core)
     pos = np.arange(head.size) - head
-    # the position `span` letters on, cyclically within the word
+    letters = spelled.ravel()[np.repeat(np.arange(n_words) * width + start, core) + pos]
+    # the position `span` letters on, cyclically within the core
     succ = head + (pos + 1) % wrap
-    key, bound, span = letters, size, 1
+    key, bound, span = letters, len(cancels), 1
     # with one possible key, every rotation reads the same
     while span < core.max() and bound > 1:
         if bound > _INT64_MAX // bound:
@@ -364,42 +352,21 @@ def _least_rotations(letters, core, size) -> tuple:
         key = key * bound + key[succ]
         bound, span, succ = bound * bound, 2 * span, succ[succ]
     least = np.minimum.reduceat(key, first)
-    # the least rotation starts at any position holding its word's least key
-    shift = np.minimum.reduceat(np.where(key == np.repeat(least, core), pos, core.max()), first)
+    # the least rotation starts at any position holding its core's least key
+    shift = np.minimum.reduceat(np.where(key == np.repeat(least, core), pos, width), first)
     canon = letters[head + (pos + np.repeat(shift, core)) % wrap]
-    return least, shift, canon
-
-
-def _cyclic_classes(spelled, lengths, cancels) -> tuple:
-    """Per word of `spelled` (see `_spell`), of `lengths` letters: (core, key,
-    canon, lead), its conjugacy class.
-
-    `cancels[i]` is the letter that cancels letter i, or -1.  A word's cyclic
-    core (`_core_starts`) is a conjugate of it, and so is every rotation of
-    the core, so two words whose cores have equal least rotations are
-    conjugate in any group; among the reduced words of a free (semi)group
-    they are conjugate exactly then.  `core` holds the cores' lengths and
-    `canon` their least rotations (`_least_rotations`), concatenated in row
-    order; two words have equal least rotations when they have equal `core`
-    and `key`.  `lead` is the length of the prefix p that ends where the
-    least rotation R of the core starts: the word w is u v u^-1 with v = a b
-    and R = b a, p = u a, and w p = u a b a = p R.
-    """
-    start = _core_starts(spelled, lengths, cancels)
-    core = lengths - 2 * start
-    key, shift, canon = _least_rotations(_segments(spelled, start, core), core, len(cancels))
-    return core, key, canon, start + shift
+    return core, least, canon, start + shift
 
 
 def _level_rows(core, canon, cancels, starts) -> np.ndarray:
-    """Per reduced word, its row among the enumerated words.
+    """Per word, the row of its class's least rotation among the enumerated words.
 
-    `canon` holds reduced words of `core` letters each, concatenated.  A
-    word is at row `starts[len - 1]` plus its rank in lex order among the
-    reduced words of its length: at each position, the letters below it
-    that may follow the previous letter, times the number of ways to finish
-    the word.  Every term is below the level's word count, which the budget
-    bounds, so the sum is exact.
+    `canon` (see `_cyclic_classes`) holds reduced words, each at row
+    `starts[len - 1]` plus its rank in lex order among the reduced words of
+    its length: at each position, the letters below it that may follow the
+    previous letter, times the number of ways to finish the word.  Every
+    term is below the level's word count, which the budget bounds, so the
+    sum is exact.
     """
     group = bool((cancels >= 0).any())
     base = len(cancels) - group
@@ -425,11 +392,6 @@ def _first_shortest(core, key, lengths) -> np.ndarray:
     return rep
 
 
-def _cancels(alphabet) -> np.ndarray:
-    """Per letter, the letter that cancels it, or -1 in a semigroup."""
-    return np.array([-1 if c is None else c for _, _, c in alphabet.letters])
-
-
 def _classes(sampler: WordSampler, words=None):
     """Per batch of `_batches`: (words, product, spelled, rep, lead), the
     class map of its words.
@@ -444,8 +406,8 @@ def _classes(sampler: WordSampler, words=None):
     module docstring): 0 for r itself, and -1 where r is not cyclically
     reduced, which happens only in a list none of whose class members is.
     """
-    cancels = _cancels(sampler.alphabet)
-    if not _enumerated(sampler, words):
+    cancels = np.array([-1 if c is None else c for _, _, c in sampler.alphabet.letters])
+    if words is not None or sampler.count:
         ((batch, product, spelled),) = _batches(sampler, words)
         length = np.count_nonzero(spelled >= 0, axis=1)
         core, key, _, lead = _cyclic_classes(spelled, length, cancels)
@@ -718,73 +680,16 @@ def _merge_points(vectors) -> tuple:
     return tuple(ProjectivePoint(rep=reps[k]) for k in _greedy_distinct(reps, MERGE_TOL, merges))
 
 
-def _prefix_products(alphabet, spelled, lead, levels) -> list:
-    """Per degree, the (m, d, d) stack of the rows' first `lead` letters'
-    products (`lead` >= 1).
-
-    Enumerated words' prefixes are enumerated words: each is read off its
-    level's product, kept in `levels`, at its lex rank (`_level_rows`).  A
-    word list's prefixes, with `levels` None, are one `Alphabet.accumulate`.
-    A row's bits do not depend on its batch, so both give the same bits.
-    """
-    if levels is None:
-        width = int(lead.max())
-        return [p for p, _ in alphabet.accumulate(
-            np.where(np.arange(width) < lead[:, None], spelled[:, :width], -1)
-        )]
-    cancels = _cancels(alphabet)
-    rank = _level_rows(lead, _segments(spelled, np.zeros_like(lead), lead), cancels,
-                       np.zeros(len(levels), dtype=int))
-    out = [np.empty((len(lead),) + p.shape[1:]) for p, _ in levels[0]]
-    for length in np.unique(lead).tolist():
-        at = lead == length
-        for q, (p, _) in zip(out, levels[length - 1]):
-            q[at] = p[rank[at]]
-    return out
-
-
-def _carried_forward(sampler: WordSampler, words=None):
-    """Per batch of `_classes`: (words, product, forward), the forward
-    Splitting per degree of every word, read once per class.
-
-    `eigen_splittings` reads the products of the words that are their own
-    representative, or whose representative is not cyclically reduced.
-    Every other word w takes its representative r's eigenvalue and moduli,
-    class functions, and r's forward vector carried by its lead prefix's
-    product, P_p x+(r), one batched matvec per degree; a lead of 0, a
-    repeat of r in a list, copies r's vector.
-    """
-    alphabet = sampler.alphabet
-    levels = [] if _enumerated(sampler, words) else None
-    table, lo = None, 0
-    for batch, product, spelled, rep, lead in _classes(sampler, words):
-        hi = lo + len(batch)
-        own = (rep == np.arange(lo, hi)) | (lead < 0)
-        read = [eigen_splittings(p[own])[0] for p, _ in product]
-        if table is None:
-            # one row per word of the readout: reps may lie in an earlier batch
-            total = len(batch) if levels is None else sampler.expected_word_count()
-            table = [
-                Splitting(np.empty(total, complex), np.empty(total), np.empty(total),
-                          np.empty((total,) + s.vectors.shape[1:]), np.empty(total, bool))
-                for s in read
-            ]
-        carried = np.flatnonzero(~own)
-        moved = carried[lead[carried] > 0]
-        prefix = []
-        if moved.size:
-            prefix = _prefix_products(alphabet, spelled[moved], lead[moved], levels)
-        for t, s in zip(table, read):
-            for f, v in zip(t, s):
-                f[lo:hi][own] = v
-            for f in t:
-                f[lo + carried] = f[rep[carried]]
-        for t, q in zip(table, prefix):
-            t.vectors[lo + moved] = (q @ t.vectors[rep[moved], :, None])[:, :, 0]
-        yield batch, product, tuple(Splitting(*(f[lo:hi] for f in t)) for t in table)
-        if levels is not None:
-            levels.append(product)
-        lo = hi
+def _prefix_products(alphabet, spelled, lead) -> tuple:
+    """(product, inverse): the products of the rows' distinct prefixes of
+    `lead` letters (`lead` >= 1), one `Alphabet.accumulate`, and per row the
+    index of its prefix among them."""
+    width = int(lead.max())
+    prefix = np.where(np.arange(width) < lead[:, None], spelled[:, :width], -1)
+    # one bytes key per row, so equal prefixes are found by one 1-D sort
+    keys = np.ascontiguousarray(prefix).view(np.dtype((np.void, prefix.itemsize * width)))
+    _, first, inverse = np.unique(keys.ravel(), return_index=True, return_inverse=True)
+    return alphabet.accumulate(prefix[first]), inverse
 
 
 def _flag_readout(sampler: WordSampler, words=None, side=None):
@@ -796,26 +701,50 @@ def _flag_readout(sampler: WordSampler, words=None, side=None):
     degree, with a positive runner-up modulus and a log gap above
     DEFAULT_PROXIMALITY_FILTER.
 
-    The forward side asked alone is read once per conjugacy class
-    (`_carried_forward`): its moduli, and so its keep rule, are its class
-    representative's, and its vector is the representative's carried by
-    the word's lead prefix.  The backward side, and both sides read
-    together, as the facets read them, come from each word's own `eig`:
-    in a semigroup the representative's backward point lies near the
-    repelling point of the prefix's last letter, where the prefix's product
-    contracts, so carrying it would lose the digits the carried vector
-    needs.
+    The forward side is read once per conjugacy class (see the module
+    docstring), whoever asks for it.  `eigen_splittings` reads the words
+    that are their own class representative r in `_classes`, or whose r is
+    not cyclically reduced; `table` keeps those rows, the only ones a later
+    batch reads.  Every other word w takes r's eigenvalue and moduli, class
+    functions, so the keep rule reads r's, and r's vector carried by the
+    product of w's lead prefix p, P_p x+(r), one batched matvec per degree;
+    a lead of 0, a repeat of r in a list, copies r's vector.  The backward
+    side comes from each word's own `eig`, in the same call that reads the
+    representatives when both sides are asked: in a semigroup x-(r) lies
+    near the repelling point of p's last letter, where P_p contracts, so
+    carrying it would lose the digits the carried vector needs.
     """
-    if side == "forward":
-        batches = ((b, p, (s,)) for b, p, s in _carried_forward(sampler, words))
+    alphabet = sampler.alphabet
+    if side == "backward":
+        # the class map serves the forward side alone
+        batches = ((*b, None, None) for b in _batches(sampler, words))
     else:
-        batches = (
-            (batch, product, tuple(zip(*(eigen_splittings(p) for p, _ in product))))
-            for batch, product, _ in _batches(sampler, words)
-        )
-    for batch, product, sides in batches:
+        batches = _classes(sampler, words)
+    table, rows, lo = None, np.zeros(0, dtype=int), 0
+    for batch, product, spelled, rep, lead in batches:
         if side == "backward":
-            sides = sides[1:]
+            sides = ([eigen_splittings(p)[1] for p, _ in product],)
+        else:
+            here = np.arange(lo, lo + len(batch))
+            own = (rep == here) | (lead < 0)
+            if side == "forward":
+                read, sides = [eigen_splittings(p[own])[0] for p, _ in product], ()
+            else:
+                both = [eigen_splittings(p) for p, _ in product]
+                read = [Splitting(*(f[own] for f in fwd)) for fwd, _ in both]
+                sides = ([bwd for _, bwd in both],)
+            rows = np.concatenate([rows, here[own]])
+            table = read if table is None else [
+                Splitting(*map(np.concatenate, zip(t, s))) for t, s in zip(table, read)
+            ]
+            at = np.searchsorted(rows, np.where(own, here, rep))
+            forward = [Splitting(*(f[at] for f in t)) for t in table]
+            moved = np.flatnonzero(~own & (lead > 0))
+            if moved.size:
+                prefix, inverse = _prefix_products(alphabet, spelled[moved], lead[moved])
+                for s, (q, _) in zip(forward, prefix):
+                    s.vectors[moved] = (q[inverse] @ s.vectors[moved, :, None])[:, :, 0]
+            sides = (forward, *sides)
         with np.errstate(divide="ignore"):
             # a vanishing runner-up modulus has no finite log gap
             kept = [
@@ -827,6 +756,7 @@ def _flag_readout(sampler: WordSampler, words=None, side=None):
                 for splits in sides
             ]
         yield batch, product, sides, kept
+        lo += len(batch)
 
 
 def estimate_limit_set(sampler: WordSampler, side: str = "forward", words=None) -> LimitSetSample:
@@ -862,11 +792,13 @@ def estimate_facets(sampler: WordSampler, words=None) -> list[FacetSample]:
     """Per sampled word `_flag_readout` keeps on both sides, its attracting flag
     pair and a transversality flag.
 
-    So a word yields a facet when the limit set keeps it both ways.  A batch's
-    kept rows are read as stacks, one `canonical_units` per side and degree,
-    and their repelling covectors from one transposed `eig` per degree, none
-    when no row is kept.  The flags are in general position when every
-    forward gap min(1, |phi . x|) exceeds DEFAULT_PROXIMALITY_FILTER.
+    So a word yields a facet when the limit set keeps it both ways, and its
+    forward flag is the one the limit set reads, once per conjugacy class.
+    A batch's kept rows are read as stacks, one `canonical_units` per side
+    and degree, and their repelling covectors from one transposed `eig` per
+    degree, none when no row is kept.  The flags are in general position
+    when every forward gap min(1, |phi . x|) exceeds
+    DEFAULT_PROXIMALITY_FILTER.
     """
     out = []
     for batch, product, (forward, backward), kept in _flag_readout(sampler, words):

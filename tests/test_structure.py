@@ -604,3 +604,8 @@ def test_the_forward_limit_set_reads_eig_once_per_class(monkeypatch):
         rows.clear()
         lc.estimate_limit_set(sampler, side="backward")
         assert sum(rows) == 3 * len(words)
+        # the facets read every row once: the representatives' forward
+        # sides come from the call that reads each word's backward side
+        rows.clear()
+        lc.estimate_facets(sampler)
+        assert sum(rows) == 3 * len(words)
