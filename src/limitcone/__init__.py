@@ -59,9 +59,7 @@ from .cones import (
     chamber_basis,
     cone_distance,
     extreme_ray_indices,
-    facet_normals,
     in_cone,
-    margin_distance,
 )
 from .schottky import (
     FacetFrame,
@@ -70,7 +68,6 @@ from .schottky import (
     TargetCone,
     forge_group,
     forge_semigroup,
-    in_cone_semigroup,
     in_open_semigroup,
     verify_schottky,
     word_lyapunov_estimate,

@@ -42,9 +42,8 @@ test, `in_cone`; rays are read by one rule, `_unit_rows`.
 numpy is the only dependency `import limitcone` loads.  scipy is imported by
 the function that calls it, on first use: NNLS (`cone_distance` against more
 rays than coordinates: `in_cone` in the hulls of 3-D or larger chambers) and
-`ConvexHull` (`facet_normals`, and the candidate rays of those hulls) here,
-`null_space` in analytic certification
-(`proximality.analytic_contraction_bounds`).
+`ConvexHull` (the candidate rays of those hulls) here, `null_space` in
+analytic certification (`proximality.analytic_contraction_bounds`).
 """
 
 import itertools
@@ -53,8 +52,7 @@ import numpy as np
 
 from .errors import DimensionMismatch, InvalidInput
 
-# the cone layer's one resolution: of near rows, membership residuals, ranks
-# and facet offsets
+# the cone layer's one resolution: of near rows, membership residuals and ranks
 SLACK = 1e-9
 # a subset of rays whose smallest singular value is at most this share of its
 # largest is dependent: the face rule skips it, and the NNLS fit counts the
@@ -183,45 +181,6 @@ def _unit_rows(rows) -> np.ndarray:
     if np.any(norms == 0.0):
         raise InvalidInput("zero ray")
     return r / norms[:, None]
-
-
-def facet_normals(rays: np.ndarray) -> np.ndarray:
-    """Inward unit normals of the facets of a full-dimensional cone.
-
-    `rays` has one ray per row, in d-dimensional coordinates, read by
-    `_unit_rows`.  For d = 1 the single normal is the ray direction.
-    Degenerate (lower-dimensional) cones are rejected.
-    """
-    u = _unit_rows(rays)
-    d = u.shape[1]
-    if d == 1:
-        if np.any(u[:, 0] * u[0, 0] < 0):
-            raise InvalidInput("rays of a 1-d cone must share a direction")
-        return u[:1]
-    if np.linalg.matrix_rank(u, tol=SLACK) < d:
-        raise InvalidInput("cone is not full-dimensional in its ambient space")
-    from scipy.spatial import ConvexHull
-
-    pts = np.vstack([np.zeros((1, d)), u])
-    hull = ConvexHull(pts)
-    normals = []
-    for eq in hull.equations:
-        a, b = eq[:-1], eq[-1]
-        if abs(b) <= SLACK:  # facet hyperplane through the origin
-            normals.append(-a / np.linalg.norm(a))
-    if not normals:
-        raise InvalidInput("cone has no facet through the origin (not salient?)")
-    return np.unique(np.round(np.array(normals), 12), axis=0)
-
-
-def margin_distance(v: np.ndarray, rays: np.ndarray) -> float:
-    """Distance from v to the cone boundary, relative to ||v||; negative outside."""
-    v = np.asarray(v, dtype=float)
-    nv = float(np.linalg.norm(v))
-    if nv == 0.0:
-        return 0.0
-    normals = facet_normals(rays)
-    return float(np.min(normals @ v) / nv)
 
 
 def _hull_candidates(u: np.ndarray) -> np.ndarray:

@@ -52,7 +52,6 @@ from .projgeom import (
 )
 from .projections import (
     ChamberVector,
-    jordan_projection,
     lyapunov_directions,
     opposition_involution,
     product_jordan,
@@ -125,7 +124,10 @@ class FacetFrame:
 
 @dataclass(frozen=True)
 class TargetCone:
-    """A convex cone in the chamber, spanned by unit rays, with a margin."""
+    """A convex cone in the chamber, spanned by unit rays.
+
+    `margin` is validated and kept (the rays file's "margin" key), but no
+    library code reads it yet."""
 
     rays: tuple
     margin: float
@@ -161,14 +163,6 @@ class TargetCone:
 
     def rays_matrix(self) -> np.ndarray:
         return np.stack([r.coords for r in self.rays])
-
-    def contains_with_margin(self, v: np.ndarray) -> bool:
-        """Membership in the margin-shrunk cone {v : v + B(0, margin*||v||) in cone}."""
-        basis = cones.chamber_basis(self.n)
-        return (
-            cones.margin_distance(basis.T @ np.asarray(v, float), self.rays_matrix() @ basis)
-            >= self.margin
-        )
 
     def involution_stable(self) -> bool:
         rm = self.rays_matrix()
@@ -363,29 +357,6 @@ def in_open_semigroup(
         reason="all degrees contract into the frame ball",
         max_image_distance=worst_image,
     )
-
-
-def in_cone_semigroup(
-    g: GroupElement,
-    f: FacetFrame,
-    epsilon: float,
-    cone: TargetCone,
-    mode: str = "sampled",
-    samples: int = DEFAULT_SAMPLE_COUNT,
-    seed: int = 0,
-) -> MembershipEvidence:
-    """in_open_semigroup, plus lambda(g) in the margin-shrunk target cone."""
-    ev = in_open_semigroup(g, f, epsilon, mode, samples, seed)
-    if not ev.accepted:
-        return ev
-    if not cone.contains_with_margin(jordan_projection(g).coords):
-        return MembershipEvidence(
-            accepted=False,
-            mode=ev.mode,
-            reason="lambda(g) outside the margin-shrunk cone",
-            max_image_distance=ev.max_image_distance,
-        )
-    return ev
 
 
 def _haar_rotation(rng, n: int) -> np.ndarray:

@@ -227,53 +227,6 @@ class TestInCone:
         assert cones.in_cone(1e8 * v, rays, slack=1e-5)
 
 
-class TestFacetNormals:
-    def test_planar_cone(self):
-        rays = np.array([[1.0, 0.0], [1.0, 1.0] / np.sqrt(2.0)])
-        normals = cones.facet_normals(rays)
-        assert normals.shape == (2, 2)
-        # inward: every ray on the nonnegative side of every facet
-        assert np.all(normals @ rays.T >= -1e-9)
-        # each facet of a planar cone passes through one extreme ray
-        prods = np.abs(normals @ rays.T)
-        assert np.all(np.isclose(prods.min(axis=1), 0.0, atol=1e-9))
-
-    def test_one_dimensional_cone(self):
-        normals = cones.facet_normals([[2.0], [3.0]])
-        assert np.allclose(normals, [[1.0]])
-        with pytest.raises(InvalidInput):
-            cones.facet_normals([[1.0], [-1.0]])
-
-    def test_rejects_degenerate(self):
-        # a single ray is not full-dimensional in the plane
-        with pytest.raises(InvalidInput):
-            cones.facet_normals([[1.0, 0.0]])
-
-    def test_rejects_zero_ray(self):
-        with pytest.raises(InvalidInput):
-            cones.facet_normals([[1.0, 0.0], [0.0, 0.0]])
-
-
-class TestMarginDistance:
-    RAYS = np.array([[1.0, 0.0], [0.0, 1.0]])
-
-    def test_interior_positive(self):
-        assert cones.margin_distance(np.array([1.0, 1.0]), self.RAYS) == pytest.approx(
-            1.0 / np.sqrt(2.0), abs=1e-9
-        )
-
-    def test_boundary_zero(self):
-        assert cones.margin_distance(self.RAYS[0], self.RAYS) == pytest.approx(
-            0.0, abs=1e-9
-        )
-
-    def test_exterior_negative(self):
-        assert cones.margin_distance(np.array([-1.0, -1.0]), self.RAYS) < 0.0
-
-    def test_zero_vector(self):
-        assert cones.margin_distance(np.zeros(2), self.RAYS) == 0.0
-
-
 class TestExtremeRayIndices:
     def test_planar_angular_endpoints(self):
         u = np.array([[1.0, 0.0], [0.8, 0.6], [0.6, 0.8]])
@@ -368,17 +321,6 @@ class TestUnitRows:
     def test_a_zero_row_is_refused(self, rows):
         with pytest.raises(InvalidInput, match="zero ray"):
             cones.extreme_ray_indices(rows)
-
-    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
-    def test_facets_refuse_a_non_finite_row_without_a_warning(self, bad):
-        rays = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
-        rays[1, 2] = bad
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            with pytest.raises(InvalidInput, match="finite"):
-                cones.facet_normals(rays)
-            with pytest.raises(InvalidInput, match="finite"):
-                cones.margin_distance(np.ones(3), rays)
 
 
 def _reference_extreme_ray_indices(directions):

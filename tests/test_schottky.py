@@ -344,7 +344,6 @@ def _seeded_entries():
         "certify_theta_proximal": lambda s: lc.certify_theta_proximal(plain, [1, 2], 0.1, mode="analytic", seed=s),
         "verify_schottky": lambda s: lc.verify_schottky(pair, seed=s),
         "in_open_semigroup": lambda s: lc.in_open_semigroup(plain, frame, 0.05, seed=s),
-        "in_cone_semigroup": lambda s: lc.in_cone_semigroup(plain, frame, 0.05, cone, seed=s),
         "WordSampler": lambda s: lc.WordSampler(tuple(pair), max_length=2, seed=s),
         "check_convexity": lambda s: lc.check_convexity(lc.estimate_cone(sampler), sampler, seed=s),
     }
@@ -433,73 +432,21 @@ class TestFacetFrame:
 
 
 class TestConeSemigroupMembership:
-    @staticmethod
-    def _bracketing_cone(direction: np.ndarray) -> lc.TargetCone:
-        # rotate the direction by +-0.1 rad in the chamber plane: the cone has
-        # the direction on its axis at boundary distance sin(0.1) ~ 0.0998
-        from limitcone.cones import chamber_basis
-
-        b = chamber_basis(3)
-        dc = b.T @ (direction / np.linalg.norm(direction))
-        rays = []
-        for theta in (0.1, -0.1):
-            c, s = np.cos(theta), np.sin(theta)
-            rays.append(b @ (np.array([[c, -s], [s, c]]) @ dc))
-        return lc.TargetCone.from_rays(rays)
-
-    def test_interior_direction_accepted(self):
-        rng = np.random.default_rng(44)
-        g = strongly_contracting_element(rng)
-        lam = lc.jordan_projection(g).coords
-        cone = self._bracketing_cone(lam)
-        f = lc.FacetFrame.identity(3)
-        assert lc.in_cone_semigroup(g, f, 0.05, cone)
-
-    def test_open_semigroup_refusal_is_passed_on(self, monkeypatch):
-        # an element outside the open semigroup is refused with
-        # in_open_semigroup's evidence, before its lambda is read
-        g = lc.GroupElement.from_matrix(np.diag([100.0, 1.0, 0.01]))
-        f = lc.FacetFrame.identity(3)
-        cone = self._bracketing_cone(lc.jordan_projection(g).coords)
-
-        def read(*args):
-            raise AssertionError("lambda read")
-
-        monkeypatch.setattr(lc.schottky, "jordan_projection", read)
-        ev = lc.in_cone_semigroup(g, f, 0.05, cone)
-        assert not ev
-        assert ev == lc.in_open_semigroup(g, f, 0.05)
-
-    def test_outside_direction_rejected(self):
-        rng = np.random.default_rng(45)
-        g = strongly_contracting_element(rng)
-        # a narrow cone hugging the x1 = x2 chamber wall, far from lambda(g)
-        r1 = np.array([1.0, 0.98, -1.98])
-        r2 = np.array([1.0, 0.8, -1.8])
-        cone = lc.TargetCone.from_rays(
-            [r1 / np.linalg.norm(r1), r2 / np.linalg.norm(r2)]
-        )
-        ev = lc.in_cone_semigroup(g, lc.FacetFrame.identity(3), 0.05, cone)
-        assert not ev
-        assert "cone" in ev.reason
-
-    def test_product_closure(self):
-        rng = np.random.default_rng(46)
-        g1 = strongly_contracting_element(rng)
-        g2 = strongly_contracting_element(rng)
-        prod = g1 @ g2
-        cone = self._bracketing_cone(lc.jordan_projection(prod).coords)
-        assert lc.in_cone_semigroup(prod, lc.FacetFrame.identity(3), 0.05, cone)
-
     def test_forged_letter_is_read_from_its_factors(self):
-        # lambda(g) = power * ray exactly, inside a narrow cone around the ray;
-        # the rounded entries of this letter (power 55) would put it outside
+        # lambda(g) = power * ray to rounding, and the letter is a member of
+        # the open semigroup of its own rotation's frame; the rounded entries
+        # of this letter (power 56) put lambda far from power * ray
         forged = lc.forge_semigroup(4, lc.TargetCone.from_rays(REPRODUCER_RAYS), 0.02, seed=1)
         g = forged.generators[1]
-        ray = np.array(REPRODUCER_RAYS[1])
-        cone = lc.TargetCone.from_rays([ray + 0.2 * (e - 0.25) for e in np.eye(4)], margin=0.01)
-        assert cone.contains_with_margin(lc.jordan_projection(g).coords)
-        assert lc.in_cone_semigroup(g, lc.FacetFrame(g.factors[0]), 0.05, cone)
+        _, ray, power = g.factors
+        expected = power * ray
+        assert lc.in_open_semigroup(g, lc.FacetFrame(g.factors[0]), 0.05)
+
+        def off(lam):
+            return np.linalg.norm(lam - expected) / np.linalg.norm(expected)
+
+        assert off(lc.jordan_projection(g).coords) <= 1e-12
+        assert off(lc.jordan_projection(lc.GroupElement.from_matrix(g.entries)).coords) > 1e-12
 
 
 class TestTargetCone:

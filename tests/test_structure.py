@@ -401,11 +401,16 @@ def test_one_membership_test_reads_nnls_residuals():
 
 
 def test_the_readers_of_rays_share_one_row_rule():
-    assert _calls_to({"_unit_rows"}) == {"cones.extreme_ray_indices", "cones.facet_normals"}
+    assert _calls_to({"_unit_rows"}) == {"cones.extreme_ray_indices"}
     finite = _functions_holding(
         lambda node: isinstance(node, ast.Attribute) and node.attr == "isfinite"
     )
     assert {f for f in finite if f.startswith("cones.")} == {"cones._unit_rows"}
+
+
+def test_the_cone_layer_calls_qhull_once():
+    # the candidate extreme rays are the one hull that Qhull builds
+    assert _calls_to({"ConvexHull"}) == {"cones._hull_candidates"}
 
 
 def test_one_chordal_kernel_outside_the_point_merge():
