@@ -627,6 +627,15 @@ class TestMalformedContents:
         code, _ = run_cli(["forge", "--n", "3", "--rays", str(path), "--epsilon", "0.05"])
         assert code == 3
 
+    @pytest.mark.parametrize("margin", [0.0, -0.1, float("inf")])
+    def test_a_margin_that_is_not_positive_and_finite_is_refused(self, tmp_path, capsys, margin):
+        path = tmp_path / "rays.json"
+        path.write_text(
+            json.dumps({"rays": [FORGE_RAY_1.tolist(), FORGE_RAY_2.tolist()], "margin": margin})
+        )
+        code, _ = run_cli(["forge", "--n", "3", "--rays", str(path), "--epsilon", "0.05"])
+        assert code == 3
+        assert "margin must be positive and finite" in capsys.readouterr().err
 
 SL4_RAYS = [[3.0, 1.0, -1.0, -3.0], [5.0, 1.0, -2.0, -4.0], [4.0, 2.0, -2.0, -4.0]]
 REPRODUCER_RAYS = [[3.0, 1.0, -1.0, -3.0], [3.0, -0.5, -1.0, -1.5], [2.0, 1.5, -1.5, -2.0]]

@@ -42,6 +42,16 @@ class TestConeDistance:
         v = np.array([0.0, 2.0])
         assert cones.cone_distance(v, rays) == pytest.approx(2.0, abs=1e-10)
 
+    @pytest.mark.parametrize(
+        "v, expected",
+        [([1.0, 1.0], 0.0), ([1.0, 0.0], 0.0), ([0.0, 0.0], 0.0), ([-1.0, -1.0], np.sqrt(2.0)), ([-3.0, 4.0], 3.0)],
+        ids=["interior", "boundary", "apex", "opposite", "beside-a-face"],
+    )
+    def test_known_distances_to_the_quadrant(self, v, expected):
+        # interior and boundary points read 0; an outside point reads its
+        # distance to the nearest face, or to the apex
+        assert cones.cone_distance(np.array(v), np.eye(2)) == pytest.approx(expected, abs=1e-12)
+
 
 def _face_corpus(rng, d, m, kind):
     """m unit rays in R^d (random, nonnegative, or 1e-8 to 1e-3 apart) and a
@@ -288,9 +298,24 @@ class TestExtremeRayIndices:
         with pytest.raises(InvalidInput, match="finite"):
             cones.extreme_ray_indices(u)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_a_non_finite_row_is_refused_without_a_warning(self, bad):
+        # the rows are checked before any norm is taken
+        rays = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
+        rays[1, 2] = bad
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InvalidInput, match="finite"):
+                cones.extreme_ray_indices(rays)
+
+    def test_one_dimensional_chart(self):
+        # on a line, opposite rays are both extreme and a rescaled ray is its ray
+        assert cones.extreme_ray_indices([[1.0], [-1.0]]) == [0, 1]
+        assert cones.extreme_ray_indices([[1.0], [-1.0], [2.0]]) == [0, 1, 2]
+
 
 class TestUnitRows:
-    """Both readers of rays take their rows as unit vectors, and refuse a
+    """The reader of rays takes its rows as unit vectors, and refuses a
     non-finite entry or a zero row."""
 
     def test_a_rescaled_row_is_its_ray(self):

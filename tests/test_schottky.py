@@ -432,6 +432,53 @@ class TestFacetFrame:
 
 
 class TestConeSemigroupMembership:
+    """An element of the open semigroup of a frame whose lambda lies in a
+    target cone: in_open_semigroup decides the first, in_cone the second."""
+
+    @staticmethod
+    def _bracketing_cone(direction: np.ndarray) -> lc.TargetCone:
+        # rotate the direction by +-0.1 rad in the chamber plane: the cone has
+        # the direction on its axis at boundary distance sin(0.1) ~ 0.0998
+        from limitcone.cones import chamber_basis
+
+        b = chamber_basis(3)
+        dc = b.T @ (direction / np.linalg.norm(direction))
+        rays = []
+        for theta in (0.1, -0.1):
+            c, s = np.cos(theta), np.sin(theta)
+            rays.append(b @ (np.array([[c, -s], [s, c]]) @ dc))
+        return lc.TargetCone.from_rays(rays)
+
+    def test_interior_direction_accepted(self):
+        rng = np.random.default_rng(44)
+        g = strongly_contracting_element(rng)
+        lam = lc.jordan_projection(g).coords
+        cone = self._bracketing_cone(lam)
+        assert lc.in_open_semigroup(g, lc.FacetFrame.identity(3), 0.05)
+        assert lc.cones.in_cone(lam, cone.rays_matrix())
+
+    def test_outside_direction_rejected(self):
+        rng = np.random.default_rng(45)
+        g = strongly_contracting_element(rng)
+        # a narrow cone hugging the x1 = x2 chamber wall, far from lambda(g)
+        r1 = np.array([1.0, 0.98, -1.98])
+        r2 = np.array([1.0, 0.8, -1.8])
+        cone = lc.TargetCone.from_rays([r1, r2])
+        lam = lc.jordan_projection(g).coords
+        assert lc.in_open_semigroup(g, lc.FacetFrame.identity(3), 0.05)
+        assert not lc.cones.in_cone(lam, cone.rays_matrix())
+        assert lc.cones.cone_distance(lam / np.linalg.norm(lam), cone.rays_matrix()) > 0.05
+
+    def test_product_closure(self):
+        rng = np.random.default_rng(46)
+        g1 = strongly_contracting_element(rng)
+        g2 = strongly_contracting_element(rng)
+        prod = g1 @ g2
+        lam = lc.jordan_projection(prod).coords
+        cone = self._bracketing_cone(lam)
+        assert lc.in_open_semigroup(prod, lc.FacetFrame.identity(3), 0.05)
+        assert lc.cones.in_cone(lam, cone.rays_matrix())
+
     def test_forged_letter_is_read_from_its_factors(self):
         # lambda(g) = power * ray to rounding, and the letter is a member of
         # the open semigroup of its own rotation's frame; the rounded entries
@@ -479,6 +526,18 @@ class TestTargetCone:
         # a rays file may spell NaN or Infinity, which json parses
         with pytest.raises(InvalidInput, match="margin"):
             lc.TargetCone.from_rays([FORGE_RAY_1], margin=margin)
+
+    def test_the_margin_is_kept_as_given(self):
+        assert lc.TargetCone.from_rays([FORGE_RAY_1]).margin == 0.05
+        cone = lc.TargetCone.from_rays([FORGE_RAY_1], margin=1)
+        assert cone.margin == 1.0 and type(cone.margin) is float
+
+    def test_the_forge_does_not_read_the_margin(self, forged_semigroup):
+        # cones that differ in their margin alone forge the same system
+        wide = lc.TargetCone.from_rays([FORGE_RAY_1, FORGE_RAY_2], margin=0.5)
+        again = lc.forge_semigroup(3, wide, 0.05, seed=7)
+        assert again == forged_semigroup
+        assert again.forge_report == forged_semigroup.forge_report
 
     def test_rejects_empty_and_mixed_dimension_rays(self):
         with pytest.raises(InvalidInput, match="at least one ray"):
