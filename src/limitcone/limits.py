@@ -16,7 +16,8 @@ The cone and the mu/lambda comparison share one readout (`_class_readout`),
 which reads lambda once per conjugacy class, lambda(u v u^-1) = lambda(v):
 from the class's shortest word, which is, for enumerated words, the least
 rotation of the word's cyclic core.  Every other word copies that row, which
-also spares a conjugated group word its ill-conditioned `eig`.  mu is read
+also spares a conjugated group word its ill-conditioned `eig`; a listed
+class with no cyclically reduced member is read from its core.  mu is read
 per word.
 
 The forward limit set reads attracting flags once per class too.  Let R be
@@ -299,6 +300,11 @@ def _batches(sampler: WordSampler, words=None):
     yield words, alphabet.accumulate(spelled), spelled
 
 
+def _cancels(alphabet) -> np.ndarray:
+    """Per letter, the letter that cancels it, or -1."""
+    return np.array([-1 if c is None else c for _, _, c in alphabet.letters])
+
+
 def _cyclic_classes(spelled, lengths, cancels) -> tuple:
     """Per word of `spelled` (see `_spell`), of `lengths` letters: (core, key,
     canon, lead), its conjugacy class.
@@ -406,7 +412,7 @@ def _classes(sampler: WordSampler, words=None):
     module docstring): 0 for r itself, and -1 where r is not cyclically
     reduced, which happens only in a list none of whose class members is.
     """
-    cancels = np.array([-1 if c is None else c for _, _, c in sampler.alphabet.letters])
+    cancels = _cancels(sampler.alphabet)
     if words is not None or sampler.count:
         ((batch, product, spelled),) = _batches(sampler, words)
         length = np.count_nonzero(spelled >= 0, axis=1)
@@ -435,16 +441,27 @@ def _class_readout(sampler: WordSampler, words=None) -> tuple:
     lambda is a class function, lambda(u v u^-1) = lambda(v), so it is read
     once per conjugacy class, from the representative of `_classes`:
     `eigvals` reads the representatives' products only, and every other row
-    copies its representative's lambda row.  mu is read per word: it is not
-    a class function.
+    copies its representative's lambda row.  A representative that is not
+    cyclically reduced, which only a drawn or supplied group list has, is
+    read from the least rotation of its cyclic core instead, all such cores
+    accumulated by one `Alphabet.accumulate`: `eigvals` of u v u^-1 has
+    condition number about exp(mu_1 - lambda_1).  mu is read per word: it
+    is not a class function.
     """
+    cancels = _cancels(sampler.alphabet)
     lengths, mus, lams, reps, lo = [], [], [], [], 0
-    for batch, product, spelled, rep, _ in _classes(sampler, words):
+    for batch, product, spelled, rep, lead in _classes(sampler, words):
+        length = np.count_nonzero(spelled >= 0, axis=1)
         own = rep == np.arange(lo, lo + len(batch))
+        reduced, conjugated = own & (lead >= 0), own & (lead < 0)
         lam = np.zeros((len(batch), sampler.n))
-        lam[own] = product_projection(take_words(product, own), jordan=True)
+        lam[reduced] = product_projection(take_words(product, reduced), jordan=True)
+        if conjugated.any():
+            size, _, canon, _ = _cyclic_classes(spelled[conjugated], length[conjugated], cancels)
+            cores = sampler.alphabet.accumulate(np.split(canon, np.cumsum(size)[:-1]))
+            lam[conjugated] = product_projection(cores, jordan=True)
         mus.append(product_projection(product, jordan=False))
-        lengths.append(np.count_nonzero(spelled >= 0, axis=1))
+        lengths.append(length)
         lams.append(lam)
         reps.append(rep)
         lo += len(batch)

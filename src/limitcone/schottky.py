@@ -145,6 +145,9 @@ class TargetCone:
             raise InvalidInput("cone rays must be vectors of one dimension")
         normed = []
         for c in coords:
+            if not np.isfinite(c).all():
+                # before the norm and the division, which would warn on an infinite coordinate
+                raise InvalidInput("coordinates must be finite")
             norm = float(np.linalg.norm(c))
             if norm == 0.0:
                 raise RayNotInChamber("zero ray")

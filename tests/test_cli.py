@@ -599,10 +599,13 @@ class TestMalformedContents:
             ("certify-schottky", {"generators": {"a": [[1.0]]}}, "generators must be a list"),
             ("certify-schottky", {**SYSTEM, "factors": []}, "one entry per generator"),
             ("forge", {"rays": {"a": [2.0, -0.5, -1.5]}}, "rays must be a list"),
+            # json writes and reads Infinity; it is refused without a RuntimeWarning
+            ("forge", {"rays": [[float("inf"), 0.0, -1.0]]}, "coordinates must be finite"),
         ],
         ids=[
             "array-document", "list-for-number", "number-for-list", "non-object-factors",
             "generators-not-a-list", "factors-of-the-wrong-length", "rays-not-a-list",
+            "infinite-ray",
         ],
     )
     def test_malformed_file_is_refused_with_nothing_on_stdout(

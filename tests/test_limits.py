@@ -1055,7 +1055,9 @@ def _reference_projection(product, jordan):
         if jordan:
             top = float(np.max(np.abs(np.linalg.eigvals(p))))
         else:
-            top = float(np.linalg.svd(p, compute_uv=False)[0])
+            # the library's read of the top singular value, on a stack of one
+            q = p[None]
+            top = float(np.sqrt(np.linalg.eigvalsh(q.transpose(0, 2, 1) @ q)[0, -1]))
         partial.append(float(np.log(top) + ls))
     v = np.sort(np.diff([0.0] + partial + [0.0]))[::-1]
     return v - v.sum() / v.shape[0]
@@ -1128,6 +1130,16 @@ def _reference_canon(cancels, word):
     """The least rotation of the word's cyclic core, from every rotation."""
     core = _reference_core(cancels, word)[1]
     return min(core[i:] + core[:i] for i in range(len(core)))
+
+
+def _reference_class_lambda(alphabet, word):
+    """lambda of the class of a representative, as the class readout reads
+    it: from the word when it is cyclically reduced, else from the least
+    rotation of its cyclic core."""
+    cancels = _cancels(alphabet)
+    if len(_reference_core(cancels, word)[1]) < len(word):
+        word = _reference_canon(cancels, word)
+    return _reference_projection(_reference_accumulate(alphabet, word), True)
 
 
 def _reference_lead(cancels, word, rep):
@@ -1302,6 +1314,9 @@ class TestBatchedEngine:
                 assert np.array_equal(mu[row], _reference_projection(ref, False))
                 assert np.array_equal(lam[row], _reference_projection(ref, True))
 
+    def test_mu_reads_the_top_singular_values_to_8_eps(self, sampler, monkeypatch):
+        _assert_top_singular_values_match_svd(sampler, monkeypatch)
+
     @pytest.mark.parametrize("backward", [False, True])
     def test_eigendata_equals_the_per_word_readout(self, sampler, backward):
         a = sampler.alphabet
@@ -1340,7 +1355,7 @@ class TestBatchedEngine:
         mus = [_reference_projection(p, False) for p in products]
         # lambda of the word's class, read from its representative
         reps = _reference_representatives(_cancels(a), words)
-        lams = [_reference_projection(products[r], True) for r in reps]
+        lams = [_reference_class_lambda(a, words[r]) for r in reps]
         gaps = [float(np.max(np.abs(m - l))) for m, l in zip(mus, lams)]
         est = lc.estimate_cone(sampler)
         assert est.per_word_mu_lambda_gap == tuple(gaps)
@@ -1466,8 +1481,7 @@ class TestBatchedEngine:
         for i, r in enumerate(rep.tolist()):
             assert lam[i].tobytes() == lam[r].tobytes()
         for r in sorted(set(rep.tolist())):
-            want = _reference_projection(_reference_accumulate(a, words[r]), True)
-            assert np.array_equal(lam[r], want)
+            assert np.array_equal(lam[r], _reference_class_lambda(a, words[r]))
 
     @pytest.mark.parametrize("estimate", [lc.estimate_cone, lc.compare_mu_lambda])
     def test_eigvals_reads_the_representatives_alone(self, forged_sl4, estimate, monkeypatch):
@@ -1620,6 +1634,114 @@ def _sym2(m):
     p[0, 0] = p[3, 2] = 1.0
     p[1, 1] = p[2, 1] = np.sqrt(0.5)
     return p.T @ np.kron(m, m) @ p
+
+
+def _mu_top_singular_values(product, monkeypatch):
+    """Per degree, the top singular values the mu readout of `product` reads:
+    the square roots of the top eigenvalues `eigvalsh` returns it."""
+    seen, eigvalsh = [], np.linalg.eigvalsh
+
+    def capture(a):
+        w = eigvalsh(a)
+        seen.append(np.sqrt(w[:, -1]))
+        return w
+
+    with monkeypatch.context() as m:
+        m.setattr(np.linalg, "eigvalsh", capture)
+        lc.projections.product_projection(product, jordan=False)
+    return seen
+
+
+def _assert_top_singular_values_match_svd(sampler, monkeypatch):
+    eps = np.finfo(float).eps
+    for _, product, _ in limits._batches(sampler):
+        tops = _mu_top_singular_values(product, monkeypatch)
+        assert len(tops) == len(product)  # one batched call per degree
+        for top, (p, _) in zip(tops, product):
+            want = np.linalg.svd(p, compute_uv=False)[:, 0]
+            assert np.all(np.abs(top - want) <= 8 * eps * want)
+
+
+def _mp_mu(mp, letters, word):
+    """mu of the word's product of `letters` (see `_mp_letters`), from
+    mpmath's singular values."""
+    m = letters[word[0]]
+    for i in word[1:]:
+        m = m * letters[i]
+    logs = sorted((mp.log(x) for x in mp.svd_r(m, compute_uv=False)), reverse=True)
+    mean = sum(logs) / len(logs)
+    return np.array([float(x - mean) for x in logs])
+
+
+class TestMuKernel:
+    """mu reads each compound's top singular value from its Gram matrix."""
+
+    def test_forged_sl4_at_depth_7_reads_the_top_singular_values_to_8_eps(
+        self, forged_sl4, monkeypatch
+    ):
+        _assert_top_singular_values_match_svd(
+            _sampler(forged_sl4.generators, max_length=7), monkeypatch
+        )
+
+    @pytest.mark.parametrize("system", ["forged-sl4", "sl2-group"])
+    def test_mu_matches_mpmath(self, system, forged_sl4, sl2_pair):
+        mp = pytest.importorskip("mpmath")
+        if system == "forged-sl4":
+            s = _sampler(forged_sl4.generators, max_length=7)
+        else:
+            s = _sampler(sl2_pair, kind="group", max_length=7)
+        words = s.words()
+        _, mu, _, _ = limits._class_readout(s)
+        rows = np.linspace(0, len(words) - 1, 12).astype(int).tolist()
+        # the product's singular values span exp(mu_1 - mu_n) at most the
+        # letters' spans multiplied; 50 digits past that keep 50 digits of the
+        # smallest singular value
+        span = max(
+            sum(float(np.ptp(lc.cartan_projection(s.alphabet.elements[i]).coords)) for i in w)
+            for w in (words[r] for r in rows)
+        )
+        with mp.workdps(50 + int(span / np.log(10.0)) + 1):
+            letters = _mp_letters(mp, s.alphabet)
+            for r in rows:
+                want = _mp_mu(mp, letters, words[r])
+                assert np.max(np.abs(mu[r] - want)) <= 1e-13 * max(1.0, np.max(np.abs(want)))
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+    @pytest.mark.parametrize("jordan", [False, True], ids=["mu", "lambda"])
+    def test_rows_read_alone_equal_the_batch(self, n, jordan):
+        # the degrees of SL(2) .. SL(6) have d = 2, 3, 4, 5, 6, 10, 15 and 20
+        rng = np.random.default_rng(n)
+        count = 40
+        product = []
+        for k in range(1, n):
+            d = comb(n, k)
+            p = rng.standard_normal((count, d, d))
+            p /= np.linalg.norm(p.reshape(count, -1), axis=1)[:, None, None]
+            product.append((p, rng.standard_normal(count)))
+        read = lc.projections.product_projection
+        full = read(tuple(product), jordan)
+        rows = rng.choice(count, 17, replace=False)
+        assert np.array_equal(read(lc.projections.take_words(product, rows), jordan), full[rows])
+        for i in range(count):
+            alone = read(lc.projections.take_words(product, np.array([i])), jordan)
+            assert np.array_equal(alone[0], full[i])
+
+    def test_conjugated_drawn_representatives_read_lambda_from_their_cores(self, forge_cone):
+        # a drawn group list whose class holds no cyclically reduced member
+        # reads lambda from the class's core, not from eig of u v u^-1
+        mp = pytest.importorskip("mpmath")
+        gens = lc.forge_group(3, forge_cone, 0.05, seed=2).generators
+        s = _sampler(gens, kind="group", count=2000, max_length=8, seed=5)
+        words = s.words()
+        ((_, _, _, _, lead),) = limits._classes(s)
+        rows = np.flatnonzero(lead < 0).tolist()
+        assert len(rows) == 9
+        _, _, lam, _ = limits._class_readout(s)
+        with mp.workdps(200):
+            letters = _mp_letters(mp, s.alphabet)
+            for i in rows:
+                want = _mp_lambda(mp, letters, words[i])
+                assert np.max(np.abs(lam[i] - want)) <= 1e-12 * np.max(np.abs(want))
 
 
 class TestClassMap:

@@ -521,6 +521,13 @@ class TestTargetCone:
         with pytest.raises(RayNotInChamber):
             lc.TargetCone.from_rays([np.zeros(3)])
 
+    @pytest.mark.parametrize("x", [np.inf, -np.inf, np.nan], ids=["inf", "-inf", "nan"])
+    def test_a_ray_with_a_non_finite_coordinate_is_refused_without_a_warning(self, x):
+        # the suite turns a RuntimeWarning into an error, so a warning from the
+        # norm or the division before the refusal fails here
+        with pytest.raises(InvalidInput, match="finite"):
+            lc.TargetCone.from_rays([FORGE_RAY_1, [x, 0.0, -1.0]])
+
     @pytest.mark.parametrize("margin", [0.0, -0.1, np.nan, np.inf, -np.inf])
     def test_nonpositive_margin_rejected(self, margin):
         # a rays file may spell NaN or Infinity, which json parses

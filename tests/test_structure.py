@@ -18,6 +18,16 @@ ROOT = Path(__file__).resolve().parent.parent
 SOURCES = sorted((ROOT / "src" / "limitcone").glob("*.py"))
 
 
+@pytest.mark.parametrize("path", sorted(ROOT.glob("BENCH_*.json")), ids=lambda p: p.name)
+def test_benchmark_records_parse_with_their_keys(path):
+    # a committed benchmark record names the change, the machine and the
+    # end-to-end numbers
+    record = json.loads(path.read_text())
+    assert isinstance(record, dict)
+    missing = {"change", "environment", "end_to_end"} - record.keys()
+    assert not missing, missing
+
+
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
 def test_no_private_cross_module_imports(path):
     private = [
