@@ -1200,11 +1200,17 @@ def _mp_letters(mp, alphabet):
     return [gens[j] ** -1 if inverted else gens[j] for j, inverted, _ in alphabet.letters]
 
 
-def _mp_lambda(mp, letters, word):
-    """lambda of the word's product of `letters` (see `_mp_letters`)."""
+def _mp_product(letters, word):
+    """The word's product of `letters` (see `_mp_letters`)."""
     m = letters[word[0]]
     for i in word[1:]:
         m = m * letters[i]
+    return m
+
+
+def _mp_lambda(mp, letters, word):
+    """lambda of the word's product of `letters` (see `_mp_letters`)."""
+    m = _mp_product(letters, word)
     logs = sorted((mp.log(abs(e)) for e in mp.eig(m, left=False, right=False)), reverse=True)
     mean = sum(logs) / len(logs)
     return np.array([float(x - mean) for x in logs])
@@ -1548,10 +1554,7 @@ class TestBatchedEngine:
         with mp.workdps(200):
             letters = _mp_letters(mp, a)
             for i in conjugated[:: max(1, len(conjugated) // 150)]:
-                m = letters[words[i][0]]
-                for j in words[i][1:]:
-                    m = m * letters[j]
-                vals, vecs = mp.eig(m)
+                vals, vecs = mp.eig(_mp_product(letters, words[i]))
                 top = max(range(len(vals)), key=lambda j: abs(vals[j]))
                 want = np.array([float(mp.re(vecs[r, top])) for r in range(s.n)])
                 got = forward[0][rows[i]]
@@ -1665,9 +1668,7 @@ def _assert_top_singular_values_match_svd(sampler, monkeypatch):
 def _mp_mu(mp, letters, word):
     """mu of the word's product of `letters` (see `_mp_letters`), from
     mpmath's singular values."""
-    m = letters[word[0]]
-    for i in word[1:]:
-        m = m * letters[i]
+    m = _mp_product(letters, word)
     logs = sorted((mp.log(x) for x in mp.svd_r(m, compute_uv=False)), reverse=True)
     mean = sum(logs) / len(logs)
     return np.array([float(x - mean) for x in logs])
