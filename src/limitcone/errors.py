@@ -1,4 +1,6 @@
-"""Exception hierarchy shared by every module, and the one seed check."""
+"""Exception hierarchy shared by every module, and the one seed and size check."""
+
+import operator
 
 
 class LimitConeError(Exception):
@@ -103,9 +105,17 @@ class ConeNotInvolutionStable(LimitConeError):
     """A group forge was requested for a cone that is not opposition-involution stable."""
 
 
+def as_index(value, name: str) -> int:
+    """`value` through `operator.index`, so an int or a numpy integer: 1.5
+    is refused with InvalidInput, not truncated or left to a bare TypeError."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise InvalidInput(f"{name} must be an integer, got {value!r}") from None
+
+
 def check_seed(seed) -> None:
-    """Refuse a negative seed with InvalidInput, before any work: numpy's
-    generators raise a bare ValueError on one, and a path that draws nothing
-    would accept it."""
-    if seed < 0:
+    """Refuse a seed that is not an integer >= 0 with InvalidInput, before
+    any work: numpy raises a bare ValueError on -1 and truncates 1.5."""
+    if as_index(seed, "seed") < 0:
         raise InvalidInput(f"seed must be >= 0, got {seed}")

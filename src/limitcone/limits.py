@@ -13,16 +13,16 @@ batched decomposition per degree.  Any other word list, drawn or supplied
 through `words=`, is one ragged batch (`Alphabet.accumulate`), spelled longest
 word first so that the words still being spelled are a prefix of the batch.
 The cone and the mu/lambda comparison share one readout (`_class_readout`),
-which reads lambda once per conjugacy class, lambda(u v u^-1) = lambda(v):
-from the class's shortest word, which is, for enumerated words, the least
-rotation of the word's cyclic core.  Every other word copies that row, which
-also spares a conjugated group word its ill-conditioned `eig`; a listed
-class with no cyclically reduced member is read from its core.  mu is read
-per word.
+which reads lambda once per conjugacy class (`_classes`), lambda(u v u^-1) =
+lambda(v): from the class's shortest word, which is, for enumerated words,
+the least rotation of the word's cyclic core.  Every other word copies that
+row, which also spares a conjugated group word its ill-conditioned `eig`; a
+listed class with no cyclically reduced member is read from its core.  mu is
+read per word.
 
 The forward limit set reads attracting flags once per class too.  Let R be
-a word's class representative and p its lead prefix (`_classes`): for the
-word w = u v u^-1 with core v = a b and R = b a, p = u a.  Then w p = p R,
+a word's class representative and p its lead prefix: for the word
+w = u v u^-1 with core v = a b and R = b a, p = u a.  Then w p = p R,
 since u^-1 u cancels: w p = u a b a = p R.  So for every eigenvector y of
 R's k-th compound, P_p y is an eigenvector of w's for the same eigenvalue
 (w P_p y = P_p R y), and x+(w) = P_p x+(R) at every degree, in semigroups
@@ -44,7 +44,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import cones
-from .errors import BudgetExceeded, DegenerateSample, InvalidInput, check_seed
+from .errors import BudgetExceeded, DegenerateSample, InvalidInput, as_index, check_seed
 from .projgeom import (
     ProjectivePoint,
     canonical_units,
@@ -188,9 +188,9 @@ class WordSampler:
     alphabet: Alphabet = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if self.max_length < 1:
+        if as_index(self.max_length, "max_length") < 1:
             raise InvalidInput("max_length must be >= 1")
-        if self.count < 0:
+        if as_index(self.count, "count") < 0:
             raise InvalidInput(f"count must be >= 0, got {self.count}")
         check_seed(self.seed)
         object.__setattr__(self, "alphabet", Alphabet.of(self.generators, self.kind))
@@ -399,74 +399,74 @@ def _first_shortest(core, key, lengths) -> np.ndarray:
 
 
 def _classes(sampler: WordSampler, words=None):
-    """Per batch of `_batches`: (words, product, spelled, rep, lead), the
+    """Per batch of `_batches`: (words, product, spelled, cls, lead, new), the
     class map of its words.
 
-    `rep` is per word the row of its class's representative: the class's
-    shortest word in the list, the first one when several are that short.
-    For enumerated words that is the least rotation R of the word's cyclic
-    core, which is enumerated at or before the word, in length-then-lex
-    order (`_level_rows`); in a drawn or supplied list it is a list member
-    (`_first_shortest`).  `lead` is per word the length of the prefix p that
-    carries the representative r's flags to the word w, w p = p r (see the
-    module docstring): 0 for r itself, and -1 where r is not cyclically
-    reduced, which happens only in a list none of whose class members is.
+    `cls` is per word the index of its class among all batches' classes,
+    and `new` the accumulated product of the representatives of the classes
+    the batch meets first, in index order.  A class's representative r is
+    its shortest word in the list, the first one when several are that
+    short: for enumerated words the least rotation R of the word's cyclic
+    core, enumerated at or before the word (`_level_rows`); in a drawn or
+    supplied list a list member (`_first_shortest`), or R when that member
+    is not cyclically reduced, since `eig` of u v u^-1 has condition number
+    about exp(mu_1 - lambda_1).  `lead` (>= 0) is per word the length of the
+    prefix p that carries r's flags to the word w, w p = p r (see the
+    module docstring): 0 for r itself and its repeats in a list.
     """
     cancels = _cancels(sampler.alphabet)
     if words is not None or sampler.count:
         ((batch, product, spelled),) = _batches(sampler, words)
         length = np.count_nonzero(spelled >= 0, axis=1)
-        core, key, _, lead = _cyclic_classes(spelled, length, cancels)
+        core, key, canon, lead = _cyclic_classes(spelled, length, cancels)
         rep = _first_shortest(core, key, length)
+        # the listed representatives first, then the cores of the others
+        reps = np.unique(rep)
+        reps = reps[np.argsort(core[reps] < length[reps], kind="stable")]
+        index = np.empty(len(batch), dtype=int)
+        index[reps] = np.arange(len(reps))
+        bare, first = reps[core[reps] < length[reps]], np.cumsum(core) - core
+        cores = sampler.alphabet.accumulate([canon[first[r] : first[r] + core[r]] for r in bare])
+        listed = take_words(product, reps[: len(reps) - len(bare)])
+        new = tuple(tuple(map(np.concatenate, zip(a, b))) for a, b in zip(listed, cores))
         start = (length - core) // 2
-        # r = rot(v, m) with m = (shift of w - shift of r) mod |v|, and
-        # w (u v[:m]) = u v v[:m] = (u v[:m]) r
-        lead = np.where(core[rep] == length[rep], start + (lead - start - lead[rep]) % core, -1)
-        yield batch, product, spelled, rep, lead
+        # r = rot(v, m) with m = (shift of w - shift of r) mod |v|, R's shift
+        # being 0, and w (u v[:m]) = u v v[:m] = (u v[:m]) r
+        shift = lead - start
+        lead = start + (shift - np.where(core[rep] == length[rep], shift[rep], 0)) % core
+        yield batch, product, spelled, index[rep], lead, new
         return
-    # per enumerated level, the row of its first word
-    starts, lo = np.zeros(sampler.max_length, dtype=int), 0
+    # per enumerated level, the row of its first word; met[i] is the number
+    # of classes met before row i, a class being met at its representative
+    starts, lo, met = np.zeros(sampler.max_length, dtype=int), 0, np.zeros(1, dtype=int)
     for batch, product, spelled in _batches(sampler):
         width = spelled.shape[1]
         starts[width - 1] = lo
         core, _, canon, lead = _cyclic_classes(spelled, np.full(len(batch), width), cancels)
-        yield batch, product, spelled, _level_rows(core, canon, cancels, starts), lead
+        rep = _level_rows(core, canon, cancels, starts)
+        own = rep == np.arange(lo, lo + len(batch))
+        met = np.concatenate([met, met[-1] + np.cumsum(own)])
+        yield batch, product, spelled, met[rep], lead, take_words(product, own)
         lo += len(batch)
 
 
 def _class_readout(sampler: WordSampler, words=None) -> tuple:
-    """(lengths, mu, lam, rep): per word, in order, its length, its Cartan
-    and Jordan projections, and the row of its class's representative.
+    """(lengths, mu, lam, cls): per word, in order, its length, its Cartan
+    and Jordan projections, and the index of its conjugacy class.
 
     lambda is a class function, lambda(u v u^-1) = lambda(v), so it is read
-    once per conjugacy class, from the representative of `_classes`:
-    `eigvals` reads the representatives' products only, and every other row
-    copies its representative's lambda row.  A representative that is not
-    cyclically reduced, which only a drawn or supplied group list has, is
-    read from the least rotation of its cyclic core instead, all such cores
-    accumulated by one `Alphabet.accumulate`: `eigvals` of u v u^-1 has
-    condition number about exp(mu_1 - lambda_1).  mu is read per word: it
-    is not a class function.
+    once per class, from the representative of `_classes`: `eigvals` reads
+    the representatives' products only, and every row copies its class's
+    lambda row.  mu is read per word: it is not a class function.
     """
-    cancels = _cancels(sampler.alphabet)
-    lengths, mus, lams, reps, lo = [], [], [], [], 0
-    for batch, product, spelled, rep, lead in _classes(sampler, words):
-        length = np.count_nonzero(spelled >= 0, axis=1)
-        own = rep == np.arange(lo, lo + len(batch))
-        reduced, conjugated = own & (lead >= 0), own & (lead < 0)
-        lam = np.zeros((len(batch), sampler.n))
-        lam[reduced] = product_projection(take_words(product, reduced), jordan=True)
-        if conjugated.any():
-            size, _, canon, _ = _cyclic_classes(spelled[conjugated], length[conjugated], cancels)
-            cores = sampler.alphabet.accumulate(np.split(canon, np.cumsum(size)[:-1]))
-            lam[conjugated] = product_projection(cores, jordan=True)
+    lengths, mus, lams, classes = [], [], [], []
+    for _, product, spelled, cls, _, new in _classes(sampler, words):
+        lengths.append(np.count_nonzero(spelled >= 0, axis=1))
         mus.append(product_projection(product, jordan=False))
-        lengths.append(length)
-        lams.append(lam)
-        reps.append(rep)
-        lo += len(batch)
-    rep = np.concatenate(reps)
-    return np.concatenate(lengths), np.concatenate(mus), np.concatenate(lams)[rep], rep
+        lams.append(product_projection(new, jordan=True))
+        classes.append(cls)
+    cls = np.concatenate(classes)
+    return np.concatenate(lengths), np.concatenate(mus), np.concatenate(lams)[cls], cls
 
 
 @dataclass(frozen=True)
@@ -548,9 +548,9 @@ def estimate_cone(sampler: WordSampler, words=None) -> ConeEstimate:
     `lyapunov_directions` grows with the length.
     """
     n = sampler.n
-    lengths, mu, lam, rep = _class_readout(sampler, words)
+    lengths, mu, lam, cls = _class_readout(sampler, words)
     has, units = lyapunov_directions(lam, lengths)
-    _, first = np.unique(rep[has], return_index=True)
+    _, first = np.unique(cls[has], return_index=True)
     dirs = units[np.sort(first)]
     if not len(dirs):
         raise DegenerateSample("no sampled word has a nonzero Jordan projection")
@@ -719,51 +719,40 @@ def _flag_readout(sampler: WordSampler, words=None, side=None):
     DEFAULT_PROXIMALITY_FILTER.
 
     The forward side is read once per conjugacy class (see the module
-    docstring), whoever asks for it.  `eigen_splittings` reads the words
-    that are their own class representative r in `_classes`, or whose r is
-    not cyclically reduced; `table` keeps those rows, the only ones a later
-    batch reads.  Every other word w takes r's eigenvalue and moduli, class
-    functions, so the keep rule reads r's, and r's vector carried by the
-    product of w's lead prefix p, P_p x+(r), one batched matvec per degree;
-    a lead of 0, a repeat of r in a list, copies r's vector.  The backward
-    side comes from each word's own `eig`, in the same call that reads the
-    representatives when both sides are asked: in a semigroup x-(r) lies
-    near the repelling point of p's last letter, where P_p contracts, so
-    carrying it would lose the digits the carried vector needs.
+    docstring): `eigen_splittings` reads the products `new` of the batch's
+    new class representatives r in `_classes`, and `table` keeps their rows,
+    which a later batch reads too.  Every word w takes its r's eigenvalue
+    and moduli, class functions, so the keep rule reads r's, and r's vector
+    carried by the product of w's lead prefix p, P_p x+(r), one batched
+    matvec per degree; a lead of 0 copies r's vector.  The backward side
+    comes from each word's own `eig`: in a semigroup x-(r) lies near the
+    repelling point of p's last letter, where P_p contracts, so carrying it
+    would lose the digits the carried vector needs.
     """
     alphabet = sampler.alphabet
-    if side == "backward":
-        # the class map serves the forward side alone
-        batches = ((*b, None, None) for b in _batches(sampler, words))
-    else:
-        batches = _classes(sampler, words)
-    table, rows, lo = None, np.zeros(0, dtype=int), 0
-    for batch, product, spelled, rep, lead in batches:
-        if side == "backward":
-            sides = ([eigen_splittings(p)[1] for p, _ in product],)
-        else:
-            here = np.arange(lo, lo + len(batch))
-            own = (rep == here) | (lead < 0)
-            if side == "forward":
-                read, sides = [eigen_splittings(p[own])[0] for p, _ in product], ()
-            else:
-                both = [eigen_splittings(p) for p, _ in product]
-                read = [Splitting(*(f[own] for f in fwd)) for fwd, _ in both]
-                sides = ([bwd for _, bwd in both],)
-            rows = np.concatenate([rows, here[own]])
+    # the class map serves the forward side alone
+    batches = _batches(sampler, words) if side == "backward" else _classes(sampler, words)
+    table = None
+    for batch, product, spelled, *classes in batches:
+        sides = []
+        if classes:
+            cls, lead, new = classes
+            read = [eigen_splittings(p)[0] for p, _ in new]
             table = read if table is None else [
                 Splitting(*map(np.concatenate, zip(t, s))) for t, s in zip(table, read)
             ]
-            at = np.searchsorted(rows, np.where(own, here, rep))
-            forward = [Splitting(*(f[at] for f in t)) for t in table]
-            moved = np.flatnonzero(~own & (lead > 0))
+            forward = [Splitting(*(f[cls] for f in t)) for t in table]
+            moved = np.flatnonzero(lead > 0)
             if moved.size:
                 prefix, inverse = _prefix_products(alphabet, spelled[moved], lead[moved])
                 for s, (q, _) in zip(forward, prefix):
                     s.vectors[moved] = (q[inverse] @ s.vectors[moved, :, None])[:, :, 0]
-            sides = (forward, *sides)
-        with np.errstate(divide="ignore"):
-            # a vanishing runner-up modulus has no finite log gap
+            sides.append(forward)
+        if side != "forward":
+            sides.append([eigen_splittings(p)[1] for p, _ in product])
+        with np.errstate(divide="ignore", invalid="ignore"):
+            # a vanishing runner-up modulus has no finite log gap, and two
+            # vanishing moduli none at all; such a row is not proximal
             kept = [
                 np.logical_and.reduce([
                     s.proximal & (s.second > 0.0)
@@ -773,7 +762,6 @@ def _flag_readout(sampler: WordSampler, words=None, side=None):
                 for splits in sides
             ]
         yield batch, product, sides, kept
-        lo += len(batch)
 
 
 def estimate_limit_set(sampler: WordSampler, side: str = "forward", words=None) -> LimitSetSample:
@@ -810,7 +798,8 @@ def estimate_facets(sampler: WordSampler, words=None) -> list[FacetSample]:
     pair and a transversality flag.
 
     So a word yields a facet when the limit set keeps it both ways, and its
-    forward flag is the one the limit set reads, once per conjugacy class.
+    forward flag is the one the limit set reads, once per conjugacy class,
+    by an `eig` of the representatives beside each word's backward `eig`.
     A batch's kept rows are read as stacks, one `canonical_units` per side
     and degree, and their repelling covectors from one transposed `eig` per
     degree, none when no row is kept.  The flags are in general position

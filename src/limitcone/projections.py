@@ -72,13 +72,6 @@ class ChamberVector(ArrayValued):
     def n(self) -> int:
         return self.coords.shape[0]
 
-    def direction(self) -> np.ndarray:
-        """Unit vector along self; zero vector if self is zero."""
-        norm = float(np.linalg.norm(self.coords))
-        if norm == 0.0:
-            return np.zeros(self.n)
-        return self.coords / norm
-
 
 def _float_array(values) -> np.ndarray:
     """`values` as a float array; ragged or non-numeric input raises InvalidInput."""

@@ -61,6 +61,7 @@ from .errors import (
     NotProximal,
     NumericalFailure,
     SeparationViolated,
+    as_index,
     check_seed,
 )
 from .projgeom import (
@@ -94,12 +95,13 @@ def _letter_constant(epsilon: float) -> float:
 
 def check_request(epsilon: float, mode: str, sample_count: int, seed: int) -> None:
     """Refuse with InvalidInput, before any work, unless epsilon is in (0, 1), mode
-    in MODES, sample_count >= 1 when sampling (analytic takes none) and seed >= 0."""
+    in MODES, sample_count an integer >= 1 when sampling (analytic takes none) and
+    seed an integer >= 0."""
     if not 0.0 < epsilon < 1.0:
         raise InvalidInput(f"epsilon must be in (0, 1), got {epsilon}")
     if mode not in MODES:
         raise InvalidInput(f"unknown mode {mode!r}")
-    if mode == "sampled" and sample_count < 1:
+    if mode == "sampled" and as_index(sample_count, "sample_count") < 1:
         raise InvalidInput(f"sample_count must be >= 1, got {sample_count}")
     check_seed(seed)
 

@@ -1,6 +1,7 @@
 """Sampled limit cones, convexity evidence, limit sets, and facets."""
 
 import dataclasses
+import itertools
 from math import comb
 
 import numpy as np
@@ -480,6 +481,23 @@ class TestEstimateLimitSet:
         with pytest.raises(InvalidInput):
             lc.estimate_limit_set(s).cloud(k)
 
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_vanishing_moduli_are_refused_without_a_warning(self, forge_cone, seed):
+        # some backward rows of these groups read both bottom moduli as 0.0:
+        # their log gap is -inf - (-inf), NaN, and the keep rule refuses them
+        # as not proximal without a RuntimeWarning, which the suite's filter
+        # turns into an error
+        gens = lc.forge_group(3, forge_cone, 0.05, seed=seed).generators
+        s = _sampler(gens, kind="group", max_length=6)
+        vanishing = 0
+        for *_, (splits,), (kept,) in limits._flag_readout(s, side="backward"):
+            both = np.logical_or.reduce([(x.top == 0.0) & (x.second == 0.0) for x in splits])
+            assert not kept[both].any()
+            vanishing += int(both.sum())
+        assert vanishing > 0
+        assert len(lc.estimate_limit_set(s, side="backward").cloud(1)) > 0
+        assert len(lc.estimate_facets(s)) > 0
+
     def test_invalid_side(self, sl2_pair):
         with pytest.raises(InvalidInput):
             lc.estimate_limit_set(_sampler(sl2_pair), side="sideways")
@@ -538,8 +556,9 @@ class TestEstimateFacets:
         g = lc.GroupElement.from_matrix(rotation2(0.4))
         with np.errstate(all="raise"), pytest.raises(DegenerateSample):
             lc.estimate_facets(_sampler([g], max_length=2))
-        # one splitting per level; a level that keeps no row reads no covectors
-        assert calls == [(1, 2, 2), (1, 2, 2)]
+        # two splittings per level, the representatives' forward side and
+        # every word's backward side; a level that keeps no row reads no covectors
+        assert calls == [(1, 2, 2)] * 4
 
     # log gap 6e-7 < DEFAULT_PROXIMALITY_FILTER, relative gap far above
     # EIGEN_GAP_TOL: proximal to the splitting, unresolved to the limit set
@@ -586,7 +605,7 @@ def _reference_facets(sampler, epsilon_filter=limits.DEFAULT_PROXIMALITY_FILTER)
     limit set's rule, (word, forward reps, backward reps, general position).
     The forward side is the limit set's (`_reference_forward`): a word's
     repelling covector is its own product's left eigenvector nearest the
-    eigenvalue of the row its forward side is read from."""
+    eigenvalue of the word its forward side is read from."""
     a = sampler.alphabet
     words = sampler.words()
     out = []
@@ -597,7 +616,7 @@ def _reference_facets(sampler, epsilon_filter=limits.DEFAULT_PROXIMALITY_FILTER)
             continue
         fwd, gaps = [], []
         try:
-            for (p, _), (q, _), (_, vec) in zip(compounds, _reference_accumulate(a, words[src]), forward):
+            for (p, _), (q, _), (_, vec) in zip(compounds, _reference_accumulate(a, src), forward):
                 reference_top_eigendata(q)  # the proximal mask of the row read
                 vals = np.linalg.eig(q)[0]
                 alpha = vals[np.argmax(np.abs(vals))]
@@ -711,9 +730,15 @@ def _offset(v, w, distance):
 
 
 def _lambda_directions(sampler):
-    """The unit Jordan projection of each sampled word, from its letters."""
+    """The unit Jordan projection of each sampled word, from its letters, or
+    the zero vector when it is zero."""
     elems = sampler.alphabet.elements
-    return [lc.product_jordan([elems[i] for i in w]).direction() for w in sampler.words()]
+    out = []
+    for w in sampler.words():
+        lam = lc.product_jordan([elems[i] for i in w]).coords
+        norm = np.linalg.norm(lam)
+        out.append(lam / norm if norm > 0.0 else np.zeros_like(lam))
+    return out
 
 
 class TestDedupKernels:
@@ -1132,30 +1157,34 @@ def _reference_canon(cancels, word):
     return min(core[i:] + core[:i] for i in range(len(core)))
 
 
+def _reference_class_word(cancels, word):
+    """The word that stands for the class of a list's representative, as the
+    class map reads it: the word when it is cyclically reduced, else the
+    least rotation of its cyclic core."""
+    if len(_reference_core(cancels, word)[1]) < len(word):
+        return _reference_canon(cancels, word)
+    return tuple(word)
+
+
 def _reference_class_lambda(alphabet, word):
     """lambda of the class of a representative, as the class readout reads
-    it: from the word when it is cyclically reduced, else from the least
-    rotation of its cyclic core."""
-    cancels = _cancels(alphabet)
-    if len(_reference_core(cancels, word)[1]) < len(word):
-        word = _reference_canon(cancels, word)
+    it: from the word that stands for its class."""
+    word = _reference_class_word(_cancels(alphabet), word)
     return _reference_projection(_reference_accumulate(alphabet, word), True)
 
 
 def _reference_lead(cancels, word, rep):
-    """The length of the prefix p with w p = p r, of the word w and its
-    cyclically reduced representative r: the core's letters up to the first
-    place its rotation is r, after the letters the core drops in front.
-    None when r is not cyclically reduced."""
-    if len(_reference_core(cancels, rep)[1]) < len(rep):
-        return None
+    """The length of the prefix p with w p = p r, of the word w and the word
+    r that stands for the class of its representative `rep`: the core's
+    letters up to the first place its rotation is r, after the letters the
+    core drops in front."""
     start, core = _reference_core(cancels, word)
     canon = _reference_canon(cancels, word)
 
     def shift(v):
         return min(i for i in range(len(v)) if v[i:] + v[:i] == canon)
 
-    return start + (shift(core) - shift(rep)) % len(core)
+    return start + (shift(core) - shift(_reference_class_word(cancels, rep))) % len(core)
 
 
 def _free_reduction(cancels, word):
@@ -1226,17 +1255,20 @@ def _reference_carried(alphabet, data, word, lead):
 
 
 def _reference_forward(alphabet, words):
-    """Per word, (data, src): its forward (log gap, vector) per degree, or
-    None, as the class readout reads it, and the row whose own eigenvalues
-    it takes.  A word takes its representative's gaps and vector, the vector
-    carried by the product of its lead prefix; a word whose representative
-    is not cyclically reduced reads its own."""
+    """Per word, (data, r): its forward (log gap, vector) per degree, or
+    None, as the class readout reads it, and the word r whose own
+    eigenvalues it takes, the one that stands for its class.  A word takes
+    r's gaps and vector, the vector carried by the product of its lead
+    prefix."""
     cancels = _cancels(alphabet)
-    data = [_reference_eigdata(_reference_accumulate(alphabet, w), False) for w in words]
+    data = {}
     out = []
-    for i, (w, r) in enumerate(zip(words, _reference_representatives(cancels, words))):
+    for w, r in zip(words, _reference_representatives(cancels, words)):
+        src = _reference_class_word(cancels, words[r])
+        if src not in data:
+            data[src] = _reference_eigdata(_reference_accumulate(alphabet, src), False)
         t = _reference_lead(cancels, w, words[r])
-        out.append((data[i], i) if t is None else (_reference_carried(alphabet, data[r], w, t), r))
+        out.append((_reference_carried(alphabet, data[src], w, t), src))
     return out
 
 
@@ -1458,8 +1490,9 @@ class TestBatchedEngine:
         s = _sampler(sl2_pair, kind="group", max_length=6)
         levels = s.max_length * (s.n - 1)
         assert len(lc.estimate_facets(s)) > 0
-        # the per-word readout made two calls per word and degree
-        assert 0 < calls["eig"] <= 2 * levels
+        # the per-word readout made two calls per word and degree; the facets
+        # make two splittings and one covector call per level and degree
+        assert 0 < calls["eig"] <= 3 * levels
         calls["eig"] = 0
         lc.estimate_limit_set(s)
         assert 0 < calls["eig"] <= levels
@@ -1473,20 +1506,33 @@ class TestBatchedEngine:
             core, _, canon, _ = limits._cyclic_classes(spelled, lengths, np.array(_cancels(a)))
             canons += [tuple(c.tolist()) for c in np.split(canon, np.cumsum(core)[:-1])]
         assert canons == [_reference_canon(_cancels(a), w) for w in words]
-        rep = limits._class_readout(sampler)[3].tolist()
-        assert rep == _reference_representatives(_cancels(a), words)
+        classes = limits._class_readout(sampler)[3].tolist()
+        reps = _reference_representatives(_cancels(a), words)
+        # one class index per representative of the list rule
+        rep_of = dict(zip(classes, reps))
+        assert len(rep_of) == len(set(reps)) and [rep_of[c] for c in classes] == reps
+        # the class's row of `new` is the product of the word that stands for it
+        new = [b[5] for b in limits._classes(sampler)]
+        for k in range(sampler.n - 1):
+            p, ls = (np.concatenate([n[k][j] for n in new]) for j in (0, 1))
+            assert len(p) == len(rep_of)
+            for c, r in rep_of.items():
+                (want, want_ls) = _reference_accumulate(a, _reference_class_word(_cancels(a), words[r]))[k]
+                assert np.array_equal(p[c], want) and ls[c] == want_ls
         if sampler.strategy == "exhaustive":
             # the least rotation of the core is enumerated, no later than the word
+            rep = [rep_of[c] for c in classes]
             assert all(r <= i and words[r] == c for i, (r, c) in enumerate(zip(rep, canons)))
 
     def test_class_members_read_their_representatives_lambda(self, sampler):
         a = sampler.alphabet
         words = sampler.words()
-        _, _, lam, rep = limits._class_readout(sampler)
-        assert (rep < np.arange(len(rep))).any()  # every sampler has classes of two words
-        for i, r in enumerate(rep.tolist()):
-            assert lam[i].tobytes() == lam[r].tobytes()
-        for r in sorted(set(rep.tolist())):
+        _, _, lam, cls = limits._class_readout(sampler)
+        assert len(np.unique(cls)) < len(cls)  # every sampler has classes of two words
+        rep = _reference_representatives(_cancels(a), words)
+        for i, r in enumerate(rep):
+            assert cls[i] == cls[r] and lam[i].tobytes() == lam[r].tobytes()
+        for r in sorted(set(rep)):
             assert np.array_equal(lam[r], _reference_class_lambda(a, words[r]))
 
     @pytest.mark.parametrize("estimate", [lc.estimate_cone, lc.compare_mu_lambda])
@@ -1554,11 +1600,9 @@ class TestBatchedEngine:
         with mp.workdps(200):
             letters = _mp_letters(mp, a)
             for i in conjugated[:: max(1, len(conjugated) // 150)]:
-                vals, vecs = mp.eig(_mp_product(letters, words[i]))
-                top = max(range(len(vals)), key=lambda j: abs(vals[j]))
-                want = np.array([float(mp.re(vecs[r, top])) for r in range(s.n)])
+                want = _mp_attracting_vector(mp, _mp_product(letters, words[i]), 1)
                 got = forward[0][rows[i]]
-                want, got = want / np.linalg.norm(want), got / np.linalg.norm(got)
+                got = got / np.linalg.norm(got)
                 assert min(np.abs(got - want).max(), np.abs(got + want).max()) <= 1e-12
 
     def test_sl2_points_lie_on_the_carried_core_point(self, sl2_pair):
@@ -1731,11 +1775,8 @@ class TestMuKernel:
         # a drawn group list whose class holds no cyclically reduced member
         # reads lambda from the class's core, not from eig of u v u^-1
         mp = pytest.importorskip("mpmath")
-        gens = lc.forge_group(3, forge_cone, 0.05, seed=2).generators
-        s = _sampler(gens, kind="group", count=2000, max_length=8, seed=5)
+        s, rows = _bare_drawn_sample(forge_cone)
         words = s.words()
-        ((_, _, _, _, lead),) = limits._classes(s)
-        rows = np.flatnonzero(lead < 0).tolist()
         assert len(rows) == 9
         _, _, lam, _ = limits._class_readout(s)
         with mp.workdps(200):
@@ -1743,6 +1784,51 @@ class TestMuKernel:
             for i in rows:
                 want = _mp_lambda(mp, letters, words[i])
                 assert np.max(np.abs(lam[i] - want)) <= 1e-12 * np.max(np.abs(want))
+
+    def test_conjugated_drawn_representatives_carry_their_cores_flags(self, forge_cone):
+        # the same classes read their forward flags from the core's `eig`,
+        # carried by the lead prefix: eig of u v u^-1 misses mpmath by 2e-10
+        # to 1e-8 and its moduli drop 7 of the 9 rows; lambda keeps its bits
+        mp = pytest.importorskip("mpmath")
+        s, rows = _bare_drawn_sample(forge_cone)
+        a, words = s.alphabet, s.words()
+        ((_, _, (forward,), (kept,)),) = limits._flag_readout(s, side="forward")
+        assert kept[rows].all()
+        _, _, lam, _ = limits._class_readout(s)
+        with mp.workdps(200):
+            letters = _mp_letters(mp, a)
+            for i in rows:
+                assert lam[i].tobytes() == _reference_class_lambda(a, words[i]).tobytes()
+                m = _mp_product(letters, words[i])
+                for k, split in enumerate(forward, start=1):
+                    want = _mp_attracting_vector(mp, m, k)
+                    got = split.vectors[i] / np.linalg.norm(split.vectors[i])
+                    assert min(np.abs(got - want).max(), np.abs(got + want).max()) <= 1e-12
+
+
+def _bare_drawn_sample(forge_cone):
+    """(sampler, rows): 2,000 words drawn from a forged SL(3) group, and the
+    rows whose class has no cyclically reduced member in the list."""
+    gens = lc.forge_group(3, forge_cone, 0.05, seed=2).generators
+    s = _sampler(gens, kind="group", count=2000, max_length=8, seed=5)
+    words, cancels = s.words(), _cancels(s.alphabet)
+    reps = _reference_representatives(cancels, words)
+    rows = [i for i, r in enumerate(reps) if _reference_class_word(cancels, words[r]) != words[r]]
+    return s, rows
+
+
+def _mp_attracting_vector(mp, m, k):
+    """The unit top eigenvector of the k-th compound of the mpmath matrix m,
+    its minors over lexicographic k-subsets, as floats."""
+    subsets = list(itertools.combinations(range(m.rows), k))
+    compound = mp.matrix([
+        [mp.det(mp.matrix([[m[i, j] for j in cols] for i in rows])) for cols in subsets]
+        for rows in subsets
+    ])
+    vals, vecs = mp.eig(compound)
+    top = max(range(len(vals)), key=lambda j: abs(vals[j]))
+    v = np.array([float(mp.re(vecs[r, top])) for r in range(len(subsets))])
+    return v / np.linalg.norm(v)
 
 
 class TestClassMap:

@@ -34,10 +34,6 @@ class TestChamberVector:
         with pytest.raises(InvalidInput, match="finite"):
             lc.ChamberVector.from_coords(coords)
 
-    def test_direction_of_zero_vector(self):
-        v = lc.ChamberVector.from_coords([0.0, 0.0])
-        assert np.array_equal(v.direction(), np.zeros(2))
-
     def test_compares_and_hashes_by_its_coordinates(self):
         # the generated dataclass __eq__ compared the coords arrays and raised
         a = lc.ChamberVector.from_coords([1.0, 0.0, -1.0])

@@ -356,6 +356,29 @@ def test_a_negative_seed_is_refused_before_any_work(entry, monkeypatch):
     calls = count_top_eigendata(monkeypatch)
     with pytest.raises(InvalidInput, match="seed must be >= 0, got -1"):
         call(-1)
+    # so is a seed that is not an integer, which numpy would truncate to 1
+    with pytest.raises(InvalidInput, match="seed must be an integer, got 1.5"):
+        call(1.5)
+    assert not calls
+
+
+def _sized_entries():
+    """Each public entry that takes a size, as a call of that size."""
+    g = lc.GroupElement.from_matrix(np.diag([1e4, 1.0, 1e-4]))
+    return {
+        "max_length": lambda v: lc.WordSampler((g,), max_length=v).words(),
+        "count": lambda v: lc.WordSampler((g,), max_length=2, count=v).words(),
+        "sample_count": lambda v: lc.certify_eps_proximal(g, 1, 0.1, sample_count=v),
+    }
+
+
+@pytest.mark.parametrize("size", list(_sized_entries()))
+def test_a_non_integral_size_is_refused_before_any_work(size, monkeypatch):
+    call = _sized_entries()[size]
+    call(np.int64(3))  # numpy integers are sizes
+    calls = count_top_eigendata(monkeypatch)
+    with pytest.raises(InvalidInput, match=f"{size} must be an integer, got 2.5"):
+        call(2.5)
     assert not calls
 
 

@@ -585,6 +585,19 @@ def test_mistyped_marker_fails_collection(tmp_path):
     assert "'slwo' not found" in proc.stdout
 
 
+def test_one_owner_of_conjugacy_classes():
+    # which word stands for a class, and the prefix that carries its flags,
+    # are decided in `limits._classes` alone; the readers read its map
+    def classes(node):
+        return (
+            isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Name)
+            and node.func.id == "_cyclic_classes"
+        )
+
+    assert _functions_holding(classes) == {"limits._classes"}
+
+
 def test_the_forward_limit_set_reads_eig_once_per_class(monkeypatch):
     # a forward-only limit set splits the class representatives' products
     # alone; every other word's flag is carried by its prefix.  The keep rule
@@ -619,8 +632,8 @@ def test_the_forward_limit_set_reads_eig_once_per_class(monkeypatch):
         rows.clear()
         lc.estimate_limit_set(sampler, side="backward")
         assert sum(rows) == 3 * len(words)
-        # the facets read every row once: the representatives' forward
-        # sides come from the call that reads each word's backward side
+        # the facets read the representatives' forward sides, then every
+        # word's backward side
         rows.clear()
         lc.estimate_facets(sampler)
-        assert sum(rows) == 3 * len(words)
+        assert sum(rows) == 3 * (len(np.unique(reps)) + len(words))
