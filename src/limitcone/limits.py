@@ -20,18 +20,33 @@ row, which also spares a conjugated group word its ill-conditioned `eig`; a
 listed class with no cyclically reduced member is read from its core.  mu is
 read per word.
 
-The forward limit set reads attracting flags once per class too.  Let R be
-a word's class representative and p its lead prefix: for the word
-w = u v u^-1 with core v = a b and R = b a, p = u a.  Then w p = p R,
-since u^-1 u cancels: w p = u a b a = p R.  So for every eigenvector y of
-R's k-th compound, P_p y is an eigenvector of w's for the same eigenvalue
-(w P_p y = P_p R y), and x+(w) = P_p x+(R) at every degree, in semigroups
-and groups alike; w's moduli are R's.  `eig` reads the representatives,
-and every other word's forward vector is one matvec by its prefix's
-product.  The facets read the same forward side.  The backward side is
-not carried: in a semigroup x-(R) lies near the repelling point of p's last
-letter, which P_p contracts, so the carried vector keeps few correct digits.
-The backward side is read from each word's own `eig`.
+Both sides of the limit set read their flags once per class too.  Let R
+be a word's class representative and p its lead prefix: for the word
+w = u v u^-1 with core v = a b and R = b a, p = u a, and w = p s with
+s = b u^-1.  Then w p = p R, since u^-1 u cancels: w p = u a b a = p R,
+and R = s p.  Write P_x for the k-th compound of a word x.  For every
+eigenvector y of P_R, P_p y is an eigenvector of P_w for the same
+eigenvalue (P_w P_p y = P_p P_R y), so x+(w) = P_p x+(R) at every degree,
+in semigroups and groups alike; w's moduli are R's.  For a left one,
+phi^T P_R = alpha phi^T, and phi^T P_s P_w = phi^T P_s P_p P_s =
+alpha phi^T P_s, so the repelling covector is phi(w) = P_s^T phi(R).  `eig`
+reads the representatives and their transposes, and every other word's
+vector is one matvec by its prefix's product, its covector one by its
+suffix's.  In a Schottky semigroup neither carry loses digits: x+(R) lies
+near the top of P_s's range, which P_p does not contract, and phi(R) near
+the top of P_p^T's, which P_s^T does not.
+The backward flag x-(w), the attracting point of w^-1, is the Hodge star
+of a covector.  Let * take a vector b of degree n - k to (*b)[I] =
+sgn(I, I^c) b[I^c] of degree k, sgn the parity of I followed by I^c: a
+signed permutation, so *^-T = *.  The wedge product is a^b =
+<a, *b> e_1^...^e_n, and (g a)^(g b) = det(g) a^b, so for g in SL(n)
+Lambda^k(g)^T * Lambda^(n-k)(g) = *.  Then * Lambda^(n-k)(g) *^-1 =
+Lambda^k(g)^-T, and transposed, Lambda^k(g^-1) = * Lambda^(n-k)(g)^T *^-1:
+the top eigenvector of Lambda^k(w^-1) is *phi_(n-k)(w), with the moduli
+of Lambda^(n-k)(w).  So the backward gap of degree k is the forward gap of
+degree n - k, both sides keep the same words, and only top eigenvectors
+are read: a bottom one is rounding noise once the product's span passes
+about log(1/eps), 36.
 Directions and points are deduplicated by one greedy kernel over a sorted-key
 window (`_greedy_distinct`), which keeps a row alone in its window without
 touching an array; the cone's kept directions are one checked stack
@@ -61,7 +76,7 @@ from .projections import (
     product_projection,
     take_words,
 )
-from .proximality import Splitting, eigen_splittings, repelling_covectors
+from .proximality import Splitting, eigen_splittings
 
 WORD_BUDGET = 10**6
 MERGE_TOL = 1e-9
@@ -697,20 +712,37 @@ def _merge_points(vectors) -> tuple:
     return tuple(ProjectivePoint(rep=reps[k]) for k in _greedy_distinct(reps, MERGE_TOL, merges))
 
 
-def _prefix_products(alphabet, spelled, lead) -> tuple:
-    """(product, inverse): the products of the rows' distinct prefixes of
-    `lead` letters (`lead` >= 1), one `Alphabet.accumulate`, and per row the
-    index of its prefix among them."""
-    width = int(lead.max())
-    prefix = np.where(np.arange(width) < lead[:, None], spelled[:, :width], -1)
-    # one bytes key per row, so equal prefixes are found by one 1-D sort
-    keys = np.ascontiguousarray(prefix).view(np.dtype((np.void, prefix.itemsize * width)))
+def _subword_products(alphabet, spelled, lo, hi) -> tuple:
+    """(product, inverse): the products of the rows' distinct subwords, the
+    letters lo[i] .. hi[i] - 1 of row i (lo < hi), one `Alphabet.accumulate`,
+    and per row the index of its subword among them."""
+    width = int((hi - lo).max())
+    cols = lo[:, None] + np.arange(width)
+    letters = np.take_along_axis(spelled, np.minimum(cols, spelled.shape[1] - 1), axis=1)
+    subword = np.where(cols < hi[:, None], letters, -1)
+    # one bytes key per row, so equal subwords are found by one 1-D sort
+    keys = np.ascontiguousarray(subword).view(np.dtype((np.void, subword.itemsize * width)))
     _, first, inverse = np.unique(keys.ravel(), return_index=True, return_inverse=True)
-    return alphabet.accumulate(prefix[first]), inverse
+    return alphabet.accumulate(subword[first]), inverse
+
+
+def _star(vectors, n, k) -> np.ndarray:
+    """The Hodge star of rows of degree n - k, rows of degree k: x[I] =
+    sgn(I, I^c) phi[I^c] per k-subset I, sgn the parity of I then I^c.
+
+    The k-subsets' complements, in the lexicographic wedge basis, are the
+    (n - k)-subsets in reverse order: where the first sorted elements of
+    two k-subsets differ, the earlier subset holds the smaller one, which
+    the later subset's complement holds and the earlier's does not.
+    """
+    subsets = np.array(list(itertools.combinations(range(n), k)))
+    # sorting I then I^c takes sum(I) - k(k - 1)/2 transpositions
+    sign = 1 - 2 * ((subsets.sum(axis=1) - k * (k - 1) // 2) % 2)
+    return sign * vectors[:, ::-1]
 
 
 def _flag_readout(sampler: WordSampler, words=None, side=None):
-    """Per batch of `_batches`: (words, product, sides, kept).
+    """Per batch of `_classes`: (words, sides, kept).
 
     `sides` holds one Splitting per degree for the side asked, "forward" or
     "backward", or, with `side` None, for the forward and the backward side.
@@ -718,38 +750,43 @@ def _flag_readout(sampler: WordSampler, words=None, side=None):
     degree, with a positive runner-up modulus and a log gap above
     DEFAULT_PROXIMALITY_FILTER.
 
-    The forward side is read once per conjugacy class (see the module
-    docstring): `eigen_splittings` reads the products `new` of the batch's
-    new class representatives r in `_classes`, and `table` keeps their rows,
-    which a later batch reads too.  Every word w takes its r's eigenvalue
-    and moduli, class functions, so the keep rule reads r's, and r's vector
-    carried by the product of w's lead prefix p, P_p x+(r), one batched
-    matvec per degree; a lead of 0 copies r's vector.  The backward side
-    comes from each word's own `eig`: in a semigroup x-(r) lies near the
-    repelling point of p's last letter, where P_p contracts, so carrying it
-    would lose the digits the carried vector needs.
+    Both sides are read once per conjugacy class (see the module
+    docstring), by one path: `eigen_splittings` reads the products `new` of
+    the batch's new class representatives r, forward, or their transposes,
+    backward, and `tables` keeps their rows, which a later batch reads too.
+    Every word w = p s, p its lead prefix, takes its r's moduli and
+    proximal mask, class functions, so the keep rule reads r's.  Forward, w
+    takes r's attracting vector carried by p's product, P_p x+(r);
+    backward, r's repelling covector carried by the transpose of the suffix
+    s's, P_s^T phi(r).  The products of the distinct prefixes, or suffixes, come
+    from one `_subword_products`, and each degree's carry is one batched
+    matvec; a lead of 0 copies r's vector.  The backward Splitting of
+    degree k is that of the covectors of degree n - k, its vectors starred,
+    x-(w) = *phi(w) (`_star`): its moduli are those of Lambda^(n-k) r, so
+    both sides keep the same rows.
     """
-    alphabet = sampler.alphabet
-    # the class map serves the forward side alone
-    batches = _batches(sampler, words) if side == "backward" else _classes(sampler, words)
-    table = None
-    for batch, product, spelled, *classes in batches:
+    alphabet, n = sampler.alphabet, sampler.n
+    reads = {"forward": [False], "backward": [True]}.get(side, [False, True])
+    # per side read, its representatives' rows: per batch, one Splitting per degree
+    tables = {backward: [] for backward in reads}
+    for batch, _, spelled, cls, lead, new in _classes(sampler, words):
+        moved = np.flatnonzero(lead > 0)
+        spelled, lead = spelled[moved], lead[moved]
+        # per side, the letters of the subwords that carry: p, or s
+        carried = (0 * lead, lead), (lead, np.count_nonzero(spelled >= 0, axis=1))
         sides = []
-        if classes:
-            cls, lead, new = classes
-            read = [eigen_splittings(p)[0] for p, _ in new]
-            table = read if table is None else [
-                Splitting(*map(np.concatenate, zip(t, s))) for t, s in zip(table, read)
-            ]
-            forward = [Splitting(*(f[cls] for f in t)) for t in table]
-            moved = np.flatnonzero(lead > 0)
+        for backward, table in tables.items():
+            table.append([eigen_splittings(p.transpose(0, 2, 1) if backward else p) for p, _ in new])
+            splits = [Splitting(*(np.concatenate(f)[cls] for f in zip(*t))) for t in zip(*table)]
             if moved.size:
-                prefix, inverse = _prefix_products(alphabet, spelled[moved], lead[moved])
-                for s, (q, _) in zip(forward, prefix):
-                    s.vectors[moved] = (q[inverse] @ s.vectors[moved, :, None])[:, :, 0]
-            sides.append(forward)
-        if side != "forward":
-            sides.append([eigen_splittings(p)[1] for p, _ in product])
+                carry, inverse = _subword_products(alphabet, spelled, *carried[backward])
+                for s, (q, _) in zip(splits, carry):
+                    q = q[inverse].transpose(0, 2, 1) if backward else q[inverse]
+                    s.vectors[moved] = (q @ s.vectors[moved, :, None])[:, :, 0]
+            if backward:
+                splits = [s._replace(vectors=_star(s.vectors, n, k))
+                          for k, s in enumerate(splits[::-1], 1)]
+            sides.append(splits)
         with np.errstate(divide="ignore", invalid="ignore"):
             # a vanishing runner-up modulus has no finite log gap, and two
             # vanishing moduli none at all; such a row is not proximal
@@ -761,20 +798,21 @@ def _flag_readout(sampler: WordSampler, words=None, side=None):
                 ])
                 for splits in sides
             ]
-        yield batch, product, sides, kept
+        yield batch, sides, kept
 
 
 def estimate_limit_set(sampler: WordSampler, side: str = "forward", words=None) -> LimitSetSample:
     """Attracting points (per degree) of the sampled words `_flag_readout` keeps on `side`.
 
-    The forward points are read once per conjugacy class and carried to
-    the class's other words by their lead prefixes (see the module
-    docstring); the backward points are read per word.
+    Forward, the points x+(w); backward, the points x-(w) of w^-1, the
+    Hodge stars of the repelling covectors.  Both are read once per
+    conjugacy class and carried to the class's other words (see the module
+    docstring), and both sides keep the same words.
     """
     if side not in ("forward", "backward"):
         raise InvalidInput(f"unknown side {side!r}")
     clouds = [[] for _ in range(sampler.n - 1)]
-    for _, _, (splits,), (kept,) in _flag_readout(sampler, words, side):
+    for _, (splits,), (kept,) in _flag_readout(sampler, words, side):
         for cloud, s in zip(clouds, splits):
             cloud.append(s.vectors[kept])
     clouds = [np.concatenate(c) for c in clouds]
@@ -798,24 +836,23 @@ def estimate_facets(sampler: WordSampler, words=None) -> list[FacetSample]:
     pair and a transversality flag.
 
     So a word yields a facet when the limit set keeps it both ways, and its
-    forward flag is the one the limit set reads, once per conjugacy class,
-    by an `eig` of the representatives beside each word's backward `eig`.
+    flags are the limit set's, read once per conjugacy class: an `eig` of
+    the representatives and one of their transposes per level and degree.
     A batch's kept rows are read as stacks, one `canonical_units` per side
-    and degree, and their repelling covectors from one transposed `eig` per
-    degree, none when no row is kept.  The flags are in general position
-    when every forward gap min(1, |phi . x|) exceeds
-    DEFAULT_PROXIMALITY_FILTER.
+    and degree.  The repelling covector of degree k is the one the backward
+    side carried, phi_k = +-*x-_(n-k), since ** = (-1)^(k(n-k)).  The flags
+    are in general position when every forward gap min(1, |phi . x|)
+    exceeds DEFAULT_PROXIMALITY_FILTER.
     """
     out = []
-    for batch, product, (forward, backward), kept in _flag_readout(sampler, words):
+    for batch, (forward, backward), kept in _flag_readout(sampler, words):
         rows = np.flatnonzero(kept[0] & kept[1])
         if not rows.size:
             continue
         fwd, bwd = ([_points(s.vectors[rows]) for s in side] for side in (forward, backward))
         gaps = []
-        for (p, _), s, x in zip(product, forward, fwd):
-            phi = repelling_covectors(p[rows], s.eigenvalue[rows])
-            phi = canonical_units(phi, "hyperplane covector")
+        for k, (x, s) in enumerate(zip(fwd, backward[::-1]), 1):
+            phi = canonical_units(_star(s.vectors[rows], sampler.n, k), "hyperplane covector")
             # one dot product per row, the bits of each row's phi @ x
             gaps.append(np.abs(phi[:, None, :] @ x[:, :, None]).reshape(-1))
         general = np.minimum(1.0, np.min(gaps, axis=0)) > DEFAULT_PROXIMALITY_FILTER

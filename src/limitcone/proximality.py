@@ -82,9 +82,6 @@ SEPARATION_FACTOR = 6.0
 # the modes a caller may request; exact mode is the certifier's own choice
 MODES = ("analytic", "sampled")
 DEFAULT_SAMPLE_COUNT = 10_000
-# the ascending-modulus ranks of the dominant eigenvalue, forward then
-# backward, and of the runner-up, forward then backward
-_SIDE_COLUMNS = np.array([-1, 0, -2, 1])
 
 # Empirical per-letter slack for composed-product eigenvalue intervals; the
 # sharp constants are existential, this one is validated corpus-wide by the
@@ -131,50 +128,36 @@ class ComposedProximality:
 
 
 class Splitting(NamedTuple):
-    """One dominant eigenvalue per matrix of an (N, d, d) stack, with its splitting."""
+    """The dominant eigenvalue's splitting, per matrix of an (N, d, d) stack."""
 
-    eigenvalue: np.ndarray  # (N,) the dominant eigenvalue
     top: np.ndarray  # (N,) its modulus
     second: np.ndarray  # (N,) the runner-up modulus
     vectors: np.ndarray  # (N, d) the real part of its eigenvector
     proximal: np.ndarray  # (N,) bool: whether the eigenvalue is nonzero and simply dominant
 
 
-def _eig(stack: np.ndarray):
+def eigen_splittings(stack: np.ndarray) -> Splitting:
+    """The dominant Splitting of an (N, d, d) stack, from one batched `eig`.
+
+    A row is proximal when its dominant modulus is nonzero and its relative
+    gap to the runner-up at least EIGEN_GAP_TOL, and its vector then spans
+    the attracting line.  Of a real matrix, that eigenvalue is real: `eig`
+    gives a complex one with its conjugate, of bit-equal modulus.  Of the
+    transposed stack, the vector is the left eigenvector, the covector of the
+    repelling hyperplane, and the moduli are the stack's own.
+    """
     try:
-        return np.linalg.eig(stack)
+        vals, vecs = np.linalg.eig(stack)
     except np.linalg.LinAlgError as e:
         raise NumericalFailure(f"eigenvalue computation failed: {e}") from e
-
-
-def eigen_splittings(stack: np.ndarray) -> tuple:
-    """(forward, backward) Splittings of an (N, d, d) stack, from one batched `eig`.
-
-    Backward, the dominant eigenvalue is the inverse's: `top` and `second` are
-    the bottom two moduli.  A row is proximal when its dominant modulus is
-    nonzero and its relative gap to the runner-up at least EIGEN_GAP_TOL, and its
-    vector then spans the attracting line.  Of a real matrix, that eigenvalue
-    is real: `eig` gives a complex one with its conjugate, of bit-equal modulus.
-    """
-    vals, vecs = _eig(stack)
     mod = np.abs(vals)
     rows = np.arange(stack.shape[0])
-    # (2, N) column indices, row 0 for the forward side and row 1 backward
-    i, j = np.argsort(mod, axis=1)[:, _SIDE_COLUMNS].T.reshape(2, 2, -1)
-    alpha, top, second = vals[rows, i], mod[rows, i], mod[rows, j]
+    i, j = np.argsort(mod, axis=1)[:, [-1, -2]].T
+    top, second = mod[rows, i], mod[rows, j]
     with np.errstate(divide="ignore", invalid="ignore"):
-        simple = np.abs(top - second) / np.maximum(top, second) >= EIGEN_GAP_TOL
+        simple = (top - second) / top >= EIGEN_GAP_TOL
     proximal = (top > 0.0) & simple
-    return tuple(map(Splitting, alpha, top, second, np.real(vecs[rows, :, i]), proximal))
-
-
-def repelling_covectors(stack: np.ndarray, eigenvalues: np.ndarray) -> np.ndarray:
-    """Per matrix of an (N, d, d) stack, the real left eigenvector of the
-    eigenvalue nearest `eigenvalues[row]`: of a forward Splitting's, the
-    repelling hyperplane.  One batched `eig` of the transposed stack."""
-    vals, vecs = _eig(stack.transpose(0, 2, 1))
-    nearest = np.argmin(np.abs(vals - eigenvalues[:, None]), axis=1)
-    return np.real(vecs[np.arange(vals.shape[0]), :, nearest])
+    return Splitting(top, second, np.real(vecs[rows, :, i]), proximal)
 
 
 def top_eigendata(m: np.ndarray):
@@ -185,13 +168,14 @@ def top_eigendata(m: np.ndarray):
     of `eigen_splittings` of a stack of one.
     """
     stack = np.asarray(m, dtype=float)[None]
-    forward, _ = eigen_splittings(stack)
+    forward = eigen_splittings(stack)
     top, second = forward.top[0], forward.second[0]
     if top <= 0.0:
         raise NumericalFailure("vanishing top eigenvalue modulus")
     if not forward.proximal[0]:
         raise NotProximal(f"dominant modulus {top} is not simple (runner-up {second})")
-    phi = repelling_covectors(stack, forward.eigenvalue)[0]
+    # the transpose's dominant vector: its modulus is simple, as the stack's is
+    phi = eigen_splittings(stack.transpose(0, 2, 1)).vectors[0]
     return (
         float(top),
         ProjectivePoint.from_vector(forward.vectors[0]),

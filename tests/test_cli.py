@@ -283,6 +283,27 @@ class TestForgePipeline:
         ]
 
 
+    def test_a_group_limit_set_is_the_same_both_ways(self, tmp_path, monkeypatch, rays_file):
+        # Gamma = Gamma^-1 at equal depth and x-(w) = x+(w^-1), so the
+        # backward points are the forward ones, within MERGE_TOL both ways
+        monkeypatch.chdir(tmp_path)
+        code, _ = run_cli(["forge", "--n", "3", "--rays", str(rays_file), "--epsilon", "0.05",
+                           "--seed", "2", "--group", "--out", "system.json"])
+        assert code == 0
+        clouds = {}
+        for side in ("fwd", "bwd"):
+            code, _ = run_cli(["limit-set", "--system", "system.json", "--depth", "5",
+                               "--side", side, "--out", side])
+            assert code == 0
+            clouds[side] = [np.loadtxt(f"{side}.deg{k}.csv", delimiter=",", ndmin=2) for k in (1, 2)]
+        for f, b in zip(clouds["fwd"], clouds["bwd"]):
+            assert len(f) > 10
+            # pairwise chordal distances min(|u - v|, |u + v|) of the unit rows
+            d = np.minimum(*(np.linalg.norm(f[:, None] - c * b[None], axis=2) for c in (1, -1)))
+            assert d.min(axis=1).max() <= lc.limits.MERGE_TOL
+            assert d.min(axis=0).max() <= lc.limits.MERGE_TOL
+
+
 class TestLongAndMixedSystems:
     def test_compare_past_the_recursion_limit(self, tmp_path):
         sys_path = write_system(tmp_path / "one.json", [np.diag([2.0, 0.5])])

@@ -109,10 +109,17 @@ class TestOneSimpleDominanceTest:
         rng = np.random.default_rng(2020)
         near_real = 0
         for d in range(2, 9):
-            for side in proximality.eigen_splittings(_near_real_corpus(rng, d, 300)):
-                real = np.abs(side.eigenvalue.imag) <= proximality.EIGEN_GAP_TOL * side.top
-                assert np.array_equal(side.proximal, side.proximal & real)
-                near_real += np.count_nonzero(real & (side.eigenvalue.imag != 0.0))
+            corpus = _near_real_corpus(rng, d, 300)
+            # the inverses' dominant eigenvalues are the corpus's smallest
+            for stack in (corpus, np.linalg.inv(corpus)):
+                split = proximality.eigen_splittings(stack)
+                # the eigenvalue whose modulus the splitting reads, from the same `eig`
+                vals = np.linalg.eig(stack)[0]
+                top = vals[np.arange(len(vals)), np.argmax(np.abs(vals), axis=1)]
+                assert np.array_equal(np.abs(top), split.top)
+                real = np.abs(top.imag) <= proximality.EIGEN_GAP_TOL * split.top
+                assert np.array_equal(split.proximal, split.proximal & real)
+                near_real += np.count_nonzero(real & (top.imag != 0.0))
         # complex dominant eigenvalues that the realness clause would have let through
         assert near_real > 100
 

@@ -598,42 +598,46 @@ def test_one_owner_of_conjugacy_classes():
     assert _functions_holding(classes) == {"limits._classes"}
 
 
-def test_the_forward_limit_set_reads_eig_once_per_class(monkeypatch):
-    # a forward-only limit set splits the class representatives' products
-    # alone; every other word's flag is carried by its prefix.  The keep rule
-    # stays in `limits._flag_readout` (test_one_keep_rule_for_flags).
+def test_both_sides_read_eig_once_per_class(monkeypatch):
+    # the limit set and the facets split the class representatives' products
+    # alone, forward, and their transposes, backward; every other word's flag
+    # is carried by its prefix or its suffix.  The keep rule stays in
+    # `limits._flag_readout` (test_one_keep_rule_for_flags).
     import limitcone as lc
     from limitcone import limits
 
     rays = np.array([(3, 1, -1, -3), (5, 1, -2, -4), (4, 2, -2, -4)], dtype=float)
     cone = lc.TargetCone.from_rays(list(rays / np.linalg.norm(rays, axis=1)[:, None]))
     gens = lc.forge_semigroup(4, cone, 0.03, seed=21).generators
-    rows = []
+    stacks = []
     eigen_splittings = limits.eigen_splittings
 
-    def counting(stack):
-        rows.append(len(stack))
+    def capture(stack):
+        stacks.append(np.array(stack))
         return eigen_splittings(stack)
 
-    monkeypatch.setattr(limits, "eigen_splittings", counting)
+    monkeypatch.setattr(limits, "eigen_splittings", capture)
     for sampler in (
         lc.WordSampler(generators=gens, max_length=7),
         lc.WordSampler(generators=gens, max_length=12, count=500, seed=3),
     ):
         words = sampler.words()
-        reps = limits._class_readout(sampler)[3]
-        for supplied in (None, words):
-            rows.clear()
-            lc.estimate_limit_set(sampler, words=supplied)
-            # one call per batch and degree
-            assert sum(rows) == 3 * len(np.unique(reps)) < 3 * len(words)
+        reps = len(np.unique(limits._class_readout(sampler)[3]))
         if sampler.count == 0:
-            assert (len(np.unique(reps)), len(words)) == (540, 3279)
-        rows.clear()
-        lc.estimate_limit_set(sampler, side="backward")
-        assert sum(rows) == 3 * len(words)
-        # the facets read the representatives' forward sides, then every
-        # word's backward side
-        rows.clear()
+            assert (reps, len(words)) == (540, 3279)
+        read = {}
+        for side in ("forward", "backward"):
+            for supplied in (None, words):
+                stacks.clear()
+                lc.estimate_limit_set(sampler, side=side, words=supplied)
+                # one call per batch and degree, on the representatives alone
+                assert sum(map(len, stacks)) == 3 * reps < 3 * len(words)
+                read[side, supplied is None] = list(stacks)
+        # one path: the backward side reads the forward side's stacks, transposed
+        for fresh in (True, False):
+            forward, backward = read["forward", fresh], read["backward", fresh]
+            assert len(forward) == len(backward)
+            assert all(np.array_equal(b, f.transpose(0, 2, 1)) for f, b in zip(forward, backward))
+        stacks.clear()
         lc.estimate_facets(sampler)
-        assert sum(rows) == 3 * (len(np.unique(reps)) + len(words))
+        assert sum(map(len, stacks)) == 2 * 3 * reps
