@@ -3,19 +3,22 @@
 Words of a finitely generated (semi)group are enumerated or drawn, their
 products accumulated in log-scaled exterior-power form, and their Cartan and
 Jordan projections, attracting flags, and convex-cone hull are read off.
-A word is a tuple of letter indices into an `Alphabet`; `WordSampler.words`
-lists the sampled ones: all reduced words up to its `max_length` when its
+A word is a sequence of letter indices into an `Alphabet`, and inside the
+estimators a row of one letter array (`_spell`); `WordSampler.words` lists
+the sampled ones as tuples: all reduced words up to its `max_length` when its
 `count` is 0, else `count` drawn ones, each drawn by one generator call for
 its letters on the stream of the letter-by-letter draw.  Enumerated words are
-made one length at a time: each level is one batch, extended from the
-previous level by one batched matmul per exterior degree and read off by one
-batched decomposition per degree.  Any other word list, drawn or supplied
-through `words=`, is one ragged batch (`Alphabet.accumulate`), spelled longest
-word first so that the words still being spelled are a prefix of the batch.
+made one length at a time (`Alphabet.levels`): each level's products extend
+the previous level's by one batched matmul per exterior degree and are read
+off by one batched decomposition per degree, so one level's products are
+held at a time.  Any other word list, drawn or supplied through `words=`, is
+one ragged batch (`Alphabet.accumulate`), spelled longest word first so that
+the words still being spelled are a prefix of the batch.
 The cone and the mu/lambda comparison share one readout (`_class_readout`),
 which reads lambda once per conjugacy class (`_classes`), lambda(u v u^-1) =
-lambda(v): from the class's shortest word, which is, for enumerated words,
-the least rotation of the word's cyclic core.  Every other word copies that
+lambda(v): from the class's first shortest word, by one rule over the whole
+list, whether enumerated, drawn or supplied; for enumerated words that word
+is the least rotation of the cyclic core.  Every other word copies that
 row, which also spares a conjugated group word its ill-conditioned `eig`; a
 listed class with no cyclically reduced member is read from its core.  mu is
 read per word.
@@ -167,22 +170,22 @@ class Alphabet:
     def levels(self, max_length: int):
         """The reduced words of lengths 1..max_length, one level per length.
 
-        Per level, (words, parent, letter): the words in lex order, and per
-        word the row of its prefix in the previous level and its last letter.
+        Per level, (spelled, parent): the words in lex order as one (N,
+        length) array of letters, a row per word, and per word the row of
+        its prefix in the previous level; its last letter is its last column.
         """
         size = len(self.elements)
         # the letter that may not follow each letter; the empty word's last
         # letter is the sentinel -1, which blocks nothing
-        blocked = np.array([-1 if c is None else c for _, _, c in self.letters] + [-1])
-        level, last = [()], np.array([-1])
+        blocked = np.append(_cancels(self), -1)
+        spelled, last = np.zeros((1, 0), dtype=int), np.array([-1])
         for _ in range(max_length):
-            parent = np.repeat(np.arange(len(level)), size)
-            letter = np.tile(np.arange(size), len(level))
+            parent = np.repeat(np.arange(len(spelled)), size)
+            letter = np.tile(np.arange(size), len(spelled))
             keep = letter != blocked[last[parent]]
-            parent, letter = parent[keep], letter[keep]
-            level = [level[j] + (i,) for j, i in zip(parent.tolist(), letter.tolist())]
-            last = letter
-            yield level, parent, letter
+            parent, last = parent[keep], letter[keep]
+            spelled = np.concatenate([spelled[parent], last[:, None]], axis=1)
+            yield spelled, parent
 
 
 @dataclass(frozen=True)
@@ -230,17 +233,20 @@ class WordSampler:
     def words(self) -> list:
         """The sampled words as letter tuples, in the order the estimators read them.
 
-        `count` 0: the reduced words of `Alphabet.levels`, length then lex.
-        Otherwise `count` reduced words drawn from the seed, each by one call
-        for its length and one call for its letters, walked in order: a letter
-        that cancels the one kept before it is dropped, and the letters still
-        missing are drawn by one more call.  For one range, a call of size k
-        gives the values of k scalar calls, so the words are those drawn
-        letter by letter, with each cancelling letter redrawn.
+        The estimators read the same words as rows of letter arrays; the
+        tuples are made here, for the caller.  `count` 0: the reduced words
+        of `Alphabet.levels`, length then lex.  Otherwise `count` reduced
+        words drawn from the seed, each by one call for its length and one
+        call for its letters, walked in order: a letter that cancels the one
+        kept before it is dropped, and the letters still missing are drawn by
+        one more call.  For one range, a call of size k gives the values of k
+        scalar calls, so the words are those drawn letter by letter, with
+        each cancelling letter redrawn.
         """
         _check_budget(self.expected_word_count())
         if not self.count:
-            return [w for level, _, _ in self.alphabet.levels(self.max_length) for w in level]
+            levels = self.alphabet.levels(self.max_length)
+            return [tuple(w) for spelled, _ in levels for w in spelled.tolist()]
         size = len(self.alphabet.elements)
         cancels = [c for _, _, c in self.alphabet.letters]
         rng = np.random.default_rng(int(self.seed))
@@ -287,32 +293,6 @@ def _spell(words) -> np.ndarray:
     spelled = np.full((len(words), int(lengths.max(initial=0))), -1, dtype=int)
     spelled[np.arange(spelled.shape[1]) < lengths[:, None]] = letters
     return spelled
-
-
-def _batches(sampler: WordSampler, words=None):
-    """The words as batches (words, accumulated product, spelled), in order.
-
-    `spelled` is the batch's letters as one array (`_spell`).  Enumerated
-    words come as one batch per length, each in lex order, so the batches run
-    in length-then-lex order; each level extends the previous level's product
-    and letter array by one letter, and only those are kept.  Any word list,
-    drawn (`count` >= 1) or a caller's `words` (letter sequences over
-    `sampler.alphabet`, checked here), is one batch accumulated by
-    `Alphabet.accumulate`.
-    """
-    alphabet = sampler.alphabet
-    if words is None and not sampler.count:
-        _check_budget(sampler.expected_word_count())
-        product, powers = empty_product(sampler.n), alphabet._letter_powers()
-        spelled = np.zeros((1, 0), dtype=int)
-        for level, parent, letter in alphabet.levels(sampler.max_length):
-            product = extend_product(take_words(product, parent), [c[letter] for c in powers])
-            spelled = np.concatenate([spelled[parent], letter[:, None]], axis=1)
-            yield level, product, spelled
-        return
-    words = sampler.words() if words is None else _supplied(sampler, words)
-    spelled = _spell(words)
-    yield words, alphabet.accumulate(spelled), spelled
 
 
 def _cancels(alphabet) -> np.ndarray:
@@ -379,30 +359,6 @@ def _cyclic_classes(spelled, lengths, cancels) -> tuple:
     return core, least, canon, start + shift
 
 
-def _level_rows(core, canon, cancels, starts) -> np.ndarray:
-    """Per word, the row of its class's least rotation among the enumerated words.
-
-    `canon` (see `_cyclic_classes`) holds reduced words, each at row
-    `starts[len - 1]` plus its rank in lex order among the reduced words of
-    its length: at each position, the letters below it that may follow the
-    previous letter, times the number of ways to finish the word.  Every
-    term is below the level's word count, which the budget bounds, so the
-    sum is exact.
-    """
-    group = bool((cancels >= 0).any())
-    base = len(cancels) - group
-    word = np.repeat(np.arange(len(core)), core)
-    first = np.cumsum(core) - core
-    pos = np.arange(word.size) - first[word]
-    digit = canon.copy()
-    if group:
-        # the letter that cancels the previous one may not follow it
-        later = np.flatnonzero(pos > 0)
-        digit[later] -= cancels[canon[later - 1]] < canon[later]
-    weight = np.power(base, core[word] - 1 - pos)
-    return starts[core - 1] + np.add.reduceat(digit * weight, first)
-
-
 def _first_shortest(core, key, lengths) -> np.ndarray:
     """Per word, the first of the shortest words with its core's least rotation."""
     order = np.lexsort((lengths, key, core))  # stable: ties keep the word order
@@ -414,55 +370,83 @@ def _first_shortest(core, key, lengths) -> np.ndarray:
 
 
 def _classes(sampler: WordSampler, words=None):
-    """Per batch of `_batches`: (words, product, spelled, cls, lead, new), the
-    class map of its words.
+    """Per batch of the sampled words, in order: (product, spelled, cls,
+    lead, new), the batch's accumulated product and letters (`_spell`) and
+    its class map.
 
-    `cls` is per word the index of its class among all batches' classes,
-    and `new` the accumulated product of the representatives of the classes
-    the batch meets first, in index order.  A class's representative r is
-    its shortest word in the list, the first one when several are that
-    short: for enumerated words the least rotation R of the word's cyclic
-    core, enumerated at or before the word (`_level_rows`); in a drawn or
-    supplied list a list member (`_first_shortest`), or R when that member
-    is not cyclically reduced, since `eig` of u v u^-1 has condition number
-    about exp(mu_1 - lambda_1).  `lead` (>= 0) is per word the length of the
-    prefix p that carries r's flags to the word w, w p = p r (see the
-    module docstring): 0 for r itself and its repeats in a list.
+    Enumerated words (`count` 0, no `words`) come one level of
+    `Alphabet.levels` per batch, each level's product extending the
+    previous level's by one letter, so one level's product is held at a
+    time.  Any other list, drawn (`count` >= 1) or a caller's `words`
+    (letter sequences over `sampler.alphabet`, checked here), is one batch
+    accumulated by `Alphabet.accumulate`.
+
+    One rule maps every list, over its whole letter array at once.  `cls`
+    is per word the index of its class, and `new` the accumulated product
+    of the representatives of the classes the batch meets first, in index
+    order.  A class's representative r is its shortest word in the list,
+    the first one when several are that short (`_first_shortest`), or,
+    when that word is not cyclically reduced, the least rotation R of its
+    core: `eig` of u v u^-1 has condition number about exp(mu_1 -
+    lambda_1).  Such a bare class is numbered after the listed ones and read
+    with the last batch.  `lead` (>= 0) is per word the length of the prefix
+    p that carries r's flags to the word w, w p = p r (see the module
+    docstring): 0 for r itself and its repeats in a list.
+
+    In a list of all reduced words up to a length, in length-then-lex
+    order, r is R, so such a list has no bare class.  Let w be a listed
+    word with core v.  Its class's words are those whose cores are
+    rotations of v (`_cyclic_classes`); a word is its core with letters
+    added at both ends, so the class's words of |v| letters are the
+    rotations of v, and the others are longer.  Each rotation of v is
+    reduced, since v is cyclically reduced, and no longer than w, so each
+    is listed.  The class's first shortest word is then the first rotation
+    of v in the list, and as all of them are |v| letters long, that is the
+    least in lex order: R.
     """
-    cancels = _cancels(sampler.alphabet)
-    if words is not None or sampler.count:
-        ((batch, product, spelled),) = _batches(sampler, words)
-        length = np.count_nonzero(spelled >= 0, axis=1)
-        core, key, canon, lead = _cyclic_classes(spelled, length, cancels)
-        rep = _first_shortest(core, key, length)
-        # the listed representatives first, then the cores of the others
-        reps = np.unique(rep)
-        reps = reps[np.argsort(core[reps] < length[reps], kind="stable")]
-        index = np.empty(len(batch), dtype=int)
-        index[reps] = np.arange(len(reps))
-        bare, first = reps[core[reps] < length[reps]], np.cumsum(core) - core
-        cores = sampler.alphabet.accumulate([canon[first[r] : first[r] + core[r]] for r in bare])
-        listed = take_words(product, reps[: len(reps) - len(bare)])
-        new = tuple(tuple(map(np.concatenate, zip(a, b))) for a, b in zip(listed, cores))
-        start = (length - core) // 2
-        # r = rot(v, m) with m = (shift of w - shift of r) mod |v|, R's shift
-        # being 0, and w (u v[:m]) = u v v[:m] = (u v[:m]) r
-        shift = lead - start
-        lead = start + (shift - np.where(core[rep] == length[rep], shift[rep], 0)) % core
-        yield batch, product, spelled, index[rep], lead, new
-        return
-    # per enumerated level, the row of its first word; met[i] is the number
-    # of classes met before row i, a class being met at its representative
-    starts, lo, met = np.zeros(sampler.max_length, dtype=int), 0, np.zeros(1, dtype=int)
-    for batch, product, spelled in _batches(sampler):
-        width = spelled.shape[1]
-        starts[width - 1] = lo
-        core, _, canon, lead = _cyclic_classes(spelled, np.full(len(batch), width), cancels)
-        rep = _level_rows(core, canon, cancels, starts)
-        own = rep == np.arange(lo, lo + len(batch))
-        met = np.concatenate([met, met[-1] + np.cumsum(own)])
-        yield batch, product, spelled, met[rep], lead, take_words(product, own)
-        lo += len(batch)
+    alphabet = sampler.alphabet
+    if words is None and not sampler.count:
+        _check_budget(sampler.expected_word_count())
+        levels = list(alphabet.levels(sampler.max_length))
+        # every level's rows, padded with -1 to the longest (see `_spell`)
+        spelled = np.concatenate([
+            np.pad(s, [(0, 0), (0, sampler.max_length - s.shape[1])], constant_values=-1)
+            for s, _ in levels
+        ])
+    else:
+        words = sampler.words() if words is None else _supplied(sampler, words)
+        spelled = _spell(words)
+        levels = [(spelled, None)]
+    length = np.count_nonzero(spelled >= 0, axis=1)
+    core, key, canon, lead = _cyclic_classes(spelled, length, _cancels(alphabet))
+    rep = _first_shortest(core, key, length)
+    # the listed representatives first, then the cores of the others
+    reps = np.unique(rep)
+    reps = reps[np.argsort(core[reps] < length[reps], kind="stable")]
+    index = np.empty(len(spelled), dtype=int)
+    index[reps] = np.arange(len(reps))
+    bare = reps[core[reps] < length[reps]]
+    listed = reps[: len(reps) - len(bare)]
+    start = (length - core) // 2
+    # r = rot(v, m) with m = (shift of w - shift of r) mod |v|, R's shift
+    # being 0, and w (u v[:m]) = u v v[:m] = (u v[:m]) r
+    shift = lead - start
+    lead = start + (shift - np.where(core[rep] == length[rep], shift[rep], 0)) % core
+    cls, lo = index[rep], 0
+    product, powers = empty_product(sampler.n), alphabet._letter_powers()
+    for batch, parent in levels:
+        if parent is None:
+            product = alphabet.accumulate(batch)
+        else:
+            product = extend_product(take_words(product, parent), [c[batch[:, -1]] for c in powers])
+        hi = lo + len(batch)
+        new = take_words(product, listed[(lo <= listed) & (listed < hi)] - lo)
+        if bare.size and hi == len(spelled):
+            first = np.cumsum(core) - core
+            cores = alphabet.accumulate([canon[first[r] : first[r] + core[r]] for r in bare])
+            new = tuple(tuple(map(np.concatenate, zip(a, b))) for a, b in zip(new, cores))
+        yield product, batch, cls[lo:hi], lead[lo:hi], new
+        lo = hi
 
 
 def _class_readout(sampler: WordSampler, words=None) -> tuple:
@@ -475,7 +459,7 @@ def _class_readout(sampler: WordSampler, words=None) -> tuple:
     lambda row.  mu is read per word: it is not a class function.
     """
     lengths, mus, lams, classes = [], [], [], []
-    for _, product, spelled, cls, _, new in _classes(sampler, words):
+    for product, spelled, cls, _, new in _classes(sampler, words):
         lengths.append(np.count_nonzero(spelled >= 0, axis=1))
         mus.append(product_projection(product, jordan=False))
         lams.append(product_projection(new, jordan=True))
@@ -615,7 +599,7 @@ def check_convexity(
     redrawn, so the report's `trials` counts the pairs kept; a power without
     a direction scores pi.
     """
-    if trials < 1:
+    if as_index(trials, "trials") < 1:
         raise InvalidInput(f"trials must be >= 1, got {trials}")
     check_seed(seed)
     words = sampler.words()
@@ -742,7 +726,7 @@ def _star(vectors, n, k) -> np.ndarray:
 
 
 def _flag_readout(sampler: WordSampler, words=None, side=None):
-    """Per batch of `_classes`: (words, sides, kept).
+    """Per batch of `_classes`: (spelled, sides, kept), `spelled` its words' letters.
 
     `sides` holds one Splitting per degree for the side asked, "forward" or
     "backward", or, with `side` None, for the forward and the backward side.
@@ -769,9 +753,9 @@ def _flag_readout(sampler: WordSampler, words=None, side=None):
     reads = {"forward": [False], "backward": [True]}.get(side, [False, True])
     # per side read, its representatives' rows: per batch, one Splitting per degree
     tables = {backward: [] for backward in reads}
-    for batch, _, spelled, cls, lead, new in _classes(sampler, words):
+    for _, batch, cls, lead, new in _classes(sampler, words):
         moved = np.flatnonzero(lead > 0)
-        spelled, lead = spelled[moved], lead[moved]
+        spelled, lead = batch[moved], lead[moved]
         # per side, the letters of the subwords that carry: p, or s
         carried = (0 * lead, lead), (lead, np.count_nonzero(spelled >= 0, axis=1))
         sides = []
@@ -845,7 +829,7 @@ def estimate_facets(sampler: WordSampler, words=None) -> list[FacetSample]:
     exceeds DEFAULT_PROXIMALITY_FILTER.
     """
     out = []
-    for batch, (forward, backward), kept in _flag_readout(sampler, words):
+    for spelled, (forward, backward), kept in _flag_readout(sampler, words):
         rows = np.flatnonzero(kept[0] & kept[1])
         if not rows.size:
             continue
@@ -856,9 +840,9 @@ def estimate_facets(sampler: WordSampler, words=None) -> list[FacetSample]:
             # one dot product per row, the bits of each row's phi @ x
             gaps.append(np.abs(phi[:, None, :] @ x[:, :, None]).reshape(-1))
         general = np.minimum(1.0, np.min(gaps, axis=0)) > DEFAULT_PROXIMALITY_FILTER
-        for i, row in enumerate(rows.tolist()):
+        for i, word in enumerate(spelled[rows].tolist()):
             flags = [tuple(ProjectivePoint(rep=x[i]) for x in side) for side in (fwd, bwd)]
-            out.append(FacetSample(batch[row], *flags, bool(general[i])))
+            out.append(FacetSample(tuple(c for c in word if c >= 0), *flags, bool(general[i])))
     if not out:
         raise DegenerateSample("no sampled word passed the proximality filter both ways")
     return out

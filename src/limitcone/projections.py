@@ -29,7 +29,7 @@ from math import comb
 
 import numpy as np
 
-from .errors import DimensionMismatch, InvalidInput, NumericalFailure
+from .errors import DimensionMismatch, InvalidInput, NumericalFailure, as_index
 from .projgeom import CHAMBER_SUM_TOL, ArrayValued, GroupElement, exterior_power, row_norms
 
 
@@ -252,7 +252,7 @@ def iterated_cartan(g: GroupElement, steps: int) -> ChamberVector:
 
     Converges to jordan_projection(g) as steps grows.
     """
-    if steps < 1:
+    if as_index(steps, "steps") < 1:
         raise InvalidInput(f"steps must be >= 1, got {steps}")
     mu = product_projection(_accumulate([g] * steps), jordan=False)[0]
     return ChamberVector.from_coords(mu / steps)

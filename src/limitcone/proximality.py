@@ -630,7 +630,7 @@ def compose_certificates(certs, powers) -> ComposedProximality:
     powers = list(powers)
     if not certs or len(certs) != len(powers):
         raise InvalidInput("need one positive power per certificate")
-    if any(p < 1 for p in powers):
+    if any(as_index(p, "power") < 1 for p in powers):
         raise InvalidInput("powers must be >= 1")
     l = len(certs)
     for j in range(l):

@@ -476,8 +476,9 @@ def _certifying_power(j: int, ray: np.ndarray, signs, epsilon: float, max_power:
 def _sample_forge_words(alphabet: Alphabet, rng_seed: int):
     """The very reduced words of up to FORGE_REPORT_DEPTH letters, 1000 at most (seeded)."""
     levels = alphabet.levels(FORGE_REPORT_DEPTH)
+    words = (tuple(w) for spelled, _ in levels for w in spelled.tolist())
     # sorted as tuples, each word precedes its extensions (preorder)
-    words = sorted(w for level, _, _ in levels for w in level if alphabet.very_reduced(w))
+    words = sorted(w for w in words if alphabet.very_reduced(w))
     if len(words) > 1000:
         rng = np.random.default_rng(int(rng_seed))
         keep = rng.choice(len(words), size=1000, replace=False)

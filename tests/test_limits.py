@@ -21,6 +21,11 @@ def _sampler(gens, **kw):
     return lc.WordSampler(generators=tuple(gens), **kw)
 
 
+def _tuples(spelled):
+    """The words of a letter array (see `limits._spell`) as letter tuples."""
+    return [tuple(i for i in row if i >= 0) for row in spelled.tolist()]
+
+
 class TestWordSampler:
     def test_validation(self, sl2_pair):
         with pytest.raises(InvalidInput):
@@ -143,7 +148,7 @@ class TestAlphabet:
                     yield from extend(word)
 
         walked = list(extend(()))
-        assert sorted(w for level, _, _ in a.levels(6) for w in level) == walked
+        assert sorted(w for spelled, _ in a.levels(6) for w in _tuples(spelled)) == walked
         words = [w for w in walked if len(w) == 1 or w[0] != inv(w[-1])]
         if len(words) > 1000:
             keep = np.random.default_rng(5).choice(len(words), size=1000, replace=False)
@@ -174,10 +179,10 @@ def _assert_batches_equal_letter_products(s, words=None):
     """Every word's mu/lambda, read from its batch, are bit-identical to the
     product_cartan/product_jordan of its letters: one accumulator."""
     elems = s.alphabet.elements
-    for batch, product, _ in limits._batches(s, words):
+    for product, spelled, *_ in limits._classes(s, words):
         mu = lc.projections.product_projection(product, jordan=False)
         lam = lc.projections.product_projection(product, jordan=True)
-        for row, word in enumerate(batch):
+        for row, word in enumerate(_tuples(spelled)):
             letters = [elems[i] for i in word]
             assert np.array_equal(lc.product_jordan(letters).coords, lam[row])
             assert np.array_equal(lc.product_cartan(letters).coords, mu[row])
@@ -339,7 +344,7 @@ class TestCheckConvexity:
         # one drawn word, the conjugate g2 g1 g2^-1: its last letter undoes its
         # first, so no w^m w^m is very reduced
         s = _sampler(sl2_pair, kind="group", max_length=3, count=1, seed=8)
-        (word,) = [w for batch, _, _ in limits._batches(s) for w in batch]
+        (word,) = [w for _, spelled, *_ in limits._classes(s) for w in _tuples(spelled)]
         assert not s.alphabet.very_reduced(word * 4)
         est = lc.estimate_cone(_sampler(sl2_pair, max_length=2))
         with pytest.raises(DegenerateSample, match="no admissible word pair"):
@@ -397,6 +402,12 @@ class TestCheckConvexity:
         s = _sampler(sl2_pair, max_length=2)
         with pytest.raises(InvalidInput, match="trials"):
             lc.check_convexity(lc.estimate_cone(s), s, trials=trials)
+
+    def test_trials_must_be_an_integer(self, sl2_pair):
+        # refused before any work, not truncated or left to a bare TypeError
+        s = _sampler(sl2_pair, max_length=2)
+        with pytest.raises(InvalidInput, match="trials must be an integer"):
+            lc.check_convexity(lc.estimate_cone(s), s, trials=2.5)
 
 
 class TestCompareMuLambda:
@@ -1359,7 +1370,7 @@ class TestBatchedEngine:
         else:
             walked = _reference_walk(sampler.alphabet, sampler.max_length)
             assert words == sorted(walked, key=lambda w: (len(w), w))
-        batches = [batch for batch, _, _ in limits._batches(sampler)]
+        batches = [_tuples(spelled) for _, spelled, *_ in limits._classes(sampler)]
         assert [w for batch in batches for w in batch] == words
         if sampler.strategy == "exhaustive":
             assert [{len(w) for w in b} for b in batches] == [
@@ -1368,10 +1379,10 @@ class TestBatchedEngine:
 
     def test_products_and_projections_equal_the_per_word_engine(self, sampler):
         a = sampler.alphabet
-        for batch, product, _ in limits._batches(sampler):
+        for product, spelled, *_ in limits._classes(sampler):
             mu = lc.projections.product_projection(product, jordan=False)
             lam = lc.projections.product_projection(product, jordan=True)
-            for row, word in enumerate(batch):
+            for row, word in enumerate(_tuples(spelled)):
                 ref = _reference_accumulate(a, word)
                 for (p, ls), (rp, rls) in zip(product, ref):
                     assert np.array_equal(p[row], rp) and ls[row] == rls
@@ -1385,11 +1396,11 @@ class TestBatchedEngine:
     def test_eigendata_equals_the_per_word_readout(self, sampler, backward):
         # backward, the kernel reads the transposes, as the backward side does
         a = sampler.alphabet
-        for batch, product, _ in limits._batches(sampler):
+        for product, spelled, *_ in limits._classes(sampler):
             splits = [eigen_splittings(p.transpose(0, 2, 1) if backward else p) for p, _ in product]
             with np.errstate(divide="ignore"):
                 gaps = [np.abs(np.log(s.top) - np.log(s.second)) for s in splits]
-            for row, word in enumerate(batch):
+            for row, word in enumerate(_tuples(spelled)):
                 ref = _reference_eigdata(_reference_accumulate(a, word), backward)
                 ok = all(min(s.top[row], s.second[row]) > 0.0 for s in splits)
                 assert ok == (ref is not None)
@@ -1521,7 +1532,7 @@ class TestBatchedEngine:
         a = sampler.alphabet
         words = sampler.words()
         canons = []
-        for _, _, spelled in limits._batches(sampler):
+        for _, spelled, *_ in limits._classes(sampler):
             lengths = np.count_nonzero(spelled >= 0, axis=1)
             core, _, canon, _ = limits._cyclic_classes(spelled, lengths, np.array(_cancels(a)))
             canons += [tuple(c.tolist()) for c in np.split(canon, np.cumsum(core)[:-1])]
@@ -1532,7 +1543,7 @@ class TestBatchedEngine:
         rep_of = dict(zip(classes, reps))
         assert len(rep_of) == len(set(reps)) and [rep_of[c] for c in classes] == reps
         # the class's row of `new` is the product of the word that stands for it
-        new = [b[5] for b in limits._classes(sampler)]
+        new = [b[4] for b in limits._classes(sampler)]
         for k in range(sampler.n - 1):
             p, ls = (np.concatenate([n[k][j] for n in new]) for j in (0, 1))
             assert len(p) == len(rep_of)
@@ -1543,6 +1554,29 @@ class TestBatchedEngine:
             # the least rotation of the core is enumerated, no later than the word
             rep = [rep_of[c] for c in classes]
             assert all(r <= i and words[r] == c for i, (r, c) in enumerate(zip(rep, canons)))
+
+    @pytest.mark.parametrize(
+        "sampler", ["sl2-semigroup", "sl2-group", "forged-sl3", "forged-sl4"], indirect=True
+    )
+    def test_enumerated_levels_map_classes_as_their_list(self, sampler):
+        # the level-by-level readout and the same words supplied as one list
+        # give one class map and one representative product per class, bit
+        # for bit: on a length-then-lex list the first shortest word of a
+        # class is the least rotation of its core
+        levels = list(limits._classes(sampler))
+        assert len(levels) == sampler.max_length
+        ((product, _, cls, lead, new),) = limits._classes(sampler, words=sampler.words())
+        assert np.array_equal(np.concatenate([b[2] for b in levels]), cls)
+        assert np.array_equal(np.concatenate([b[3] for b in levels]), lead)
+        for k, (p, ls) in enumerate(new):
+            assert np.array_equal(np.concatenate([b[4][k][0] for b in levels]), p)
+            assert np.array_equal(np.concatenate([b[4][k][1] for b in levels]), ls)
+        # no bare class: each class has one listed word of lead 0, its
+        # representative, whose product is the class's row of `new`
+        reps = np.flatnonzero(lead == 0)
+        assert np.array_equal(cls[reps], np.arange(cls.max() + 1))
+        for (p, ls), (q, qs) in zip(new, lc.projections.take_words(product, reps)):
+            assert np.array_equal(p, q) and np.array_equal(ls, qs)
 
     def test_class_members_read_their_representatives_lambda(self, sampler):
         a = sampler.alphabet
@@ -1660,7 +1694,7 @@ class TestBatchedEngine:
         for s in (_sampler(forged_sl4.generators, max_length=5), _sampler(sl2_pair, max_length=7),
                   _sampler(sl2_pair, count=300, max_length=9, seed=2)):
             carried = list(limits._flag_readout(s, side="forward"))
-            own = [[eigen_splittings(p) for p, _ in product] for _, product, _ in limits._batches(s)]
+            own = [[eigen_splittings(p) for p, _ in product] for product, *_ in limits._classes(s)]
             kept = np.concatenate([k for *_, (k,) in carried])
             with np.errstate(divide="ignore"):
                 mine = np.concatenate([np.logical_and.reduce([
@@ -1726,7 +1760,7 @@ def _mu_top_singular_values(product, monkeypatch):
 
 def _assert_top_singular_values_match_svd(sampler, monkeypatch):
     eps = np.finfo(float).eps
-    for _, product, _ in limits._batches(sampler):
+    for product, *_ in limits._classes(sampler):
         tops = _mu_top_singular_values(product, monkeypatch)
         assert len(tops) == len(product)  # one batched call per degree
         for top, (p, _) in zip(tops, product):

@@ -314,6 +314,11 @@ class TestIteratedCartan:
         with pytest.raises(InvalidInput):
             lc.iterated_cartan(g, 0)
 
+    def test_rejects_fractional_steps(self):
+        g = lc.GroupElement.from_matrix(np.eye(2))
+        with pytest.raises(InvalidInput, match="steps must be an integer"):
+            lc.iterated_cartan(g, 2.5)
+
 
 class TestCompoundCompatibility:
     def test_cauchy_binet_partial_sums(self, random_sl_corpus):

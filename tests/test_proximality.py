@@ -682,6 +682,13 @@ class TestComposeCertificates:
         with pytest.raises(InvalidInput):
             lc.compose_certificates([], [])
 
+    def test_rejects_fractional_powers(self):
+        # g^1.5 is no word of the semigroup: no interval is predicted for it
+        g = lc.GroupElement.from_matrix(np.diag([100.0, 1.0, 0.01]))
+        cert = lc.certify_eps_proximal(g, 1, 0.1)
+        with pytest.raises(InvalidInput, match="power must be an integer"):
+            lc.compose_certificates([cert], [1.5])
+
 
 class TestCheckRequest:
     def test_a_good_request_passes(self):

@@ -222,7 +222,7 @@ def _qualified_functions(tree):
 
 def test_one_accumulation_loop_per_batch_shape():
     # limits accumulates words in two places only: the prefix-sharing levels
-    # of `_batches` and the ragged batch of `Alphabet.accumulate`; a per-word
+    # of `_classes` and the ragged batch of `Alphabet.accumulate`; a per-word
     # accumulator would be a third
     tree = ast.parse((ROOT / "src" / "limitcone" / "limits.py").read_text())
     callers = {
@@ -233,7 +233,7 @@ def test_one_accumulation_loop_per_batch_shape():
         and isinstance(call.func, ast.Name)
         and call.func.id in ACCUMULATORS
     }
-    assert callers == {"_batches", "Alphabet.accumulate"}
+    assert callers == {"_classes", "Alphabet.accumulate"}
 
 
 def _functions_holding(predicate):
@@ -328,7 +328,7 @@ def test_check_convexity_reads_only_the_words_it_draws():
         for call in ast.walk(fn)
         if isinstance(call, ast.Call) and isinstance(call.func, ast.Name)
     }
-    assert "_batches" not in called
+    assert "_classes" not in called
 
 
 def test_the_cone_and_compare_share_one_lambda_readout():
@@ -343,7 +343,7 @@ def test_the_cone_and_compare_share_one_lambda_readout():
             if isinstance(call, ast.Call) and isinstance(call.func, ast.Name)
         }
         assert "_class_readout" in called
-        assert not called & {"_batches", "product_projection"}
+        assert not called & {"_classes", "product_projection"}
 
 
 def test_the_separation_factor_is_written_once():
@@ -596,6 +596,28 @@ def test_one_owner_of_conjugacy_classes():
         )
 
     assert _functions_holding(classes) == {"limits._classes"}
+
+
+def test_one_rule_picks_class_representatives(sl2_pair, monkeypatch):
+    # every word list, enumerated level by level or drawn or supplied, has
+    # its representatives picked by `_first_shortest`; the enumeration's
+    # rank arithmetic `_level_rows` is gone
+    import limitcone as lc
+    from limitcone import limits
+
+    assert not hasattr(limits, "_level_rows")
+    calls = []
+    first_shortest = limits._first_shortest
+
+    def counting(*args):
+        calls.append(len(args[0]))
+        return first_shortest(*args)
+
+    monkeypatch.setattr(limits, "_first_shortest", counting)
+    sampler = lc.WordSampler(generators=sl2_pair, kind="group", max_length=4)
+    limits._class_readout(sampler)
+    # one call, over the whole enumerated list at once
+    assert calls == [sampler.expected_word_count()]
 
 
 def test_both_sides_read_eig_once_per_class(monkeypatch):
